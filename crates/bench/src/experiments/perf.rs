@@ -25,28 +25,14 @@ use crate::format::section;
 /// Output path for the machine-readable trajectory.
 const OUT_PATH: &str = "BENCH_PR3.json";
 
-/// Output path for the compiled-inference comparison (PR 8): the
-/// interpreted `score_fleet` baseline vs the compiled engine, plus
-/// compile time and `.mfpac` artifact size.
-const OUT_PATH_PR8: &str = "BENCH_PR8.json";
-
-/// One timed stage at one fleet scale.
-struct StageRow {
-    stage: String,
-    n_drives: usize,
-    n_samples: usize,
-    wall_ms: f64,
-    threads: usize,
-}
-
-/// Times all stages at one fleet scale, pushing rows and returning the
-/// `(binned, exact)` GBDT fit times for the speedup summary.
+/// Times all stages at one fleet scale, pushing one JSON row per stage
+/// and returning the `(binned, exact)` GBDT fit times for the speedup
+/// summary.
 fn bench_scale(
     label: &str,
     cfg: &FleetConfig,
     seed: u64,
-    rows: &mut Vec<StageRow>,
-    pr8: &mut Vec<serde_json::Value>,
+    rows: &mut Vec<serde_json::Value>,
 ) -> (f64, f64) {
     let threads = Workers::auto().get();
     println!("  [{label}] generating fleet…");
@@ -81,52 +67,14 @@ fn bench_scale(
             .with_max_bins(0),
     );
 
-    // Batched deployment scoring with the trained default model:
-    // interpreted baseline first, then the compiled engine (PR 8) over
-    // the identical fleet. The compiled probabilities must match the
-    // interpreted ones bit for bit — the bench doubles as a check.
+    // Batched deployment scoring with the trained default model (its
+    // tree ensemble is compiled at training time).
     let all: Vec<usize> = (0..n_samples).collect();
-    let mut trained = mfpa.train_rows(&prepared, &all).expect("train");
+    let trained = mfpa.train_rows(&prepared, &all).expect("train");
     let t2 = Instant::now();
     let scores = score_fleet(fleet.drives(), &trained, 0).expect("score_fleet");
     let score_ms = t2.elapsed().as_secs_f64() * 1e3;
     assert_eq!(scores.len(), n_drives);
-
-    let t3 = Instant::now();
-    assert!(trained.compile(), "tree ensembles must compile");
-    let compile_ms = t3.elapsed().as_secs_f64() * 1e3;
-    let artifact_bytes = trained.compiled_artifact().map_or(0, |b| b.len());
-    let t4 = Instant::now();
-    let compiled_scores = score_fleet(fleet.drives(), &trained, 0).expect("score_fleet compiled");
-    let compiled_ms = t4.elapsed().as_secs_f64() * 1e3;
-    for (a, b) in scores.iter().zip(&compiled_scores) {
-        assert_eq!(a.max_score.to_bits(), b.max_score.to_bits(), "{}", a.serial);
-        assert_eq!(
-            a.last_score.to_bits(),
-            b.last_score.to_bits(),
-            "{}",
-            a.serial
-        );
-    }
-    let speedup = score_ms / compiled_ms.max(1e-9);
-    println!(
-        "  [{label}] score_fleet interpreted {score_ms:.1} ms | compile {compile_ms:.2} ms \
-         | compiled {compiled_ms:.1} ms | {speedup:.2}x | artifact {artifact_bytes} B"
-    );
-    for (stage, wall_ms) in [
-        ("score_fleet_interpreted", score_ms),
-        ("score_fleet_compiled", compiled_ms),
-        ("compile", compile_ms),
-    ] {
-        pr8.push(json!({
-            "stage": format!("{label}/{stage}"),
-            "n_drives": n_drives,
-            "n_samples": n_samples,
-            "wall_ms": wall_ms,
-            "threads": threads,
-            "artifact_bytes": artifact_bytes,
-        }));
-    }
 
     let stages: [(&str, f64); 7] = [
         ("fleet_gen", fleet_ms),
@@ -140,13 +88,13 @@ fn bench_scale(
     println!("  [{label}] drives={n_drives} samples={n_samples} threads={threads}");
     for (stage, wall_ms) in stages {
         println!("    {stage:<16} {wall_ms:>10.1} ms");
-        rows.push(StageRow {
-            stage: format!("{label}/{stage}"),
-            n_drives,
-            n_samples,
-            wall_ms,
-            threads,
-        });
+        rows.push(json!({
+            "stage": format!("{label}/{stage}"),
+            "n_drives": n_drives,
+            "n_samples": n_samples,
+            "wall_ms": wall_ms,
+            "threads": threads,
+        }));
     }
     (gbdt_binned_ms, gbdt_exact_ms)
 }
@@ -164,56 +112,22 @@ pub fn perf(ctx: &Ctx) -> serde_json::Value {
         .with_population_fraction(0.008)
         .with_horizon_days(150);
 
-    let mut pr8_rows = Vec::new();
-    let (small_binned, small_exact) = bench_scale("small", &small, seed, &mut rows, &mut pr8_rows);
-    let (medium_binned, medium_exact) =
-        bench_scale("medium", &medium, seed, &mut rows, &mut pr8_rows);
+    let (small_binned, small_exact) = bench_scale("small", &small, seed, &mut rows);
+    let (medium_binned, medium_exact) = bench_scale("medium", &medium, seed, &mut rows);
 
     let small_speedup = small_exact / small_binned.max(1e-9);
     let medium_speedup = medium_exact / medium_binned.max(1e-9);
     println!("  GBDT fit speedup (exact / binned): small {small_speedup:.1}x, medium {medium_speedup:.1}x");
 
-    let json_rows: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|r| {
-            json!({
-                "stage": r.stage,
-                "n_drives": r.n_drives,
-                "n_samples": r.n_samples,
-                "wall_ms": r.wall_ms,
-                "threads": r.threads,
-            })
-        })
-        .collect();
     // One JSON object per line, the same shape the `--json` flag emits.
-    let payload: String = json_rows.iter().map(|r| format!("{r}\n")).collect();
+    let payload: String = rows.iter().map(|r| format!("{r}\n")).collect();
     std::fs::write(OUT_PATH, payload).unwrap_or_else(|e| panic!("cannot write {OUT_PATH}: {e}"));
     println!("  wrote {OUT_PATH} ({} stage rows)", rows.len());
 
-    let pr8_payload: String = pr8_rows.iter().map(|r| format!("{r}\n")).collect();
-    std::fs::write(OUT_PATH_PR8, pr8_payload)
-        .unwrap_or_else(|e| panic!("cannot write {OUT_PATH_PR8}: {e}"));
-    println!("  wrote {OUT_PATH_PR8} ({} stage rows)", pr8_rows.len());
-
-    let compiled_speedup = |scale: &str| -> f64 {
-        let ms = |stage: &str| {
-            pr8_rows
-                .iter()
-                .find(|r| r["stage"].as_str() == Some(&format!("{scale}/{stage}")))
-                .and_then(|r| r["wall_ms"].as_f64())
-                .unwrap_or(f64::NAN)
-        };
-        ms("score_fleet_interpreted") / ms("score_fleet_compiled").max(1e-9)
-    };
-
     json!({
         "out_path": OUT_PATH,
-        "out_path_pr8": OUT_PATH_PR8,
         "gbdt_speedup_small": small_speedup,
         "gbdt_speedup_medium": medium_speedup,
-        "compiled_speedup_small": compiled_speedup("small"),
-        "compiled_speedup_medium": compiled_speedup("medium"),
-        "rows": json_rows,
-        "pr8_rows": pr8_rows,
+        "rows": rows,
     })
 }

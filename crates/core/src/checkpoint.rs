@@ -35,6 +35,7 @@ use mfpa_telemetry::{DailyRecord, DayStamp, FirmwareVersion, SerialNumber, Smart
 use crate::bytes::{unseal, ByteReader, ByteWriter};
 
 use crate::error::CoreError;
+use crate::feature_state::FeatureState;
 use crate::fleet_monitor::{
     DriveState, FleetMonitor, FleetMonitorConfig, PendingRecord, QuarantineInfo, ShardReport,
     ShardState,
@@ -44,7 +45,9 @@ use crate::sanitize::{SanitizeConfig, SanitizeReport};
 /// `"MFPA"` in ASCII.
 const MAGIC: u32 = 0x4D46_5041;
 /// Bump on any layout change; old versions are refused, not migrated.
-const VERSION: u32 = 1;
+/// Version 2 stores each drive's carry-forward page and rebuilds the
+/// feature row on restore instead of storing it.
+const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -61,11 +64,17 @@ fn put_firmware(w: &mut ByteWriter, fw: &FirmwareVersion) {
     w.u32(fw.seq());
 }
 
-fn put_record(w: &mut ByteWriter, record: &DailyRecord) {
-    w.i64(record.day.day());
-    for &v in record.smart.as_slice() {
+/// One 16-value SMART-shaped page (a record's values, a repaired page,
+/// rollover offsets or carry-forward values).
+fn put_page(w: &mut ByteWriter, page: &[f64]) {
+    for &v in page {
         w.f64(v);
     }
+}
+
+fn put_record(w: &mut ByteWriter, record: &DailyRecord) {
+    w.i64(record.day.day());
+    put_page(w, record.smart.as_slice());
     put_firmware(w, &record.firmware);
     for &c in &record.w_counts {
         w.u32(c);
@@ -104,28 +113,22 @@ fn put_shard_report(w: &mut ByteWriter, r: &ShardReport) {
 fn put_drive_state(w: &mut ByteWriter, serial: SerialNumber, state: &DriveState) {
     put_serial(w, serial);
     let m = &state.monitor;
-    put_firmware(w, &m.firmware);
-    for &v in &m.w_cum {
+    let f = &m.features;
+    put_firmware(w, &f.firmware);
+    for &v in &f.w_cum {
         w.u64(v);
     }
-    for &v in &m.b_cum {
+    for &v in &f.b_cum {
         w.u64(v);
     }
     w.flag(m.last_day.is_some());
     w.i64(m.last_day.map_or(0, |d| d.day()));
     w.i64(m.sanitize_cfg.reorder_window);
     w.f64(m.sanitize_cfg.sentinel_ceiling);
-    w.flag(m.last_smart.is_some());
-    for &v in &m.last_smart.unwrap_or([0.0; 16]) {
-        w.f64(v);
-    }
-    for &v in &m.smart_offsets {
-        w.f64(v);
-    }
-    w.counter(m.last_row.len());
-    for &v in &m.last_row {
-        w.f64(v);
-    }
+    w.flag(f.page.is_some());
+    put_page(w, &f.page.unwrap_or([0.0; 16]));
+    put_page(w, &f.offsets);
+    put_page(w, &f.carry);
     put_sanitize_report(w, &m.report);
     w.counter(state.pending.len());
     for p in &state.pending {
@@ -195,12 +198,17 @@ fn get_firmware(r: &mut ByteReader<'_>) -> Result<FirmwareVersion, String> {
     Ok(FirmwareVersion::new(vendor, seq))
 }
 
-fn get_record(r: &mut ByteReader<'_>) -> Result<DailyRecord, String> {
-    let day = DayStamp::new(r.i64()?);
-    let mut smart = [0.0f64; 16];
-    for v in &mut smart {
+fn get_page(r: &mut ByteReader<'_>) -> Result<[f64; 16], String> {
+    let mut page = [0.0f64; 16];
+    for v in &mut page {
         *v = r.f64()?;
     }
+    Ok(page)
+}
+
+fn get_record(r: &mut ByteReader<'_>) -> Result<DailyRecord, String> {
+    let day = DayStamp::new(r.i64()?);
+    let smart = get_page(r)?;
     let firmware = get_firmware(r)?;
     let mut w_counts = [0u32; 9];
     for c in &mut w_counts {
@@ -267,21 +275,16 @@ fn get_drive_state(r: &mut ByteReader<'_>) -> Result<(SerialNumber, DriveState),
         reorder_window: r.i64()?,
         sentinel_ceiling: r.f64()?,
     };
-    let has_last_smart = r.flag()?;
-    let mut last_smart_raw = [0.0f64; 16];
-    for v in &mut last_smart_raw {
-        *v = r.f64()?;
-    }
-    let last_smart = has_last_smart.then_some(last_smart_raw);
-    let mut smart_offsets = [0.0f64; 16];
-    for v in &mut smart_offsets {
-        *v = r.f64()?;
-    }
-    let row_len = r.len(8)?;
-    let mut last_row = Vec::with_capacity(row_len);
-    for _ in 0..row_len {
-        last_row.push(r.f64()?);
-    }
+    let has_page = r.flag()?;
+    let page = get_page(r)?;
+    let features = FeatureState {
+        page: has_page.then_some(page),
+        offsets: get_page(r)?,
+        carry: get_page(r)?,
+        firmware,
+        w_cum,
+        b_cum,
+    };
     let report = get_sanitize_report(r)?;
     let n_pending = r.len(8)?;
     let mut pending = Vec::with_capacity(n_pending);
@@ -312,14 +315,10 @@ fn get_drive_state(r: &mut ByteReader<'_>) -> Result<(SerialNumber, DriveState),
     };
     let monitor = crate::deploy::DriveMonitor {
         serial,
-        firmware,
-        w_cum,
-        b_cum,
+        last_row: features.feature_row(),
+        features,
         last_day,
         sanitize_cfg,
-        last_smart,
-        smart_offsets,
-        last_row,
         report,
     };
     Ok((
@@ -577,6 +576,31 @@ mod tests {
         assert_eq!(restored.tick(), fm.tick());
         assert_eq!(restored.quarantined(), fm.quarantined());
         assert_eq!(restored.fleet_report(), fm.fleet_report());
+        // The feature rows are not stored; restore rebuilds them.
+        for id in (0..12).chain([99]) {
+            let serial = SerialNumber::new(Vendor::II, id);
+            assert_eq!(restored.drive_row(serial).ok(), fm.drive_row(serial).ok());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_checkpoints_are_refused() {
+        let dir = temp_dir("v1");
+        let fm = populated_monitor(&dir);
+        let path = write_checkpoint(&fm).expect("write");
+        // Re-stamp the payload as version 1 under a valid checksum, so
+        // only the version check stands between it and a restore.
+        let sealed = std::fs::read(&path).expect("read");
+        let mut payload = unseal(&sealed).expect("sealed").to_vec();
+        payload[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, crate::bytes::seal(payload)).expect("rewrite");
+        match restore(fm.config().clone(), &path) {
+            Err(CoreError::CheckpointCorrupt { detail, .. }) => {
+                assert!(detail.contains("unsupported version 1"), "{detail}");
+            }
+            other => panic!("expected a version refusal, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

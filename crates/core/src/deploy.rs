@@ -10,10 +10,11 @@
 use mfpa_dataset::Matrix;
 use mfpa_fleetsim::SimulatedDrive;
 use mfpa_par::{ordered_map, Workers};
-use mfpa_telemetry::{BsodCode, DailyRecord, DayStamp, FirmwareVersion, SerialNumber, SmartAttr};
+use mfpa_telemetry::{DailyRecord, DayStamp, FirmwareVersion, SerialNumber, SmartAttr};
 
 use crate::error::CoreError;
-use crate::features::{FeatureId, MODEL_W_EVENTS};
+use crate::feature_state::{FeatureState, ROW_WIDTH};
+use crate::features::FeatureId;
 use crate::pipeline::TrainedMfpa;
 use crate::sanitize::{page_violation, QuarantineCause, SanitizeConfig, SanitizeReport};
 
@@ -49,17 +50,13 @@ pub struct DriveMonitor {
     // ([`crate::checkpoint`]) can snapshot and restore a monitor
     // bit-for-bit without an intermediate copy.
     pub(crate) serial: SerialNumber,
-    pub(crate) firmware: FirmwareVersion,
-    pub(crate) w_cum: [u64; 5],
-    pub(crate) b_cum: [u64; 23],
+    pub(crate) features: FeatureState,
     pub(crate) last_day: Option<DayStamp>,
     pub(crate) sanitize_cfg: SanitizeConfig,
-    // Last accepted (repaired) SMART page: NaN carry-forward source.
-    pub(crate) last_smart: Option<[f64; 16]>,
-    // Rollover base offsets per cumulative attribute.
-    pub(crate) smart_offsets: [f64; 16],
     // Row returned for the last accepted day — replayed for exact
-    // duplicate deliveries so retransmissions are idempotent.
+    // duplicate deliveries so retransmissions are idempotent. Always
+    // `features.feature_row()`, so checkpoints rebuild rather than
+    // store it.
     pub(crate) last_row: Vec<f64>,
     pub(crate) report: SanitizeReport,
 }
@@ -79,13 +76,9 @@ impl DriveMonitor {
     ) -> Self {
         DriveMonitor {
             serial,
-            firmware,
-            w_cum: [0; 5],
-            b_cum: [0; 23],
+            features: FeatureState::new(firmware),
             last_day: None,
             sanitize_cfg,
-            last_smart: None,
-            smart_offsets: [0.0; 16],
             last_row: Vec::new(),
             report: SanitizeReport::default(),
         }
@@ -114,11 +107,12 @@ impl DriveMonitor {
     /// The monitor applies the same defenses as the offline
     /// [`crate::sanitize`] stage, restricted to what an online,
     /// no-lookahead consumer can do: sentinel/range pages are
-    /// quarantined, an exact re-delivery of the newest day is answered
-    /// idempotently with the same row (a retransmission must not double
-    /// the cumulative counters), NaN attributes are filled from the last
-    /// accepted page, and cumulative counters that run backwards are
-    /// spliced with a base offset (rollover repair).
+    /// quarantined, and an exact re-delivery of the newest day is
+    /// answered idempotently with the same row (a retransmission must
+    /// not double the cumulative counters). NaN carry-forward, rollover
+    /// repair and the row itself are the very step the offline pipeline
+    /// folds, so on an in-order stream with a complete first page the
+    /// rows equal `raw_rows(sanitize(..))` bit for bit.
     ///
     /// # Errors
     ///
@@ -141,8 +135,11 @@ impl DriveMonitor {
     /// Same as [`DriveMonitor::ingest`].
     pub fn ingest_ref(&mut self, record: &DailyRecord) -> Result<&[f64], CoreError> {
         self.report.input_records += 1;
+        let (serial, day) = (self.serial, record.day);
+        let corrupt = |cause| CoreError::CorruptRecord { serial, day, cause };
         let reference_capacity = self
-            .last_smart
+            .features
+            .page
             .map(|p| p[SmartAttr::Capacity.index()])
             .filter(|&c| c > 0.0);
         if let Some(violation) = page_violation(record, reference_capacity, &self.sanitize_cfg) {
@@ -150,11 +147,7 @@ impl DriveMonitor {
                 QuarantineCause::SentinelReset => self.report.quarantined_sentinel += 1,
                 _ => self.report.quarantined_range += 1,
             }
-            return Err(CoreError::CorruptRecord {
-                serial: self.serial,
-                day: record.day,
-                cause: violation,
-            });
+            return Err(corrupt(violation));
         }
         if let Some(last) = self.last_day {
             if record.day == last {
@@ -164,81 +157,21 @@ impl DriveMonitor {
             }
             if record.day < last {
                 self.report.quarantined_late += 1;
-                return Err(CoreError::OutOfOrderRecord {
-                    serial: self.serial,
-                    day: record.day,
-                    last,
-                });
+                return Err(CoreError::OutOfOrderRecord { serial, day, last });
             }
         }
 
-        // Repair the SMART page: impute NaNs, then splice rollovers.
-        let mut smart = [0.0f64; 16];
-        smart.copy_from_slice(record.smart.as_slice());
-        for (ix, v) in smart.iter_mut().enumerate() {
-            if v.is_nan() {
-                match self.last_smart {
-                    Some(prev) => {
-                        *v = prev[ix];
-                        self.report.values_imputed += 1;
-                    }
-                    None => {
-                        self.report.quarantined_missing += 1;
-                        return Err(CoreError::CorruptRecord {
-                            serial: self.serial,
-                            day: record.day,
-                            cause: QuarantineCause::MissingValues,
-                        });
-                    }
-                }
-            }
+        let mut page = [0.0f64; 16];
+        page.copy_from_slice(record.smart.as_slice());
+        if let Err(cause) = self.features.repair_page(&mut page, &mut self.report) {
+            self.report.quarantined_missing += 1;
+            return Err(corrupt(cause));
         }
-        for attr in SmartAttr::ALL {
-            if !attr.is_cumulative() {
-                continue;
-            }
-            let ix = attr.index();
-            let adjusted = smart[ix] + self.smart_offsets[ix];
-            let prev = self.last_smart.map_or(f64::NEG_INFINITY, |p| p[ix]);
-            if adjusted < prev {
-                self.smart_offsets[ix] += prev - adjusted;
-                self.report.rollovers_repaired += 1;
-                smart[ix] = prev;
-            } else {
-                smart[ix] = adjusted;
-            }
-        }
-
-        self.last_day = Some(record.day);
-        self.last_smart = Some(smart);
-        // Firmware updates in the field are tracked as they appear.
-        if record.firmware != self.firmware {
-            self.firmware = record.firmware.clone();
-        }
-        for (slot, ev) in self.w_cum.iter_mut().zip(MODEL_W_EVENTS) {
-            *slot += u64::from(record.w(ev));
-        }
-        for (slot, code) in self.b_cum.iter_mut().zip(BsodCode::ALL) {
-            *slot += u64::from(record.b(code));
-        }
+        self.last_day = Some(day);
         self.report.kept_records += 1;
-
-        // Rebuild the row in place. After the first accepted record the
-        // buffer is full-width, so this is straight slice stores — no
-        // allocation, no length bookkeeping per record.
-        if self.last_row.len() != 45 {
-            self.last_row.resize(45, 0.0);
-        }
-        let row = &mut self.last_row[..45];
-        row[..16].copy_from_slice(&smart);
-        row[16] = self.firmware.encoded();
-        for (slot, &v) in row[17..22].iter_mut().zip(&self.w_cum) {
-            *slot = v as f64;
-        }
-        for (slot, &v) in row[22..45].iter_mut().zip(&self.b_cum) {
-            *slot = v as f64;
-        }
-        debug_assert_eq!(self.last_row.len(), FeatureId::full_row().len());
+        // Full width after the first accepted record: a no-op from then on.
+        self.last_row.resize(ROW_WIDTH, 0.0);
+        self.features.push_row(record, &page, &mut self.last_row);
         Ok(&self.last_row)
     }
 
@@ -287,6 +220,11 @@ pub struct DriveScore {
 /// [`DriveMonitor`] and scores each accepted record against `trained` —
 /// the server-side "iterate the model, re-score the fleet" batch job.
 ///
+/// Tree ensembles (compiled at training time) score each drive's
+/// accepted rows with an incremental [`mfpa_ml::SequentialScorer`]; other
+/// flat families score them in one [`TrainedMfpa::predict_matrix`] call.
+/// Both give the probabilities interpreted inference would, bit for bit.
+///
 /// Drives are scored on the deterministic parallel layer ([`mfpa_par`]):
 /// each worker replays whole drives, results come back in input order,
 /// and the scores are bit-identical at any worker count (`n_threads`,
@@ -308,72 +246,6 @@ pub fn score_fleet(
             "score_fleet scores flat models; sequence models need windowed input".into(),
         ));
     }
-    // Serving-grade path: when the model carries a compiled engine
-    // (the `MfpaConfig::compile` knob or `TrainedMfpa::compile`), each
-    // drive's accepted rows stream through an incremental sequential
-    // scorer. Probabilities are bit-identical to the interpreted path.
-    if let Some(compiled) = trained.compiled() {
-        return score_fleet_compiled(drives, trained, compiled, n_threads);
-    }
-    let results = ordered_map(
-        drives,
-        Workers::from_config(n_threads),
-        |_, drive| -> Result<DriveScore, CoreError> {
-            let mut monitor = DriveMonitor::new(drive.serial(), drive.firmware().clone());
-            let mut max_score = 0.0f64;
-            let mut last_score = 0.0f64;
-            let mut n_scored = 0usize;
-            for record in drive.raw_records() {
-                match monitor.score(record, trained) {
-                    Ok(p) => {
-                        max_score = max_score.max(p);
-                        last_score = p;
-                        n_scored += 1;
-                    }
-                    Err(CoreError::CorruptRecord { .. } | CoreError::OutOfOrderRecord { .. }) => {}
-                    Err(other) => return Err(other),
-                }
-            }
-            Ok(DriveScore {
-                serial: drive.serial(),
-                max_score,
-                last_score,
-                n_scored,
-                report: *monitor.sanitize_report(),
-            })
-        },
-    );
-    results.into_iter().collect()
-}
-
-/// Which of the model's selected features are non-decreasing over one
-/// drive's accepted record stream. Cumulative SMART counters (the
-/// rollover splice enforces the monotonicity online), Windows-event and
-/// BSOD counters qualify; firmware encoding and gauge attributes do
-/// not. This is a performance hint for [`mfpa_ml::SequentialScorer`] — it
-/// re-verifies per record, so a wrong entry costs speed, never
-/// correctness.
-fn monotone_mask(features: &[FeatureId]) -> Vec<bool> {
-    features
-        .iter()
-        .map(|f| match f {
-            FeatureId::Smart(attr) => attr.is_cumulative(),
-            FeatureId::Firmware => false,
-            FeatureId::WinEventCum(_) | FeatureId::BsodCum(_) => true,
-        })
-        .collect()
-}
-
-/// The compiled [`score_fleet`] arm: replays each drive allocation-free
-/// ([`DriveMonitor::ingest_ref`]), gathers the model's selected columns
-/// and scores the stream with [`mfpa_ml::SequentialScorer`]. Per-drive work is
-/// self-contained, so scores stay bit-identical at any worker count.
-fn score_fleet_compiled(
-    drives: &[SimulatedDrive],
-    trained: &TrainedMfpa,
-    compiled: &mfpa_ml::CompiledEnsemble,
-    n_threads: usize,
-) -> Result<Vec<DriveScore>, CoreError> {
     let monotone = monotone_mask(trained.features());
     let selected: Vec<usize> = trained
         .features()
@@ -393,33 +265,41 @@ fn score_fleet_compiled(
         &ranges,
         workers,
         |_, range| -> Result<Vec<DriveScore>, CoreError> {
-            let mut scorer = compiled.sequential(&monotone)?;
+            // Tree ensembles stream each drive through an incremental
+            // compiled scorer; families with no compiled form score a
+            // drive's rows in one batch.
+            let mut scorer = trained
+                .compiled()
+                .map(|compiled| compiled.sequential(&monotone))
+                .transpose()?;
             let mut rows: Vec<f64> = Vec::with_capacity(selected.len() * 256);
             let mut probs: Vec<f64> = Vec::with_capacity(256);
             let mut scores = Vec::with_capacity(range.len());
             for drive in &drives[range.clone()] {
                 let mut monitor = DriveMonitor::new(drive.serial(), drive.firmware().clone());
                 rows.clear();
-                let mut n_scored = 0usize;
                 for record in drive.raw_records() {
                     match monitor.ingest_ref(record) {
-                        Ok(full) => {
-                            if identity {
-                                rows.extend_from_slice(&full[..selected.len()]);
-                            } else {
-                                rows.extend(selected.iter().map(|&i| full[i]));
-                            }
-                            n_scored += 1;
-                        }
+                        Ok(full) if identity => rows.extend_from_slice(&full[..selected.len()]),
+                        Ok(full) => rows.extend(selected.iter().map(|&i| full[i])),
                         Err(
                             CoreError::CorruptRecord { .. } | CoreError::OutOfOrderRecord { .. },
                         ) => {}
                         Err(other) => return Err(other),
                     }
                 }
-                scorer.reset();
                 probs.clear();
-                scorer.score_rows(&rows, &mut probs)?;
+                match scorer.as_mut() {
+                    Some(scorer) => {
+                        scorer.reset();
+                        scorer.score_rows(&rows, &mut probs)?;
+                    }
+                    None if !rows.is_empty() => {
+                        let x = Matrix::from_flat(std::mem::take(&mut rows), selected.len())?;
+                        probs = trained.predict_matrix(&x)?;
+                    }
+                    None => {}
+                }
                 let mut max_score = 0.0f64;
                 let mut last_score = 0.0f64;
                 for &p in &probs {
@@ -430,7 +310,7 @@ fn score_fleet_compiled(
                     serial: drive.serial(),
                     max_score,
                     last_score,
-                    n_scored,
+                    n_scored: probs.len(),
                     report: *monitor.sanitize_report(),
                 });
             }
@@ -442,6 +322,24 @@ fn score_fleet_compiled(
         out.extend(chunk?);
     }
     Ok(out)
+}
+
+/// Which of the model's selected features are non-decreasing over one
+/// drive's accepted record stream. Cumulative SMART counters (the
+/// rollover splice enforces the monotonicity online), Windows-event and
+/// BSOD counters qualify; firmware encoding and gauge attributes do
+/// not. This is a performance hint for [`mfpa_ml::SequentialScorer`] — it
+/// re-verifies per record, so a wrong entry costs speed, never
+/// correctness.
+fn monotone_mask(features: &[FeatureId]) -> Vec<bool> {
+    features
+        .iter()
+        .map(|f| match f {
+            FeatureId::Smart(attr) => attr.is_cumulative(),
+            FeatureId::Firmware => false,
+            FeatureId::WinEventCum(_) | FeatureId::BsodCum(_) => true,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -564,6 +462,43 @@ mod tests {
         // Keeps accumulating on the spliced base.
         assert_eq!(m.ingest(&r2).unwrap()[poh_col], 524.0);
         assert_eq!(m.sanitize_report().rollovers_repaired, 1);
+    }
+
+    #[test]
+    fn nan_after_rollover_carries_the_raw_value_like_sanitize() {
+        use crate::preprocess::raw_rows;
+        use crate::sanitize::sanitize;
+        use mfpa_telemetry::{DriveModel, SmartAttr};
+        // A wrap (500 -> 10), then a hole: the hole carries the raw 10
+        // forward and takes the current offset once, not twice.
+        let stream: Vec<DailyRecord> = [500.0, 10.0, f64::NAN, 34.0]
+            .into_iter()
+            .zip(0..)
+            .map(|(poh, day)| {
+                let mut r = record(day, 0);
+                r.smart.set(SmartAttr::PowerOnHours, poh);
+                r
+            })
+            .collect();
+        let poh_col = SmartAttr::PowerOnHours.index();
+        let mut m = monitor();
+        let online: Vec<f64> = stream
+            .iter()
+            .map(|r| m.ingest(r).unwrap()[poh_col])
+            .collect();
+        assert_eq!(online, vec![500.0, 500.0, 500.0, 524.0]);
+        assert_eq!(m.sanitize_report().rollovers_repaired, 1);
+
+        let (history, report) = sanitize(
+            m.serial(),
+            DriveModel::ALL[0],
+            &stream,
+            &SanitizeConfig::default(),
+        );
+        let (_, rows) = raw_rows(&history, &FirmwareVersion::new(Vendor::I, 1), true);
+        let offline: Vec<f64> = rows.iter().map(|r| r[poh_col]).collect();
+        assert_eq!(online, offline);
+        assert_eq!(report.rollovers_repaired, 1);
     }
 
     #[test]

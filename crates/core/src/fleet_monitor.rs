@@ -396,7 +396,7 @@ fn flush_one(
     cfg: &FleetMonitorConfig,
     report: &mut ShardReport,
 ) {
-    match state.monitor.ingest(record) {
+    match state.monitor.ingest_ref(record) {
         Ok(_) => {
             report.accepted += 1;
             state.consecutive_corrupt = 0;

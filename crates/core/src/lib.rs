@@ -26,8 +26,9 @@
 //! duplicated days, re-sequences bounded out-of-order arrivals, repairs
 //! cumulative-counter rollovers and imputes missing attributes,
 //! quarantining what it cannot repair with per-cause accounting
-//! ([`SanitizeReport`]). The same defenses run incrementally inside the
-//! client-side [`deploy::DriveMonitor`].
+//! ([`SanitizeReport`]). The per-record repairs and the feature row are
+//! one shared step, which the client-side [`deploy::DriveMonitor`] runs
+//! incrementally, so serving sees the rows training saw.
 //!
 //! # Quickstart
 //!
@@ -55,6 +56,7 @@ pub mod baselines;
 pub mod checkpoint;
 pub mod deploy;
 mod error;
+mod feature_state;
 mod features;
 pub mod fleet_monitor;
 pub mod labeling;

@@ -87,12 +87,6 @@ pub struct MfpaConfig {
     /// Per-feature bin budget for the tree ensembles' histogram split
     /// search (`0` = the exact re-sorting path).
     pub max_bins: usize,
-    /// Compile the fitted ensemble into a flat scoring engine right
-    /// after training ([`mfpa_ml::CompiledEnsemble`]). Scores are
-    /// bit-identical to the interpreted model; this is purely a serving
-    /// throughput knob. Ignored by model families without a compiled
-    /// form.
-    pub compile: bool,
 }
 
 impl MfpaConfig {
@@ -117,7 +111,6 @@ impl MfpaConfig {
             seed: 17,
             n_threads: 0,
             max_bins: 256,
-            compile: false,
         }
     }
 
@@ -148,12 +141,6 @@ impl MfpaConfig {
     /// Sets the tree ensembles' histogram bin budget (`0` = exact path).
     pub fn with_max_bins(mut self, n: usize) -> Self {
         self.max_bins = n;
-        self
-    }
-
-    /// Enables post-fit compilation of tree ensembles for serving.
-    pub fn with_compile(mut self, compile: bool) -> Self {
-        self.compile = compile;
         self
     }
 
@@ -473,20 +460,16 @@ impl Mfpa {
         })?;
         let train_secs = t0.elapsed().as_secs_f64();
 
-        let mut trained = TrainedMfpa {
+        Ok(TrainedMfpa {
+            compiled: model.compile(),
             model,
-            compiled: None,
             features,
             uses_seq,
             seq_len: self.config.window.seq_len,
             threshold: self.config.threshold,
             train_secs,
             n_train_rows: kept.len(),
-        };
-        if self.config.compile {
-            trained.compile();
-        }
-        Ok(trained)
+        })
     }
 
     /// Runs the whole pipeline: prepare, split, train, evaluate.
@@ -524,9 +507,9 @@ impl Mfpa {
 /// A trained model plus everything needed to score new rows.
 pub struct TrainedMfpa {
     model: Box<dyn Classifier>,
-    /// Flat scoring engine compiled from `model` (tree ensembles only);
-    /// when present, batch scoring routes through it. Probabilities are
-    /// bit-identical either way.
+    /// Flat scoring engine compiled from `model` at training time (tree
+    /// ensembles only); when present, batch scoring routes through it.
+    /// Probabilities are bit-identical to the interpreted model.
     compiled: Option<mfpa_ml::CompiledEnsemble>,
     features: Vec<FeatureId>,
     uses_seq: bool,
@@ -564,20 +547,16 @@ impl TrainedMfpa {
         self.uses_seq
     }
 
-    /// Compiles the trained model into a flat scoring engine
-    /// ([`mfpa_ml::CompiledEnsemble`]). A no-op when already compiled
-    /// or when the model family has no compiled form (everything except
-    /// the tree ensembles). Returns whether a compiled engine is now
-    /// present.
+    /// Whether a compiled scoring engine ([`mfpa_ml::CompiledEnsemble`])
+    /// is present. [`Mfpa::train_rows`] already compiles every tree
+    /// ensemble, so this builds nothing; it is idempotent and `true` for
+    /// random forests and GBDT.
     pub fn compile(&mut self) -> bool {
-        if self.compiled.is_none() {
-            self.compiled = self.model.compile();
-        }
         self.compiled.is_some()
     }
 
-    /// The compiled scoring engine, if [`TrainedMfpa::compile`] (or the
-    /// [`MfpaConfig::compile`] knob) produced one.
+    /// The compiled scoring engine: present for the tree ensembles,
+    /// `None` for families with no compiled form.
     pub fn compiled(&self) -> Option<&mfpa_ml::CompiledEnsemble> {
         self.compiled.as_ref()
     }
@@ -868,6 +847,22 @@ mod tests {
         );
         assert_eq!(report.input_records, prepared.n_raw_records());
         assert_eq!(report.kept_records, prepared.n_raw_records());
+    }
+
+    #[test]
+    fn train_rows_compiles_tree_ensembles() {
+        for (algorithm, compiles) in [
+            (Algorithm::RandomForest, true),
+            (Algorithm::Gbdt, true),
+            (Algorithm::Bayes, false),
+        ] {
+            let mfpa = Mfpa::new(MfpaConfig::new(FeatureGroup::Sfwb, algorithm));
+            let prepared = mfpa.prepare(fleet()).unwrap();
+            let all: Vec<usize> = (0..prepared.n_rows()).collect();
+            let mut trained = mfpa.train_rows(&prepared, &all).unwrap();
+            assert_eq!(trained.compiled().is_some(), compiles, "{algorithm:?}");
+            assert_eq!(trained.compile(), compiles, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! This module turns a raw [`DriveHistory`] into a [`CleanSeries`]: an
 //! aligned vector of days and full 45-column feature rows.
 
-use mfpa_telemetry::{DriveHistory, FirmwareVersion, SerialNumber, Vendor};
+use mfpa_telemetry::{BsodCode, DriveHistory, FirmwareVersion, SerialNumber, Vendor};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{FeatureId, MODEL_W_EVENTS};
+use crate::feature_state::{FeatureState, ROW_WIDTH};
+use crate::features::MODEL_W_EVENTS;
 
 /// Gap-handling configuration (§III-C(1) constants).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,7 +55,8 @@ pub struct CleanSeries {
     pub vendor: Vendor,
     /// Day stamps, strictly ascending.
     pub days: Vec<i64>,
-    /// Feature rows aligned with `days` ([`FeatureId::full_row`] order).
+    /// Feature rows aligned with `days` ([`crate::FeatureId::full_row`]
+    /// order).
     pub rows: Vec<Vec<f64>>,
     /// Whether each row was imputed by gap filling.
     pub imputed: Vec<bool>,
@@ -83,37 +85,27 @@ impl CleanSeries {
 
 /// Builds the raw (pre-gap-handling) feature rows: SMART values, encoded
 /// firmware, and cumulative (or, for the ablation, daily) W/B counts per
-/// observed day.
+/// observed day. `firmware` is the drive's firmware before its first
+/// record; each record's own firmware stamp applies from that record on,
+/// exactly as in [`crate::deploy::DriveMonitor`].
 pub fn raw_rows(
     history: &DriveHistory,
     firmware: &FirmwareVersion,
     cumulative_events: bool,
 ) -> (Vec<i64>, Vec<Vec<f64>>) {
-    let n_cols = FeatureId::full_row().len();
+    let mut state = FeatureState::new(firmware.clone());
     let mut days = Vec::with_capacity(history.len());
     let mut rows = Vec::with_capacity(history.len());
-    let mut w_cum = [0u64; 5];
-    let mut b_cum = [0u64; 23];
     for rec in history.records() {
-        for (slot, ev) in w_cum.iter_mut().zip(MODEL_W_EVENTS) {
-            *slot += u64::from(rec.w(ev));
-        }
-        for (slot, code) in b_cum.iter_mut().zip(mfpa_telemetry::BsodCode::ALL) {
-            *slot += u64::from(rec.b(code));
-        }
-        let mut row = Vec::with_capacity(n_cols);
-        row.extend(rec.smart.as_slice());
-        row.push(firmware.encoded());
-        if cumulative_events {
-            row.extend(w_cum.iter().map(|&v| v as f64));
-            row.extend(b_cum.iter().map(|&v| v as f64));
-        } else {
-            row.extend(MODEL_W_EVENTS.iter().map(|&ev| f64::from(rec.w(ev))));
-            row.extend(
-                mfpa_telemetry::BsodCode::ALL
-                    .iter()
-                    .map(|&c| f64::from(rec.b(c))),
-            );
+        let mut row = vec![0.0; ROW_WIDTH];
+        state.push_row(rec, rec.smart.as_slice(), &mut row);
+        if !cumulative_events {
+            for (slot, ev) in row[17..22].iter_mut().zip(MODEL_W_EVENTS) {
+                *slot = f64::from(rec.w(ev));
+            }
+            for (slot, code) in row[22..].iter_mut().zip(BsodCode::ALL) {
+                *slot = f64::from(rec.b(code));
+            }
         }
         days.push(rec.day.day());
         rows.push(row);
@@ -183,6 +175,7 @@ pub fn preprocess(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FeatureId;
     use mfpa_telemetry::{
         DailyRecord, DayStamp, DriveModel, SmartAttr, SmartValues, WindowsEventId,
     };

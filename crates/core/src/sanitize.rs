@@ -16,14 +16,21 @@
 //! | Missing attribute (NaN) | carry last valid value forward |
 //! | Cumulative counter rollover | base-offset monotonicity repair |
 //!
+//! The last two rows are the per-record step shared with the online
+//! [`crate::deploy::DriveMonitor`]; the rest need the whole stream.
+//!
 //! [`sanitize`] is **idempotent**: its output is strictly day-ascending,
 //! NaN-free, sentinel-free and cumulative-monotone, so a second pass
 //! keeps every record and repairs nothing. On an uncorrupted stream it
 //! is the identity, which is what lets the pipeline run it
 //! unconditionally without perturbing clean-data results.
 
-use mfpa_telemetry::{DailyRecord, DriveHistory, DriveModel, SerialNumber, SmartAttr};
+use mfpa_telemetry::{
+    DailyRecord, DriveHistory, DriveModel, FirmwareVersion, SerialNumber, SmartAttr, SmartValues,
+};
 use serde::{Deserialize, Serialize};
+
+use crate::feature_state::FeatureState;
 
 /// Why a record was quarantined (or rejected by the online monitor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,64 +243,31 @@ pub fn sanitize(
         }
     }
 
-    // 3. NaN policy: carry the last valid value forward; leading NaNs
-    // take the first valid later value. A record left with NaNs (the
-    // whole column was missing) is quarantined.
+    // 3. Leading NaNs take their attribute's first valid value (the
+    // lookahead an online consumer cannot do).
     for attr in SmartAttr::ALL {
-        let ix = attr.index();
-        let mut last_valid: Option<f64> = None;
-        let mut pending_from = 0usize;
-        for i in 0..collapsed.len() {
-            let v = collapsed[i].smart.as_slice()[ix];
-            if v.is_nan() {
-                if let Some(fill) = last_valid {
-                    collapsed[i].smart.set(attr, fill);
-                    report.values_imputed += 1;
-                }
-                continue;
+        if let Some(first) = collapsed.iter().position(|r| !r.smart.get(attr).is_nan()) {
+            let fill = collapsed[first].smart.get(attr);
+            for r in &mut collapsed[..first] {
+                r.smart.set(attr, fill);
+                report.values_imputed += 1;
             }
-            if last_valid.is_none() {
-                // Backfill any leading NaNs from this first valid value.
-                for r in collapsed[pending_from..i].iter_mut() {
-                    if r.smart.as_slice()[ix].is_nan() {
-                        r.smart.set(attr, v);
-                        report.values_imputed += 1;
-                    }
-                }
-            }
-            last_valid = Some(v);
-            pending_from = i + 1;
         }
     }
-    let before_nan_filter = collapsed.len();
-    collapsed.retain(|r| !r.smart.as_slice().iter().any(|v| v.is_nan()));
-    report.quarantined_missing += before_nan_filter - collapsed.len();
 
-    // 4. Rollover-aware monotonicity repair of cumulative counters: a
-    // wrapped counter restarts near zero, so when an adjusted value
-    // drops below its predecessor the base offset is raised to splice
-    // the two segments (the counter holds, then keeps accumulating).
-    for attr in SmartAttr::ALL {
-        if !attr.is_cumulative() {
-            continue;
-        }
-        let mut offset = 0.0f64;
-        let mut prev = f64::NEG_INFINITY;
-        for record in &mut collapsed {
-            let v = record.smart.get(attr) + offset;
-            let v = if v < prev {
-                offset += prev - v;
-                report.rollovers_repaired += 1;
-                prev
-            } else {
-                v
-            };
-            if offset > 0.0 {
-                record.smart.set(attr, v);
-            }
-            prev = v;
-        }
-    }
+    // 4. The shared per-record repairs, in day order: NaN carry-forward
+    // and rollover splicing (the state's firmware is never read here).
+    // A record still missing a value (its whole column was NaN) is
+    // quarantined.
+    let mut state = FeatureState::new(FirmwareVersion::new(serial.vendor(), 1));
+    collapsed.retain_mut(|record| {
+        let mut page = [0.0f64; 16];
+        page.copy_from_slice(record.smart.as_slice());
+        let repaired = state.repair_page(&mut page, &mut report).is_ok();
+        record.smart = SmartValues::from_array(page);
+        report.quarantined_missing += usize::from(!repaired);
+        repaired
+    });
 
     report.kept_records = collapsed.len();
     (DriveHistory::new(serial, model, collapsed), report)

@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use mfpa_core::deploy::DriveMonitor;
-use mfpa_core::preprocess::{preprocess, PreprocessConfig};
+use mfpa_core::preprocess::{preprocess, raw_rows, PreprocessConfig};
 use mfpa_core::sanitize::sanitize;
 use mfpa_core::SanitizeConfig;
 use mfpa_dataset::cv::{folds_chronologically_sound, kfold, time_series_cv};
@@ -50,6 +50,48 @@ fn corrupt_stream(days: &[i64], codes: &[Vec<u8>]) -> Vec<DailyRecord> {
                 firmware: FirmwareVersion::new(Vendor::II, 1),
                 w_counts: [0; 9],
                 b_counts: [0; 23],
+            }
+        })
+        .collect()
+}
+
+/// Builds an in-order stream with no sentinel or out-of-range page, the
+/// kind both the online monitor and the offline pipeline accept whole:
+/// day gaps of 1–3, NaN holes after a complete first page, counter drops
+/// (to any smaller value or `-0.0`), W/B counts and firmware updates.
+/// Capacity stays positive, so no page reads as a zeroed sentinel.
+fn in_order_stream(
+    gaps: &[i64],
+    codes: &[Vec<(u8, u32)>],
+    counts: &[Vec<u32>],
+) -> Vec<DailyRecord> {
+    let mut day = 0i64;
+    gaps.iter()
+        .zip(codes)
+        .zip(counts)
+        .enumerate()
+        .map(|(i, ((&gap, rec_codes), rec_counts))| {
+            day += gap;
+            let mut values = [0.0f64; 16];
+            for (ix, (v, &(code, magnitude))) in values.iter_mut().zip(rec_codes).enumerate() {
+                let capacity = ix == SmartAttr::Capacity.index();
+                *v = match code {
+                    0 if i > 0 => f64::NAN,
+                    1 if !capacity => -0.0,
+                    _ => f64::from(magnitude) + f64::from(u8::from(capacity)),
+                };
+            }
+            let mut w_counts = [0u32; 9];
+            let mut b_counts = [0u32; 23];
+            for (slot, &c) in w_counts.iter_mut().chain(&mut b_counts).zip(rec_counts) {
+                *slot = c;
+            }
+            DailyRecord {
+                day: DayStamp::new(day),
+                smart: SmartValues::from_array(values),
+                firmware: FirmwareVersion::new(Vendor::II, 1 + (i / 10) as u32),
+                w_counts,
+                b_counts,
             }
         })
         .collect()
@@ -327,5 +369,33 @@ proptest! {
             }
         }
         prop_assert_eq!(monitor.sanitize_report().input_records, raw.len());
+    }
+
+    #[test]
+    fn drive_monitor_rows_equal_offline_rows(
+        gaps in prop::collection::vec(1i64..4, 1..40),
+        codes in prop::collection::vec(
+            prop::collection::vec((0u8..6, 0u32..1000), 16usize), 40usize,
+        ),
+        counts in prop::collection::vec(prop::collection::vec(0u32..3, 32usize), 40usize),
+    ) {
+        let raw = in_order_stream(&gaps, &codes, &counts);
+        let serial = SerialNumber::new(Vendor::II, 5);
+        let firmware = FirmwareVersion::new(Vendor::II, 1);
+        let mut monitor = DriveMonitor::new(serial, firmware.clone());
+        let mut online = Vec::new();
+        for record in &raw {
+            let row = monitor.ingest(record);
+            prop_assert!(row.is_ok(), "day {:?} refused: {:?}", record.day, row);
+            online.extend(row.unwrap_or_default().iter().map(|v| v.to_bits()));
+        }
+        let (history, report) =
+            sanitize(serial, DriveModel::ALL[0], &raw, &SanitizeConfig::default());
+        let (_, rows) = raw_rows(&history, &firmware, true);
+        let offline: Vec<u64> = rows.iter().flatten().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(online, offline);
+        let live = monitor.sanitize_report();
+        prop_assert_eq!(live.values_imputed, report.values_imputed);
+        prop_assert_eq!(live.rollovers_repaired, report.rollovers_repaired);
     }
 }

@@ -9,9 +9,8 @@
 //! everything (this is what EXPERIMENTS.md records). `--json PATH`
 //! appends one JSON line per experiment for machine consumption.
 //! `repro lint` runs the workspace determinism lint (DESIGN.md §8)
-//! twice through the incremental scan cache (cold, then warm),
-//! refreshes the committed `results/lint_report.json` snapshot, and
-//! records both wall times in `BENCH_PR10.json`.
+//! once and refreshes the committed `results/lint_report.json`
+//! snapshot.
 
 use std::io::Write;
 
@@ -81,11 +80,6 @@ fn parse_args() -> Result<Args, String> {
 
 /// Lints the workspace sources and refreshes `results/lint_report.json`.
 /// Returns the process exit code (0 clean, 1 violations, 2 setup error).
-///
-/// The scan runs twice through the incremental cache — once cold (the
-/// cache file is removed first) and once warm — and `BENCH_PR10.json`
-/// records both, so the cache's payoff is a committed number instead
-/// of a claim.
 fn run_lint() -> i32 {
     let cwd = match std::env::current_dir() {
         Ok(c) => c,
@@ -98,43 +92,13 @@ fn run_lint() -> i32 {
         eprintln!("error: no workspace Cargo.toml above {}", cwd.display());
         return 2;
     };
-    let files = match mfpa_lint::collect_workspace(&root) {
-        Ok(f) => f,
+    let report = match mfpa_lint::lint_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
-    let cache_path = root.join("target").join("mfpa-lint.cache");
-    let _ = std::fs::remove_file(&cache_path);
-    let mut bench_runs = Vec::new();
-    let mut report = None;
-    for mode in ["cold", "warm"] {
-        let t0 = std::time::Instant::now();
-        let (r, stats) = mfpa_lint::cache::lint_files_cached(
-            &files,
-            mfpa_lint::LintOptions::default(),
-            &cache_path,
-        );
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        eprintln!(
-            "[lint] {mode} scan: {:.1} ms ({} reused, {} rescanned)",
-            wall_ms, stats.reused, stats.rescanned
-        );
-        bench_runs.push(serde_json::json!({
-            "stage": "lint",
-            "files": r.n_files,
-            "findings": r.findings.len(),
-            "wall_ms": wall_ms,
-            "cache": {
-                "mode": mode,
-                "reused": stats.reused,
-                "rescanned": stats.rescanned,
-            },
-        }));
-        report = Some(r);
-    }
-    let report = report.expect("two runs happened");
     print!("{}", report.render_human());
     let snapshot_path = root.join("results").join("lint_report.json");
     let snapshot = mfpa_lint::pretty_json(&report.snapshot_json());
@@ -143,13 +107,6 @@ fn run_lint() -> i32 {
         return 2;
     }
     eprintln!("[lint] snapshot written to {}", snapshot_path.display());
-    let bench = serde_json::Value::Array(bench_runs);
-    let bench_path = root.join("BENCH_PR10.json");
-    if let Err(e) = std::fs::write(&bench_path, format!("{bench}\n")) {
-        eprintln!("error: write {}: {e}", bench_path.display());
-        return 2;
-    }
-    eprintln!("[lint] timing written to {}", bench_path.display());
     i32::from(!report.is_clean())
 }
 

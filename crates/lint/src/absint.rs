@@ -40,7 +40,7 @@
 //! fuel bound.
 
 use crate::callgraph::{CallGraph, FileItems};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Cursor, Token, TokenKind};
 use crate::parser::FnItem;
 use crate::rules::is_counterish;
 use crate::taint::Site;
@@ -332,8 +332,7 @@ pub fn interpret(
     quiet: bool,
 ) -> FnAbs {
     let mut itp = Interp {
-        code,
-        body: f.body.clone(),
+        cur: Cursor::new(code, f.body.clone()),
         env: BTreeMap::new(),
         tys: BTreeMap::new(),
         rel_ge: BTreeSet::new(),
@@ -379,8 +378,7 @@ fn sites(set: BTreeSet<(u32, String)>) -> Vec<Site> {
 }
 
 struct Interp<'a> {
-    code: &'a [Token],
-    body: Range<usize>,
+    cur: Cursor<'a>,
     /// Variable (and dotted-path / `x.len`) intervals.
     env: BTreeMap<String, Interval>,
     /// Declared integer type range per variable, for width checks.
@@ -416,21 +414,6 @@ struct State {
 }
 
 impl<'a> Interp<'a> {
-    fn ident(&self, i: usize) -> Option<&'a str> {
-        match self.code.get(i).map(|t| &t.kind) {
-            Some(TokenKind::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    fn punct(&self, i: usize, c: char) -> bool {
-        matches!(self.code.get(i).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.code.get(i).map(|t| t.line).unwrap_or(0)
-    }
-
     fn spend(&mut self) -> bool {
         if self.fuel == 0 {
             return false;
@@ -477,26 +460,23 @@ impl<'a> Interp<'a> {
     fn seed_params(&mut self, sig: &Range<usize>) {
         let mut i = sig.start;
         while i < sig.end {
-            if let Some(name) = self.ident(i) {
-                if self.punct(i + 1, ':')
-                    && !self.punct(i + 2, ':')
-                    && !self.punct(i.wrapping_sub(1), ':')
+            if let Some(name) = self.cur.ident(i) {
+                if self.cur.punct(i + 1, ':')
+                    && !self.cur.punct(i + 2, ':')
+                    && !self.cur.punct(i.wrapping_sub(1), ':')
                 {
                     // `name: TY` — scan the type for an integer base,
                     // skipping reference/mut sigils.
                     let mut k = i + 2;
                     while k < sig.end
-                        && (self.punct(k, '&')
-                            || self.punct(k, '\'')
-                            || self.ident(k) == Some("mut")
-                            || matches!(
-                                self.code.get(k).map(|t| &t.kind),
-                                Some(TokenKind::Lifetime)
-                            ))
+                        && (self.cur.punct(k, '&')
+                            || self.cur.punct(k, '\'')
+                            || self.cur.ident(k) == Some("mut")
+                            || matches!(self.cur.kind(k), Some(TokenKind::Lifetime)))
                     {
                         k += 1;
                     }
-                    if let Some(ty) = self.ident(k) {
+                    if let Some(ty) = self.cur.ident(k) {
                         if let Some(r) = type_range(ty) {
                             self.env.insert(name.to_owned(), r);
                             self.tys.insert(name.to_owned(), r);
@@ -512,8 +492,8 @@ impl<'a> Interp<'a> {
     fn return_type_range(&self, sig: &Range<usize>) -> Option<Interval> {
         let mut i = sig.start;
         while i + 2 < sig.end {
-            if self.punct(i, '-') && self.punct(i + 1, '>') {
-                return self.ident(i + 2).and_then(type_range);
+            if self.cur.punct(i, '-') && self.cur.punct(i + 1, '>') {
+                return self.cur.ident(i + 2).and_then(type_range);
             }
             i += 1;
         }
@@ -546,31 +526,13 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Index one past a balanced bracket group opening at `open`.
-    fn skip_group(&self, open: usize, op: char, cl: char) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.body.end {
-            if self.punct(i, op) {
-                depth += 1;
-            } else if self.punct(i, cl) {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        self.body.end
-    }
-
     /// End of the flat statement starting at `i`: the index of the
     /// depth-0 `;`, or of a depth-0 `{`/`}` boundary.
     fn stmt_end(&self, i: usize, limit: usize) -> usize {
         let mut depth = 0usize;
         let mut k = i;
         while k < limit {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct(';')) if depth == 0 => return k,
@@ -593,17 +555,17 @@ impl<'a> Interp<'a> {
             if !self.spend() {
                 return Interval::top();
             }
-            if self.punct(i, ';') || self.punct(i, '}') || self.punct(i, ',') {
+            if self.cur.punct(i, ';') || self.cur.punct(i, '}') || self.cur.punct(i, ',') {
                 i += 1;
                 continue;
             }
-            if self.punct(i, '{') {
-                let end = self.skip_group(i, '{', '}');
+            if self.cur.punct(i, '{') {
+                let end = self.cur.skip_group(i, '{', '}');
                 last = self.block(i + 1..end.saturating_sub(1).max(i + 1));
                 i = end;
                 continue;
             }
-            match self.ident(i) {
+            match self.cur.ident(i) {
                 Some("let") => {
                     i = self.handle_let(i, r.end);
                     last = Interval::top();
@@ -646,8 +608,8 @@ impl<'a> Interp<'a> {
                     // A statement ending at `{` is a headed block we do
                     // not model (unsafe, labeled loops…): walk the
                     // block, clobbering nothing.
-                    if self.punct(end, '{') && end > i && self.is_block_header(i, end) {
-                        let close = self.skip_group(end, '{', '}');
+                    if self.cur.punct(end, '{') && end > i && self.is_block_header(i, end) {
+                        let close = self.cur.skip_group(end, '{', '}');
                         let _ = self.eval(i..end);
                         last = self.block(end + 1..close.saturating_sub(1).max(end + 1));
                         i = close;
@@ -665,7 +627,7 @@ impl<'a> Interp<'a> {
     /// expression followed by a struct literal (we only accept plain
     /// `unsafe` / label headers; everything else is evaluated flat).
     fn is_block_header(&self, start: usize, end: usize) -> bool {
-        end == start + 1 && matches!(self.ident(start), Some("unsafe") | Some("else"))
+        end == start + 1 && matches!(self.cur.ident(start), Some("unsafe") | Some("else"))
     }
 
     /// One flat expression statement: assignment handling plus fact
@@ -675,28 +637,28 @@ impl<'a> Interp<'a> {
         let mut depth = 0usize;
         let mut k = r.start;
         while k < r.end {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('=')) if depth == 0 => {
                     let compound = k > r.start
                         && matches!(
-                            self.code.get(k - 1).map(|t| &t.kind),
+                            self.cur.kind(k - 1),
                             Some(TokenKind::Punct('+' | '-' | '*' | '/' | '%' | '<' | '>'))
                         )
-                        && !self.punct(k - 1, '<') // `<=` is a comparison
-                        && !self.punct(k - 1, '>');
+                        && !self.cur.punct(k - 1, '<') // `<=` is a comparison
+                        && !self.cur.punct(k - 1, '>');
                     let shift_compound = k > r.start + 1
-                        && ((self.punct(k - 1, '<') && self.punct(k - 2, '<'))
-                            || (self.punct(k - 1, '>') && self.punct(k - 2, '>')));
+                        && ((self.cur.punct(k - 1, '<') && self.cur.punct(k - 2, '<'))
+                            || (self.cur.punct(k - 1, '>') && self.cur.punct(k - 2, '>')));
                     let plain = !compound
                         && !shift_compound
-                        && !self.punct(k + 1, '=') // `==`
-                        && !self.punct(k + 1, '>') // `=>`
-                        && !self.punct(k.wrapping_sub(1), '=')
-                        && !self.punct(k.wrapping_sub(1), '!')
-                        && !self.punct(k.wrapping_sub(1), '<')
-                        && !self.punct(k.wrapping_sub(1), '>');
+                        && !self.cur.punct(k + 1, '=') // `==`
+                        && !self.cur.punct(k + 1, '>') // `=>`
+                        && !self.cur.punct(k.wrapping_sub(1), '=')
+                        && !self.cur.punct(k.wrapping_sub(1), '!')
+                        && !self.cur.punct(k.wrapping_sub(1), '<')
+                        && !self.cur.punct(k.wrapping_sub(1), '>');
                     if plain || compound || shift_compound {
                         let lhs_end = if shift_compound {
                             k - 2
@@ -722,7 +684,7 @@ impl<'a> Interp<'a> {
     }
 
     fn op_char(&self, i: usize) -> Option<char> {
-        match self.code.get(i).map(|t| &t.kind) {
+        match self.cur.kind(i) {
             Some(TokenKind::Punct(c)) => Some(*c),
             _ => None,
         }
@@ -737,8 +699,8 @@ impl<'a> Interp<'a> {
         shift: bool,
     ) -> Interval {
         let rv = self.eval(rhs.clone());
-        let key = simple_key(self.code, &lhs);
-        let line = self.line(at);
+        let key = simple_key(self.cur, &lhs);
+        let line = self.cur.line(at);
         let new = match (compound, &key) {
             (Some(op), Some(k)) => {
                 let cur = self.env.get(k).copied().unwrap_or_else(Interval::top);
@@ -809,10 +771,10 @@ impl<'a> Interp<'a> {
         let mut depth = 0usize;
         let mut eq = None;
         for k in i + 1..end {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[' | '{' | '<')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']' | '}' | '>')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('=')) if depth == 0 && !self.punct(k + 1, '=') => {
+                Some(TokenKind::Punct('=')) if depth == 0 && !self.cur.punct(k + 1, '=') => {
                     eq = Some(k);
                     break;
                 }
@@ -825,18 +787,18 @@ impl<'a> Interp<'a> {
         };
         // Simple binder: `let [mut] name [: TY] = …`.
         let mut p = i + 1;
-        if self.ident(p) == Some("mut") {
+        if self.cur.ident(p) == Some("mut") {
             p += 1;
         }
-        let name = self.ident(p).filter(|w| !crate::parser::is_keyword(w));
-        let simple = name.is_some() && (p + 1 == eq || self.punct(p + 1, ':'));
-        let ty = if simple && self.punct(p + 1, ':') {
-            self.ident(p + 2).and_then(type_range)
+        let name = self.cur.ident(p).filter(|w| !crate::parser::is_keyword(w));
+        let simple = name.is_some() && (p + 1 == eq || self.cur.punct(p + 1, ':'));
+        let ty = if simple && self.cur.punct(p + 1, ':') {
+            self.cur.ident(p + 2).and_then(type_range)
         } else {
             None
         };
         let rhs = eq + 1..end;
-        let v = match self.ident(eq + 1) {
+        let v = match self.cur.ident(eq + 1) {
             Some("if") => {
                 let mut k = eq + 1;
                 self.handle_if(&mut k, end)
@@ -853,7 +815,7 @@ impl<'a> Interp<'a> {
                 if let Some(ty) = ty {
                     if v.lo > ty.hi {
                         self.record_d13(
-                            self.line(eq),
+                            self.cur.line(eq),
                             format!(
                                 "`{name}` ∈ {v} does not fit its declared range {ty} \
                                  — every execution overflows"
@@ -876,7 +838,7 @@ impl<'a> Interp<'a> {
                 // Destructuring: conservatively clobber every bound
                 // ident on the pattern side.
                 for k in i + 1..eq {
-                    if let Some(w) = self.ident(k) {
+                    if let Some(w) = self.cur.ident(k) {
                         if !crate::parser::is_keyword(w) {
                             let w = w.to_owned();
                             self.clobber_facts(&w);
@@ -897,7 +859,7 @@ impl<'a> Interp<'a> {
         let mut cond_end = if_at + 1;
         let mut depth = 0usize;
         while cond_end < limit {
-            match self.code.get(cond_end).map(|t| &t.kind) {
+            match self.cur.kind(cond_end) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => break,
@@ -906,12 +868,12 @@ impl<'a> Interp<'a> {
             cond_end += 1;
         }
         let cond = if_at + 1..cond_end;
-        let is_if_let = self.ident(if_at + 1) == Some("let");
+        let is_if_let = self.cur.ident(if_at + 1) == Some("let");
         if !is_if_let {
             let _ = self.eval(cond.clone());
         }
         let then_open = cond_end;
-        let then_close = self.skip_group(then_open, '{', '}');
+        let then_close = self.cur.skip_group(then_open, '{', '}');
         let base = self.save();
 
         // Then branch under the positive refinement.
@@ -931,17 +893,17 @@ impl<'a> Interp<'a> {
         let mut else_diverged = false;
         let mut else_val = None;
         let mut after = then_close;
-        if self.ident(then_close) == Some("else") {
+        if self.cur.ident(then_close) == Some("else") {
             if !is_if_let {
                 self.refine(&cond, false);
             }
-            if self.ident(then_close + 1) == Some("if") {
+            if self.cur.ident(then_close + 1) == Some("if") {
                 let mut k = then_close + 1;
                 else_val = Some(self.handle_if(&mut k, limit));
                 after = k;
             } else {
                 let open = then_close + 1;
-                let close = self.skip_group(open, '{', '}');
+                let close = self.cur.skip_group(open, '{', '}');
                 else_val = Some(self.block(open + 1..close.saturating_sub(1).max(open + 1)));
                 after = close;
             }
@@ -1002,8 +964,8 @@ impl<'a> Interp<'a> {
     /// only when the logic stays sound (¬(A ∧ B) refines nothing;
     /// ¬(A ∨ B) refines both).
     fn refine(&mut self, cond: &Range<usize>, positive: bool) {
-        let conjuncts = split_bool(self.code, cond, '&');
-        let disjuncts = split_bool(self.code, cond, '|');
+        let conjuncts = split_bool(self.cur, cond, '&');
+        let disjuncts = split_bool(self.cur, cond, '|');
         if positive {
             if disjuncts.len() > 1 {
                 return;
@@ -1025,7 +987,7 @@ impl<'a> Interp<'a> {
     /// One comparison / `is_empty` atom, possibly under a leading `!`.
     fn refine_atom(&mut self, r: &Range<usize>, mut positive: bool) {
         let mut r = r.clone();
-        while self.punct(r.start, '!') && !self.punct(r.start + 1, '=') {
+        while self.cur.punct(r.start, '!') && !self.cur.punct(r.start + 1, '=') {
             positive = !positive;
             r.start += 1;
         }
@@ -1043,7 +1005,7 @@ impl<'a> Interp<'a> {
             }
             return;
         }
-        let Some((op, at)) = find_comparison(self.code, &r) else {
+        let Some((op, at)) = find_comparison(self.cur, &r) else {
             return;
         };
         let lhs = r.start..at;
@@ -1058,9 +1020,9 @@ impl<'a> Interp<'a> {
     /// + nonzero bookkeeping).
     fn apply_cmp(&mut self, lhs: &Range<usize>, op: &str, rhs: &Range<usize>) {
         let rv = self.eval_quiet(rhs.clone());
-        let key = simple_key(self.code, lhs);
-        let ltext = norm_text(self.code, lhs);
-        let rtext = norm_text(self.code, rhs);
+        let key = simple_key(self.cur, lhs);
+        let ltext = norm_text(self.cur, lhs);
+        let rtext = norm_text(self.cur, rhs);
         // Relational facts over simple operand texts.
         match op {
             ">" | ">=" | "==" => {
@@ -1069,7 +1031,7 @@ impl<'a> Interp<'a> {
             _ => {}
         }
         // Nonzero facts over arbitrary expression texts.
-        let rhs_is_zero = rv == Interval::exact(0) || is_zero_literal(self.code, rhs);
+        let rhs_is_zero = rv == Interval::exact(0) || is_zero_literal(self.cur, rhs);
         match op {
             "!=" if rhs_is_zero => {
                 self.nonzero.insert(ltext.clone());
@@ -1113,19 +1075,19 @@ impl<'a> Interp<'a> {
     /// When `r` is `base.is_empty()`, the base text.
     fn is_empty_base(&self, r: &Range<usize>) -> Option<String> {
         let mut k = r.end;
-        while k > r.start && self.punct(k - 1, ')') {
+        while k > r.start && self.cur.punct(k - 1, ')') {
             k -= 1;
         }
-        while k > r.start && self.punct(k - 1, '(') {
+        while k > r.start && self.cur.punct(k - 1, '(') {
             k -= 1;
         }
-        if k == r.start || self.ident(k - 1) != Some("is_empty") {
+        if k == r.start || self.cur.ident(k - 1) != Some("is_empty") {
             return None;
         }
-        if k < 2 || !self.punct(k - 2, '.') {
+        if k < 2 || !self.cur.punct(k - 2, '.') {
             return None;
         }
-        Some(norm_text(self.code, &(r.start..k - 2)))
+        Some(norm_text(self.cur, &(r.start..k - 2)))
     }
 
     fn handle_for(&mut self, i: usize, limit: usize) -> usize {
@@ -1134,7 +1096,7 @@ impl<'a> Interp<'a> {
         let mut k = i + 1;
         let mut depth = 0usize;
         while k < limit {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => break,
@@ -1147,12 +1109,12 @@ impl<'a> Interp<'a> {
             k += 1;
         }
         let Some(in_at) = in_at else {
-            return self.skip_group(self.stmt_end(i, limit), '{', '}');
+            return self.cur.skip_group(self.stmt_end(i, limit), '{', '}');
         };
         let mut open = in_at + 1;
         depth = 0;
         while open < limit {
-            match self.code.get(open).map(|t| &t.kind) {
+            match self.cur.kind(open) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => break,
@@ -1162,11 +1124,12 @@ impl<'a> Interp<'a> {
         }
         let iter = in_at + 1..open;
         let binder = self
+            .cur
             .ident(i + 1)
             .filter(|w| !crate::parser::is_keyword(w) && in_at == i + 2)
             .map(str::to_owned);
         let binder_iv = self.range_binder_interval(&iter);
-        let close = self.skip_group(open, '{', '}');
+        let close = self.cur.skip_group(open, '{', '}');
         let body = open + 1..close.saturating_sub(1).max(open + 1);
         self.run_loop_body(body, binder.as_deref(), binder_iv);
         close
@@ -1176,15 +1139,15 @@ impl<'a> Interp<'a> {
     fn range_binder_interval(&mut self, iter: &Range<usize>) -> Interval {
         let mut depth = 0usize;
         for k in iter.start..iter.end {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('.'))
                     if depth == 0
-                        && self.punct(k + 1, '.')
-                        && !self.punct(k.wrapping_sub(1), '.') =>
+                        && self.cur.punct(k + 1, '.')
+                        && !self.cur.punct(k.wrapping_sub(1), '.') =>
                 {
-                    let inclusive = self.punct(k + 2, '=');
+                    let inclusive = self.cur.punct(k + 2, '=');
                     let lo = self.eval_quiet(iter.start..k);
                     let hi_start = if inclusive { k + 3 } else { k + 2 };
                     let hi = self.eval_quiet(hi_start..iter.end);
@@ -1204,11 +1167,11 @@ impl<'a> Interp<'a> {
 
     /// `while`/`loop` starting at `i`.
     fn handle_loop(&mut self, i: usize, limit: usize) -> usize {
-        let is_while = self.ident(i) == Some("while");
+        let is_while = self.cur.ident(i) == Some("while");
         let mut open = i + 1;
         let mut depth = 0usize;
         while open < limit {
-            match self.code.get(open).map(|t| &t.kind) {
+            match self.cur.kind(open) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => break,
@@ -1217,13 +1180,13 @@ impl<'a> Interp<'a> {
             open += 1;
         }
         let cond = i + 1..open;
-        if is_while && self.ident(i + 1) != Some("let") {
+        if is_while && self.cur.ident(i + 1) != Some("let") {
             let _ = self.eval(cond.clone());
         }
-        let close = self.skip_group(open, '{', '}');
+        let close = self.cur.skip_group(open, '{', '}');
         let body = open + 1..close.saturating_sub(1).max(open + 1);
         self.run_loop_body(body, None, Interval::top());
-        if is_while && self.ident(i + 1) != Some("let") {
+        if is_while && self.cur.ident(i + 1) != Some("let") {
             // After a `while c {}` that exits normally, ¬c holds.
             self.refine(&cond, false);
         }
@@ -1279,7 +1242,7 @@ impl<'a> Interp<'a> {
         let mut open = i + 1;
         let mut depth = 0usize;
         while open < limit {
-            match self.code.get(open).map(|t| &t.kind) {
+            match self.cur.kind(open) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => break,
@@ -1288,7 +1251,7 @@ impl<'a> Interp<'a> {
             open += 1;
         }
         let _ = self.eval(i + 1..open);
-        let close = self.skip_group(open, '{', '}');
+        let close = self.cur.skip_group(open, '{', '}');
         let body = open + 1..close.saturating_sub(1).max(open + 1);
         let pre = self.save();
         let saved_div = self.diverged;
@@ -1298,29 +1261,31 @@ impl<'a> Interp<'a> {
         // Clobber assigned variables.
         let mut k = body.start;
         while k < body.end {
-            if self.punct(k, '=')
-                && !self.punct(k + 1, '=')
-                && !self.punct(k + 1, '>')
-                && !self.punct(k.wrapping_sub(1), '=')
-                && !self.punct(k.wrapping_sub(1), '!')
-                && !self.punct(k.wrapping_sub(1), '<')
-                && !self.punct(k.wrapping_sub(1), '>')
+            if self.cur.punct(k, '=')
+                && !self.cur.punct(k + 1, '=')
+                && !self.cur.punct(k + 1, '>')
+                && !self.cur.punct(k.wrapping_sub(1), '=')
+                && !self.cur.punct(k.wrapping_sub(1), '!')
+                && !self.cur.punct(k.wrapping_sub(1), '<')
+                && !self.cur.punct(k.wrapping_sub(1), '>')
             {
                 let mut b = k;
                 if matches!(
-                    self.code.get(k.wrapping_sub(1)).map(|t| &t.kind),
+                    self.cur.kind(k.wrapping_sub(1)),
                     Some(TokenKind::Punct('+' | '-' | '*' | '/' | '%'))
                 ) {
                     b = k - 1;
                 }
                 // Walk back over a dotted chain to its head ident.
                 let mut h = b;
-                while h > body.start && (self.ident(h - 1).is_some() || self.punct(h - 1, '.')) {
+                while h > body.start
+                    && (self.cur.ident(h - 1).is_some() || self.cur.punct(h - 1, '.'))
+                {
                     h -= 1;
                 }
-                if let Some(w) = self.ident(h) {
+                if let Some(w) = self.cur.ident(h) {
                     if !crate::parser::is_keyword(w) {
-                        let key = norm_text(self.code, &(h..b));
+                        let key = norm_text(self.cur, &(h..b));
                         let w = w.to_owned();
                         self.clobber_facts(&w);
                         self.env.insert(key, Interval::top());
@@ -1349,12 +1314,12 @@ impl<'a> Interp<'a> {
             return Interval::top();
         }
         // Trim stray terminators and full paren wrapping.
-        while r.end > r.start && self.punct(r.end - 1, ';') {
+        while r.end > r.start && self.cur.punct(r.end - 1, ';') {
             r.end -= 1;
         }
         while r.end > r.start
-            && self.punct(r.start, '(')
-            && self.skip_group(r.start, '(', ')') == r.end
+            && self.cur.punct(r.start, '(')
+            && self.cur.skip_group(r.start, '(', ')') == r.end
         {
             r.start += 1;
             r.end -= 1;
@@ -1363,12 +1328,12 @@ impl<'a> Interp<'a> {
             return Interval::top();
         }
         // Leading unary operators.
-        if self.punct(r.start, '-') && r.len() > 1 {
+        if self.cur.punct(r.start, '-') && r.len() > 1 {
             return self.eval(r.start + 1..r.end).neg();
         }
-        if (self.punct(r.start, '!') && !self.punct(r.start + 1, '='))
-            || self.punct(r.start, '*')
-            || self.punct(r.start, '&')
+        if (self.cur.punct(r.start, '!') && !self.cur.punct(r.start + 1, '='))
+            || self.cur.punct(r.start, '*')
+            || self.cur.punct(r.start, '&')
         {
             return self.eval(r.start + 1..r.end);
         }
@@ -1388,29 +1353,29 @@ impl<'a> Interp<'a> {
             let _ = self.eval(at.1..r.end);
             return Some(Interval::top());
         }
-        if let Some((op, at)) = find_comparison(self.code, r) {
+        if let Some((op, at)) = find_comparison(self.cur, r) {
             let lhs = r.start..at;
             let rhs = at + op.len()..r.end;
-            let line = self.line(at);
+            let line = self.cur.line(at);
             self.check_units(&lhs, &rhs, op, line);
             let _ = self.eval(lhs);
             let _ = self.eval(rhs);
             return Some(Interval::new(0, 1));
         }
         if let Some(k) = self.find_depth0(r, |s, k| {
-            s.punct(k, '.') && s.punct(k + 1, '.') && !s.punct(k.wrapping_sub(1), '.')
+            s.cur.punct(k, '.') && s.cur.punct(k + 1, '.') && !s.cur.punct(k.wrapping_sub(1), '.')
         }) {
             let _ = self.eval(r.start..k);
-            let skip = if self.punct(k + 2, '=') { 3 } else { 2 };
+            let skip = if self.cur.punct(k + 2, '=') { 3 } else { 2 };
             let _ = self.eval(k + skip..r.end);
             return Some(Interval::top());
         }
         if let Some(k) = self.find_shift(r) {
             let lv = self.eval(r.start..k);
             let rv = self.eval(k + 2..r.end);
-            let line = self.line(k);
-            if self.punct(k, '<') {
-                if let Some(key) = simple_key(self.code, &(r.start..k)) {
+            let line = self.cur.line(k);
+            if self.cur.punct(k, '<') {
+                if let Some(key) = simple_key(self.cur, &(r.start..k)) {
                     self.check_shift(&key, &lv, &rv, line);
                 }
                 return Some(lv.shl(&rv));
@@ -1420,11 +1385,16 @@ impl<'a> Interp<'a> {
         if let Some(k) = self.find_addsub(r) {
             let lhs = r.start..k;
             let rhs = k + 1..r.end;
-            let line = self.line(k);
+            let line = self.cur.line(k);
             let lv = self.eval(lhs.clone());
             let rv = self.eval(rhs.clone());
-            self.check_units(&lhs, &rhs, if self.punct(k, '+') { "+" } else { "-" }, line);
-            if self.punct(k, '-') {
+            self.check_units(
+                &lhs,
+                &rhs,
+                if self.cur.punct(k, '+') { "+" } else { "-" },
+                line,
+            );
+            if self.cur.punct(k, '-') {
                 self.check_sub(&lhs, &rhs, &lv, &rv, line);
                 return Some(lv.sub(&rv));
             }
@@ -1433,22 +1403,22 @@ impl<'a> Interp<'a> {
         if let Some(k) = self.find_muldiv(r) {
             let lhs = r.start..k;
             let rhs = k + 1..r.end;
-            let line = self.line(k);
+            let line = self.cur.line(k);
             let lv = self.eval(lhs);
             let rv = self.eval(rhs.clone());
-            if self.punct(k, '*') {
+            if self.cur.punct(k, '*') {
                 return Some(lv.mul(&rv));
             }
             self.check_div(&rhs, &rv, line);
-            if self.punct(k, '/') {
+            if self.cur.punct(k, '/') {
                 return Some(div_interval(&lv, &rv));
             }
             return Some(rem_interval(&lv, &rv));
         }
-        if let Some(k) = self.find_depth0(r, |s, k| s.ident(k) == Some("as")) {
+        if let Some(k) = self.find_depth0(r, |s, k| s.cur.ident(k) == Some("as")) {
             let lv = self.eval(r.start..k);
-            let ty = self.ident(k + 1).unwrap_or("");
-            return Some(self.check_cast(&(r.start..k), &lv, ty, self.line(k)));
+            let ty = self.cur.ident(k + 1).unwrap_or("");
+            return Some(self.check_cast(&(r.start..k), &lv, ty, self.cur.line(k)));
         }
         None
     }
@@ -1460,7 +1430,7 @@ impl<'a> Interp<'a> {
         let mut k = r.end;
         while k > r.start {
             k -= 1;
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct(')' | ']' | '}')) => depth += 1,
                 Some(TokenKind::Punct('(' | '[' | '{')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('|')) if depth == 0 => return None, // closure: bail
@@ -1475,7 +1445,8 @@ impl<'a> Interp<'a> {
     /// (lhs_end, rhs_start).
     fn find_bool_op(&self, r: &Range<usize>) -> Option<(usize, usize)> {
         let k = self.find_depth0_raw(r, |s, k| {
-            (s.punct(k, '&') && s.punct(k + 1, '&')) || (s.punct(k, '|') && s.punct(k + 1, '|'))
+            (s.cur.punct(k, '&') && s.cur.punct(k + 1, '&'))
+                || (s.cur.punct(k, '|') && s.cur.punct(k + 1, '|'))
         })?;
         Some((k, k + 2))
     }
@@ -1491,7 +1462,7 @@ impl<'a> Interp<'a> {
         let mut k = r.end;
         while k > r.start {
             k -= 1;
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct(')' | ']' | '}')) => depth += 1,
                 Some(TokenKind::Punct('(' | '[' | '{')) => depth = depth.saturating_sub(1),
                 _ if depth == 0 && pred(self, k) => return Some(k),
@@ -1503,36 +1474,37 @@ impl<'a> Interp<'a> {
 
     fn find_shift(&self, r: &Range<usize>) -> Option<usize> {
         self.find_depth0(r, |s, k| {
-            ((s.punct(k, '<') && s.punct(k + 1, '<')) || (s.punct(k, '>') && s.punct(k + 1, '>')))
+            ((s.cur.punct(k, '<') && s.cur.punct(k + 1, '<'))
+                || (s.cur.punct(k, '>') && s.cur.punct(k + 1, '>')))
                 && k > r.start
                 && s.is_value_end(k - 1)
-                && !s.punct(k.wrapping_sub(1), ':')
+                && !s.cur.punct(k.wrapping_sub(1), ':')
         })
     }
 
     fn find_addsub(&self, r: &Range<usize>) -> Option<usize> {
         self.find_depth0(r, |s, k| {
-            (s.punct(k, '+') || s.punct(k, '-'))
+            (s.cur.punct(k, '+') || s.cur.punct(k, '-'))
                 && k > r.start
                 && s.is_value_end(k - 1)
-                && !s.punct(k + 1, '=')      // compound handled upstream
-                && !s.punct(k + 1, '>') // `->`
+                && !s.cur.punct(k + 1, '=')      // compound handled upstream
+                && !s.cur.punct(k + 1, '>') // `->`
         })
     }
 
     fn find_muldiv(&self, r: &Range<usize>) -> Option<usize> {
         self.find_depth0(r, |s, k| {
-            (s.punct(k, '*') || s.punct(k, '/') || s.punct(k, '%'))
+            (s.cur.punct(k, '*') || s.cur.punct(k, '/') || s.cur.punct(k, '%'))
                 && k > r.start
                 && s.is_value_end(k - 1)
-                && !s.punct(k + 1, '=')
+                && !s.cur.punct(k + 1, '=')
         })
     }
 
     /// Whether token `i` can end a value (making a following `-`/`*`
     /// binary rather than unary).
     fn is_value_end(&self, i: usize) -> bool {
-        match self.code.get(i).map(|t| &t.kind) {
+        match self.cur.kind(i) {
             Some(TokenKind::Ident(w)) => {
                 !crate::parser::is_keyword(w) || w == "self" || w == "true" || w == "false"
             }
@@ -1546,7 +1518,7 @@ impl<'a> Interp<'a> {
     /// `TY::MAX`, method intrinsics.
     fn eval_atom(&mut self, r: &Range<usize>) -> Interval {
         if r.len() == 1 {
-            return match self.code.get(r.start).map(|t| &t.kind) {
+            return match self.cur.kind(r.start) {
                 Some(TokenKind::Number(text)) => parse_number(text),
                 Some(TokenKind::Ident(w)) if w == "true" || w == "false" => Interval::new(0, 1),
                 Some(TokenKind::Ident(w)) => self
@@ -1558,8 +1530,9 @@ impl<'a> Interp<'a> {
             };
         }
         // `TY::MAX` / `TY::MIN`.
-        if r.len() == 4 && self.punct(r.start + 1, ':') && self.punct(r.start + 2, ':') {
-            if let (Some(ty), Some(which)) = (self.ident(r.start), self.ident(r.start + 3)) {
+        if r.len() == 4 && self.cur.punct(r.start + 1, ':') && self.cur.punct(r.start + 2, ':') {
+            if let (Some(ty), Some(which)) = (self.cur.ident(r.start), self.cur.ident(r.start + 3))
+            {
                 if let Some(range) = type_range(ty) {
                     match which {
                         "MAX" => return Interval::exact(range.hi),
@@ -1570,12 +1543,12 @@ impl<'a> Interp<'a> {
             }
         }
         // Trailing `?` / `.await`-ish postfix: peel and retry.
-        if self.punct(r.end - 1, '?') {
+        if self.cur.punct(r.end - 1, '?') {
             return self.eval(r.start..r.end - 1);
         }
         // Trailing call/index group?
-        if self.punct(r.end - 1, ')') || self.punct(r.end - 1, ']') {
-            let (op, cl) = if self.punct(r.end - 1, ')') {
+        if self.cur.punct(r.end - 1, ')') || self.cur.punct(r.end - 1, ']') {
+            let (op, cl) = if self.cur.punct(r.end - 1, ')') {
                 ('(', ')')
             } else {
                 ('[', ']')
@@ -1585,9 +1558,9 @@ impl<'a> Interp<'a> {
             let mut open = r.end;
             while open > r.start {
                 open -= 1;
-                if self.punct(open, cl) {
+                if self.cur.punct(open, cl) {
                     depth += 1;
-                } else if self.punct(open, op) {
+                } else if self.cur.punct(open, op) {
                     depth -= 1;
                     if depth == 0 {
                         break;
@@ -1604,18 +1577,18 @@ impl<'a> Interp<'a> {
                 return Interval::top();
             }
             // Method call: `recv.name(args)`.
-            if let Some(name) = self.ident(open - 1) {
-                if open >= 2 && self.punct(open - 2, '.') {
+            if let Some(name) = self.cur.ident(open - 1) {
+                if open >= 2 && self.cur.punct(open - 2, '.') {
                     let recv = r.start..open - 2;
                     return self.eval_method(&recv, name, &args, r);
                 }
                 // Free/path call: `name(args)` or `a::b::name(args)`.
-                return self.eval_call(name, &(r.start..open - 1), &args, self.line(open - 1));
+                return self.eval_call(name, &(r.start..open - 1), &args, self.cur.line(open - 1));
             }
             return Interval::top();
         }
         // Dotted field chain (no trailing call): env lookup by text.
-        let text = norm_text(self.code, r);
+        let text = norm_text(self.cur, r);
         self.env.get(&text).copied().unwrap_or_else(Interval::top)
     }
 
@@ -1625,7 +1598,7 @@ impl<'a> Interp<'a> {
         let mut start = r.start;
         let mut k = r.start;
         while k < r.end {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct(',')) if depth == 0 => {
@@ -1657,7 +1630,7 @@ impl<'a> Interp<'a> {
         let arg = args.first().copied().unwrap_or_else(Interval::top);
         match name {
             "len" if args.is_empty() => {
-                let key = format!("{}.len", norm_text(self.code, recv));
+                let key = format!("{}.len", norm_text(self.cur, recv));
                 self.env
                     .get(&key)
                     .copied()
@@ -1692,7 +1665,7 @@ impl<'a> Interp<'a> {
             // `u64::from(x)` etc: the value passes through; meet with
             // the target type when the path names one.
             if path.len() >= 3 {
-                if let Some(ty) = self.ident(path.start).and_then(type_range) {
+                if let Some(ty) = self.cur.ident(path.start).and_then(type_range) {
                     return args[0].meet(&ty).unwrap_or(ty);
                 }
             }
@@ -1734,8 +1707,8 @@ impl<'a> Interp<'a> {
         if rv.hi <= lv.lo {
             return;
         }
-        let lt = norm_text(self.code, lhs);
-        let rt = norm_text(self.code, rhs);
+        let lt = norm_text(self.cur, lhs);
+        let rt = norm_text(self.cur, rhs);
         if lt == rt || self.rel_ge.contains(&(lt.clone(), rt.clone())) {
             return;
         }
@@ -1795,7 +1768,7 @@ impl<'a> Interp<'a> {
                     format!(
                         "`{} as {ty}` truncates: value ∈ {lv} lies outside {ty}'s \
                          range {tr} in every execution",
-                        clip(&norm_text(self.code, operand)),
+                        clip(&norm_text(self.cur, operand)),
                     ),
                 );
             } else {
@@ -1825,7 +1798,7 @@ impl<'a> Interp<'a> {
             return;
         }
         // A guard-proven expression clears the check.
-        let dt = norm_text(self.code, den);
+        let dt = norm_text(self.cur, den);
         if self.nonzero.contains(&dt) {
             return;
         }
@@ -1855,8 +1828,8 @@ impl<'a> Interp<'a> {
             format!(
                 "unit mismatch: `{}` carries {ld} but `{}` carries {rd} across `{op}`; \
                  route one side through a named conversion helper",
-                clip(&norm_text(self.code, lhs)),
-                clip(&norm_text(self.code, rhs)),
+                clip(&norm_text(self.cur, lhs)),
+                clip(&norm_text(self.cur, rhs)),
             ),
         );
     }
@@ -1867,8 +1840,8 @@ impl<'a> Interp<'a> {
     fn span_dimension(&self, r: &Range<usize>) -> Option<&'static str> {
         let mut dim = None;
         for k in r.clone() {
-            if let Some(w) = self.ident(k) {
-                if self.punct(k + 1, '(') && is_conversion_name(w) {
+            if let Some(w) = self.cur.ident(k) {
+                if self.cur.punct(k + 1, '(') && is_conversion_name(w) {
                     return None;
                 }
                 if dim.is_none() {
@@ -1880,7 +1853,8 @@ impl<'a> Interp<'a> {
     }
 
     fn span_counterish(&self, r: &Range<usize>) -> bool {
-        r.clone().any(|k| self.ident(k).is_some_and(is_counterish))
+        r.clone()
+            .any(|k| self.cur.ident(k).is_some_and(is_counterish))
     }
 
     /// Whether a denominator span is integer-derived: it mentions a
@@ -1899,7 +1873,7 @@ impl<'a> Interp<'a> {
     fn int_evidence(&self, r: &Range<usize>, literals_count: bool) -> bool {
         let mut evidence = false;
         for k in r.clone() {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Number(text)) => {
                     if crate::dataflow::is_float_number(text) {
                         return false;
@@ -1910,14 +1884,14 @@ impl<'a> Interp<'a> {
                 }
                 Some(TokenKind::Ident(s))
                     if (s == "f64" || s == "f32")
-                        && self.ident(k.wrapping_sub(1)) != Some("as") =>
+                        && self.cur.ident(k.wrapping_sub(1)) != Some("as") =>
                 {
                     return false;
                 }
                 Some(TokenKind::Ident(s))
                     if self.tys.contains_key(s.as_str())
                         || self.int_vars.contains(s.as_str())
-                        || (s == "len" && self.punct(k + 1, '(')) =>
+                        || (s == "len" && self.cur.punct(k + 1, '(')) =>
                 {
                     evidence = true;
                 }
@@ -1929,7 +1903,7 @@ impl<'a> Interp<'a> {
 
     fn has_float_tokens(&self, r: &Range<usize>) -> bool {
         for k in r.clone() {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Number(text)) if crate::dataflow::is_float_number(text) => {
                     return true
                 }
@@ -1943,17 +1917,16 @@ impl<'a> Interp<'a> {
 
 /// Splits a boolean condition at depth-0 doubled `c` puncts (`&&` or
 /// `||`); returns the single whole range when none exist.
-fn split_bool(code: &[Token], r: &Range<usize>, c: char) -> Vec<Range<usize>> {
+fn split_bool(cur: Cursor<'_>, r: &Range<usize>, c: char) -> Vec<Range<usize>> {
     let mut parts = Vec::new();
     let mut depth = 0usize;
     let mut start = r.start;
     let mut k = r.start;
-    let at = |k: usize, ch: char| matches!(code.get(k).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == ch);
     while k < r.end {
-        match code.get(k).map(|t| &t.kind) {
+        match cur.kind(k) {
             Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
             Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-            _ if depth == 0 && at(k, c) && at(k + 1, c) => {
+            _ if depth == 0 && cur.punct(k, c) && cur.punct(k + 1, c) => {
                 parts.push(start..k);
                 start = k + 2;
                 k += 1;
@@ -1970,9 +1943,8 @@ fn split_bool(code: &[Token], r: &Range<usize>, c: char) -> Vec<Range<usize>> {
 /// text and its token index. `<`/`>` are accepted only between value
 /// tokens (turbofish and generics sit next to `:` or idents that are
 /// type-ish — the value-end test filters most of them).
-fn find_comparison<'a>(code: &[Token], r: &Range<usize>) -> Option<(&'a str, usize)> {
-    let punct = |k: usize, c: char| matches!(code.get(k).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c);
-    let value_end = |k: usize| match code.get(k).map(|t| &t.kind) {
+fn find_comparison<'a>(cur: Cursor<'_>, r: &Range<usize>) -> Option<(&'a str, usize)> {
+    let value_end = |k: usize| match cur.kind(k) {
         Some(TokenKind::Ident(w)) => !crate::parser::is_keyword(w) || w == "self",
         Some(TokenKind::Number(_)) | Some(TokenKind::Literal) => true,
         Some(TokenKind::Punct(')' | ']')) => true,
@@ -1981,20 +1953,20 @@ fn find_comparison<'a>(code: &[Token], r: &Range<usize>) -> Option<(&'a str, usi
     let mut depth = 0usize;
     let mut k = r.start;
     while k < r.end {
-        match code.get(k).map(|t| &t.kind) {
+        match cur.kind(k) {
             Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
             Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
             Some(TokenKind::Punct(c)) if depth == 0 => match c {
-                '=' if punct(k + 1, '=') => return Some(("==", k)),
-                '!' if punct(k + 1, '=') => return Some(("!=", k)),
+                '=' if cur.punct(k + 1, '=') => return Some(("==", k)),
+                '!' if cur.punct(k + 1, '=') => return Some(("!=", k)),
                 '<' | '>'
                     if k > r.start
                         && value_end(k - 1)
-                        && !punct(k.wrapping_sub(1), ':')
-                        && !punct(k + 1, *c) // shift
-                        && !(*c == '>' && punct(k.wrapping_sub(1), '-')) =>
+                        && !cur.punct(k.wrapping_sub(1), ':')
+                        && !cur.punct(k + 1, *c) // shift
+                        && !(*c == '>' && cur.punct(k.wrapping_sub(1), '-')) =>
                 {
-                    if punct(k + 1, '=') {
+                    if cur.punct(k + 1, '=') {
                         return Some((if *c == '<' { "<=" } else { ">=" }, k));
                     }
                     return Some((if *c == '<' { "<" } else { ">" }, k));
@@ -2032,13 +2004,13 @@ fn mirror(op: &str) -> &'static str {
 
 /// When `r` is a simple environment key — a bare identifier or a
 /// dotted ident chain — its normalized text.
-fn simple_key(code: &[Token], r: &Range<usize>) -> Option<String> {
+fn simple_key(cur: Cursor<'_>, r: &Range<usize>) -> Option<String> {
     if r.is_empty() || r.len() > 9 {
         return None;
     }
     for (pos, k) in r.clone().enumerate() {
         let want_ident = pos % 2 == 0;
-        match code.get(k).map(|t| &t.kind) {
+        match cur.kind(k) {
             Some(TokenKind::Ident(w)) if want_ident && !crate::parser::is_keyword(w) => {}
             Some(TokenKind::Ident(w)) if want_ident && w == "self" => {}
             Some(TokenKind::Punct('.')) if !want_ident => {}
@@ -2048,25 +2020,25 @@ fn simple_key(code: &[Token], r: &Range<usize>) -> Option<String> {
     if r.len().is_multiple_of(2) {
         return None;
     }
-    Some(norm_text(code, r))
+    Some(norm_text(cur, r))
 }
 
 /// Whether `r` is the literal `0` / `0.0` / `0usize`-style zero.
-fn is_zero_literal(code: &[Token], r: &Range<usize>) -> bool {
+fn is_zero_literal(cur: Cursor<'_>, r: &Range<usize>) -> bool {
     if r.len() != 1 {
         return false;
     }
-    match code.get(r.start).map(|t| &t.kind) {
+    match cur.kind(r.start) {
         Some(TokenKind::Number(text)) => parse_number(text) == Interval::exact(0),
         _ => false,
     }
 }
 
 /// Canonical text of a token span, for keys and messages.
-fn norm_text(code: &[Token], r: &Range<usize>) -> String {
+fn norm_text(cur: Cursor<'_>, r: &Range<usize>) -> String {
     let mut out = String::new();
     for k in r.clone() {
-        let piece = match code.get(k).map(|t| &t.kind) {
+        let piece = match cur.kind(k) {
             Some(TokenKind::Ident(s)) => s.as_str(),
             Some(TokenKind::Number(s)) => s.as_str(),
             Some(TokenKind::Literal) => "\"…\"",

@@ -28,7 +28,7 @@
 //! property tests in `tests/tokenizer_props.rs` drive it with
 //! arbitrary bytes.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Cursor, Token, TokenKind};
 use crate::parser::FnItem;
 use crate::taint::Site;
 use std::collections::BTreeSet;
@@ -177,9 +177,8 @@ pub enum CodecIssue {
 /// token stream. Total: never panics, any input.
 pub fn analyze_fn(code: &[Token], f: &FnItem) -> FnFlow {
     let flow = Flow {
-        code,
+        cur: Cursor::new(code, f.body.clone()),
         sig: f.sig.clone(),
-        body: f.body.clone(),
     };
     FnFlow {
         par_accums: flow.par_accums(),
@@ -189,24 +188,8 @@ pub fn analyze_fn(code: &[Token], f: &FnItem) -> FnFlow {
 }
 
 struct Flow<'a> {
-    code: &'a [Token],
+    cur: Cursor<'a>,
     sig: Range<usize>,
-    body: Range<usize>,
-}
-
-fn tok_ident(code: &[Token], i: usize) -> Option<&str> {
-    match code.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_punct(code: &[Token], i: usize, c: char) -> bool {
-    matches!(code.get(i).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c)
-}
-
-fn tok_line(code: &[Token], i: usize) -> u32 {
-    code.get(i).map(|t| t.line).unwrap_or(0)
 }
 
 /// Number tokens that denote floats: a decimal point, an `f32`/`f64`
@@ -265,68 +248,18 @@ fn is_value_keyword(word: &str) -> bool {
 }
 
 impl Flow<'_> {
-    fn ident(&self, i: usize) -> Option<&str> {
-        tok_ident(self.code, i)
-    }
-
-    fn punct(&self, i: usize, c: char) -> bool {
-        tok_punct(self.code, i, c)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        tok_line(self.code, i)
-    }
-
-    /// Flat statement span around token `i` (between `;`/`{`/`}`),
-    /// clamped to the body.
-    fn statement(&self, i: usize) -> Range<usize> {
-        let boundary = |k: usize| {
-            matches!(
-                self.code.get(k).map(|t| &t.kind),
-                Some(TokenKind::Punct(';' | '{' | '}'))
-            )
-        };
-        let mut start = i;
-        while start > self.body.start && !boundary(start - 1) {
-            start -= 1;
-        }
-        let mut end = i;
-        while end < self.body.end && !boundary(end) {
-            end += 1;
-        }
-        start..end
-    }
-
-    /// Index one past a balanced bracket group opening at `open`.
-    fn skip_group(&self, open: usize, op: char, cl: char) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.body.end {
-            if self.punct(i, op) {
-                depth += 1;
-            } else if self.punct(i, cl) {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        self.body.end
-    }
-
     /// The `let` statement defining `name`, if any, searching the whole
     /// body (first definition wins — good enough for guard lookups).
     /// Tuple and struct patterns bind several names at once, so the
     /// whole pattern side (up to the depth-0 `=`) is searched.
     fn def_statement(&self, name: &str) -> Option<Range<usize>> {
-        let mut i = self.body.start;
-        while i < self.body.end {
-            if self.ident(i) == Some("let") {
-                let stmt = self.statement(i);
+        let mut i = self.cur.start;
+        while i < self.cur.end {
+            if self.cur.ident(i) == Some("let") {
+                let stmt = self.cur.statement(i);
                 let mut depth = 0usize;
                 for j in i + 1..stmt.end {
-                    match self.code.get(j).map(|t| &t.kind) {
+                    match self.cur.kind(j) {
                         Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
                         Some(TokenKind::Punct(')' | ']' | '}')) => {
                             depth = depth.saturating_sub(1);
@@ -346,7 +279,7 @@ impl Flow<'_> {
     /// `f64`/`f32` type mention, or an `as f64` cast.
     fn has_float_evidence(&self, r: &Range<usize>) -> bool {
         for k in r.clone() {
-            match self.code.get(k).map(|t| &t.kind) {
+            match self.cur.kind(k) {
                 Some(TokenKind::Number(text)) if is_float_number(text) => return true,
                 Some(TokenKind::Ident(s)) if s == "f64" || s == "f32" => return true,
                 _ => {}
@@ -359,11 +292,14 @@ impl Flow<'_> {
     fn float_param(&self, name: &str) -> bool {
         let mut i = self.sig.start;
         while i < self.sig.end {
-            if self.ident(i) == Some(name) && self.punct(i + 1, ':') && !self.punct(i + 2, ':') {
+            if self.cur.ident(i) == Some(name)
+                && self.cur.punct(i + 1, ':')
+                && !self.cur.punct(i + 2, ':')
+            {
                 let mut k = i + 2;
                 let mut depth = 0usize;
                 while k < self.sig.end {
-                    match self.code.get(k).map(|t| &t.kind) {
+                    match self.cur.kind(k) {
                         Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
                         Some(TokenKind::Punct(')')) if depth == 0 => break,
                         Some(TokenKind::Punct('>' | ')' | ']')) => depth = depth.saturating_sub(1),
@@ -383,12 +319,15 @@ impl Flow<'_> {
 
     fn par_accums(&self) -> Vec<Site> {
         let mut sites = Vec::new();
-        let mut i = self.body.start;
-        while i < self.body.end {
-            let is_comb = self.ident(i).is_some_and(|s| PAR_COMBINATORS.contains(&s));
-            if is_comb && self.punct(i + 1, '(') {
-                let comb = self.ident(i).unwrap_or_default().to_owned();
-                let call_end = self.skip_group(i + 1, '(', ')');
+        let mut i = self.cur.start;
+        while i < self.cur.end {
+            let is_comb = self
+                .cur
+                .ident(i)
+                .is_some_and(|s| PAR_COMBINATORS.contains(&s));
+            if is_comb && self.cur.punct(i + 1, '(') {
+                let comb = self.cur.ident(i).unwrap_or_default().to_owned();
+                let call_end = self.cur.skip_group(i + 1, '(', ')');
                 let closures = self.closures_in(i + 2, call_end.saturating_sub(1));
                 // The last closure of map_reduce is the serial in-order
                 // fold — the one place a float accumulator is sound.
@@ -412,22 +351,22 @@ impl Flow<'_> {
     fn closures_in(&self, start: usize, end: usize) -> Vec<(Range<usize>, Range<usize>)> {
         let mut out = Vec::new();
         let mut i = start;
-        while i < end.min(self.body.end) {
+        while i < end.min(self.cur.end) {
             // A closure's opening `|` follows `,`, `(`, `=` or `move`;
             // a binary `|` follows a value. `||` (empty params) is two
             // adjacent pipes.
-            let opens_closure = self.punct(i, '|')
+            let opens_closure = self.cur.punct(i, '|')
                 && (i == start
-                    || self.punct(i - 1, ',')
-                    || self.punct(i - 1, '(')
-                    || self.punct(i - 1, '=')
-                    || self.ident(i - 1) == Some("move"));
+                    || self.cur.punct(i - 1, ',')
+                    || self.cur.punct(i - 1, '(')
+                    || self.cur.punct(i - 1, '=')
+                    || self.cur.ident(i - 1) == Some("move"));
             if opens_closure {
-                let params_end = if self.punct(i + 1, '|') {
+                let params_end = if self.cur.punct(i + 1, '|') {
                     i + 1
                 } else {
                     let mut k = i + 1;
-                    while k < end && !self.punct(k, '|') {
+                    while k < end && !self.cur.punct(k, '|') {
                         k += 1;
                     }
                     k
@@ -435,11 +374,11 @@ impl Flow<'_> {
                 let mut body_start = params_end + 1;
                 // Return-type annotation: `|x| -> T { … }` — the body
                 // is the block after the type, not the type itself.
-                if self.punct(body_start, '-') && self.punct(body_start + 1, '>') {
+                if self.cur.punct(body_start, '-') && self.cur.punct(body_start + 1, '>') {
                     body_start = self.next_block_open(body_start + 2, end);
                 }
-                let body_end = if self.punct(body_start, '{') {
-                    self.skip_group(body_start, '{', '}')
+                let body_end = if self.cur.punct(body_start, '{') {
+                    self.cur.skip_group(body_start, '{', '}')
                 } else {
                     // Expression body: up to a depth-0 `,` or the
                     // unbalanced closer that ends the surrounding
@@ -447,7 +386,7 @@ impl Flow<'_> {
                     let mut depth = 0usize;
                     let mut k = body_start;
                     while k < end {
-                        match self.code.get(k).map(|t| &t.kind) {
+                        match self.cur.kind(k) {
                             Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
                             Some(TokenKind::Punct(')' | ']' | '}')) => {
                                 if depth == 0 {
@@ -479,7 +418,7 @@ impl Flow<'_> {
     ) {
         let mut locals: BTreeSet<String> = BTreeSet::new();
         for k in params.clone() {
-            if let Some(name) = self.ident(k) {
+            if let Some(name) = self.cur.ident(k) {
                 if !is_value_keyword(name) {
                     locals.insert(name.to_owned());
                 }
@@ -487,13 +426,13 @@ impl Flow<'_> {
         }
         let mut k = body.start;
         while k < body.end {
-            if self.ident(k) == Some("let") {
+            if self.cur.ident(k) == Some("let") {
                 // Every name on the pattern side (up to the depth-0
                 // `=`) is closure-local, tuple patterns included.
-                let stmt = self.statement(k);
+                let stmt = self.cur.statement(k);
                 let mut depth = 0usize;
                 for j in k + 1..stmt.end.min(body.end) {
-                    match self.code.get(j).map(|t| &t.kind) {
+                    match self.cur.kind(j) {
                         Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
                         Some(TokenKind::Punct(')' | ']' | '}')) => {
                             depth = depth.saturating_sub(1);
@@ -510,29 +449,32 @@ impl Flow<'_> {
         }
         let mut k = body.start;
         while k < body.end {
-            if let Some(name) = self.ident(k) {
+            if let Some(name) = self.cur.ident(k) {
                 // `x += …` / `x -= …` / `x *= …`, or `x = x + …`.
-                let compound =
-                    (self.punct(k + 1, '+') || self.punct(k + 1, '-') || self.punct(k + 1, '*'))
-                        && self.punct(k + 2, '=');
-                let rebind = self.punct(k + 1, '=')
-                    && !self.punct(k + 2, '=')
-                    && self.ident(k + 2) == Some(name)
-                    && (self.punct(k + 3, '+') || self.punct(k + 3, '-') || self.punct(k + 3, '*'));
+                let compound = (self.cur.punct(k + 1, '+')
+                    || self.cur.punct(k + 1, '-')
+                    || self.cur.punct(k + 1, '*'))
+                    && self.cur.punct(k + 2, '=');
+                let rebind = self.cur.punct(k + 1, '=')
+                    && !self.cur.punct(k + 2, '=')
+                    && self.cur.ident(k + 2) == Some(name)
+                    && (self.cur.punct(k + 3, '+')
+                        || self.cur.punct(k + 3, '-')
+                        || self.cur.punct(k + 3, '*'));
                 if (compound || rebind)
                     && !is_value_keyword(name)
                     && !locals.contains(name)
                     && self.accum_is_float(name, k)
                 {
                     sites.push(Site {
-                        line: self.line(k),
+                        line: self.cur.line(k),
                         what: format!(
                             "order-sensitive float accumulation into captured `{name}` \
                              inside a `{comb}` closure (runs per item, not in serial fold order)"
                         ),
                     });
                     // One site per accumulator per closure is enough.
-                    let stmt = self.statement(k);
+                    let stmt = self.cur.statement(k);
                     k = stmt.end.max(k + 1);
                     continue;
                 }
@@ -545,7 +487,7 @@ impl Flow<'_> {
     /// accumulating statement itself, in the accumulator's `let`
     /// definition, or in its parameter type.
     fn accum_is_float(&self, name: &str, at: usize) -> bool {
-        if self.has_float_evidence(&self.statement(at)) {
+        if self.has_float_evidence(&self.cur.statement(at)) {
             return true;
         }
         if let Some(def) = self.def_statement(name) {
@@ -560,7 +502,7 @@ impl Flow<'_> {
 
     fn codec(&self, fn_name: &str) -> Option<CodecFn> {
         let (pair_key, is_encoder) = codec_role(fn_name)?;
-        let ops = self.parse_ops(self.body.clone(), 0);
+        let ops = self.parse_ops(self.cur.start..self.cur.end, 0);
         let mut prims = 0usize;
         let mut calls = 0usize;
         count_ops(&ops, &mut prims, &mut calls);
@@ -571,7 +513,7 @@ impl Flow<'_> {
             name: fn_name.to_owned(),
             pair_key,
             is_encoder,
-            line: self.line(self.body.start),
+            line: self.cur.line(self.cur.start),
             ops,
         })
     }
@@ -586,10 +528,10 @@ impl Flow<'_> {
         }
         let mut i = r.start;
         while i < r.end {
-            match self.ident(i) {
+            match self.cur.ident(i) {
                 Some("for") | Some("while") | Some("loop") => {
                     let open = self.next_block_open(i + 1, r.end);
-                    let end = self.skip_group(open, '{', '}');
+                    let end = self.cur.skip_group(open, '{', '}');
                     let inner = self.parse_ops(open + 1..end.saturating_sub(1), depth + 1);
                     if !inner.is_empty() {
                         ops.push(CodecOp::Rep(inner));
@@ -611,7 +553,7 @@ impl Flow<'_> {
                     // Ops in the scrutinee (`match rd.u8()? { … }`) come
                     // before any arm.
                     ops.extend(self.linear_ops(i + 1..open));
-                    let end = self.skip_group(open, '{', '}');
+                    let end = self.cur.skip_group(open, '{', '}');
                     let arms = self.parse_match_arms(open + 1..end.saturating_sub(1), depth);
                     push_branch(&mut ops, arms);
                     i = end.max(i + 1);
@@ -634,7 +576,7 @@ impl Flow<'_> {
         let mut depth = 0usize;
         let mut i = from;
         while i < end {
-            match self.code.get(i).map(|t| &t.kind) {
+            match self.cur.kind(i) {
                 Some(TokenKind::Punct('(' | '[')) => depth += 1,
                 Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
                 Some(TokenKind::Punct('{')) if depth == 0 => return i,
@@ -647,26 +589,26 @@ impl Flow<'_> {
 
     /// Primitive or sub-codec-call op at token `i`, if any.
     fn op_at(&self, i: usize) -> Option<CodecOp> {
-        let name = self.ident(i)?;
-        if !self.punct(i + 1, '(') {
+        let name = self.cur.ident(i)?;
+        if !self.cur.punct(i + 1, '(') {
             return None;
         }
-        let method = i > 0 && self.punct(i - 1, '.');
+        let method = i > 0 && self.cur.punct(i - 1, '.');
         if method && CODEC_VOCAB.contains(&name) {
             // `.len()` with no argument is std's length, not the
             // reader's bounded length prefix.
-            if name == "len" && self.punct(i + 2, ')') {
+            if name == "len" && self.cur.punct(i + 2, ')') {
                 return None;
             }
             return Some(CodecOp::Prim {
                 class: OpClass::of(name),
-                line: self.line(i),
+                line: self.cur.line(i),
             });
         }
         if codec_role(name).is_some() {
             return Some(CodecOp::Call {
                 name: name.to_owned(),
-                line: self.line(i),
+                line: self.cur.line(i),
             });
         }
         None
@@ -705,19 +647,19 @@ impl Flow<'_> {
             // below). Condition ops are linear.
             let open = self.next_block_open(i + 1, end);
             cond_ops.extend(self.linear_ops(i + 1..open));
-            let body_end = self.skip_group(open, '{', '}');
+            let body_end = self.cur.skip_group(open, '{', '}');
             let body = open + 1..body_end.saturating_sub(1);
             if !self.range_has_return(&body) {
                 arms.push(self.parse_ops(body, depth + 1));
             }
             i = body_end;
-            if self.ident(i) == Some("else") {
-                if self.ident(i + 1) == Some("if") {
+            if self.cur.ident(i) == Some("else") {
+                if self.cur.ident(i + 1) == Some("if") {
                     i += 1;
                     continue;
                 }
                 let eopen = self.next_block_open(i + 1, end);
-                let ebody_end = self.skip_group(eopen, '{', '}');
+                let ebody_end = self.cur.skip_group(eopen, '{', '}');
                 let ebody = eopen + 1..ebody_end.saturating_sub(1);
                 if !self.range_has_return(&ebody) {
                     arms.push(self.parse_ops(ebody, depth + 1));
@@ -735,10 +677,10 @@ impl Flow<'_> {
             // Pattern: up to a depth-0 `=>`.
             let mut pdepth = 0usize;
             while i < r.end {
-                match self.code.get(i).map(|t| &t.kind) {
+                match self.cur.kind(i) {
                     Some(TokenKind::Punct('(' | '[' | '{')) => pdepth += 1,
                     Some(TokenKind::Punct(')' | ']' | '}')) => pdepth = pdepth.saturating_sub(1),
-                    Some(TokenKind::Punct('=')) if pdepth == 0 && self.punct(i + 1, '>') => {
+                    Some(TokenKind::Punct('=')) if pdepth == 0 && self.cur.punct(i + 1, '>') => {
                         i += 2;
                         break;
                     }
@@ -750,8 +692,8 @@ impl Flow<'_> {
                 break;
             }
             // Body: a block, or an expression up to a depth-0 `,`.
-            let body = if self.punct(i, '{') {
-                let e = self.skip_group(i, '{', '}');
+            let body = if self.cur.punct(i, '{') {
+                let e = self.cur.skip_group(i, '{', '}');
                 let b = i + 1..e.saturating_sub(1);
                 i = e;
                 b
@@ -759,7 +701,7 @@ impl Flow<'_> {
                 let start = i;
                 let mut bdepth = 0usize;
                 while i < r.end {
-                    match self.code.get(i).map(|t| &t.kind) {
+                    match self.cur.kind(i) {
                         Some(TokenKind::Punct('(' | '[' | '{')) => bdepth += 1,
                         Some(TokenKind::Punct(')' | ']' | '}')) => {
                             bdepth = bdepth.saturating_sub(1);
@@ -781,18 +723,18 @@ impl Flow<'_> {
     }
 
     fn range_has_return(&self, r: &Range<usize>) -> bool {
-        r.clone().any(|k| self.ident(k) == Some("return"))
+        r.clone().any(|k| self.cur.ident(k) == Some("return"))
     }
 
     // -- d12: unguarded slice indexing --------------------------------
 
     fn unguarded_indexes(&self) -> Vec<Site> {
         let mut sites = Vec::new();
-        let mut i = self.body.start;
-        while i < self.body.end {
-            if self.punct(i, '[') && self.index_base_end(i) {
+        let mut i = self.cur.start;
+        while i < self.cur.end {
+            if self.cur.punct(i, '[') && self.index_base_end(i) {
                 let base = self.receiver_chain(i);
-                let close = self.skip_group(i, '[', ']');
+                let close = self.cur.skip_group(i, '[', ']');
                 let operand_idents = self.index_operands(i + 1..close.saturating_sub(1));
                 if !self.is_guarded(&base, &operand_idents, i) {
                     let shown = match &base {
@@ -800,7 +742,7 @@ impl Flow<'_> {
                         None => "an expression result".to_owned(),
                     };
                     sites.push(Site {
-                        line: self.line(i),
+                        line: self.cur.line(i),
                         what: format!(
                             "slice indexing into {shown} with no dominating length guard \
                              on the same value chain"
@@ -822,12 +764,12 @@ impl Flow<'_> {
         if i == 0 {
             return false;
         }
-        if self.punct(i - 1, ')') || self.punct(i - 1, ']') {
+        if self.cur.punct(i - 1, ')') || self.cur.punct(i - 1, ']') {
             return true;
         }
-        match self.ident(i - 1) {
+        match self.cur.ident(i - 1) {
             // A keyword or a macro name (`ident!`) is not a value base.
-            Some(w) => !(is_value_keyword(w) || i >= 2 && self.punct(i - 2, '!')),
+            Some(w) => !(is_value_keyword(w) || i >= 2 && self.cur.punct(i - 2, '!')),
             None => false,
         }
     }
@@ -836,14 +778,14 @@ impl Flow<'_> {
     /// `self.data` for `self.data[…]`. `None` when the base is a call
     /// or index result.
     fn receiver_chain(&self, open: usize) -> Option<String> {
-        if open == 0 || self.punct(open - 1, ')') || self.punct(open - 1, ']') {
+        if open == 0 || self.cur.punct(open - 1, ')') || self.cur.punct(open - 1, ']') {
             return None;
         }
         let mut parts = Vec::new();
         let mut i = open;
-        while let Some(name) = (i >= 1).then(|| self.ident(i - 1)).flatten() {
+        while let Some(name) = (i >= 1).then(|| self.cur.ident(i - 1)).flatten() {
             parts.push(name.to_owned());
-            if i < 2 || !self.punct(i - 2, '.') {
+            if i < 2 || !self.cur.punct(i - 2, '.') {
                 break;
             }
             i -= 2;
@@ -860,13 +802,13 @@ impl Flow<'_> {
     fn index_operands(&self, r: Range<usize>) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for k in r {
-            if let Some(name) = self.ident(k) {
+            if let Some(name) = self.cur.ident(k) {
                 if is_value_keyword(name) {
                     continue;
                 }
                 // A name followed by `(` is a method/function, not a
                 // value to bound.
-                if self.punct(k + 1, '(') {
+                if self.cur.punct(k + 1, '(') {
                     continue;
                 }
                 out.insert(name.to_owned());
@@ -883,7 +825,7 @@ impl Flow<'_> {
     /// operand is either compared (`<`/`>`) in a dominating statement
     /// or bound by a dominating `for x in a..b` range header.
     fn is_guarded(&self, base: &Option<String>, operands: &BTreeSet<String>, at: usize) -> bool {
-        let prefix = self.body.start..self.statement(at).end;
+        let prefix = self.cur.start..self.cur.statement(at).end;
         if let Some(b) = base {
             if self.length_mention(b, &prefix) {
                 return true;
@@ -893,7 +835,7 @@ impl Flow<'_> {
             if let Some(def) = self.def_statement(b.split('.').next().unwrap_or(b)) {
                 if def.start < at {
                     for k in def.clone() {
-                        if let Some(parent) = self.ident(k) {
+                        if let Some(parent) = self.cur.ident(k) {
                             if parent != b
                                 && !is_value_keyword(parent)
                                 && self.length_mention(parent, &prefix)
@@ -914,17 +856,19 @@ impl Flow<'_> {
         'outer: for k in r.clone() {
             let mut i = k;
             for (px, p) in parts.iter().enumerate() {
-                if self.ident(i) != Some(p) {
+                if self.cur.ident(i) != Some(p) {
                     continue 'outer;
                 }
                 if px + 1 < parts.len() {
-                    if !self.punct(i + 1, '.') {
+                    if !self.cur.punct(i + 1, '.') {
                         continue 'outer;
                     }
                     i += 2;
                 }
             }
-            if self.punct(i + 1, '.') && matches!(self.ident(i + 2), Some("len" | "is_empty")) {
+            if self.cur.punct(i + 1, '.')
+                && matches!(self.cur.ident(i + 2), Some("len" | "is_empty"))
+            {
                 return true;
             }
         }
@@ -933,24 +877,24 @@ impl Flow<'_> {
 
     fn operand_guarded(&self, x: &str, prefix: &Range<usize>) -> bool {
         for k in prefix.clone() {
-            if self.ident(k) != Some(x) {
+            if self.cur.ident(k) != Some(x) {
                 continue;
             }
-            let stmt = self.statement(k);
+            let stmt = self.cur.statement(k);
             // Comparison guard: the statement constrains some value
             // with `<` or `>` (covers `<=`, `>=`).
             if stmt
                 .clone()
-                .any(|j| self.punct(j, '<') || self.punct(j, '>'))
+                .any(|j| self.cur.punct(j, '<') || self.cur.punct(j, '>'))
             {
                 return true;
             }
             // Range-loop binder: `for x in a..b { … }`.
-            if self.ident(stmt.start) == Some("for")
-                && self.ident(stmt.start + 1) == Some(x)
+            if self.cur.ident(stmt.start) == Some("for")
+                && self.cur.ident(stmt.start + 1) == Some(x)
                 && stmt
                     .clone()
-                    .any(|j| self.punct(j, '.') && self.punct(j + 1, '.'))
+                    .any(|j| self.cur.punct(j, '.') && self.cur.punct(j + 1, '.'))
             {
                 return true;
             }

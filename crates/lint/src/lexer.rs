@@ -7,6 +7,8 @@
 //! are closed at end of input), which is what the "tokenizer never
 //! panics on arbitrary input" property test locks down.
 
+use std::ops::Range;
+
 /// One lexical token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -305,6 +307,116 @@ impl Lexer {
             }
         }
         self.push(TokenKind::Number(text), line);
+    }
+}
+
+/// A read-only view of a comment-free token stream, bounded to one
+/// span (usually a function body): the shared token accessors of the
+/// parser and the fact passes. Every accessor is total — an index
+/// outside the stream reads as "no token", and group scans saturate at
+/// `end` on unbalanced input.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'a> {
+    /// The whole token stream; indices are absolute.
+    pub code: &'a [Token],
+    /// First token of the span; flat statements never reach before it.
+    pub start: usize,
+    /// One past the span's last token; scans never reach past it.
+    pub end: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor over `span` of `code`.
+    pub fn new(code: &'a [Token], span: Range<usize>) -> Cursor<'a> {
+        Cursor {
+            code,
+            start: span.start,
+            end: span.end,
+        }
+    }
+
+    /// The same stream with the scan limit moved to `end`.
+    #[must_use]
+    pub fn until(self, end: usize) -> Cursor<'a> {
+        Cursor { end, ..self }
+    }
+
+    /// The kind of token `i`, if any.
+    pub fn kind(&self, i: usize) -> Option<&'a TokenKind> {
+        self.code.get(i).map(|t| &t.kind)
+    }
+
+    /// The identifier at `i`, if token `i` is one.
+    pub fn ident(&self, i: usize) -> Option<&'a str> {
+        match self.kind(i) {
+            Some(TokenKind::Ident(s)) => Some(s.as_str()),
+            _ => None,
+        }
+    }
+
+    /// Whether token `i` is the punctuation `c`.
+    pub fn punct(&self, i: usize, c: char) -> bool {
+        matches!(self.kind(i), Some(TokenKind::Punct(p)) if *p == c)
+    }
+
+    /// The source line of token `i` (0 past the end).
+    pub fn line(&self, i: usize) -> u32 {
+        self.code.get(i).map_or(0, |t| t.line)
+    }
+
+    /// Index one past the balanced `op … cl` group opening at `open`.
+    pub fn skip_group(&self, open: usize, op: char, cl: char) -> usize {
+        let mut depth = 0usize;
+        for i in open..self.end {
+            if self.punct(i, op) {
+                depth += 1;
+            } else if self.punct(i, cl) {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+        }
+        self.end
+    }
+
+    /// Index one past the balanced `< … >` group opening at `open`. An
+    /// arrow `->` inside the group (`Fn() -> T` bounds) is opaque.
+    pub fn skip_angles(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        let mut i = open;
+        while i < self.end {
+            if self.punct(i, '-') && self.punct(i + 1, '>') {
+                i += 2;
+                continue;
+            }
+            if self.punct(i, '<') {
+                depth += 1;
+            } else if self.punct(i, '>') {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            i += 1;
+        }
+        self.end
+    }
+
+    /// The flat statement around token `i`: from the token after the
+    /// previous `;`/`{`/`}` to the next one (exclusive), clamped to the
+    /// span.
+    pub fn statement(&self, i: usize) -> Range<usize> {
+        let boundary = |k: usize| matches!(self.kind(k), Some(TokenKind::Punct(';' | '{' | '}')));
+        let mut start = i;
+        while start > self.start && !boundary(start - 1) {
+            start -= 1;
+        }
+        let mut end = i;
+        while end < self.end && !boundary(end) {
+            end += 1;
+        }
+        start..end
     }
 }
 

@@ -7,15 +7,18 @@
 //! with a small hand-rolled lexer (no `syn` — the build environment has
 //! no crates.io), and runs two passes over it:
 //!
-//! 1. the **lexical** rules d1–d6 over each file's token stream, and
-//! 2. the **interprocedural** rules d7–d9: a total parser recovers the
-//!    item tree ([`parser`]), a workspace call graph is built with
-//!    conservative fallback edges ([`callgraph`]), and per-function
-//!    dataflow facts ([`taint`]) are mapped through *reachability from
-//!    the declared deterministic roots* ([`ROOT_SPECS`]). A fact inside
-//!    a reachable function becomes a d7/d8/d9 finding carrying the full
-//!    `root → … → sink` call chain; the same fact in unreachable code
-//!    falls back to the crate-scoped d2/d3 rules.
+//! 1. the **token-pattern** rules d1, d4 and d6 over each file's token
+//!    stream ([`rules`]), and
+//! 2. the **semantic** layers: a total parser recovers the item tree
+//!    ([`parser`]), a workspace call graph is built with conservative
+//!    fallback edges ([`callgraph`]), and per-function facts
+//!    ([`taint`], [`dataflow`], [`absint`]) are mapped through
+//!    *reachability from the declared deterministic roots*
+//!    ([`ROOT_SPECS`]). Each taint fact has one detector and two
+//!    labels: inside a reachable function it becomes a d7/d8/d9
+//!    finding carrying the full `root → … → sink` call chain; the same
+//!    fact in unreachable code becomes the crate-scoped d2/d5/d3
+//!    finding.
 //!
 //! Violations can be suppressed inline with a mandatory justification:
 //!
@@ -32,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod absint;
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod taint;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -78,20 +79,10 @@ pub const DECODE_ROOT_SPECS: &[&str] = &["checkpoint::restore", "CompiledEnsembl
 /// cast judgment.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// Options controlling the analysis.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintOptions {
-    /// Also flag slice/array indexing reachable from a deterministic
-    /// root under d8 (`--index-checks`; off by default because bounds-
-    /// checked indexing is pervasive and panics there are a severity
-    /// tier below unwrap-on-corrupt-telemetry).
-    pub index_checks: bool,
-}
-
 /// One lint finding, suppressed or not.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Finding {
-    /// Catalog rule id (`d1`..`d9`), or `lint` for meta findings.
+    /// Catalog rule id (`d1`..`d15`), or `lint` for meta findings.
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -289,18 +280,16 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Per-file output of the parallel scan stage. `pub(crate)` so the
-/// incremental cache ([`cache`]) can persist and reconstruct it.
-pub(crate) struct FileScan {
-    pub(crate) crate_name: String,
-    pub(crate) label: String,
-    pub(crate) allows: Vec<Suppression>,
-    pub(crate) malformed: Vec<RawFinding>,
-    pub(crate) lexical: Vec<RawFinding>,
-    pub(crate) items: FileItems,
+/// The file-local half of a per-file scan: suppressions and
+/// token-pattern hits. The other half, [`FileItems`], feeds the
+/// cross-file passes.
+struct FileLocal {
+    allows: Vec<Suppression>,
+    malformed: Vec<RawFinding>,
+    lexical: Vec<RawFinding>,
 }
 
-pub(crate) fn scan_file(sf: &SourceFile) -> FileScan {
+fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
     let tokens = lexer::tokenize(&sf.text);
     let kept = rules::strip_test_code(&tokens);
     let (allows, malformed) = rules::extract_suppressions(&kept);
@@ -317,22 +306,21 @@ pub(crate) fn scan_file(sf: &SourceFile) -> FileScan {
         .iter()
         .map(|f| dataflow::analyze_fn(&code, f))
         .collect();
-    FileScan {
-        crate_name: sf.crate_name.clone(),
-        label: sf.label.clone(),
+    let local = FileLocal {
         allows,
         malformed,
         lexical,
-        items: FileItems {
-            crate_name: sf.crate_name.clone(),
-            label: sf.label.clone(),
-            mod_path: callgraph::module_path_from_label(&sf.label),
-            parsed,
-            facts,
-            flows,
-            code,
-        },
-    }
+    };
+    let items = FileItems {
+        crate_name: sf.crate_name.clone(),
+        label: sf.label.clone(),
+        mod_path: callgraph::module_path_from_label(&sf.label),
+        parsed,
+        facts,
+        flows,
+        code,
+    };
+    (local, items)
 }
 
 /// Builds the workspace call graph for a set of in-memory files.
@@ -341,28 +329,19 @@ pub(crate) fn scan_file(sf: &SourceFile) -> FileScan {
 pub fn build_call_graph(files: &[SourceFile]) -> CallGraph {
     let workers = mfpa_par::Workers::from_config(0);
     let scans = mfpa_par::ordered_map(files, workers, |_, sf| scan_file(sf));
-    let items: Vec<FileItems> = scans.into_iter().map(|s| s.items).collect();
+    let items: Vec<FileItems> = scans.into_iter().map(|(_, items)| items).collect();
     CallGraph::build(&items)
 }
 
-/// Lints a set of in-memory source files as one workspace: lexical
-/// rules per file, then the interprocedural d7–d9 pass over the whole
-/// set. This is the core entry point; [`lint_workspace`] and
+/// Lints a set of in-memory source files as one workspace: per-file
+/// scans on the `mfpa_par` pool, then everything cross-file (call
+/// graph, reachability, value-range interpretation) plus suppression
+/// matching. This is the core entry point; [`lint_workspace`] and
 /// [`lint_source`] are thin wrappers.
-pub fn lint_files(files: &[SourceFile], opts: LintOptions) -> LintReport {
+pub fn lint_files(files: &[SourceFile]) -> LintReport {
     let workers = mfpa_par::Workers::from_config(0);
     let scans = mfpa_par::ordered_map(files, workers, |_, sf| scan_file(sf));
-    assemble_report(&scans, opts)
-}
-
-/// The shared back half of a lint run: everything cross-file (call
-/// graph, reachability, value-range interpretation) plus suppression
-/// matching, over already-scanned files. Both the cold path
-/// ([`lint_files`]) and the warm cache path
-/// ([`cache::lint_files_cached`]) land here, so the two are findings-
-/// identical by construction.
-fn assemble_report(scans: &[FileScan], opts: LintOptions) -> LintReport {
-    let items: Vec<FileItems> = scans.iter().map(|s| s.items.clone()).collect();
+    let (locals, items): (Vec<FileLocal>, Vec<FileItems>) = scans.into_iter().unzip();
     let graph = CallGraph::build(&items);
     let reach = Reachability::compute(&graph, ROOT_SPECS);
     let reach_decode = Reachability::compute(&graph, DECODE_ROOT_SPECS);
@@ -376,21 +355,21 @@ fn assemble_report(scans: &[FileScan], opts: LintOptions) -> LintReport {
 
     let mut report = LintReport {
         findings: Vec::new(),
-        n_files: scans.len(),
+        n_files: items.len(),
     };
-    for scan in scans {
+    for (local, file) in locals.iter().zip(&items) {
         let file_nodes = nodes_of_file
-            .get(scan.label.as_str())
+            .get(file.label.as_str())
             .map(Vec::as_slice)
             .unwrap_or(&[]);
         report.findings.extend(assemble_file(
-            scan,
+            local,
+            file,
             &graph,
             &reach,
             &reach_decode,
             &abs,
             file_nodes,
-            opts,
         ));
     }
     report.findings.sort_by(|a, b| {
@@ -410,16 +389,16 @@ struct Hit {
     chain: Vec<String>,
 }
 
-/// Turns one file's lexical hits and per-function facts into findings,
-/// applying reachability gating and suppression matching.
+/// Turns one file's token-pattern hits and per-function facts into
+/// findings, applying reachability gating and suppression matching.
 fn assemble_file(
-    scan: &FileScan,
+    local: &FileLocal,
+    file: &FileItems,
     graph: &CallGraph,
     reach: &Reachability,
     reach_decode: &Reachability,
     abs: &[absint::FnAbs],
     file_nodes: &[usize],
-    opts: LintOptions,
 ) -> Vec<Finding> {
     let names_of = |r: &Reachability, ix: usize| -> Vec<String> {
         r.chains[ix]
@@ -443,19 +422,9 @@ fn assemble_file(
 
     let mut hits: Vec<Hit> = Vec::new();
 
-    // Lexical rules. d3/d5 hits inside a reachable function are
-    // superseded by the interprocedural d9/d8 findings for the same
-    // tokens (which add the call chain); dropping them here keeps one
-    // finding per site.
-    for raw in &scan.lexical {
+    // Token-pattern rules d1/d4/d6.
+    for raw in &local.lexical {
         let encl = enclosing(raw.line);
-        if matches!(raw.rule, "d3" | "d5") {
-            if let Some(ix) = encl {
-                if reachable(ix) {
-                    continue;
-                }
-            }
-        }
         // d6 demotion: the name heuristic yields to the semantic cast
         // judgment whenever the value-range analysis reached a verdict
         // on the same line — a proven-fitting cast is silence, a
@@ -477,7 +446,7 @@ fn assemble_file(
         }
         let chain = match encl {
             Some(ix) => vec![graph.nodes[ix].qname.clone()],
-            None => vec![scan.label.clone()],
+            None => vec![file.label.clone()],
         };
         hits.push(Hit {
             rule: raw.rule,
@@ -489,7 +458,7 @@ fn assemble_file(
 
     // Interprocedural facts, routed by reachability.
     let crate_scoped = |rule_id: &str| {
-        rules::rule_by_id(rule_id).is_some_and(|r| rules::in_scope(r, &scan.crate_name))
+        rules::rule_by_id(rule_id).is_some_and(|r| rules::in_scope(r, &file.crate_name))
     };
     for &ix in file_nodes {
         let n = &graph.nodes[ix];
@@ -511,16 +480,6 @@ fn assemble_file(
                     chain: chain.clone(),
                 });
             }
-            if opts.index_checks {
-                for s in &n.facts.index_sites {
-                    hits.push(Hit {
-                        rule: "d8",
-                        line: s.line,
-                        message: s.what.clone(),
-                        chain: chain.clone(),
-                    });
-                }
-            }
             for s in n.facts.clock_sites.iter().chain(&n.facts.entropy_sites) {
                 hits.push(Hit {
                     rule: "d9",
@@ -530,23 +489,21 @@ fn assemble_file(
                 });
             }
         } else {
-            // Unreachable code falls back to the crate-scoped lexical
-            // rule families (panics and entropy are already covered by
-            // the lexical d5/d3 arms above).
-            if crate_scoped("d2") {
-                for s in &n.facts.unordered_sites {
-                    hits.push(Hit {
-                        rule: "d2",
-                        line: s.line,
-                        message: s.what.clone(),
-                        chain: vec![n.qname.clone()],
-                    });
+            // Unreachable code: the same facts under the crate-scoped
+            // rule labels, chained to the enclosing function.
+            let families = [
+                ("d2", &n.facts.unordered_sites),
+                ("d5", &n.facts.panic_sites),
+                ("d3", &n.facts.entropy_sites),
+                ("d3", &n.facts.clock_sites),
+            ];
+            for (rule, sites) in families {
+                if !crate_scoped(rule) {
+                    continue;
                 }
-            }
-            if crate_scoped("d3") {
-                for s in &n.facts.clock_sites {
+                for s in sites {
                     hits.push(Hit {
-                        rule: "d3",
+                        rule,
                         line: s.line,
                         message: s.what.clone(),
                         chain: vec![n.qname.clone()],
@@ -668,14 +625,14 @@ fn assemble_file(
     // and each group consumes at most one allow — the nearest unused
     // one (same line first, then upward through a contiguous standalone
     // stack). An allow can never cover two finding lines.
-    let mut used = vec![false; scan.allows.len()];
+    let mut used = vec![false; local.allows.len()];
     let mut reasons: BTreeMap<(&'static str, u32), Option<String>> = BTreeMap::new();
     for h in &hits {
         let key = (h.rule, h.line);
         if reasons.contains_key(&key) {
             continue;
         }
-        let reason = consume_allow(&scan.allows, &mut used, h.rule, h.line);
+        let reason = consume_allow(&local.allows, &mut used, h.rule, h.line);
         reasons.insert(key, reason);
     }
 
@@ -683,7 +640,7 @@ fn assemble_file(
         .into_iter()
         .map(|h| Finding {
             rule: h.rule.to_owned(),
-            file: scan.label.clone(),
+            file: file.label.clone(),
             line: h.line,
             message: h.message,
             chain: h.chain,
@@ -691,27 +648,27 @@ fn assemble_file(
         })
         .collect();
 
-    for m in &scan.malformed {
+    for m in &local.malformed {
         findings.push(Finding {
             rule: m.rule.to_owned(),
-            file: scan.label.clone(),
+            file: file.label.clone(),
             line: m.line,
             message: m.message.clone(),
-            chain: vec![scan.label.clone()],
+            chain: vec![file.label.clone()],
             suppressed: None,
         });
     }
-    for (allow, used) in scan.allows.iter().zip(&used) {
+    for (allow, used) in local.allows.iter().zip(&used) {
         if !used {
             findings.push(Finding {
                 rule: "lint".to_owned(),
-                file: scan.label.clone(),
+                file: file.label.clone(),
                 line: allow.line,
                 message: format!(
                     "unused suppression for `{}` (nothing to allow here — remove it)",
                     allow.rule
                 ),
-                chain: vec![scan.label.clone()],
+                chain: vec![file.label.clone()],
                 suppressed: None,
             });
         }
@@ -774,7 +731,7 @@ pub fn lint_source(crate_name: &str, file_label: &str, src: &str) -> Vec<Finding
         label: file_label.to_owned(),
         text: src.to_owned(),
     }];
-    lint_files(&files, LintOptions::default()).findings
+    lint_files(&files).findings
 }
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
@@ -852,9 +809,9 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
 ///
 /// Returns [`LintError`] on I/O failures (unreadable directories or
 /// files), never on lint findings.
-pub fn lint_workspace(root: &Path, opts: LintOptions) -> Result<LintReport, LintError> {
+pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let files = collect_workspace(root)?;
-    Ok(lint_files(&files, opts))
+    Ok(lint_files(&files))
 }
 
 /// The lines `--fix` may delete, keyed by repo-relative file label:
@@ -1046,7 +1003,7 @@ mod tests {
                 "core::pipeline::step".to_owned(),
             ]
         );
-        // The lexical d5 hit for the same token is superseded.
+        // The same fact is reported once, under its reachable label.
         assert!(findings.iter().all(|f| f.rule != "d5"), "{findings:?}");
     }
 
@@ -1102,23 +1059,6 @@ mod tests {
         assert!(lint_source("lint", "crates/lint/src/util.rs", src)
             .iter()
             .all(|f| f.rule != "d2"));
-    }
-
-    #[test]
-    fn index_checks_are_opt_in() {
-        let src = "
-            pub fn score_fleet(v: &[f64]) -> f64 { v[0] }
-        ";
-        let files = [SourceFile {
-            crate_name: "core".into(),
-            label: "crates/core/src/deploy.rs".into(),
-            text: src.into(),
-        }];
-        let off = lint_files(&files, LintOptions::default());
-        assert!(off.findings.is_empty(), "{:?}", off.findings);
-        let on = lint_files(&files, LintOptions { index_checks: true });
-        assert_eq!(on.findings.len(), 1, "{:?}", on.findings);
-        assert_eq!(on.findings[0].rule, "d8");
     }
 
     #[test]

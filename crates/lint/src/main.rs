@@ -1,8 +1,8 @@
 //! CLI for the workspace determinism-and-robustness lint pass.
 //!
 //! ```text
-//! mfpa-lint [--root PATH] [--format human|json|sarif] [--report PATH]
-//!           [--cache PATH] [--index-checks] [--verbose] [--fix]
+//! mfpa-lint [--root PATH] [--format human|json] [--report PATH]
+//!           [--verbose] [--fix]
 //! ```
 //!
 //! Exit codes (CI semantics): `0` clean, `1` unsuppressed violations,
@@ -20,8 +20,6 @@ struct Args {
     root: Option<PathBuf>,
     format: Format,
     report: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    index_checks: bool,
     verbose: bool,
     fix: bool,
 }
@@ -30,7 +28,6 @@ struct Args {
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -38,8 +35,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         format: Format::Human,
         report: None,
-        cache: None,
-        index_checks: false,
         verbose: false,
         fix: false,
     };
@@ -54,20 +49,14 @@ fn parse_args() -> Result<Args, String> {
                 args.format = match grab("--format")?.as_str() {
                     "human" => Format::Human,
                     "json" => Format::Json,
-                    "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
             "--report" => args.report = Some(PathBuf::from(grab("--report")?)),
-            "--cache" => args.cache = Some(PathBuf::from(grab("--cache")?)),
-            "--index-checks" => args.index_checks = true,
             "--verbose" => args.verbose = true,
             "--fix" => args.fix = true,
             "--help" | "-h" => {
-                println!(
-                    "mfpa-lint [--root PATH] [--format human|json|sarif] [--report PATH] \
-                     [--cache PATH] [--index-checks] [--verbose] [--fix]"
-                );
+                println!("mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--verbose] [--fix]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -86,25 +75,7 @@ fn run() -> Result<bool, String> {
                 .ok_or("no workspace Cargo.toml above the current directory (use --root)")?
         }
     };
-    let opts = mfpa_lint::LintOptions {
-        index_checks: args.index_checks,
-    };
-    let scan = |root: &std::path::Path| -> Result<mfpa_lint::LintReport, String> {
-        match &args.cache {
-            Some(cache_path) => {
-                let files = mfpa_lint::collect_workspace(root).map_err(|e| e.to_string())?;
-                let (report, stats) = mfpa_lint::cache::lint_files_cached(&files, opts, cache_path);
-                if args.verbose {
-                    eprintln!(
-                        "mfpa-lint: cache {} reused, {} rescanned",
-                        stats.reused, stats.rescanned
-                    );
-                }
-                Ok(report)
-            }
-            None => mfpa_lint::lint_workspace(root, opts).map_err(|e| e.to_string()),
-        }
-    };
+    let scan = |root: &std::path::Path| mfpa_lint::lint_workspace(root).map_err(|e| e.to_string());
     let mut report = scan(&root)?;
     if args.fix {
         let targets = mfpa_lint::unused_allow_lines(&report);
@@ -139,10 +110,6 @@ fn run() -> Result<bool, String> {
             print!("{}", report.render_human());
         }
         Format::Json => println!("{}", report.to_json()),
-        Format::Sarif => print!(
-            "{}",
-            mfpa_lint::pretty_json(&mfpa_lint::sarif::to_sarif(&report))
-        ),
     }
     if let Some(path) = args.report {
         let snapshot = mfpa_lint::pretty_json(&report.snapshot_json());

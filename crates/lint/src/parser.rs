@@ -21,7 +21,7 @@
 //!   (`HashMap`/`HashSet`), so `self.field.iter()` can be recognized
 //!   by the taint pass.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Cursor, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -113,7 +113,7 @@ pub fn is_keyword(w: &str) -> bool {
 /// never panics, on any input.
 pub fn parse(code: &[Token]) -> ParsedFile {
     let mut p = Parser {
-        code,
+        cur: Cursor::new(code, 0..code.len()),
         out: ParsedFile::default(),
     };
     p.items(0, code.len(), &mut Vec::new(), None);
@@ -131,79 +131,11 @@ struct ImplCtx {
 }
 
 struct Parser<'a> {
-    code: &'a [Token],
+    cur: Cursor<'a>,
     out: ParsedFile,
 }
 
 impl Parser<'_> {
-    fn kind(&self, i: usize) -> Option<&TokenKind> {
-        self.code.get(i).map(|t| &t.kind)
-    }
-
-    fn ident(&self, i: usize) -> Option<&str> {
-        match self.kind(i) {
-            Some(TokenKind::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    fn punct(&self, i: usize, c: char) -> bool {
-        matches!(self.kind(i), Some(TokenKind::Punct(p)) if *p == c)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.code.get(i).map(|t| t.line).unwrap_or(0)
-    }
-
-    /// Index one past the `{ ... }` group opening at `open` (which must
-    /// point at `{`); saturates at `end` on unbalanced input.
-    fn matching_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            match self.kind(i) {
-                Some(TokenKind::Punct('{')) => depth += 1,
-                Some(TokenKind::Punct('}')) => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        end
-    }
-
-    /// Skips a balanced `< ... >` group opening at `open`; returns the
-    /// index one past the closing `>`. Tolerates `>>` (two tokens) and
-    /// unbalanced input.
-    fn skip_angles(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            match self.kind(i) {
-                Some(TokenKind::Punct('<')) => depth += 1,
-                Some(TokenKind::Punct('>')) => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                // `-> T` inside generic defaults: the `-` then `>` pair
-                // would miscount; treat `->` as opaque.
-                Some(TokenKind::Punct('-')) if self.punct(i + 1, '>') => {
-                    i += 2;
-                    continue;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        end
-    }
-
     /// Walks items in `code[start..end]`, recursing into `mod`/`impl`/
     /// `trait` bodies and recording every `fn`.
     fn items(
@@ -215,12 +147,12 @@ impl Parser<'_> {
     ) {
         let mut i = start;
         while i < end {
-            match self.ident(i) {
+            match self.cur.ident(i) {
                 Some("mod") => {
-                    if let Some(name) = self.ident(i + 1) {
+                    if let Some(name) = self.cur.ident(i + 1) {
                         let name = name.to_owned();
-                        if self.punct(i + 2, '{') {
-                            let close = self.matching_brace(i + 2, end);
+                        if self.cur.punct(i + 2, '{') {
+                            let close = self.cur.until(end).skip_group(i + 2, '{', '}');
                             modules.push(name);
                             self.items(i + 3, close.saturating_sub(1), modules, None);
                             modules.pop();
@@ -233,7 +165,7 @@ impl Parser<'_> {
                 Some("impl") => {
                     let (ctx2, open) = self.impl_header(i + 1, end);
                     if let Some(open) = open {
-                        let close = self.matching_brace(open, end);
+                        let close = self.cur.until(end).skip_group(open, '{', '}');
                         self.items(open + 1, close.saturating_sub(1), modules, Some(&ctx2));
                         i = close;
                         continue;
@@ -241,20 +173,20 @@ impl Parser<'_> {
                     i += 1;
                 }
                 Some("trait") => {
-                    if let Some(name) = self.ident(i + 1) {
+                    if let Some(name) = self.cur.ident(i + 1) {
                         let ctx2 = ImplCtx {
                             impl_type: None,
                             trait_name: Some(name.to_owned()),
                         };
                         let mut j = i + 2;
-                        if self.punct(j, '<') {
-                            j = self.skip_angles(j, end);
+                        if self.cur.punct(j, '<') {
+                            j = self.cur.until(end).skip_angles(j);
                         }
-                        while j < end && !self.punct(j, '{') && !self.punct(j, ';') {
+                        while j < end && !self.cur.punct(j, '{') && !self.cur.punct(j, ';') {
                             j += 1;
                         }
-                        if self.punct(j, '{') {
-                            let close = self.matching_brace(j, end);
+                        if self.cur.punct(j, '{') {
+                            let close = self.cur.until(end).skip_group(j, '{', '}');
                             self.items(j + 1, close.saturating_sub(1), modules, Some(&ctx2));
                             i = close;
                             continue;
@@ -280,14 +212,14 @@ impl Parser<'_> {
     /// a type (or trait) path, optionally `for Type`. Returns the
     /// context and the index of the opening `{`, if found.
     fn impl_header(&self, mut i: usize, end: usize) -> (ImplCtx, Option<usize>) {
-        if self.punct(i, '<') {
-            i = self.skip_angles(i, end);
+        if self.cur.punct(i, '<') {
+            i = self.cur.until(end).skip_angles(i);
         }
         let mut first: Option<String> = None;
         let mut second: Option<String> = None;
         let mut saw_for = false;
-        while i < end && !self.punct(i, '{') && !self.punct(i, ';') {
-            match self.ident(i) {
+        while i < end && !self.cur.punct(i, '{') && !self.cur.punct(i, ';') {
+            match self.cur.ident(i) {
                 Some("for") => saw_for = true,
                 Some("where") => break,
                 Some(w) if !is_keyword(w) => {
@@ -299,13 +231,13 @@ impl Parser<'_> {
                 }
                 _ => {}
             }
-            if self.punct(i, '<') {
-                i = self.skip_angles(i, end);
+            if self.cur.punct(i, '<') {
+                i = self.cur.until(end).skip_angles(i);
                 continue;
             }
             i += 1;
         }
-        while i < end && !self.punct(i, '{') && !self.punct(i, ';') {
+        while i < end && !self.cur.punct(i, '{') && !self.cur.punct(i, ';') {
             i += 1;
         }
         let ctx = if saw_for {
@@ -319,7 +251,11 @@ impl Parser<'_> {
                 trait_name: None,
             }
         };
-        let open = if self.punct(i, '{') { Some(i) } else { None };
+        let open = if self.cur.punct(i, '{') {
+            Some(i)
+        } else {
+            None
+        };
         (ctx, open)
     }
 
@@ -333,42 +269,42 @@ impl Parser<'_> {
         modules: &[String],
         ctx: Option<&ImplCtx>,
     ) -> usize {
-        let Some(name) = self.ident(at + 1) else {
+        let Some(name) = self.cur.ident(at + 1) else {
             return at + 1; // `fn(` — function-pointer type, not an item
         };
         let name = name.to_owned();
         let sig_start = at + 2;
         let mut i = sig_start;
-        if self.punct(i, '<') {
-            i = self.skip_angles(i, end);
+        if self.cur.punct(i, '<') {
+            i = self.cur.until(end).skip_angles(i);
         }
         // Parameters, return type, where clause: scan to the body `{`
         // or a terminating `;`, skipping balanced generics so `Fn() ->
         // Vec<T>` bounds can't derail the scan.
-        while i < end && !self.punct(i, '{') && !self.punct(i, ';') {
-            if self.punct(i, '<') {
-                i = self.skip_angles(i, end);
+        while i < end && !self.cur.punct(i, '{') && !self.cur.punct(i, ';') {
+            if self.cur.punct(i, '<') {
+                i = self.cur.until(end).skip_angles(i);
                 continue;
             }
             i += 1;
         }
-        if !self.punct(i, '{') {
+        if !self.cur.punct(i, '{') {
             return i.saturating_add(1); // bodiless: trait method decl
         }
-        let close = self.matching_brace(i, end);
+        let close = self.cur.until(end).skip_group(i, '{', '}');
         let body = (i + 1)..close.saturating_sub(1);
-        let end_line = self.line(
+        let end_line = self.cur.line(
             close
                 .saturating_sub(1)
-                .min(self.code.len().saturating_sub(1)),
+                .min(self.cur.code.len().saturating_sub(1)),
         );
         self.out.functions.push(FnItem {
             modules: modules.to_vec(),
             impl_type: ctx.and_then(|c| c.impl_type.clone()),
             trait_name: ctx.and_then(|c| c.trait_name.clone()),
             name,
-            line: self.line(at),
-            end_line: end_line.max(self.line(at)),
+            line: self.cur.line(at),
+            end_line: end_line.max(self.cur.line(at)),
             sig: sig_start..i,
             body,
             calls: Vec::new(),
@@ -381,10 +317,10 @@ impl Parser<'_> {
     fn use_item(&mut self, start: usize, end: usize) -> usize {
         let mut i = start;
         let mut prefix: Vec<String> = Vec::new();
-        while i < end && !self.punct(i, ';') {
-            match self.ident(i) {
+        while i < end && !self.cur.punct(i, ';') {
+            match self.cur.ident(i) {
                 Some("as") => {
-                    if let Some(alias) = self.ident(i + 1).map(str::to_owned) {
+                    if let Some(alias) = self.cur.ident(i + 1).map(str::to_owned) {
                         if let Some(last) = self.out.imports.last_mut() {
                             last.alias = alias;
                         }
@@ -395,7 +331,7 @@ impl Parser<'_> {
                 }
                 Some(seg) => {
                     let seg = seg.to_owned();
-                    if self.punct(i + 1, ':') && self.punct(i + 2, ':') {
+                    if self.cur.punct(i + 1, ':') && self.cur.punct(i + 2, ':') {
                         prefix.push(seg);
                         i += 3;
                     } else {
@@ -405,12 +341,12 @@ impl Parser<'_> {
                         i += 1;
                     }
                 }
-                None if self.punct(i, '{') => {
-                    let close = self.matching_brace(i, end);
+                None if self.cur.punct(i, '{') => {
+                    let close = self.cur.until(end).skip_group(i, '{', '}');
                     self.use_group(i + 1, close.saturating_sub(1), &prefix);
                     i = close;
                     // The group ends the tree for this prefix.
-                    while i < end && !self.punct(i, ';') {
+                    while i < end && !self.cur.punct(i, ';') {
                         i += 1;
                     }
                 }
@@ -425,9 +361,9 @@ impl Parser<'_> {
         let mut i = start;
         let mut local: Vec<String> = Vec::new();
         while i < end {
-            match self.ident(i) {
+            match self.cur.ident(i) {
                 Some("as") => {
-                    if let Some(alias) = self.ident(i + 1).map(str::to_owned) {
+                    if let Some(alias) = self.cur.ident(i + 1).map(str::to_owned) {
                         if let Some(last) = self.out.imports.last_mut() {
                             last.alias = alias;
                         }
@@ -438,7 +374,7 @@ impl Parser<'_> {
                 }
                 Some(seg) => {
                     let seg = seg.to_owned();
-                    if self.punct(i + 1, ':') && self.punct(i + 2, ':') {
+                    if self.cur.punct(i + 1, ':') && self.cur.punct(i + 2, ':') {
                         local.push(seg);
                         i += 3;
                     } else {
@@ -450,8 +386,8 @@ impl Parser<'_> {
                         i += 1;
                     }
                 }
-                None if self.punct(i, '{') => {
-                    let close = self.matching_brace(i, end);
+                None if self.cur.punct(i, '{') => {
+                    let close = self.cur.until(end).skip_group(i, '{', '}');
                     let mut inner: Vec<String> = prefix.to_vec();
                     inner.extend(local.iter().cloned());
                     self.use_group(i + 1, close.saturating_sub(1), &inner);
@@ -459,7 +395,7 @@ impl Parser<'_> {
                     i = close;
                 }
                 None => {
-                    if self.punct(i, ',') {
+                    if self.cur.punct(i, ',') {
                         local.clear();
                     }
                     i += 1;
@@ -471,33 +407,37 @@ impl Parser<'_> {
     /// Records struct fields declared with an unordered container type.
     fn struct_item(&mut self, start: usize, end: usize) -> usize {
         let mut i = start;
-        if self.punct(i + 1, '<') {
+        if self.cur.punct(i + 1, '<') {
             // `struct Name<...>`: skip the generics before the body.
-            i = self.skip_angles(i + 1, end);
+            i = self.cur.until(end).skip_angles(i + 1);
         }
-        while i < end && !self.punct(i, '{') && !self.punct(i, ';') && !self.punct(i, '(') {
+        while i < end
+            && !self.cur.punct(i, '{')
+            && !self.cur.punct(i, ';')
+            && !self.cur.punct(i, '(')
+        {
             i += 1;
         }
-        if !self.punct(i, '{') {
+        if !self.cur.punct(i, '{') {
             // Tuple struct or unit struct: no named fields.
-            while i < end && !self.punct(i, ';') && !self.punct(i, '{') {
+            while i < end && !self.cur.punct(i, ';') && !self.cur.punct(i, '{') {
                 i += 1;
             }
             return i + 1;
         }
-        let close = self.matching_brace(i, end);
+        let close = self.cur.until(end).skip_group(i, '{', '}');
         let mut j = i + 1;
         while j < close {
             // `name : Type ,` at brace depth 1 — check the type tokens
             // up to the field-separating comma for HashMap/HashSet.
-            if let (Some(field), true) = (self.ident(j), self.punct(j + 1, ':')) {
-                if !self.punct(j + 2, ':') {
+            if let (Some(field), true) = (self.cur.ident(j), self.cur.punct(j + 1, ':')) {
+                if !self.cur.punct(j + 2, ':') {
                     let field = field.to_owned();
                     let mut k = j + 2;
                     let mut depth = 0usize;
                     let mut unordered = false;
                     while k < close {
-                        match self.kind(k) {
+                        match self.cur.kind(k) {
                             Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
                             Some(TokenKind::Punct('>' | ')' | ']')) => {
                                 depth = depth.saturating_sub(1)
@@ -525,58 +465,33 @@ impl Parser<'_> {
 
 /// Extracts call sites from a body token range.
 fn extract_calls(code: &[Token], body: Range<usize>) -> Vec<CallSite> {
-    let kind = |i: usize| code.get(i).map(|t| &t.kind);
-    let ident = |i: usize| match kind(i) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    };
-    let punct = |i: usize, c: char| matches!(kind(i), Some(TokenKind::Punct(p)) if *p == c);
-    // Index one past a balanced `< ... >` turbofish group.
-    let skip_angles = |open: usize, end: usize| -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < end {
-            match kind(i) {
-                Some(TokenKind::Punct('<')) => depth += 1,
-                Some(TokenKind::Punct('>')) => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        end
-    };
-
+    let cur = Cursor::new(code, body.clone());
     let mut calls = Vec::new();
     let mut i = body.start;
     while i < body.end {
-        let Some(w) = ident(i) else {
+        let Some(w) = cur.ident(i) else {
             i += 1;
             continue;
         };
         // `crate::`/`super::`/`self::`/`Self::` may head a call path;
         // any other keyword (or a bare `self`) never does.
-        let starts_path = punct(i + 1, ':') && punct(i + 2, ':');
+        let starts_path = cur.punct(i + 1, ':') && cur.punct(i + 2, ':');
         let path_head_keyword = matches!(w, "crate" | "super" | "self" | "Self") && starts_path;
         if ((is_keyword(w) || w == "self") && !path_head_keyword)
-            || ident(i.wrapping_sub(1)) == Some("fn")
+            || cur.ident(i.wrapping_sub(1)) == Some("fn")
         {
             i += 1;
             continue;
         }
-        let line = code.get(i).map(|t| t.line).unwrap_or(0);
+        let line = cur.line(i);
         // Method call: `recv.name(..)` or `recv.name::<T>(..)`.
-        if i >= 1 && punct(i - 1, '.') {
+        if i >= 1 && cur.punct(i - 1, '.') {
             let mut j = i + 1;
-            if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
-                j = skip_angles(j + 2, body.end);
+            if cur.punct(j, ':') && cur.punct(j + 1, ':') && cur.punct(j + 2, '<') {
+                j = cur.skip_angles(j + 2);
             }
-            if punct(j, '(') {
-                let recv = if i >= 2 { ident(i - 2) } else { None };
+            if cur.punct(j, '(') {
+                let recv = if i >= 2 { cur.ident(i - 2) } else { None };
                 calls.push(CallSite {
                     line,
                     callee: Callee::Method(w.to_owned(), recv.map(str::to_owned)),
@@ -586,7 +501,7 @@ fn extract_calls(code: &[Token], body: Range<usize>) -> Vec<CallSite> {
             continue;
         }
         // Path segment continuation is handled from the path head.
-        if i >= 2 && punct(i - 1, ':') && punct(i - 2, ':') {
+        if i >= 2 && cur.punct(i - 1, ':') && cur.punct(i - 2, ':') {
             i += 1;
             continue;
         }
@@ -594,12 +509,12 @@ fn extract_calls(code: &[Token], body: Range<usize>) -> Vec<CallSite> {
         let mut segs = vec![w.to_owned()];
         let mut j = i + 1;
         loop {
-            if punct(j, ':') && punct(j + 1, ':') {
-                if punct(j + 2, '<') {
-                    j = skip_angles(j + 2, body.end);
+            if cur.punct(j, ':') && cur.punct(j + 1, ':') {
+                if cur.punct(j + 2, '<') {
+                    j = cur.skip_angles(j + 2);
                     break;
                 }
-                if let Some(seg) = ident(j + 2) {
+                if let Some(seg) = cur.ident(j + 2) {
                     if is_keyword(seg) {
                         break;
                     }
@@ -610,8 +525,8 @@ fn extract_calls(code: &[Token], body: Range<usize>) -> Vec<CallSite> {
             }
             break;
         }
-        let is_macro = punct(j, '!');
-        if punct(j, '(') && !is_macro {
+        let is_macro = cur.punct(j, '!');
+        if cur.punct(j, '(') && !is_macro {
             calls.push(CallSite {
                 line,
                 callee: Callee::Path(segs),

@@ -1,12 +1,13 @@
-//! The DESIGN §6 / §8 rule catalog and the token-stream scanner.
+//! The DESIGN §6 / §8 rule catalog, suppression parsing, test-code
+//! excision, and the token-pattern scanner for d1, d4 and d6.
 //!
-//! Each rule is a purely lexical pattern over the comment-stripped
-//! token stream of one library source file. The scanner is test-aware:
+//! Every other rule comes from a semantic layer ([`crate::taint`],
+//! [`crate::dataflow`], [`crate::absint`]). The scan is test-aware:
 //! `#[cfg(test)]` items and `#[test]` functions are excised before any
 //! rule runs, because the contract governs *shipping* code — tests may
 //! unwrap and time things freely.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Cursor, Token, TokenKind};
 
 /// A catalog entry: stable id, human name, and the contract clause the
 /// rule enforces (mirrored in DESIGN.md §8).
@@ -19,12 +20,9 @@ pub struct Rule {
     /// What the rule forbids.
     pub summary: &'static str,
     /// Crates the rule applies to (crate dir names; `suite` is the
-    /// workspace root package). Interprocedural rules carry an empty
-    /// crate scope: their domain is reachability, not directories.
+    /// workspace root package). Reachability-scoped rules carry an
+    /// empty crate scope: their domain is reachability, not directories.
     pub scope: &'static [&'static str],
-    /// Whether the rule is scoped by reachability from the declared
-    /// deterministic roots (d7–d9) instead of by crate directory.
-    pub interprocedural: bool,
 }
 
 const LIB_CRATES: &[&str] = &[
@@ -73,18 +71,18 @@ const NO_PAR: &[&str] = &[
 ];
 const COUNTER_CRATES: &[&str] = &["telemetry", "fleetsim", "dataset", "ml", "core", "bytes"];
 
-/// The contract rules, in catalog order. d1–d6 are the lexical rules
-/// scoped by crate directory (d2/d3/d5 now cover only code *not*
-/// reachable from a deterministic root); d7–d9 are the interprocedural
-/// rules scoped by reachability, and their findings carry the full
-/// `root → … → sink` call chain.
+/// The contract rules, in catalog order. d1–d6 are scoped by crate
+/// directory; d7–d9 are scoped by reachability and carry the full
+/// `root → … → sink` call chain. d2/d5/d3 and d7/d8/d9 are the two
+/// labels of one detector each ([`crate::taint`]): the same fact is a
+/// d7/d8/d9 finding in a function reachable from a deterministic root
+/// and a d2/d5/d3 finding everywhere else.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "d1",
         name: "thread-outside-par",
         summary: "thread spawning (`std::thread::spawn`/`scope`, rayon) outside crates/par",
         scope: NO_PAR,
-        interprocedural: false,
     },
     Rule {
         id: "d2",
@@ -93,7 +91,6 @@ pub const RULES: &[Rule] = &[
                   in a crate feeding ordered/serialized output (lookup-only maps are \
                   machine-verified clean; use `BTreeMap`/`BTreeSet` or collect-and-sort)",
         scope: ORDERED_OUTPUT,
-        interprocedural: false,
     },
     Rule {
         id: "d3",
@@ -102,14 +99,12 @@ pub const RULES: &[Rule] = &[
                   sources, in deterministic crates (elapsed-into-timing-fields is \
                   machine-verified clean)",
         scope: DETERMINISTIC,
-        interprocedural: false,
     },
     Rule {
         id: "d4",
         name: "partial-float-order",
         summary: "`partial_cmp` on floats (NaN-unsafe ordering; use `total_cmp`)",
         scope: EVERYWHERE,
-        interprocedural: false,
     },
     Rule {
         id: "d5",
@@ -117,14 +112,12 @@ pub const RULES: &[Rule] = &[
         summary: "`unwrap()`/`expect()`/`panic!` in non-test library code \
                   (return structured errors instead)",
         scope: LIB_CRATES,
-        interprocedural: false,
     },
     Rule {
         id: "d6",
         name: "truncating-cast",
         summary: "truncating `as` cast to a narrow integer on a counter/timestamp value",
         scope: COUNTER_CRATES,
-        interprocedural: false,
     },
     Rule {
         id: "d7",
@@ -133,16 +126,13 @@ pub const RULES: &[Rule] = &[
                   function reachable from a deterministic root (ordered output, \
                   scores and serialized reports must not observe hash order)",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d8",
         name: "panic-reachable",
-        summary: "`unwrap()`/`expect()`/`panic!` (and, with --index-checks, slice \
-                  indexing) in a function reachable from a deterministic root, \
-                  in any crate",
+        summary: "`unwrap()`/`expect()`/`panic!` in a function reachable from a \
+                  deterministic root, in any crate",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d9",
@@ -151,7 +141,6 @@ pub const RULES: &[Rule] = &[
                   code on a path from a deterministic root to model inputs \
                   (elapsed-into-timing-fields is machine-verified clean)",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d10",
@@ -161,7 +150,6 @@ pub const RULES: &[Rule] = &[
                   mfpa-par combinator — the per-item path runs in scheduling \
                   order; fold in `map_reduce`'s serial stage instead",
         scope: EVERYWHERE,
-        interprocedural: false,
     },
     Rule {
         id: "d11",
@@ -171,7 +159,6 @@ pub const RULES: &[Rule] = &[
                   read sequences diverge in field width or order, or a codec \
                   root with no opposite-side partner in its file",
         scope: EVERYWHERE,
-        interprocedural: false,
     },
     Rule {
         id: "d12",
@@ -181,7 +168,6 @@ pub const RULES: &[Rule] = &[
                   no dominating length guard on the same value chain — \
                   corrupted input must be refused, never allowed to panic",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d13",
@@ -192,7 +178,6 @@ pub const RULES: &[Rule] = &[
                   target width, and `as` casts proven to truncate (interval-clean \
                   casts demote the lexical d6 heuristic)",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d14",
@@ -202,7 +187,6 @@ pub const RULES: &[Rule] = &[
                   structured-error return (metrics ratios must not NaN/panic on \
                   empty shards)",
         scope: &[],
-        interprocedural: true,
     },
     Rule {
         id: "d15",
@@ -212,7 +196,6 @@ pub const RULES: &[Rule] = &[
                   reachable from a deterministic root, without a named conversion \
                   helper on the path",
         scope: &[],
-        interprocedural: true,
     },
 ];
 
@@ -506,19 +489,16 @@ pub(crate) fn is_counterish(ident: &str) -> bool {
         .any(|seg| COUNTER_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
 }
 
-/// Runs every in-scope catalog rule over a comment-free token stream.
+/// Runs the in-scope token-pattern rules (d1, d4, d6) over a
+/// comment-free token stream.
 pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
     let mut findings = Vec::new();
     let on = |id: &str| rule_by_id(id).is_some_and(|r| in_scope(r, crate_name));
-    let ident = |i: usize| match code.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    };
-    let punct = |i: usize, c: char| matches!(code.get(i).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c);
+    let cur = Cursor::new(code, 0..code.len());
 
     for i in 0..code.len() {
         let line = code[i].line;
-        let Some(word) = ident(i) else {
+        let Some(word) = cur.ident(i) else {
             continue;
         };
         match word {
@@ -529,11 +509,11 @@ pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
             }),
             "spawn" | "scope" if on("d1") => {
                 let path_form = i >= 3
-                    && punct(i - 1, ':')
-                    && punct(i - 2, ':')
-                    && ident(i - 3) == Some("thread");
+                    && cur.punct(i - 1, ':')
+                    && cur.punct(i - 2, ':')
+                    && cur.ident(i - 3) == Some("thread");
                 let method_form =
-                    word == "spawn" && i >= 1 && punct(i - 1, '.') && punct(i + 1, '(');
+                    word == "spawn" && i >= 1 && cur.punct(i - 1, '.') && cur.punct(i + 1, '(');
                 if path_form || method_form {
                     findings.push(RawFinding {
                         rule: "d1",
@@ -545,42 +525,13 @@ pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
                     });
                 }
             }
-            // `HashMap`/`HashSet` (d2/d7) and `Instant`/`SystemTime`
-            // (d3/d9) are no longer flagged on mere mention: the taint
-            // analyzer (crate::taint) decides whether the value escapes
-            // — lookup-only maps and elapsed-into-timing-metadata
-            // clocks are machine-verified clean.
-            "thread_rng" | "from_entropy" if on("d3") => findings.push(RawFinding {
-                rule: "d3",
-                line,
-                message: format!("entropy source {word} in a deterministic path; seed explicitly"),
-            }),
-            "random" if on("d3") && punct(i + 1, '(') => findings.push(RawFinding {
-                rule: "d3",
-                line,
-                message: "entropy source random() in a deterministic path; seed explicitly".into(),
-            }),
             "partial_cmp" if on("d4") => findings.push(RawFinding {
                 rule: "d4",
                 line,
                 message: "partial_cmp is NaN-unsafe; use f64::total_cmp (or derive Ord)".into(),
             }),
-            "unwrap" | "expect" if on("d5") && i >= 1 && punct(i - 1, '.') && punct(i + 1, '(') => {
-                findings.push(RawFinding {
-                    rule: "d5",
-                    line,
-                    message: format!("{word}() in library code; return a structured error instead"),
-                });
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if on("d5") && punct(i + 1, '!') => {
-                findings.push(RawFinding {
-                    rule: "d5",
-                    line,
-                    message: format!("{word}! in library code; return a structured error instead"),
-                });
-            }
             "as" if on("d6") => {
-                let Some(ty) = ident(i + 1) else { continue };
+                let Some(ty) = cur.ident(i + 1) else { continue };
                 if !NARROW_INTS.contains(&ty) {
                     continue;
                 }
@@ -589,7 +540,7 @@ pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
                 let culprit = (0..i)
                     .rev()
                     .take_while(|&j| code[j].line == line)
-                    .find_map(|j| ident(j).filter(|s| is_counterish(s)));
+                    .find_map(|j| cur.ident(j).filter(|s| is_counterish(s)));
                 if let Some(name) = culprit {
                     findings.push(RawFinding {
                         rule: "d6",

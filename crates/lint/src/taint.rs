@@ -1,11 +1,11 @@
 //! Intra-function fact extraction for the interprocedural rules.
 //!
 //! For every parsed function this pass computes `FnFacts`: the lines
-//! where a determinism-relevant value is created and *escapes*. The
-//! call graph then decides which facts matter — facts inside functions
-//! reachable from a deterministic root become d7/d8/d9 findings with a
-//! call chain; facts in unreachable functions fall back to the crate-
-//! scoped d2/d3 rules.
+//! where a determinism-relevant value is created and *escapes*. It is
+//! the only detector for these facts; the call graph decides their
+//! label — facts inside functions reachable from a deterministic root
+//! become d7/d8/d9 findings with a call chain; facts in unreachable
+//! functions become the crate-scoped d2/d5/d3 findings.
 //!
 //! The analysis is deliberately conservative in the safe direction:
 //!
@@ -22,16 +22,13 @@
 //!   timing-named target (`*_secs`, `duration`, …). Any other use —
 //!   passing `t` onward, binding `now()` into a non-timing slot —
 //!   escapes.
-//! - **entropy** (d9): `thread_rng`, `from_entropy`, `random()`,
+//! - **entropy** (d9/d3): `thread_rng`, `from_entropy`, `random()`,
 //!   `thread::current`, `available_parallelism` are always sites; the
 //!   contract requires explicit seeding and pinned thread counts.
 //! - **panics** (d8/d5): `.unwrap()` / `.expect()` / `panic!`-family
-//!   macros, mirroring the lexical d5 matcher token for token so a
-//!   waiver written against d5 stays line-accurate when the finding is
-//!   re-tagged d8. Slice indexing is collected separately (opt-in via
-//!   `--index-checks`).
+//!   macros.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{Cursor, Token, TokenKind};
 use crate::parser::FnItem;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -53,13 +50,10 @@ pub struct FnFacts {
     pub unordered_sites: Vec<Site>,
     /// Clock values escaping timing metadata (d9 / d3).
     pub clock_sites: Vec<Site>,
-    /// Entropy sources (d9 when reachable; lexical d3 otherwise).
+    /// Entropy sources (d9 when reachable, d3 otherwise).
     pub entropy_sites: Vec<Site>,
-    /// Panic sites, token-compatible with the lexical d5 matcher
-    /// (d8 when reachable, d5 otherwise).
+    /// Panic sites (d8 when reachable, d5 otherwise).
     pub panic_sites: Vec<Site>,
-    /// Slice/array indexing sites (d8, only with `--index-checks`).
-    pub index_sites: Vec<Site>,
 }
 
 /// Iterator-producing methods on unordered containers.
@@ -105,11 +99,11 @@ const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "available_paral
 /// Computes the facts for one function over the same comment-free
 /// token stream the parser consumed. Total: never panics.
 pub fn analyze_fn(code: &[Token], f: &FnItem, unordered_fields: &BTreeSet<String>) -> FnFacts {
+    let cur = Cursor::new(code, f.body.clone());
     let a = Analyzer {
-        code,
-        body: f.body.clone(),
+        cur,
         unordered_fields,
-        unordered_locals: collect_unordered_locals(code, f),
+        unordered_locals: collect_unordered_locals(cur, &f.sig),
     };
     let mut facts = FnFacts::default();
     a.unordered(&mut facts);
@@ -119,45 +113,30 @@ pub fn analyze_fn(code: &[Token], f: &FnItem, unordered_fields: &BTreeSet<String
 }
 
 struct Analyzer<'a> {
-    code: &'a [Token],
-    body: Range<usize>,
+    cur: Cursor<'a>,
     unordered_fields: &'a BTreeSet<String>,
     unordered_locals: BTreeSet<String>,
-}
-
-fn tok_ident(code: &[Token], i: usize) -> Option<&str> {
-    match code.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn tok_punct(code: &[Token], i: usize, c: char) -> bool {
-    matches!(code.get(i).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c)
-}
-
-fn tok_line(code: &[Token], i: usize) -> u32 {
-    code.get(i).map(|t| t.line).unwrap_or(0)
 }
 
 fn is_unordered_type(word: &str) -> bool {
     word == "HashMap" || word == "HashSet"
 }
 
-/// Unordered locals: parameters and `let` bindings whose declared type
-/// or initializer mentions `HashMap`/`HashSet`.
-fn collect_unordered_locals(code: &[Token], f: &FnItem) -> BTreeSet<String> {
+/// Unordered locals: parameters in `sig` and `let` bindings in the
+/// cursor's body whose declared type or initializer mentions
+/// `HashMap`/`HashSet`.
+fn collect_unordered_locals(cur: Cursor<'_>, sig: &Range<usize>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     // Parameters: `name: ...HashMap...` up to a depth-0 comma.
-    let mut i = f.sig.start;
-    while i < f.sig.end {
-        if let Some(name) = tok_ident(code, i) {
-            if tok_punct(code, i + 1, ':') && !tok_punct(code, i + 2, ':') {
+    let mut i = sig.start;
+    while i < sig.end {
+        if let Some(name) = cur.ident(i) {
+            if cur.punct(i + 1, ':') && !cur.punct(i + 2, ':') {
                 let mut depth = 0usize;
                 let mut k = i + 2;
                 let mut unordered = false;
-                while k < f.sig.end {
-                    match code.get(k).map(|t| &t.kind) {
+                while k < sig.end {
+                    match cur.kind(k) {
                         Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
                         // A depth-0 `)` closes the parameter list: stop so
                         // the return type cannot taint the last parameter.
@@ -179,18 +158,18 @@ fn collect_unordered_locals(code: &[Token], f: &FnItem) -> BTreeSet<String> {
         i += 1;
     }
     // Let bindings: `let [mut] name ... = ...HashMap...;`
-    let mut i = f.body.start;
-    while i < f.body.end {
-        if tok_ident(code, i) == Some("let") {
+    let mut i = cur.start;
+    while i < cur.end {
+        if cur.ident(i) == Some("let") {
             let mut j = i + 1;
-            if tok_ident(code, j) == Some("mut") {
+            if cur.ident(j) == Some("mut") {
                 j += 1;
             }
-            if let Some(name) = tok_ident(code, j) {
+            if let Some(name) = cur.ident(j) {
                 let mut k = j + 1;
                 let mut unordered = false;
-                while k < f.body.end && !tok_punct(code, k, ';') {
-                    if tok_ident(code, k).is_some_and(is_unordered_type) {
+                while k < cur.end && !cur.punct(k, ';') {
+                    if cur.ident(k).is_some_and(is_unordered_type) {
                         unordered = true;
                     }
                     k += 1;
@@ -208,55 +187,23 @@ fn collect_unordered_locals(code: &[Token], f: &FnItem) -> BTreeSet<String> {
 }
 
 impl Analyzer<'_> {
-    fn ident(&self, i: usize) -> Option<&str> {
-        tok_ident(self.code, i)
-    }
-
-    fn punct(&self, i: usize, c: char) -> bool {
-        tok_punct(self.code, i, c)
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        tok_line(self.code, i)
-    }
-
-    /// Flat statement span around token `i`: from the token after the
-    /// previous `;`/`{`/`}` to the next one (exclusive).
-    fn statement(&self, i: usize) -> Range<usize> {
-        let boundary = |k: usize| {
-            matches!(
-                self.code.get(k).map(|t| &t.kind),
-                Some(TokenKind::Punct(';' | '{' | '}'))
-            )
-        };
-        let mut start = i;
-        while start > self.body.start && !boundary(start - 1) {
-            start -= 1;
-        }
-        let mut end = i;
-        while end < self.body.end && !boundary(end) {
-            end += 1;
-        }
-        start..end
-    }
-
     /// Whether a statement assigns into a timing-named target: an `=`
     /// (excluding `==`/`<=`/`>=`/`!=`) whose left side names an
     /// identifier with a timing word among its snake segments.
     fn assigns_to_timing_target(&self, stmt: &Range<usize>) -> bool {
         for k in stmt.clone() {
-            if !self.punct(k, '=') || self.punct(k + 1, '=') {
+            if !self.cur.punct(k, '=') || self.cur.punct(k + 1, '=') {
                 continue;
             }
             if k > stmt.start {
-                if let Some(TokenKind::Punct(p)) = self.code.get(k - 1).map(|t| &t.kind) {
+                if let Some(TokenKind::Punct(p)) = self.cur.kind(k - 1) {
                     if matches!(p, '=' | '<' | '>' | '!') {
                         continue;
                     }
                 }
             }
             return (stmt.start..k).any(|j| {
-                self.ident(j).is_some_and(|name| {
+                self.cur.ident(j).is_some_and(|name| {
                     name.split('_')
                         .any(|seg| TIMING_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
                 })
@@ -265,59 +212,19 @@ impl Analyzer<'_> {
         false
     }
 
-    /// Index one past a balanced `( ... )` group opening at `open`.
-    fn skip_parens(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.body.end {
-            match self.code.get(i).map(|t| &t.kind) {
-                Some(TokenKind::Punct('(')) => depth += 1,
-                Some(TokenKind::Punct(')')) => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        self.body.end
-    }
-
-    /// Index one past a balanced `< ... >` group opening at `open`.
-    fn skip_angles(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.body.end {
-            match self.code.get(i).map(|t| &t.kind) {
-                Some(TokenKind::Punct('<')) => depth += 1,
-                Some(TokenKind::Punct('>')) => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        self.body.end
-    }
-
     /// d7/d2: unordered-container iteration that can observe hash
     /// order.
     fn unordered(&self, facts: &mut FnFacts) {
-        let mut i = self.body.start;
-        while i < self.body.end {
+        let mut i = self.cur.start;
+        while i < self.cur.end {
             // `recv.iter()`-family chain heads.
-            if let Some(m) = self.ident(i) {
-                if ITER_METHODS.contains(&m) && i >= 1 && self.punct(i - 1, '.') {
+            if let Some(m) = self.cur.ident(i) {
+                if ITER_METHODS.contains(&m) && i >= 1 && self.cur.punct(i - 1, '.') {
                     if let Some(recv) = self.receiver_name(i) {
                         if self.is_unordered(&recv) {
                             if let Some(what) = self.chain_escapes(i, &recv, m) {
                                 facts.unordered_sites.push(Site {
-                                    line: self.line(i),
+                                    line: self.cur.line(i),
                                     what,
                                 });
                             }
@@ -360,13 +267,13 @@ impl Analyzer<'_> {
         if at < 2 {
             return None;
         }
-        let first = self.ident(at - 2)?;
-        if at >= 4 && self.punct(at - 3, '.') && self.ident(at - 4) == Some("self") {
+        let first = self.cur.ident(at - 2)?;
+        if at >= 4 && self.cur.punct(at - 3, '.') && self.cur.ident(at - 4) == Some("self") {
             return Some(format!("self.{first}"));
         }
         // A plain identifier receiver must not itself be a field of
         // something else (`other.map.iter()`).
-        if at >= 3 && self.punct(at - 3, '.') {
+        if at >= 3 && self.cur.punct(at - 3, '.') {
             return None;
         }
         Some(first.to_owned())
@@ -379,14 +286,14 @@ impl Analyzer<'_> {
         let mut chain: Vec<(String, usize)> = vec![(method.to_owned(), head)];
         let mut i = head + 1;
         loop {
-            if self.punct(i, ':') && self.punct(i + 1, ':') && self.punct(i + 2, '<') {
-                i = self.skip_angles(i + 2);
+            if self.cur.punct(i, ':') && self.cur.punct(i + 1, ':') && self.cur.punct(i + 2, '<') {
+                i = self.cur.skip_angles(i + 2);
             }
-            if self.punct(i, '(') {
-                i = self.skip_parens(i);
+            if self.cur.punct(i, '(') {
+                i = self.cur.skip_group(i, '(', ')');
             }
-            if self.punct(i, '.') {
-                if let Some(m) = self.ident(i + 1) {
+            if self.cur.punct(i, '.') {
+                if let Some(m) = self.cur.ident(i + 1) {
                     chain.push((m.to_owned(), i + 1));
                     i += 2;
                     continue;
@@ -400,10 +307,14 @@ impl Analyzer<'_> {
         }
         if let Some(&(_, at)) = chain.iter().find(|(m, _)| m == "collect") {
             // `collect::<BTreeMap<..>>()` restores a total order.
-            if self.punct(at + 1, ':') && self.punct(at + 2, ':') && self.punct(at + 3, '<') {
-                let close = self.skip_angles(at + 3);
+            if self.cur.punct(at + 1, ':')
+                && self.cur.punct(at + 2, ':')
+                && self.cur.punct(at + 3, '<')
+            {
+                let close = self.cur.skip_angles(at + 3);
                 for k in at + 4..close {
                     if self
+                        .cur
                         .ident(k)
                         .is_some_and(|s| s == "BTreeMap" || s == "BTreeSet")
                     {
@@ -412,17 +323,17 @@ impl Analyzer<'_> {
                 }
             }
             // `let v = ...collect(); ... v.sort*()` re-establishes order.
-            let stmt = self.statement(head);
-            if self.ident(stmt.start) == Some("let") {
+            let stmt = self.cur.statement(head);
+            if self.cur.ident(stmt.start) == Some("let") {
                 let mut j = stmt.start + 1;
-                if self.ident(j) == Some("mut") {
+                if self.cur.ident(j) == Some("mut") {
                     j += 1;
                 }
-                if let Some(bound) = self.ident(j) {
-                    let sorted_later = (stmt.end..self.body.end).any(|k| {
-                        self.ident(k) == Some(bound)
-                            && self.punct(k + 1, '.')
-                            && self.ident(k + 2).is_some_and(|m| m.starts_with("sort"))
+                if let Some(bound) = self.cur.ident(j) {
+                    let sorted_later = (stmt.end..self.cur.end).any(|k| {
+                        self.cur.ident(k) == Some(bound)
+                            && self.cur.punct(k + 1, '.')
+                            && self.cur.ident(k + 2).is_some_and(|m| m.starts_with("sort"))
                     });
                     if sorted_later {
                         return None;
@@ -442,7 +353,7 @@ impl Analyzer<'_> {
     fn bare_for_source(&self, at: usize) -> Option<(u32, String)> {
         let mut i = at + 1;
         let mut guard = 0usize;
-        while i < self.body.end && self.ident(i) != Some("in") {
+        while i < self.cur.end && self.cur.ident(i) != Some("in") {
             i += 1;
             guard += 1;
             if guard > 64 {
@@ -450,19 +361,19 @@ impl Analyzer<'_> {
             }
         }
         let mut j = i + 1;
-        while self.punct(j, '&') || self.ident(j) == Some("mut") {
+        while self.cur.punct(j, '&') || self.cur.ident(j) == Some("mut") {
             j += 1;
         }
-        let name = self.ident(j)?;
-        let (name, after) = if name == "self" && self.punct(j + 1, '.') {
-            let field = self.ident(j + 2)?;
+        let name = self.cur.ident(j)?;
+        let (name, after) = if name == "self" && self.cur.punct(j + 1, '.') {
+            let field = self.cur.ident(j + 2)?;
             (format!("self.{field}"), j + 3)
         } else {
             (name.to_owned(), j + 1)
         };
         // Only the bare form: the next token must open the loop body.
-        if self.punct(after, '{') {
-            Some((self.line(j), name))
+        if self.cur.punct(after, '{') {
+            Some((self.cur.line(j), name))
         } else {
             None
         }
@@ -471,29 +382,29 @@ impl Analyzer<'_> {
     /// d9/d3: clock values escaping timing metadata.
     fn clocks(&self, facts: &mut FnFacts) {
         let mut clock_vars: Vec<(String, usize)> = Vec::new();
-        let mut i = self.body.start;
-        while i < self.body.end {
-            let word = match self.ident(i) {
+        let mut i = self.cur.start;
+        while i < self.cur.end {
+            let word = match self.cur.ident(i) {
                 Some(w) if w == "Instant" || w == "SystemTime" => w,
                 _ => {
                     i += 1;
                     continue;
                 }
             };
-            let stmt = self.statement(i);
+            let stmt = self.cur.statement(i);
             // `let [mut] t = Instant::now();` binds a clock var.
-            if self.ident(stmt.start) == Some("let") {
+            if self.cur.ident(stmt.start) == Some("let") {
                 let mut j = stmt.start + 1;
-                if self.ident(j) == Some("mut") {
+                if self.cur.ident(j) == Some("mut") {
                     j += 1;
                 }
-                if let (Some(name), true) = (self.ident(j), self.punct(j + 1, '=')) {
+                if let (Some(name), true) = (self.cur.ident(j), self.cur.punct(j + 1, '=')) {
                     let bare_now = j + 2 == i
-                        && self.punct(i + 1, ':')
-                        && self.punct(i + 2, ':')
-                        && self.ident(i + 3) == Some("now")
-                        && self.punct(i + 4, '(')
-                        && self.punct(i + 5, ')')
+                        && self.cur.punct(i + 1, ':')
+                        && self.cur.punct(i + 2, ':')
+                        && self.cur.ident(i + 3) == Some("now")
+                        && self.cur.punct(i + 4, '(')
+                        && self.cur.punct(i + 5, ')')
                         && i + 6 == stmt.end;
                     if bare_now {
                         clock_vars.push((name.to_owned(), stmt.end));
@@ -505,7 +416,7 @@ impl Analyzer<'_> {
             // Any other appearance must land in timing metadata.
             if !self.assigns_to_timing_target(&stmt) {
                 facts.clock_sites.push(Site {
-                    line: self.line(i),
+                    line: self.cur.line(i),
                     what: format!(
                         "`{word}` value escapes outside timing metadata; deterministic \
                          paths must not observe wall-clock readings"
@@ -518,17 +429,17 @@ impl Analyzer<'_> {
         // into a timing-named target.
         for (name, from) in clock_vars {
             let mut i = from;
-            while i < self.body.end {
-                if self.ident(i) == Some(&name)
-                    && !self.punct(i.wrapping_sub(1), '.')
-                    && !self.punct(i + 1, ':')
+            while i < self.cur.end {
+                if self.cur.ident(i) == Some(&name)
+                    && !self.cur.punct(i.wrapping_sub(1), '.')
+                    && !self.cur.punct(i + 1, ':')
                 {
-                    let conforming = self.punct(i + 1, '.')
-                        && self.ident(i + 2) == Some("elapsed")
-                        && self.assigns_to_timing_target(&self.statement(i));
+                    let conforming = self.cur.punct(i + 1, '.')
+                        && self.cur.ident(i + 2) == Some("elapsed")
+                        && self.assigns_to_timing_target(&self.cur.statement(i));
                     if !conforming {
                         facts.clock_sites.push(Site {
-                            line: self.line(i),
+                            line: self.cur.line(i),
                             what: format!(
                                 "clock value `{name}` escapes beyond `elapsed()`-into-\
                                  timing-metadata; deterministic paths must not observe it"
@@ -541,73 +452,50 @@ impl Analyzer<'_> {
         }
     }
 
-    /// d9 entropy sources, d8/d5 panic sites, and indexing.
+    /// d9/d3 entropy sources and d8/d5 panic sites.
     fn entropy_and_panics(&self, facts: &mut FnFacts) {
-        for i in self.body.clone() {
-            let line = self.line(i);
-            match self.code.get(i).map(|t| &t.kind) {
-                Some(TokenKind::Ident(word)) => match word.as_str() {
-                    w if ENTROPY_IDENTS.contains(&w) => facts.entropy_sites.push(Site {
+        for i in self.cur.start..self.cur.end {
+            let line = self.cur.line(i);
+            let Some(word) = self.cur.ident(i) else {
+                continue;
+            };
+            match word {
+                w if ENTROPY_IDENTS.contains(&w) => facts.entropy_sites.push(Site {
+                    line,
+                    what: format!(
+                        "entropy source {w} on a deterministic path; seed/pin explicitly"
+                    ),
+                }),
+                "random" if self.cur.punct(i + 1, '(') => facts.entropy_sites.push(Site {
+                    line,
+                    what: "entropy source random() on a deterministic path; seed explicitly".into(),
+                }),
+                "current"
+                    if i >= 3
+                        && self.cur.punct(i - 1, ':')
+                        && self.cur.punct(i - 2, ':')
+                        && self.cur.ident(i - 3) == Some("thread") =>
+                {
+                    facts.entropy_sites.push(Site {
                         line,
-                        what: format!(
-                            "entropy source {w} on a deterministic path; seed/pin explicitly"
-                        ),
-                    }),
-                    "random" if self.punct(i + 1, '(') => facts.entropy_sites.push(Site {
+                        what: "thread::current() identity on a deterministic path".into(),
+                    })
+                }
+                "unwrap" | "expect"
+                    if i >= 1 && self.cur.punct(i - 1, '.') && self.cur.punct(i + 1, '(') =>
+                {
+                    facts.panic_sites.push(Site {
                         line,
-                        what: "entropy source random() on a deterministic path; seed explicitly"
-                            .into(),
-                    }),
-                    "current"
-                        if i >= 3
-                            && self.punct(i - 1, ':')
-                            && self.punct(i - 2, ':')
-                            && self.ident(i - 3) == Some("thread") =>
-                    {
-                        facts.entropy_sites.push(Site {
-                            line,
-                            what: "thread::current() identity on a deterministic path".into(),
-                        })
-                    }
-                    "unwrap" | "expect"
-                        if i >= 1 && self.punct(i - 1, '.') && self.punct(i + 1, '(') =>
-                    {
-                        facts.panic_sites.push(Site {
-                            line,
-                            what: format!(
-                                "{word}() on a path reachable from a deterministic root; \
-                                 return a structured error instead"
-                            ),
-                        })
-                    }
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                        if self.punct(i + 1, '!') =>
-                    {
-                        facts.panic_sites.push(Site {
-                            line,
-                            what: format!(
-                                "{word}! on a path reachable from a deterministic root; \
-                                 return a structured error instead"
-                            ),
-                        })
-                    }
-                    _ => {}
-                },
-                // Indexing: `ident[...]`, `)[...]`, `][...]`.
-                Some(TokenKind::Punct('[')) if i > self.body.start => {
-                    let indexing = match self.code.get(i - 1).map(|t| &t.kind) {
-                        Some(TokenKind::Ident(w)) => !crate::parser::is_keyword(w),
-                        Some(TokenKind::Punct(')' | ']')) => true,
-                        _ => false,
-                    };
-                    if indexing {
-                        facts.index_sites.push(Site {
-                            line,
-                            what: "slice/array indexing can panic; use get() on a path \
-                                   reachable from a deterministic root"
-                                .into(),
-                        });
-                    }
+                        what: format!("{word}() can panic; return a structured error instead"),
+                    })
+                }
+                "panic" | "unreachable" | "todo" | "unimplemented"
+                    if self.cur.punct(i + 1, '!') =>
+                {
+                    facts.panic_sites.push(Site {
+                        line,
+                        what: format!("{word}! panics; return a structured error instead"),
+                    })
                 }
                 _ => {}
             }
@@ -780,6 +668,5 @@ mod tests {
         let got = facts(src);
         assert_eq!(got.entropy_sites.len(), 2);
         assert_eq!(got.panic_sites.len(), 2);
-        assert_eq!(got.index_sites.len(), 1);
     }
 }

@@ -1,9 +1,7 @@
 //! `--fix` mechanics: deleting unused allow lines is exact (used
 //! allows survive) and idempotent (fixing fixed text changes nothing).
 
-use mfpa_lint::{
-    lint_files, strip_unused_allow_lines, unused_allow_lines, LintOptions, LintReport, SourceFile,
-};
+use mfpa_lint::{lint_files, strip_unused_allow_lines, unused_allow_lines, LintReport, SourceFile};
 
 const LABEL: &str = "crates/core/src/fixed.rs";
 
@@ -13,7 +11,7 @@ fn lint_one(src: &str) -> LintReport {
         label: LABEL.to_owned(),
         text: src.to_owned(),
     }];
-    lint_files(&files, LintOptions::default())
+    lint_files(&files)
 }
 
 #[test]

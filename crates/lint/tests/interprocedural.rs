@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use mfpa_lint::{build_call_graph, lint_files, LintOptions, SourceFile};
+use mfpa_lint::{build_call_graph, lint_files, SourceFile};
 use proptest::prelude::*;
 
 fn fixture_ws() -> Vec<SourceFile> {
@@ -17,7 +17,7 @@ fn fixture_ws() -> Vec<SourceFile> {
 /// carrying the full root-to-sink call chain.
 #[test]
 fn fixture_workspace_findings_carry_full_chains() {
-    let report = lint_files(&fixture_ws(), LintOptions::default());
+    let report = lint_files(&fixture_ws());
     let findings: Vec<_> = report.unsuppressed().collect();
 
     let d8: Vec<_> = findings.iter().filter(|f| f.rule == "d8").collect();
@@ -55,8 +55,8 @@ fn fixture_workspace_findings_carry_full_chains() {
         "clock escape reached from `fleet::generate` is d9"
     );
 
-    // `orphan` is unreachable from every root: its unwrap stays a
-    // crate-scoped lexical d5, with the enclosing function as chain.
+    // `orphan` is unreachable from every root: its unwrap is the
+    // crate-scoped d5, with the enclosing function as chain.
     let d5: Vec<_> = findings.iter().filter(|f| f.rule == "d5").collect();
     assert_eq!(d5.len(), 1, "{findings:#?}");
     assert_eq!(d5[0].chain, ["fleetsim::fleet::orphan"]);
@@ -113,14 +113,29 @@ fn fixture_workspace_call_graph_matches_golden() {
     );
 }
 
-/// The fixture workspace's SARIF rendering, pinned as a golden
-/// snapshot: rule catalog, results, codeFlows for the chains. Re-bless
-/// with `MFPA_BLESS=1 cargo test -p mfpa-lint --test interprocedural`.
+/// Every fixture-workspace finding, suppressed ones included, pinned as
+/// `(rule, file, line, chain, suppressed)`. Messages are free to change;
+/// which rule fires where, on which route and under which waiver is
+/// not. Re-bless with `MFPA_BLESS=1 cargo test -p mfpa-lint --test
+/// interprocedural`.
 #[test]
-fn fixture_workspace_sarif_matches_golden() {
-    let report = lint_files(&fixture_ws(), LintOptions::default());
-    let pretty = mfpa_lint::pretty_json(&mfpa_lint::sarif::to_sarif(&report));
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sarif_ws.json");
+fn fixture_workspace_findings_match_golden() {
+    let report = lint_files(&fixture_ws());
+    let rows: Vec<serde_json::Value> = report
+        .findings
+        .iter()
+        .map(|f| {
+            serde_json::json!({
+                "rule": f.rule,
+                "file": f.file,
+                "line": f.line,
+                "chain": f.chain,
+                "suppressed": f.suppressed,
+            })
+        })
+        .collect();
+    let pretty = mfpa_lint::pretty_json(&serde_json::Value::Array(rows));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/findings_ws.json");
     if std::env::var_os("MFPA_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
         std::fs::write(&path, pretty).expect("write golden");
@@ -135,7 +150,7 @@ fn fixture_workspace_sarif_matches_golden() {
     });
     assert_eq!(
         pretty, stored,
-        "SARIF output drifted from tests/golden/sarif_ws.json — if the \
+        "findings drifted from tests/golden/findings_ws.json — if the \
          change is intended, re-bless with MFPA_BLESS=1 and review the diff"
     );
 }
@@ -149,9 +164,7 @@ fn graph_and_report_are_identical_at_one_and_four_workers() {
     let at = |n: &str| {
         std::env::set_var(mfpa_par::THREADS_ENV, n);
         let graph = mfpa_lint::pretty_json(&build_call_graph(&files).to_json());
-        let report = lint_files(&files, LintOptions::default())
-            .to_json()
-            .to_string();
+        let report = lint_files(&files).to_json().to_string();
         (graph, report)
     };
     let one = at("1");

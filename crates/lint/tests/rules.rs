@@ -155,3 +155,15 @@ fn bench_crate_is_exempt_from_panic_and_timing_rules() {
         "bench is a CLI harness; unwrap is allowed there"
     );
 }
+
+#[test]
+fn d3_shares_the_d9_entropy_vocabulary() {
+    // Unreachable from every root, so the entropy fact carries its
+    // crate-scoped d3 label — with the same vocabulary d9 uses.
+    let src = "pub fn workers() -> usize {\n    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
+    let findings = lint_source(CRATE, "bad.rs", src);
+    let unsuppressed: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
+    assert_eq!(unsuppressed.len(), 1, "{findings:#?}");
+    assert_eq!(unsuppressed[0].rule, "d3", "{findings:#?}");
+    assert_eq!(unsuppressed[0].line, 2, "{findings:#?}");
+}

@@ -1313,6 +1313,15 @@ impl CompiledEnsemble {
                 reached[l - s] = true;
                 reached[l + 1 - s] = true;
             }
+            // Every node must be reachable: the compiler never emits
+            // dead nodes, and `build_lanes` walks every node, so an
+            // unreachable one would escape the checks above.
+            if let Some(dead) = reached.iter().position(|&r| !r) {
+                return Err(corrupt(format!(
+                    "node {} is unreachable from the root of tree {t}",
+                    s + dead
+                )));
+            }
             if max_depth != tree_depths[t] {
                 return Err(corrupt(format!(
                     "tree {t} stored depth {} but reachable depth is {max_depth}",

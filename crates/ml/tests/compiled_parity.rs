@@ -8,6 +8,7 @@
 //! across an `.mfpac` serialization round trip. Corrupt artifacts must
 //! be refused with a structured error, never a panic.
 
+use mfpa_bytes::ByteWriter;
 use mfpa_dataset::Matrix;
 use mfpa_ml::{Classifier, CompiledEnsemble, Gbdt, MlError, RandomForest};
 use proptest::prelude::*;
@@ -253,6 +254,56 @@ fn mfpac_rejects_junk() {
         match CompiledEnsemble::from_bytes(bad) {
             Err(MlError::CorruptArtifact(_)) => {}
             other => panic!("junk accepted: {other:?}"),
+        }
+    }
+}
+
+/// A sealed single-tree RfMean `.mfpac` over one feature whose node
+/// `k` splits on `feat[k]` (`u32::MAX` marks a leaf). Every other
+/// field is zero, so the root leaf leaves the remaining nodes dead.
+fn one_tree_artifact(feat: &[u32]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(0x4350_464D); // magic "MFPC"
+    w.u32(1); // version
+    w.counter(1); // n_features
+    w.counter(1); // n_trees
+    w.counter(feat.len()); // n_nodes
+    w.u8(0); // RfMean
+    w.f64(0.0);
+    w.f64(0.0);
+    w.u32(0); // tree_roots[0]
+    w.u32(0); // tree_depths[0]
+    for &f in feat {
+        w.u32(f);
+    }
+    for _ in feat {
+        w.f64(0.0); // thr
+    }
+    for _ in feat {
+        w.u32(0); // left
+    }
+    for _ in feat {
+        w.f64(0.0); // value
+    }
+    w.into_sealed()
+}
+
+/// Nodes no root reaches are refused: validation only walks reachable
+/// nodes while lane building walks all of them, so a dead node could
+/// smuggle an out-of-range feature past the checks.
+#[test]
+fn mfpac_refuses_unreachable_nodes() {
+    const LEAF: u32 = u32::MAX;
+    assert!(
+        CompiledEnsemble::from_bytes(&one_tree_artifact(&[LEAF])).is_ok(),
+        "the one-leaf control artifact must decode"
+    );
+    for dead in [[LEAF, 5, 5], [LEAF, 0, 0]] {
+        match CompiledEnsemble::from_bytes(&one_tree_artifact(&dead)) {
+            Err(MlError::CorruptArtifact(msg)) => {
+                assert!(msg.contains("unreachable"), "{msg}");
+            }
+            other => panic!("dead nodes {dead:?} accepted: {other:?}"),
         }
     }
 }

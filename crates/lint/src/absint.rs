@@ -1,5 +1,6 @@
-//! Interprocedural value-range abstract interpretation over the token
-//! stream: the semantic layer behind the d13–d15 rules.
+//! Interprocedural value-range abstract interpretation over each
+//! function's [`crate::ir`] statement tree: the semantic layer behind
+//! the d13–d15 rules.
 //!
 //! The domain is a classic interval lattice over the integers
 //! (`[lo, hi]` with saturating endpoint arithmetic), seeded from
@@ -40,6 +41,8 @@
 //! fuel bound.
 
 use crate::callgraph::{CallGraph, FileItems};
+use crate::dataflow::has_float_evidence;
+use crate::ir::{FnIr, Kind, Let, Stmt};
 use crate::lexer::{Cursor, Token, TokenKind};
 use crate::parser::FnItem;
 use crate::rules::is_counterish;
@@ -276,16 +279,26 @@ pub fn analyze(files: &[FileItems], graph: &CallGraph) -> Vec<FnAbs> {
     let n = graph.nodes.len().min(meta.len());
     let mut summaries: Vec<Interval> = vec![Interval::top(); n];
     let mut out: Vec<FnAbs> = vec![FnAbs::default(); n];
+    // Only a resolved call edge reads a summary, so the quiet pass skips
+    // every function no resolved edge reaches.
+    let mut summarized = vec![false; n];
+    for e in graph.edges.iter().filter(|e| !e.fallback && e.callee < n) {
+        summarized[e.callee] = true;
+    }
     for pass in 0..2 {
         let quiet = pass == 0;
         for node in 0..n {
+            if quiet && !summarized[node] {
+                continue;
+            }
             let (fx, ix) = meta[node];
             let Some(file) = files.get(fx) else { continue };
             let Some(f) = file.parsed.functions.get(ix) else {
                 continue;
             };
+            let Some(ir) = file.irs.get(ix) else { continue };
             let call_rets = call_returns(graph, node, &summaries);
-            let abs = interpret(&file.code, f, &call_rets, quiet);
+            let abs = interpret(&file.code, f, ir, &call_rets, quiet);
             summaries[node] = abs.ret;
             if !quiet {
                 out[node] = abs;
@@ -328,28 +341,24 @@ fn call_returns(graph: &CallGraph, node: usize, summaries: &[Interval]) -> BTree
 pub fn interpret(
     code: &[Token],
     f: &FnItem,
+    ir: &FnIr,
     call_rets: &BTreeMap<u32, Interval>,
     quiet: bool,
 ) -> FnAbs {
     let mut itp = Interp {
         cur: Cursor::new(code, f.body.clone()),
-        env: BTreeMap::new(),
+        st: State::default(),
         tys: BTreeMap::new(),
-        rel_ge: BTreeSet::new(),
-        nonzero: BTreeSet::new(),
-        int_vars: BTreeSet::new(),
         call_rets,
         quiet_depth: usize::from(quiet),
         fuel: 200_000,
         ret: None,
         diverged: false,
-        d13: BTreeSet::new(),
-        d14: BTreeSet::new(),
-        d15: BTreeSet::new(),
+        found: Default::default(),
         out: FnAbs::default(),
     };
-    itp.seed_params(&f.sig);
-    let tail = itp.block(f.body.clone());
+    itp.seed_params(ir);
+    let tail = itp.block(&ir.body);
     let mut ret = match itp.ret {
         Some(r) => {
             if itp.diverged {
@@ -360,14 +369,13 @@ pub fn interpret(
         }
         None => tail,
     };
-    if let Some(declared) = itp.return_type_range(&f.sig) {
+    let declared = ir.ret.as_ref().and_then(|r| itp.cur.ident(r.start));
+    if let Some(declared) = declared.and_then(type_range) {
         ret = ret.meet(&declared).unwrap_or(declared);
     }
     let mut out = itp.out;
     out.ret = ret;
-    out.d13 = sites(itp.d13);
-    out.d14 = sites(itp.d14);
-    out.d15 = sites(itp.d15);
+    [out.d13, out.d14, out.d15] = itp.found.map(sites);
     out
 }
 
@@ -379,18 +387,10 @@ fn sites(set: BTreeSet<(u32, String)>) -> Vec<Site> {
 
 struct Interp<'a> {
     cur: Cursor<'a>,
-    /// Variable (and dotted-path / `x.len`) intervals.
-    env: BTreeMap<String, Interval>,
+    /// The branch-sensitive facts.
+    st: State,
     /// Declared integer type range per variable, for width checks.
     tys: BTreeMap<String, Interval>,
-    /// Guard-proven `a >= b` facts over simple operand texts.
-    rel_ge: BTreeSet<(String, String)>,
-    /// Guard-proven nonzero expression texts.
-    nonzero: BTreeSet<String>,
-    /// Variables bound to integer-derived values (lengths, counters,
-    /// int-literal seeds) without a declared type annotation; the d14
-    /// evidence gate treats them like declared-integer idents.
-    int_vars: BTreeSet<String>,
     call_rets: &'a BTreeMap<u32, Interval>,
     /// Facts are recorded only at depth 0 (loop pre-passes and the
     /// summary pass analyze quietly).
@@ -398,18 +398,23 @@ struct Interp<'a> {
     fuel: u32,
     ret: Option<Interval>,
     diverged: bool,
-    d13: BTreeSet<(u32, String)>,
-    d14: BTreeSet<(u32, String)>,
-    d15: BTreeSet<(u32, String)>,
+    /// d13, d14 and d15 sites.
+    found: [BTreeSet<(u32, String)>; 3],
     out: FnAbs,
 }
 
-/// One branch's refinement snapshot, for save/restore around `if`.
-#[derive(Clone)]
+/// The facts a branch refines, saved and restored around `if`.
+#[derive(Clone, Default)]
 struct State {
+    /// Variable (and dotted-path / `x.len`) intervals.
     env: BTreeMap<String, Interval>,
+    /// Guard-proven `a >= b` facts over simple operand texts.
     rel_ge: BTreeSet<(String, String)>,
+    /// Guard-proven nonzero expression texts.
     nonzero: BTreeSet<String>,
+    /// Variables bound to integer-derived values (lengths, counters,
+    /// int-literal seeds) without a declared type annotation; the d14
+    /// evidence gate treats them like declared-integer idents.
     int_vars: BTreeSet<String>,
 }
 
@@ -422,272 +427,133 @@ impl<'a> Interp<'a> {
         true
     }
 
-    fn record_d13(&mut self, line: u32, what: String) {
+    /// Records a site for rule `d13 + rule` outside quiet analysis.
+    fn record(&mut self, rule: usize, line: u32, what: String) {
         if self.quiet_depth == 0 {
-            self.d13.insert((line, what));
+            self.found[rule].insert((line, what));
         }
-    }
-
-    fn record_d14(&mut self, line: u32, what: String) {
-        if self.quiet_depth == 0 {
-            self.d14.insert((line, what));
-        }
-    }
-
-    fn record_d15(&mut self, line: u32, what: String) {
-        if self.quiet_depth == 0 {
-            self.d15.insert((line, what));
-        }
-    }
-
-    fn save(&self) -> State {
-        State {
-            env: self.env.clone(),
-            rel_ge: self.rel_ge.clone(),
-            nonzero: self.nonzero.clone(),
-            int_vars: self.int_vars.clone(),
-        }
-    }
-
-    fn restore(&mut self, s: State) {
-        self.env = s.env;
-        self.rel_ge = s.rel_ge;
-        self.nonzero = s.nonzero;
-        self.int_vars = s.int_vars;
     }
 
     /// Seeds the environment from the declared parameter types.
-    fn seed_params(&mut self, sig: &Range<usize>) {
-        let mut i = sig.start;
-        while i < sig.end {
-            if let Some(name) = self.cur.ident(i) {
-                if self.cur.punct(i + 1, ':')
-                    && !self.cur.punct(i + 2, ':')
-                    && !self.cur.punct(i.wrapping_sub(1), ':')
-                {
-                    // `name: TY` — scan the type for an integer base,
-                    // skipping reference/mut sigils.
-                    let mut k = i + 2;
-                    while k < sig.end
-                        && (self.cur.punct(k, '&')
-                            || self.cur.punct(k, '\'')
-                            || self.cur.ident(k) == Some("mut")
-                            || matches!(self.cur.kind(k), Some(TokenKind::Lifetime)))
-                    {
-                        k += 1;
-                    }
-                    if let Some(ty) = self.cur.ident(k) {
-                        if let Some(r) = type_range(ty) {
-                            self.env.insert(name.to_owned(), r);
-                            self.tys.insert(name.to_owned(), r);
-                        }
-                    }
-                }
+    fn seed_params(&mut self, ir: &FnIr) {
+        for (name, ty) in &ir.params {
+            // Scan the type for an integer base, skipping reference/mut
+            // sigils.
+            let base = ty.clone().find(|&k| {
+                !(self.cur.punct(k, '&')
+                    || self.cur.punct(k, '\'')
+                    || self.cur.ident(k) == Some("mut")
+                    || matches!(self.cur.kind(k), Some(TokenKind::Lifetime)))
+            });
+            if let Some(r) = base.and_then(|k| self.cur.ident(k)).and_then(type_range) {
+                self.st.env.insert(name.clone(), r);
+                self.tys.insert(name.clone(), r);
             }
-            i += 1;
         }
-    }
-
-    /// The declared `-> TY` return range, when TY is a plain integer.
-    fn return_type_range(&self, sig: &Range<usize>) -> Option<Interval> {
-        let mut i = sig.start;
-        while i + 2 < sig.end {
-            if self.cur.punct(i, '-') && self.cur.punct(i + 1, '>') {
-                return self.cur.ident(i + 2).and_then(type_range);
-            }
-            i += 1;
-        }
-        None
     }
 
     /// Drops every derived fact that mentions `name` — called on any
     /// assignment, so stale guards never outlive their variables.
     fn clobber_facts(&mut self, name: &str) {
-        self.rel_ge
+        self.st
+            .rel_ge
             .retain(|(a, b)| !word_in(a, name) && !word_in(b, name));
-        self.int_vars.remove(name);
+        self.st.int_vars.remove(name);
         let stale: Vec<String> = self
+            .st
             .nonzero
             .iter()
             .filter(|k| word_in(k, name))
             .cloned()
             .collect();
         for k in stale {
-            self.nonzero.remove(&k);
+            self.st.nonzero.remove(&k);
         }
         let stale: Vec<String> = self
+            .st
             .env
             .keys()
             .filter(|k| k.as_str() != name && word_in(k, name))
             .cloned()
             .collect();
         for k in stale {
-            self.env.remove(&k);
+            self.st.env.remove(&k);
         }
-    }
-
-    /// End of the flat statement starting at `i`: the index of the
-    /// depth-0 `;`, or of a depth-0 `{`/`}` boundary.
-    fn stmt_end(&self, i: usize, limit: usize) -> usize {
-        let mut depth = 0usize;
-        let mut k = i;
-        while k < limit {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct(';')) if depth == 0 => return k,
-                Some(TokenKind::Punct('{' | '}')) if depth == 0 => return k,
-                _ => {}
-            }
-            k += 1;
-        }
-        limit
     }
 
     // ----- statement walking -------------------------------------
 
-    /// Walks the statements of `r`, returning the interval of the
-    /// trailing expression (the body's value position).
-    fn block(&mut self, r: Range<usize>) -> Interval {
+    /// Walks `stmts`, returning the interval of the trailing
+    /// expression (the block's value position).
+    fn block(&mut self, stmts: &[Stmt]) -> Interval {
         let mut last = Interval::top();
-        let mut i = r.start;
-        while i < r.end {
+        for s in stmts {
             if !self.spend() {
                 return Interval::top();
             }
-            if self.cur.punct(i, ';') || self.cur.punct(i, '}') || self.cur.punct(i, ',') {
-                i += 1;
-                continue;
-            }
-            if self.cur.punct(i, '{') {
-                let end = self.cur.skip_group(i, '{', '}');
-                last = self.block(i + 1..end.saturating_sub(1).max(i + 1));
-                i = end;
-                continue;
-            }
-            match self.cur.ident(i) {
-                Some("let") => {
-                    i = self.handle_let(i, r.end);
-                    last = Interval::top();
-                }
-                Some("if") => {
-                    last = self.handle_if(&mut i, r.end);
-                }
-                Some("for") => {
-                    i = self.handle_for(i, r.end);
-                    last = Interval::top();
-                }
-                Some("while") | Some("loop") => {
-                    i = self.handle_loop(i, r.end);
-                    last = Interval::top();
-                }
-                Some("match") => {
-                    i = self.handle_match(i, r.end);
-                    last = Interval::top();
-                }
-                Some("return") => {
-                    let end = self.stmt_end(i + 1, r.end);
-                    let v = if end > i + 1 {
-                        self.eval(i + 1..end)
-                    } else {
-                        Interval::top()
-                    };
-                    self.ret = Some(match self.ret {
-                        Some(prev) => prev.join(&v),
-                        None => v,
-                    });
-                    self.diverged = true;
-                    i = end + 1;
-                }
-                Some("break") | Some("continue") => {
-                    self.diverged = true;
-                    i = self.stmt_end(i + 1, r.end) + 1;
-                }
-                _ => {
-                    let end = self.stmt_end(i, r.end);
-                    // A statement ending at `{` is a headed block we do
-                    // not model (unsafe, labeled loops…): walk the
-                    // block, clobbering nothing.
-                    if self.cur.punct(end, '{') && end > i && self.is_block_header(i, end) {
-                        let close = self.cur.skip_group(end, '{', '}');
-                        let _ = self.eval(i..end);
-                        last = self.block(end + 1..close.saturating_sub(1).max(end + 1));
-                        i = close;
-                        continue;
-                    }
-                    last = self.statement_expr(i..end);
-                    i = end + 1;
-                }
-            }
+            last = self.stmt(s);
         }
         last
     }
 
-    /// Whether `start..end` looks like a block header rather than an
-    /// expression followed by a struct literal (we only accept plain
-    /// `unsafe` / label headers; everything else is evaluated flat).
-    fn is_block_header(&self, start: usize, end: usize) -> bool {
-        end == start + 1 && matches!(self.cur.ident(start), Some("unsafe") | Some("else"))
-    }
-
-    /// One flat expression statement: assignment handling plus fact
-    /// extraction.
-    fn statement_expr(&mut self, r: Range<usize>) -> Interval {
-        // Find a depth-0 assignment operator.
-        let mut depth = 0usize;
-        let mut k = r.start;
-        while k < r.end {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('=')) if depth == 0 => {
-                    let compound = k > r.start
-                        && matches!(
-                            self.cur.kind(k - 1),
-                            Some(TokenKind::Punct('+' | '-' | '*' | '/' | '%' | '<' | '>'))
-                        )
-                        && !self.cur.punct(k - 1, '<') // `<=` is a comparison
-                        && !self.cur.punct(k - 1, '>');
-                    let shift_compound = k > r.start + 1
-                        && ((self.cur.punct(k - 1, '<') && self.cur.punct(k - 2, '<'))
-                            || (self.cur.punct(k - 1, '>') && self.cur.punct(k - 2, '>')));
-                    let plain = !compound
-                        && !shift_compound
-                        && !self.cur.punct(k + 1, '=') // `==`
-                        && !self.cur.punct(k + 1, '>') // `=>`
-                        && !self.cur.punct(k.wrapping_sub(1), '=')
-                        && !self.cur.punct(k.wrapping_sub(1), '!')
-                        && !self.cur.punct(k.wrapping_sub(1), '<')
-                        && !self.cur.punct(k.wrapping_sub(1), '>');
-                    if plain || compound || shift_compound {
-                        let lhs_end = if shift_compound {
-                            k - 2
-                        } else if compound {
-                            k - 1
-                        } else {
-                            k
-                        };
-                        return self.handle_assign(
-                            r.start..lhs_end,
-                            k,
-                            k + 1..r.end,
-                            compound.then(|| self.op_char(k - 1)).flatten(),
-                            shift_compound,
-                        );
-                    }
-                }
-                _ => {}
+    /// One statement; returns its value.
+    fn stmt(&mut self, s: &Stmt) -> Interval {
+        match &s.kind {
+            Kind::Let(l) => self.handle_let(l),
+            Kind::Assign(lhs, at, op, rhs) => {
+                let rv = self.expr_value(rhs, &s.inner);
+                return self.handle_assign(lhs.clone(), *at, rhs.clone(), rv, *op);
             }
-            k += 1;
+            Kind::If(cond, then, els) => return self.handle_if(cond, then, els.as_deref()),
+            Kind::For(pat, iter, body) => {
+                // A plain identifier binder gets the range's interval.
+                let binder = (pat.len() == 1)
+                    .then(|| self.cur.ident(pat.start))
+                    .flatten()
+                    .filter(|w| !crate::parser::is_keyword(w))
+                    .map(str::to_owned);
+                let binder_iv = self.range_binder_interval(iter);
+                self.run_loop_body(body, binder.as_deref(), binder_iv);
+            }
+            Kind::While(cond, body) => {
+                let guard = !cond.is_empty() && self.cur.ident(cond.start) != Some("let");
+                if guard {
+                    let _ = self.eval(cond.clone());
+                }
+                self.run_loop_body(body, None, Interval::top());
+                if guard {
+                    // After a `while c {}` that exits normally, ¬c holds.
+                    self.refine(cond, false);
+                }
+            }
+            Kind::Match(scrutinee, arms) => self.handle_match(scrutinee, arms),
+            Kind::Block(b) => return self.block(b),
+            Kind::Jump(value) => {
+                if let Some(value) = value {
+                    let v = self.expr_value(value, &s.inner);
+                    self.ret = Some(self.ret.map_or(v, |prev| prev.join(&v)));
+                }
+                self.diverged = true;
+            }
+            Kind::Expr(r) => return self.expr_value(r, &s.inner),
         }
-        self.eval(r)
+        Interval::top()
     }
 
-    fn op_char(&self, i: usize) -> Option<char> {
-        match self.cur.kind(i) {
-            Some(TokenKind::Punct(c)) => Some(*c),
-            _ => None,
+    /// The value of expression `r`, walking the compound statements
+    /// nested in it (`inner`) for their facts; an expression that *is*
+    /// one compound statement takes that statement's value.
+    fn expr_value(&mut self, r: &Range<usize>, inner: &[Stmt]) -> Interval {
+        if let [only] = inner {
+            if only.span == *r {
+                return self.stmt(only);
+            }
         }
+        let v = self.eval(r.clone());
+        for s in inner {
+            let _ = self.stmt(s);
+        }
+        v
     }
 
     fn handle_assign(
@@ -695,15 +561,16 @@ impl<'a> Interp<'a> {
         lhs: Range<usize>,
         at: usize,
         rhs: Range<usize>,
-        compound: Option<char>,
-        shift: bool,
+        rv: Interval,
+        op: Option<char>,
     ) -> Interval {
-        let rv = self.eval(rhs.clone());
+        let shift = matches!(op, Some('<' | '>'));
+        let compound = op.filter(|_| !shift);
         let key = simple_key(self.cur, &lhs);
         let line = self.cur.line(at);
         let new = match (compound, &key) {
             (Some(op), Some(k)) => {
-                let cur = self.env.get(k).copied().unwrap_or_else(Interval::top);
+                let cur = self.st.env.get(k).copied().unwrap_or_else(Interval::top);
                 match op {
                     '+' => {
                         self.check_units(&lhs, &rhs, "+", line);
@@ -724,7 +591,7 @@ impl<'a> Interp<'a> {
             }
             _ if shift => {
                 if let Some(k) = &key {
-                    let cur = self.env.get(k).copied().unwrap_or_else(Interval::top);
+                    let cur = self.st.env.get(k).copied().unwrap_or_else(Interval::top);
                     self.check_shift(k, &cur, &rv, line);
                 }
                 Interval::top()
@@ -736,7 +603,8 @@ impl<'a> Interp<'a> {
             // type: only a *certain* overflow fires (DESIGN §12).
             if let Some(ty) = self.tys.get(&k).copied() {
                 if new.lo > ty.hi {
-                    self.record_d13(
+                    self.record(
+                        0,
                         line,
                         format!(
                             "`{k}` ∈ {new} no longer fits its declared range {ty} \
@@ -752,164 +620,108 @@ impl<'a> Interp<'a> {
             // Compound ops keep the variable's integer provenance
             // (`count += 1`); a plain re-bind takes the rhs's.
             let int_now = match compound {
-                Some(_) => self.int_vars.contains(&k),
+                Some(_) => self.st.int_vars.contains(&k),
                 None if !shift => self.int_evidence(&rhs, true),
-                None => self.int_vars.contains(&k),
+                None => self.st.int_vars.contains(&k),
             };
             self.clobber_facts(&k);
             if int_now {
-                self.int_vars.insert(k.clone());
+                self.st.int_vars.insert(k.clone());
             }
-            self.env.insert(k, bound);
+            self.st.env.insert(k, bound);
         }
         Interval::top()
     }
 
-    fn handle_let(&mut self, i: usize, limit: usize) -> usize {
-        let end = self.stmt_end(i + 1, limit);
-        // Pattern side: up to the depth-0 `=`.
-        let mut depth = 0usize;
-        let mut eq = None;
-        for k in i + 1..end {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[' | '{' | '<')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']' | '}' | '>')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('=')) if depth == 0 && !self.cur.punct(k + 1, '=') => {
-                    eq = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(eq) = eq else {
-            // `let x;` or a pattern we cannot see through.
-            return end + 1;
+    fn handle_let(&mut self, l: &Let) {
+        // `let x;` binds nothing we can see.
+        let Some(init) = &l.init else {
+            return;
         };
-        // Simple binder: `let [mut] name [: TY] = …`.
-        let mut p = i + 1;
-        if self.cur.ident(p) == Some("mut") {
-            p += 1;
-        }
-        let name = self.cur.ident(p).filter(|w| !crate::parser::is_keyword(w));
-        let simple = name.is_some() && (p + 1 == eq || self.cur.punct(p + 1, ':'));
-        let ty = if simple && self.cur.punct(p + 1, ':') {
-            self.cur.ident(p + 2).and_then(type_range)
-        } else {
-            None
+        let ty = match (&l.name, &l.ty) {
+            (Some(_), Some(t)) => self.cur.ident(t.start).and_then(type_range),
+            _ => None,
         };
-        let rhs = eq + 1..end;
-        let v = match self.cur.ident(eq + 1) {
-            Some("if") => {
-                let mut k = eq + 1;
-                self.handle_if(&mut k, end)
-            }
-            Some("match") => {
-                self.handle_match(eq + 1, end);
-                Interval::top()
-            }
-            _ => self.eval(rhs.clone()),
-        };
-        match (simple, name) {
-            (true, Some(name)) => {
-                let name = name.to_owned();
-                if let Some(ty) = ty {
-                    if v.lo > ty.hi {
-                        self.record_d13(
-                            self.cur.line(eq),
-                            format!(
-                                "`{name}` ∈ {v} does not fit its declared range {ty} \
-                                 — every execution overflows"
-                            ),
-                        );
-                    }
-                    self.tys.insert(name.clone(), ty);
-                }
-                let bound = match ty {
-                    Some(ty) => v.meet(&ty).unwrap_or(ty),
-                    None => v,
-                };
-                self.clobber_facts(&name);
-                if ty.is_none() && self.int_evidence(&rhs, true) {
-                    self.int_vars.insert(name.clone());
-                }
-                self.env.insert(name, bound);
-            }
-            _ => {
-                // Destructuring: conservatively clobber every bound
-                // ident on the pattern side.
-                for k in i + 1..eq {
-                    if let Some(w) = self.cur.ident(k) {
-                        if !crate::parser::is_keyword(w) {
-                            let w = w.to_owned();
-                            self.clobber_facts(&w);
-                            self.env.insert(w, Interval::top());
-                        }
-                    }
-                }
-            }
+        let v = self.stmt(init);
+        if let Some(els) = &l.els {
+            // The `else` of a `let … else` diverges; its facts do not
+            // flow on.
+            let (pre, saved_div) = (self.st.clone(), self.diverged);
+            let _ = self.block(els);
+            self.st = pre;
+            self.diverged = saved_div;
         }
-        end + 1
+        let Some(name) = l.name.and_then(|k| self.cur.ident(k)).map(str::to_owned) else {
+            // Destructuring: conservatively clobber every binder.
+            let cur = self.cur;
+            for w in l.binders.iter().filter_map(|&k| cur.ident(k)) {
+                self.clobber_facts(w);
+                self.st.env.insert(w.to_owned(), Interval::top());
+            }
+            return;
+        };
+        if let Some(ty) = ty {
+            if v.lo > ty.hi {
+                self.record(
+                    0,
+                    self.cur.line(init.span.start.saturating_sub(1)),
+                    format!(
+                        "`{name}` ∈ {v} does not fit its declared range {ty} \
+                         — every execution overflows"
+                    ),
+                );
+            }
+            self.tys.insert(name.clone(), ty);
+        }
+        let bound = match ty {
+            Some(ty) => v.meet(&ty).unwrap_or(ty),
+            None => v,
+        };
+        self.clobber_facts(&name);
+        // A float annotation (`let x: f64 = …`) rules out integer
+        // provenance whatever the initializer mentions.
+        let float_ty =
+            l.ty.as_ref()
+                .is_some_and(|t| has_float_evidence(self.cur, t));
+        if ty.is_none() && !float_ty && self.int_evidence(&init.span, true) {
+            self.st.int_vars.insert(name.clone());
+        }
+        self.st.env.insert(name, bound);
     }
 
-    /// `if` / `else if` / `else` chain starting at `*i` (the `if`
-    /// ident). Advances `*i` past the chain; returns the joined value
-    /// of the branch blocks (for `let x = if …` bindings).
-    fn handle_if(&mut self, i: &mut usize, limit: usize) -> Interval {
-        let if_at = *i;
-        let mut cond_end = if_at + 1;
-        let mut depth = 0usize;
-        while cond_end < limit {
-            match self.cur.kind(cond_end) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => break,
-                _ => {}
-            }
-            cond_end += 1;
-        }
-        let cond = if_at + 1..cond_end;
-        let is_if_let = self.cur.ident(if_at + 1) == Some("let");
+    /// `if` / `else if` / `else` chain: returns the joined value of
+    /// the branch blocks (for `let x = if …` bindings).
+    fn handle_if(&mut self, cond: &Range<usize>, then: &[Stmt], els: Option<&Stmt>) -> Interval {
+        let is_if_let = self.cur.ident(cond.start) == Some("let");
         if !is_if_let {
             let _ = self.eval(cond.clone());
         }
-        let then_open = cond_end;
-        let then_close = self.cur.skip_group(then_open, '{', '}');
-        let base = self.save();
+        let base = self.st.clone();
 
         // Then branch under the positive refinement.
         let saved_div = self.diverged;
         self.diverged = false;
         if !is_if_let {
-            self.refine(&cond, true);
+            self.refine(cond, true);
         }
-        let then_val = self.block(then_open + 1..then_close.saturating_sub(1).max(then_open + 1));
+        let then_val = self.block(then);
         let then_diverged = self.diverged;
-        let then_state = self.save();
-        self.restore(base.clone());
+        let then_state = self.st.clone();
+        self.st = base.clone();
         self.diverged = false;
 
         // Else branch (if any) under the negative refinement.
         let mut else_state = None;
         let mut else_diverged = false;
         let mut else_val = None;
-        let mut after = then_close;
-        if self.cur.ident(then_close) == Some("else") {
+        if let Some(els) = els {
             if !is_if_let {
-                self.refine(&cond, false);
+                self.refine(cond, false);
             }
-            if self.cur.ident(then_close + 1) == Some("if") {
-                let mut k = then_close + 1;
-                else_val = Some(self.handle_if(&mut k, limit));
-                after = k;
-            } else {
-                let open = then_close + 1;
-                let close = self.cur.skip_group(open, '{', '}');
-                else_val = Some(self.block(open + 1..close.saturating_sub(1).max(open + 1)));
-                after = close;
-            }
+            else_val = Some(self.stmt(els));
             else_diverged = self.diverged;
-            else_state = Some(self.save());
-            self.restore(base.clone());
+            else_state = Some(self.st.clone());
+            self.st = base.clone();
             self.diverged = false;
         }
 
@@ -918,24 +730,23 @@ impl<'a> Interp<'a> {
             (None, true, _) => {
                 // Guard-with-early-exit: the negation holds after.
                 if !is_if_let {
-                    self.refine(&cond, false);
+                    self.refine(cond, false);
                 }
             }
             (None, false, _) => {
                 self.merge_from(&then_state);
             }
-            (Some(es), true, false) => self.restore(es),
-            (Some(_), false, true) => self.restore(then_state),
+            (Some(es), true, false) => self.st = es,
+            (Some(_), false, true) => self.st = then_state,
             (Some(_), true, true) => {
                 self.diverged = true;
             }
             (Some(es), false, false) => {
-                self.restore(then_state);
+                self.st = then_state;
                 self.merge_from(&es);
             }
         }
         self.diverged = self.diverged || saved_div;
-        *i = after;
         match else_val {
             Some(e) => then_val.join(&e),
             None => Interval::top(),
@@ -944,15 +755,32 @@ impl<'a> Interp<'a> {
 
     /// Var-wise join of the current state with another branch's.
     fn merge_from(&mut self, other: &State) {
-        let keys: BTreeSet<String> = self.env.keys().chain(other.env.keys()).cloned().collect();
+        let keys: BTreeSet<String> = self
+            .st
+            .env
+            .keys()
+            .chain(other.env.keys())
+            .cloned()
+            .collect();
         for k in keys {
-            let a = self.env.get(&k).copied().unwrap_or_else(Interval::top);
+            let a = self.st.env.get(&k).copied().unwrap_or_else(Interval::top);
             let b = other.env.get(&k).copied().unwrap_or_else(Interval::top);
-            self.env.insert(k, a.join(&b));
+            self.st.env.insert(k, a.join(&b));
         }
-        self.rel_ge = self.rel_ge.intersection(&other.rel_ge).cloned().collect();
-        self.nonzero = self.nonzero.intersection(&other.nonzero).cloned().collect();
-        self.int_vars = self
+        self.st.rel_ge = self
+            .st
+            .rel_ge
+            .intersection(&other.rel_ge)
+            .cloned()
+            .collect();
+        self.st.nonzero = self
+            .st
+            .nonzero
+            .intersection(&other.nonzero)
+            .cloned()
+            .collect();
+        self.st.int_vars = self
+            .st
             .int_vars
             .intersection(&other.int_vars)
             .cloned()
@@ -999,9 +827,9 @@ impl<'a> Interp<'a> {
             } else {
                 Interval::new(1, U64_MAX)
             };
-            self.env.insert(key.clone(), v);
+            self.st.env.insert(key.clone(), v);
             if !positive {
-                self.nonzero.insert(key);
+                self.st.nonzero.insert(key);
             }
             return;
         }
@@ -1026,7 +854,7 @@ impl<'a> Interp<'a> {
         // Relational facts over simple operand texts.
         match op {
             ">" | ">=" | "==" => {
-                self.rel_ge.insert((ltext.clone(), rtext.clone()));
+                self.st.rel_ge.insert((ltext.clone(), rtext.clone()));
             }
             _ => {}
         }
@@ -1034,21 +862,21 @@ impl<'a> Interp<'a> {
         let rhs_is_zero = rv == Interval::exact(0) || is_zero_literal(self.cur, rhs);
         match op {
             "!=" if rhs_is_zero => {
-                self.nonzero.insert(ltext.clone());
+                self.st.nonzero.insert(ltext.clone());
             }
             ">" if rv.lo >= 0 => {
-                self.nonzero.insert(ltext.clone());
+                self.st.nonzero.insert(ltext.clone());
             }
             ">=" if rv.lo >= 1 => {
-                self.nonzero.insert(ltext.clone());
+                self.st.nonzero.insert(ltext.clone());
             }
             "<" if rv.hi <= 0 => {
-                self.nonzero.insert(ltext.clone());
+                self.st.nonzero.insert(ltext.clone());
             }
             _ => {}
         }
         let Some(key) = key else { return };
-        let cur = self.env.get(&key).copied().unwrap_or_else(Interval::top);
+        let cur = self.st.env.get(&key).copied().unwrap_or_else(Interval::top);
         let bound = match op {
             "<" => Interval::new(-CAP, rv.hi.saturating_sub(1)),
             "<=" => Interval::new(-CAP, rv.hi),
@@ -1068,7 +896,7 @@ impl<'a> Interp<'a> {
             _ => cur,
         };
         if let Some(m) = cur.meet(&bound) {
-            self.env.insert(key, m);
+            self.st.env.insert(key, m);
         }
     }
 
@@ -1088,51 +916,6 @@ impl<'a> Interp<'a> {
             return None;
         }
         Some(norm_text(self.cur, &(r.start..k - 2)))
-    }
-
-    fn handle_for(&mut self, i: usize, limit: usize) -> usize {
-        // `for PAT in EXPR { body }`
-        let mut in_at = None;
-        let mut k = i + 1;
-        let mut depth = 0usize;
-        while k < limit {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => break,
-                Some(TokenKind::Ident(w)) if w == "in" && depth == 0 => {
-                    in_at = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(in_at) = in_at else {
-            return self.cur.skip_group(self.stmt_end(i, limit), '{', '}');
-        };
-        let mut open = in_at + 1;
-        depth = 0;
-        while open < limit {
-            match self.cur.kind(open) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => break,
-                _ => {}
-            }
-            open += 1;
-        }
-        let iter = in_at + 1..open;
-        let binder = self
-            .cur
-            .ident(i + 1)
-            .filter(|w| !crate::parser::is_keyword(w) && in_at == i + 2)
-            .map(str::to_owned);
-        let binder_iv = self.range_binder_interval(&iter);
-        let close = self.cur.skip_group(open, '{', '}');
-        let body = open + 1..close.saturating_sub(1).max(open + 1);
-        self.run_loop_body(body, binder.as_deref(), binder_iv);
-        close
     }
 
     /// The binder interval of a `a..b` / `a..=b` iterator, else ⊤.
@@ -1165,137 +948,92 @@ impl<'a> Interp<'a> {
         Interval::top()
     }
 
-    /// `while`/`loop` starting at `i`.
-    fn handle_loop(&mut self, i: usize, limit: usize) -> usize {
-        let is_while = self.cur.ident(i) == Some("while");
-        let mut open = i + 1;
-        let mut depth = 0usize;
-        while open < limit {
-            match self.cur.kind(open) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => break,
-                _ => {}
-            }
-            open += 1;
-        }
-        let cond = i + 1..open;
-        if is_while && self.cur.ident(i + 1) != Some("let") {
-            let _ = self.eval(cond.clone());
-        }
-        let close = self.cur.skip_group(open, '{', '}');
-        let body = open + 1..close.saturating_sub(1).max(open + 1);
-        self.run_loop_body(body, None, Interval::top());
-        if is_while && self.cur.ident(i + 1) != Some("let") {
-            // After a `while c {}` that exits normally, ¬c holds.
-            self.refine(&cond, false);
-        }
-        close
-    }
-
     /// The widening protocol: one quiet pass to find the mutated
     /// variables, widen those, then one reporting pass over the
     /// stabilized environment. Terminates because `widen` jumps any
     /// moved bound straight to the cap.
-    fn run_loop_body(&mut self, body: Range<usize>, binder: Option<&str>, binder_iv: Interval) {
-        let pre = self.save();
+    fn run_loop_body(&mut self, body: &[Stmt], binder: Option<&str>, binder_iv: Interval) {
+        let pre = self.st.clone();
         if let Some(b) = binder {
-            self.env.insert(b.to_owned(), binder_iv);
+            self.st.env.insert(b.to_owned(), binder_iv);
         }
-        let seeded = self.save();
+        let seeded = self.st.clone();
         self.quiet_depth += 1;
         let saved_div = self.diverged;
-        let _ = self.block(body.clone());
+        let _ = self.block(body);
         self.quiet_depth -= 1;
         // Widen every variable the body moved; drop derived facts on
         // them (the guard that proved them may be loop-varying).
         let mut widened = seeded.env.clone();
-        for (k, after) in &self.env {
+        for (k, after) in &self.st.env {
             let before = seeded.env.get(k).copied().unwrap_or_else(Interval::top);
             if *after != before {
                 widened.insert(k.clone(), before.widen(after));
             }
         }
-        self.restore(pre);
+        self.st = pre;
         for (k, v) in &widened {
             let before = seeded.env.get(k).copied().unwrap_or_else(Interval::top);
             if *v != before {
                 let k = k.clone();
                 self.clobber_facts(&k);
-                self.env.insert(k, *v);
-            } else if !self.env.contains_key(k) {
-                self.env.insert(k.clone(), *v);
+                self.st.env.insert(k, *v);
+            } else if !self.st.env.contains_key(k) {
+                self.st.env.insert(k.clone(), *v);
             }
         }
         if let Some(b) = binder {
-            self.env.insert(b.to_owned(), binder_iv);
+            self.st.env.insert(b.to_owned(), binder_iv);
         }
         let _ = self.block(body);
         self.diverged = saved_div;
         // The binder goes out of scope; its last interval is harmless.
     }
 
-    /// `match` starting at `i`: arms are walked for facts with the
-    /// current environment; every variable assigned anywhere inside is
+    /// `match`: arms are walked for facts with the current
+    /// environment; every variable assigned anywhere inside is
     /// clobbered afterwards (arms are not modeled individually).
-    fn handle_match(&mut self, i: usize, limit: usize) -> usize {
-        let mut open = i + 1;
-        let mut depth = 0usize;
-        while open < limit {
-            match self.cur.kind(open) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => break,
-                _ => {}
-            }
-            open += 1;
-        }
-        let _ = self.eval(i + 1..open);
-        let close = self.cur.skip_group(open, '{', '}');
-        let body = open + 1..close.saturating_sub(1).max(open + 1);
-        let pre = self.save();
+    fn handle_match(&mut self, scrutinee: &Range<usize>, arms: &[(Range<usize>, Stmt)]) {
+        let _ = self.eval(scrutinee.clone());
+        let pre = self.st.clone();
         let saved_div = self.diverged;
-        let _ = self.block(body.clone());
-        self.restore(pre);
+        for (pat, body) in arms {
+            if let Some(g) = pat.clone().find(|&k| self.cur.ident(k) == Some("if")) {
+                let _ = self.eval(g + 1..pat.end);
+            }
+            let _ = self.stmt(body);
+        }
+        self.st = pre;
         self.diverged = saved_div;
-        // Clobber assigned variables.
-        let mut k = body.start;
-        while k < body.end {
-            if self.cur.punct(k, '=')
-                && !self.cur.punct(k + 1, '=')
-                && !self.cur.punct(k + 1, '>')
-                && !self.cur.punct(k.wrapping_sub(1), '=')
-                && !self.cur.punct(k.wrapping_sub(1), '!')
-                && !self.cur.punct(k.wrapping_sub(1), '<')
-                && !self.cur.punct(k.wrapping_sub(1), '>')
-            {
-                let mut b = k;
-                if matches!(
-                    self.cur.kind(k.wrapping_sub(1)),
-                    Some(TokenKind::Punct('+' | '-' | '*' | '/' | '%'))
-                ) {
-                    b = k - 1;
-                }
-                // Walk back over a dotted chain to its head ident.
-                let mut h = b;
-                while h > body.start
+        let mut assigned: Vec<(String, String)> = Vec::new();
+        let mut visit = |s: &Stmt| match &s.kind {
+            Kind::Assign(lhs, ..) => {
+                // The dotted chain ending the place, and its head.
+                let mut h = lhs.end;
+                while h > lhs.start
                     && (self.cur.ident(h - 1).is_some() || self.cur.punct(h - 1, '.'))
                 {
                     h -= 1;
                 }
-                if let Some(w) = self.cur.ident(h) {
-                    if !crate::parser::is_keyword(w) {
-                        let key = norm_text(self.cur, &(h..b));
-                        let w = w.to_owned();
-                        self.clobber_facts(&w);
-                        self.env.insert(key, Interval::top());
-                        self.env.insert(w, Interval::top());
-                    }
+                if let Some(w) = self.cur.ident(h).filter(|w| !crate::parser::is_keyword(w)) {
+                    assigned.push((w.to_owned(), norm_text(self.cur, &(h..lhs.end))));
                 }
             }
-            k += 1;
+            Kind::Let(l) => {
+                if let Some(n) = l.name.and_then(|k| self.cur.ident(k)) {
+                    assigned.push((n.to_owned(), n.to_owned()));
+                }
+            }
+            _ => {}
+        };
+        for (_, body) in arms {
+            crate::ir::walk(std::slice::from_ref(body), &mut visit);
         }
-        close
+        for (w, key) in assigned {
+            self.clobber_facts(&w);
+            self.st.env.insert(key, Interval::top());
+            self.st.env.insert(w, Interval::top());
+        }
     }
 
     // ----- expression evaluation ---------------------------------
@@ -1522,6 +1260,7 @@ impl<'a> Interp<'a> {
                 Some(TokenKind::Number(text)) => parse_number(text),
                 Some(TokenKind::Ident(w)) if w == "true" || w == "false" => Interval::new(0, 1),
                 Some(TokenKind::Ident(w)) => self
+                    .st
                     .env
                     .get(w.as_str())
                     .copied()
@@ -1589,7 +1328,11 @@ impl<'a> Interp<'a> {
         }
         // Dotted field chain (no trailing call): env lookup by text.
         let text = norm_text(self.cur, r);
-        self.env.get(&text).copied().unwrap_or_else(Interval::top)
+        self.st
+            .env
+            .get(&text)
+            .copied()
+            .unwrap_or_else(Interval::top)
     }
 
     fn eval_args(&mut self, r: Range<usize>) -> Vec<Interval> {
@@ -1631,7 +1374,8 @@ impl<'a> Interp<'a> {
         match name {
             "len" if args.is_empty() => {
                 let key = format!("{}.len", norm_text(self.cur, recv));
-                self.env
+                self.st
+                    .env
                     .get(&key)
                     .copied()
                     .unwrap_or_else(|| Interval::new(0, U64_MAX))
@@ -1697,7 +1441,7 @@ impl<'a> Interp<'a> {
         if lv.lo < 0 {
             return;
         }
-        if self.has_float_tokens(lhs) || self.has_float_tokens(rhs) {
+        if has_float_evidence(self.cur, lhs) || has_float_evidence(self.cur, rhs) {
             return;
         }
         if !self.span_counterish(lhs) && !self.span_counterish(rhs) {
@@ -1709,10 +1453,11 @@ impl<'a> Interp<'a> {
         }
         let lt = norm_text(self.cur, lhs);
         let rt = norm_text(self.cur, rhs);
-        if lt == rt || self.rel_ge.contains(&(lt.clone(), rt.clone())) {
+        if lt == rt || self.st.rel_ge.contains(&(lt.clone(), rt.clone())) {
             return;
         }
-        self.record_d13(
+        self.record(
+            0,
             line,
             format!(
                 "counter subtraction `{} - {}`: rhs ∈ {rv} not proven ≤ lhs (lhs ∈ {lv}); \
@@ -1734,7 +1479,8 @@ impl<'a> Interp<'a> {
             .map(|t| if t.hi > u32::MAX as i128 { 64 } else { 32 })
             .unwrap_or(64);
         if rv.lo >= width {
-            self.record_d13(
+            self.record(
+                0,
                 line,
                 format!(
                     "shift of `{}` by ∈ {rv}: every execution shifts past the {width}-bit \
@@ -1763,7 +1509,8 @@ impl<'a> Interp<'a> {
                 self.out.cast_fit_lines.insert(line);
             } else if lv.lo > tr.hi || lv.hi < tr.lo {
                 self.out.cast_risk_lines.insert(line);
-                self.record_d13(
+                self.record(
+                    0,
                     line,
                     format!(
                         "`{} as {ty}` truncates: value ∈ {lv} lies outside {ty}'s \
@@ -1794,15 +1541,16 @@ impl<'a> Interp<'a> {
         if !dv.contains_zero() {
             return;
         }
-        if !self.div_int_evidence(den) {
+        if !self.int_evidence(den, false) {
             return;
         }
         // A guard-proven expression clears the check.
         let dt = norm_text(self.cur, den);
-        if self.nonzero.contains(&dt) {
+        if self.st.nonzero.contains(&dt) {
             return;
         }
-        self.record_d14(
+        self.record(
+            1,
             line,
             format!(
                 "denominator `{}` ∈ {dv} may be zero; dominate it with a nonzero \
@@ -1823,7 +1571,8 @@ impl<'a> Interp<'a> {
         if ld == rd {
             return;
         }
-        self.record_d15(
+        self.record(
+            2,
             line,
             format!(
                 "unit mismatch: `{}` carries {ld} but `{}` carries {rd} across `{op}`; \
@@ -1857,17 +1606,12 @@ impl<'a> Interp<'a> {
             .any(|k| self.cur.ident(k).is_some_and(is_counterish))
     }
 
-    /// Whether a denominator span is integer-derived: it mentions a
+    /// Whether a span is integer-derived: it mentions a
     /// declared-integer variable, an int-derived `let` binding, or a
     /// `.len()` call — and carries no float literal or float-typed
     /// ident (an `as f64`/`as f32` *view* of an integer is fine; the
     /// cast target ident after `as` is not float evidence).
-    fn div_int_evidence(&self, r: &Range<usize>) -> bool {
-        self.int_evidence(r, false)
-    }
-
-    /// The shared scanner. `literals_count` is true when classifying a
-    /// `let` rhs (so `let mut count = 0;` marks `count` int-derived)
+    /// `literals_count` is true when classifying a `let` rhs (so `let mut count = 0;` marks `count` int-derived)
     /// and false for denominators, where a bare literal divisor is
     /// either non-zero (clean) or a compile error.
     fn int_evidence(&self, r: &Range<usize>, literals_count: bool) -> bool {
@@ -1890,7 +1634,7 @@ impl<'a> Interp<'a> {
                 }
                 Some(TokenKind::Ident(s))
                     if self.tys.contains_key(s.as_str())
-                        || self.int_vars.contains(s.as_str())
+                        || self.st.int_vars.contains(s.as_str())
                         || (s == "len" && self.cur.punct(k + 1, '(')) =>
                 {
                     evidence = true;
@@ -1899,19 +1643,6 @@ impl<'a> Interp<'a> {
             }
         }
         evidence
-    }
-
-    fn has_float_tokens(&self, r: &Range<usize>) -> bool {
-        for k in r.clone() {
-            match self.cur.kind(k) {
-                Some(TokenKind::Number(text)) if crate::dataflow::is_float_number(text) => {
-                    return true
-                }
-                Some(TokenKind::Ident(s)) if s == "f64" || s == "f32" => return true,
-                _ => {}
-            }
-        }
-        false
     }
 }
 

@@ -22,6 +22,7 @@
 //! *included* in the deterministic perimeter, never wrongly excluded.
 
 use crate::dataflow::FnFlow;
+use crate::ir::FnIr;
 use crate::lexer::Token;
 use crate::parser::{Callee, ParsedFile};
 use crate::taint::FnFacts;
@@ -85,6 +86,9 @@ pub struct FileItems {
     pub facts: Vec<FnFacts>,
     /// Per-function dataflow facts, parallel to `parsed.functions`.
     pub flows: Vec<FnFlow>,
+    /// Per-function IR, parallel to `parsed.functions`: built once per
+    /// scan and read again by the value-range interpreter.
+    pub irs: Vec<FnIr>,
     /// The comment-free token stream the items were parsed from, for
     /// downstream token-level passes (the value-range interpreter).
     pub code: Vec<Token>,
@@ -284,7 +288,7 @@ fn resolve(
                 .map(|&ix| (ix, true))
                 .collect()
         }
-        Callee::Path(segs) => resolve_path(g, by_name, files, caller_ix, segs),
+        Callee::Path(segs) => resolve_path(g, by_name, files, caller_ix, segs, true),
     }
 }
 
@@ -300,6 +304,7 @@ fn resolve_path(
     files: &[FileItems],
     caller_ix: usize,
     segs: &[String],
+    follow_imports: bool,
 ) -> Vec<(usize, bool)> {
     let Some(caller) = g.nodes.get(caller_ix) else {
         return Vec::new();
@@ -350,10 +355,13 @@ fn resolve_path(
         if !same_module.is_empty() {
             return same_module;
         }
-        if let Some(file) = files.iter().find(|f| f.label == caller.file) {
+        // An import is followed once: a path that reduces to the bare
+        // name again (`use super::f`) would otherwise recurse forever.
+        let file = files.iter().find(|f| f.label == caller.file);
+        if let Some(file) = file.filter(|_| follow_imports) {
             for imp in &file.parsed.imports {
                 if imp.alias == name && imp.path.len() > 1 {
-                    let resolved = resolve_path(g, by_name, files, caller_ix, &imp.path);
+                    let resolved = resolve_path(g, by_name, files, caller_ix, &imp.path, false);
                     if !resolved.is_empty() {
                         return resolved;
                     }
@@ -479,35 +487,14 @@ pub fn matches_root(n: &FnNode, spec: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{tokenize, TokenKind};
-    use crate::parser;
-    use crate::taint;
 
     fn file(crate_name: &str, label: &str, src: &str) -> FileItems {
-        let code: Vec<_> = tokenize(src)
-            .into_iter()
-            .filter(|t| !matches!(t.kind, TokenKind::Comment { .. }))
-            .collect();
-        let parsed = parser::parse(&code);
-        let facts = parsed
-            .functions
-            .iter()
-            .map(|f| taint::analyze_fn(&code, f, &parsed.unordered_fields))
-            .collect();
-        let flows = parsed
-            .functions
-            .iter()
-            .map(|f| crate::dataflow::analyze_fn(&code, f))
-            .collect();
-        FileItems {
+        let sf = crate::SourceFile {
             crate_name: crate_name.to_owned(),
             label: label.to_owned(),
-            mod_path: module_path_from_label(label),
-            parsed,
-            facts,
-            flows,
-            code,
-        }
+            text: src.to_owned(),
+        };
+        crate::scan_file(&sf).1
     }
 
     fn edge_names(g: &CallGraph) -> Vec<(String, String, bool)> {
@@ -537,6 +524,28 @@ mod tests {
         assert_eq!(
             module_path_from_label("crates/ml/src/nn/cnn_lstm.rs"),
             vec!["nn", "cnn_lstm"]
+        );
+    }
+
+    #[test]
+    fn import_that_names_itself_again_is_followed_once() {
+        // `use super::f` reduces to the bare `f` the import lookup
+        // started from; the call still gets its fallback edge.
+        let g = CallGraph::build(&[
+            file(
+                "core",
+                "crates/core/src/a.rs",
+                "use super::helper;\npub fn entry() { helper(); }\n",
+            ),
+            file("core", "crates/core/src/b.rs", "pub fn helper() {}\n"),
+        ]);
+        assert_eq!(
+            edge_names(&g),
+            vec![(
+                "core::a::entry".to_owned(),
+                "core::b::helper".to_owned(),
+                true
+            )]
         );
     }
 

@@ -1,5 +1,5 @@
 //! Intra-procedural dataflow: per-function def-use chains and
-//! statement-order facts on top of the [`crate::parser`] item tree.
+//! statement-order facts read from the function's [`crate::ir`].
 //!
 //! Three rule families consume this layer:
 //!
@@ -28,8 +28,9 @@
 //! property tests in `tests/tokenizer_props.rs` drive it with
 //! arbitrary bytes.
 
+use crate::ir::{Closure, FnIr, Kind, Let, Stmt};
 use crate::lexer::{Cursor, Token, TokenKind};
-use crate::parser::FnItem;
+use crate::parser::{is_keyword, FnItem};
 use crate::taint::Site;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -174,11 +175,12 @@ pub enum CodecIssue {
 }
 
 /// Computes the dataflow facts for one function over the comment-free
-/// token stream. Total: never panics, any input.
-pub fn analyze_fn(code: &[Token], f: &FnItem) -> FnFlow {
+/// token stream and its IR. Total: never panics, any input.
+pub fn analyze_fn(code: &[Token], f: &FnItem, ir: &FnIr) -> FnFlow {
     let flow = Flow {
         cur: Cursor::new(code, f.body.clone()),
-        sig: f.sig.clone(),
+        ir,
+        lets: ir.lets(),
     };
     FnFlow {
         par_accums: flow.par_accums(),
@@ -189,7 +191,9 @@ pub fn analyze_fn(code: &[Token], f: &FnItem) -> FnFlow {
 
 struct Flow<'a> {
     cur: Cursor<'a>,
-    sig: Range<usize>,
+    ir: &'a FnIr,
+    /// Every `let`, in token order.
+    lets: Vec<(Range<usize>, &'a Let)>,
 }
 
 /// Number tokens that denote floats: a decimal point, an `f32`/`f64`
@@ -210,109 +214,39 @@ pub(crate) fn is_float_number(text: &str) -> bool {
             && b[b.len() - 2].is_ascii_digit())
 }
 
+/// Keywords, `self` and primitive type names: never a value to bound
+/// or accumulate into.
 fn is_value_keyword(word: &str) -> bool {
-    matches!(
-        word,
-        "self"
-            | "true"
-            | "false"
-            | "as"
-            | "in"
-            | "if"
-            | "else"
-            | "match"
-            | "for"
-            | "while"
-            | "loop"
-            | "let"
-            | "mut"
-            | "ref"
-            | "return"
-            | "break"
-            | "continue"
-            | "move"
-            | "fn"
-            | "usize"
-            | "u8"
-            | "u16"
-            | "u32"
-            | "u64"
-            | "i8"
-            | "i16"
-            | "i32"
-            | "i64"
-            | "f32"
-            | "f64"
-            | "bool"
-    )
+    is_keyword(word)
+        || matches!(word, "self" | "bool" | "f32" | "f64")
+        || crate::absint::type_range(word).is_some()
+}
+
+/// Float evidence inside a token range: a float literal, an
+/// `f64`/`f32` type mention, or an `as f64` cast.
+pub(crate) fn has_float_evidence(cur: Cursor<'_>, r: &Range<usize>) -> bool {
+    r.clone().any(|k| match cur.kind(k) {
+        Some(TokenKind::Number(text)) => is_float_number(text),
+        Some(TokenKind::Ident(s)) => s == "f64" || s == "f32",
+        _ => false,
+    })
 }
 
 impl Flow<'_> {
-    /// The `let` statement defining `name`, if any, searching the whole
-    /// body (first definition wins — good enough for guard lookups).
-    /// Tuple and struct patterns bind several names at once, so the
-    /// whole pattern side (up to the depth-0 `=`) is searched.
+    /// The statement of the first `let` binding `name`, if any
+    /// (first definition wins — good enough for guard lookups).
     fn def_statement(&self, name: &str) -> Option<Range<usize>> {
-        let mut i = self.cur.start;
-        while i < self.cur.end {
-            if self.cur.ident(i) == Some("let") {
-                let stmt = self.cur.statement(i);
-                let mut depth = 0usize;
-                for j in i + 1..stmt.end {
-                    match self.cur.kind(j) {
-                        Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-                        Some(TokenKind::Punct(')' | ']' | '}')) => {
-                            depth = depth.saturating_sub(1);
-                        }
-                        Some(TokenKind::Punct('=')) if depth == 0 => break,
-                        Some(TokenKind::Ident(s)) if s == name => return Some(stmt),
-                        _ => {}
-                    }
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// Float evidence inside a token range: a float literal, an
-    /// `f64`/`f32` type mention, or an `as f64` cast.
-    fn has_float_evidence(&self, r: &Range<usize>) -> bool {
-        for k in r.clone() {
-            match self.cur.kind(k) {
-                Some(TokenKind::Number(text)) if is_float_number(text) => return true,
-                Some(TokenKind::Ident(s)) if s == "f64" || s == "f32" => return true,
-                _ => {}
-            }
-        }
-        false
+        let (span, _) = self
+            .lets
+            .iter()
+            .find(|(_, l)| l.binders.iter().any(|&k| self.cur.ident(k) == Some(name)))?;
+        Some(self.ir.stmt_of(span.start))
     }
 
     /// Whether parameter `name` is declared with a float type.
     fn float_param(&self, name: &str) -> bool {
-        let mut i = self.sig.start;
-        while i < self.sig.end {
-            if self.cur.ident(i) == Some(name)
-                && self.cur.punct(i + 1, ':')
-                && !self.cur.punct(i + 2, ':')
-            {
-                let mut k = i + 2;
-                let mut depth = 0usize;
-                while k < self.sig.end {
-                    match self.cur.kind(k) {
-                        Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
-                        Some(TokenKind::Punct(')')) if depth == 0 => break,
-                        Some(TokenKind::Punct('>' | ')' | ']')) => depth = depth.saturating_sub(1),
-                        Some(TokenKind::Punct(',')) if depth == 0 => break,
-                        Some(TokenKind::Ident(s)) if s == "f64" || s == "f32" => return true,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-            i += 1;
-        }
-        false
+        let mut params = self.ir.params.iter();
+        params.any(|(n, ty)| n == name && has_float_evidence(self.cur, ty))
     }
 
     // -- d10: captured float accumulation in par closures -------------
@@ -328,7 +262,16 @@ impl Flow<'_> {
             if is_comb && self.cur.punct(i + 1, '(') {
                 let comb = self.cur.ident(i).unwrap_or_default().to_owned();
                 let call_end = self.cur.skip_group(i + 1, '(', ')');
-                let closures = self.closures_in(i + 2, call_end.saturating_sub(1));
+                // The closures passed as arguments (not those nested in
+                // another closure's body).
+                let mut closures: Vec<&Closure> = Vec::new();
+                for c in &self.ir.closures {
+                    let pipe = c.params.start.wrapping_sub(1);
+                    let nested = closures.last().is_some_and(|p| pipe < p.body.end);
+                    if pipe >= i + 2 && pipe < call_end.saturating_sub(1) && !nested {
+                        closures.push(c);
+                    }
+                }
                 // The last closure of map_reduce is the serial in-order
                 // fold — the one place a float accumulator is sound.
                 let keep = if comb == "map_reduce" && !closures.is_empty() {
@@ -347,106 +290,17 @@ impl Flow<'_> {
         sites
     }
 
-    /// Closure spans (params ∪ body) inside `start..end` at any depth.
-    fn closures_in(&self, start: usize, end: usize) -> Vec<(Range<usize>, Range<usize>)> {
-        let mut out = Vec::new();
-        let mut i = start;
-        while i < end.min(self.cur.end) {
-            // A closure's opening `|` follows `,`, `(`, `=` or `move`;
-            // a binary `|` follows a value. `||` (empty params) is two
-            // adjacent pipes.
-            let opens_closure = self.cur.punct(i, '|')
-                && (i == start
-                    || self.cur.punct(i - 1, ',')
-                    || self.cur.punct(i - 1, '(')
-                    || self.cur.punct(i - 1, '=')
-                    || self.cur.ident(i - 1) == Some("move"));
-            if opens_closure {
-                let params_end = if self.cur.punct(i + 1, '|') {
-                    i + 1
-                } else {
-                    let mut k = i + 1;
-                    while k < end && !self.cur.punct(k, '|') {
-                        k += 1;
-                    }
-                    k
-                };
-                let mut body_start = params_end + 1;
-                // Return-type annotation: `|x| -> T { … }` — the body
-                // is the block after the type, not the type itself.
-                if self.cur.punct(body_start, '-') && self.cur.punct(body_start + 1, '>') {
-                    body_start = self.next_block_open(body_start + 2, end);
-                }
-                let body_end = if self.cur.punct(body_start, '{') {
-                    self.cur.skip_group(body_start, '{', '}')
-                } else {
-                    // Expression body: up to a depth-0 `,` or the
-                    // unbalanced closer that ends the surrounding
-                    // argument list.
-                    let mut depth = 0usize;
-                    let mut k = body_start;
-                    while k < end {
-                        match self.cur.kind(k) {
-                            Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-                            Some(TokenKind::Punct(')' | ']' | '}')) => {
-                                if depth == 0 {
-                                    break;
-                                }
-                                depth -= 1;
-                            }
-                            Some(TokenKind::Punct(',')) if depth == 0 => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    k
-                };
-                out.push((i + 1..params_end, body_start..body_end));
-                i = body_end.max(i + 1);
-                continue;
-            }
-            i += 1;
-        }
-        out
-    }
-
-    fn accums_in_closure(
-        &self,
-        (params, body): &(Range<usize>, Range<usize>),
-        comb: &str,
-        sites: &mut Vec<Site>,
-    ) {
-        let mut locals: BTreeSet<String> = BTreeSet::new();
-        for k in params.clone() {
-            if let Some(name) = self.cur.ident(k) {
-                if !is_value_keyword(name) {
-                    locals.insert(name.to_owned());
-                }
+    fn accums_in_closure(&self, cl: &Closure, comb: &str, sites: &mut Vec<Site>) {
+        // Parameters and every `let` binder in the body are
+        // closure-local, tuple patterns included.
+        let ident = |&k: &usize| self.cur.ident(k);
+        let mut locals: BTreeSet<&str> = cl.binders.iter().filter_map(ident).collect();
+        for (span, l) in &self.lets {
+            if cl.body.contains(&span.start) {
+                locals.extend(l.binders.iter().filter_map(ident));
             }
         }
-        let mut k = body.start;
-        while k < body.end {
-            if self.cur.ident(k) == Some("let") {
-                // Every name on the pattern side (up to the depth-0
-                // `=`) is closure-local, tuple patterns included.
-                let stmt = self.cur.statement(k);
-                let mut depth = 0usize;
-                for j in k + 1..stmt.end.min(body.end) {
-                    match self.cur.kind(j) {
-                        Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-                        Some(TokenKind::Punct(')' | ']' | '}')) => {
-                            depth = depth.saturating_sub(1);
-                        }
-                        Some(TokenKind::Punct('=')) if depth == 0 => break,
-                        Some(TokenKind::Ident(s)) if !is_value_keyword(s) => {
-                            locals.insert(s.clone());
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            k += 1;
-        }
+        let body = &cl.body;
         let mut k = body.start;
         while k < body.end {
             if let Some(name) = self.cur.ident(k) {
@@ -474,8 +328,7 @@ impl Flow<'_> {
                         ),
                     });
                     // One site per accumulator per closure is enough.
-                    let stmt = self.cur.statement(k);
-                    k = stmt.end.max(k + 1);
+                    k = self.ir.stmt_of(k).end.max(k + 1);
                     continue;
                 }
             }
@@ -487,11 +340,11 @@ impl Flow<'_> {
     /// accumulating statement itself, in the accumulator's `let`
     /// definition, or in its parameter type.
     fn accum_is_float(&self, name: &str, at: usize) -> bool {
-        if self.has_float_evidence(&self.cur.statement(at)) {
+        if has_float_evidence(self.cur, &self.ir.stmt_of(at)) {
             return true;
         }
         if let Some(def) = self.def_statement(name) {
-            if self.has_float_evidence(&def) {
+            if has_float_evidence(self.cur, &def) {
                 return true;
             }
         }
@@ -502,7 +355,7 @@ impl Flow<'_> {
 
     fn codec(&self, fn_name: &str) -> Option<CodecFn> {
         let (pair_key, is_encoder) = codec_role(fn_name)?;
-        let ops = self.parse_ops(self.cur.start..self.cur.end, 0);
+        let ops = self.ops_of(&self.ir.body, 0);
         let mut prims = 0usize;
         let mut calls = 0usize;
         count_ops(&ops, &mut prims, &mut calls);
@@ -518,73 +371,97 @@ impl Flow<'_> {
         })
     }
 
-    /// Recursive-descent op extraction over a token range. Loops
-    /// become [`CodecOp::Rep`]; `if`/`match` arms are collapsed when
-    /// they agree after error-`return` arms are dropped.
-    fn parse_ops(&self, r: Range<usize>, depth: usize) -> Vec<CodecOp> {
+    /// Op extraction folded over statements. Loops become
+    /// [`CodecOp::Rep`]; `if`/`match` arms are collapsed when they
+    /// agree after error-`return` arms are dropped.
+    fn ops_of(&self, stmts: &[Stmt], depth: usize) -> Vec<CodecOp> {
         let mut ops = Vec::new();
         if depth > 24 {
             return ops;
         }
-        let mut i = r.start;
-        while i < r.end {
-            match self.cur.ident(i) {
-                Some("for") | Some("while") | Some("loop") => {
-                    let open = self.next_block_open(i + 1, r.end);
-                    let end = self.cur.skip_group(open, '{', '}');
-                    let inner = self.parse_ops(open + 1..end.saturating_sub(1), depth + 1);
-                    if !inner.is_empty() {
-                        ops.push(CodecOp::Rep(inner));
-                    }
-                    i = end.max(i + 1);
-                    continue;
-                }
-                Some("if") => {
-                    let (cond_ops, arms, next) = self.parse_if(i, r.end, depth);
-                    // Condition reads (`if rd.u32()? != MAGIC { … }`)
-                    // happen unconditionally, before any arm runs.
-                    ops.extend(cond_ops);
-                    push_branch(&mut ops, arms);
-                    i = next.max(i + 1);
-                    continue;
-                }
-                Some("match") => {
-                    let open = self.next_block_open(i + 1, r.end);
-                    // Ops in the scrutinee (`match rd.u8()? { … }`) come
-                    // before any arm.
-                    ops.extend(self.linear_ops(i + 1..open));
-                    let end = self.cur.skip_group(open, '{', '}');
-                    let arms = self.parse_match_arms(open + 1..end.saturating_sub(1), depth);
-                    push_branch(&mut ops, arms);
-                    i = end.max(i + 1);
-                    continue;
-                }
-                _ => {}
-            }
-            if let Some(op) = self.op_at(i) {
-                ops.push(op);
-            }
-            i += 1;
+        for s in stmts {
+            self.stmt_ops(s, depth, &mut ops);
         }
         ops
     }
 
-    /// The next `{` that opens a block at paren/bracket depth 0
-    /// (skipping closures' `|…|` is unnecessary: codec headers do not
-    /// carry block-bearing closures before the body).
-    fn next_block_open(&self, from: usize, end: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = from;
-        while i < end {
-            match self.cur.kind(i) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if depth == 0 => return i,
-                _ => {}
+    fn stmt_ops(&self, s: &Stmt, depth: usize, ops: &mut Vec<CodecOp>) {
+        match &s.kind {
+            Kind::For(_, _, body) | Kind::While(_, body) => {
+                let inner = self.ops_of(body, depth + 1);
+                if !inner.is_empty() {
+                    ops.push(CodecOp::Rep(inner));
+                }
             }
-            i += 1;
+            Kind::If(..) => {
+                let mut arms = Vec::new();
+                // Condition reads (`if rd.u32()? != MAGIC { … }`) happen
+                // unconditionally, before any arm runs.
+                self.if_ops(s, depth, ops, &mut arms);
+                push_branch(ops, arms);
+            }
+            Kind::Match(scrutinee, arms) => {
+                // Ops in the scrutinee (`match rd.u8()? { … }`) come
+                // before any arm.
+                ops.extend(self.linear_ops(scrutinee.clone()));
+                let arms = arms
+                    .iter()
+                    .filter(|(_, body)| !self.range_has_return(&body.span))
+                    .map(|(_, body)| self.ops_of(std::slice::from_ref(body), depth + 1))
+                    .collect();
+                push_branch(ops, arms);
+            }
+            Kind::Block(b) => ops.extend(self.ops_of(b, depth)),
+            _ => {
+                // Linear ops in token order, folding nested statements
+                // (initializers, closure bodies, inner blocks) in place.
+                let mut kids = Vec::new();
+                s.each_child(&mut |c| kids.push(c));
+                for c in &self.ir.closures {
+                    if s.span.start <= c.body.start && c.body.end <= s.span.end {
+                        kids.extend(&c.stmts);
+                    }
+                }
+                kids.sort_by_key(|k| k.span.start);
+                let mut k = s.span.start;
+                for kid in kids {
+                    if kid.span.start >= k {
+                        ops.extend(self.linear_ops(k..kid.span.start));
+                        ops.extend(self.ops_of(std::slice::from_ref(kid), depth));
+                        k = kid.span.end;
+                    }
+                }
+                ops.extend(self.linear_ops(k..s.span.end));
+            }
         }
-        end
+    }
+
+    /// Folds an `if … [else if …]* [else …]` chain: every condition's
+    /// ops go to `cond_ops`, each arm without an error `return` to
+    /// `arms`. Condition reads are emitted unconditionally: the first
+    /// one always runs, and codec chains only ever read in the first
+    /// condition.
+    fn if_ops(
+        &self,
+        s: &Stmt,
+        depth: usize,
+        cond_ops: &mut Vec<CodecOp>,
+        arms: &mut Vec<Vec<CodecOp>>,
+    ) {
+        let Kind::If(cond, then, els) = &s.kind else {
+            return;
+        };
+        cond_ops.extend(self.linear_ops(cond.clone()));
+        if !then.iter().any(|t| self.range_has_return(&t.span)) {
+            arms.push(self.ops_of(then, depth + 1));
+        }
+        match els.as_deref() {
+            Some(e) if matches!(e.kind, Kind::If(..)) => self.if_ops(e, depth, cond_ops, arms),
+            Some(e) if !self.range_has_return(&e.span) => {
+                arms.push(self.ops_of(std::slice::from_ref(e), depth + 1));
+            }
+            _ => {}
+        }
     }
 
     /// Primitive or sub-codec-call op at token `i`, if any.
@@ -624,102 +501,6 @@ impl Flow<'_> {
             }
         }
         out
-    }
-
-    /// Parses `if … { } [else if …{ }]* [else { }]`; returns the
-    /// unconditional condition ops, the kept arm op-lists, and the
-    /// index just past the construct. Arms containing a `return` are
-    /// error exits and are dropped — they do not contribute to the
-    /// success-path byte sequence. Condition reads are emitted
-    /// unconditionally: the first one always runs, and codec chains
-    /// only ever read in the first condition.
-    fn parse_if(
-        &self,
-        at: usize,
-        end: usize,
-        depth: usize,
-    ) -> (Vec<CodecOp>, Vec<Vec<CodecOp>>, usize) {
-        let mut cond_ops = Vec::new();
-        let mut arms = Vec::new();
-        let mut i = at;
-        loop {
-            // `i` is at `if` (or the start of an `else` tail handled
-            // below). Condition ops are linear.
-            let open = self.next_block_open(i + 1, end);
-            cond_ops.extend(self.linear_ops(i + 1..open));
-            let body_end = self.cur.skip_group(open, '{', '}');
-            let body = open + 1..body_end.saturating_sub(1);
-            if !self.range_has_return(&body) {
-                arms.push(self.parse_ops(body, depth + 1));
-            }
-            i = body_end;
-            if self.cur.ident(i) == Some("else") {
-                if self.cur.ident(i + 1) == Some("if") {
-                    i += 1;
-                    continue;
-                }
-                let eopen = self.next_block_open(i + 1, end);
-                let ebody_end = self.cur.skip_group(eopen, '{', '}');
-                let ebody = eopen + 1..ebody_end.saturating_sub(1);
-                if !self.range_has_return(&ebody) {
-                    arms.push(self.parse_ops(ebody, depth + 1));
-                }
-                return (cond_ops, arms, ebody_end);
-            }
-            return (cond_ops, arms, i);
-        }
-    }
-
-    fn parse_match_arms(&self, r: Range<usize>, depth: usize) -> Vec<Vec<CodecOp>> {
-        let mut arms = Vec::new();
-        let mut i = r.start;
-        while i < r.end {
-            // Pattern: up to a depth-0 `=>`.
-            let mut pdepth = 0usize;
-            while i < r.end {
-                match self.cur.kind(i) {
-                    Some(TokenKind::Punct('(' | '[' | '{')) => pdepth += 1,
-                    Some(TokenKind::Punct(')' | ']' | '}')) => pdepth = pdepth.saturating_sub(1),
-                    Some(TokenKind::Punct('=')) if pdepth == 0 && self.cur.punct(i + 1, '>') => {
-                        i += 2;
-                        break;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            if i >= r.end {
-                break;
-            }
-            // Body: a block, or an expression up to a depth-0 `,`.
-            let body = if self.cur.punct(i, '{') {
-                let e = self.cur.skip_group(i, '{', '}');
-                let b = i + 1..e.saturating_sub(1);
-                i = e;
-                b
-            } else {
-                let start = i;
-                let mut bdepth = 0usize;
-                while i < r.end {
-                    match self.cur.kind(i) {
-                        Some(TokenKind::Punct('(' | '[' | '{')) => bdepth += 1,
-                        Some(TokenKind::Punct(')' | ']' | '}')) => {
-                            bdepth = bdepth.saturating_sub(1);
-                        }
-                        Some(TokenKind::Punct(',')) if bdepth == 0 => break,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                let b = start..i;
-                i += 1; // past the comma
-                b
-            };
-            if !self.range_has_return(&body) {
-                arms.push(self.parse_ops(body, depth + 1));
-            }
-        }
-        arms
     }
 
     fn range_has_return(&self, r: &Range<usize>) -> bool {
@@ -825,7 +606,7 @@ impl Flow<'_> {
     /// operand is either compared (`<`/`>`) in a dominating statement
     /// or bound by a dominating `for x in a..b` range header.
     fn is_guarded(&self, base: &Option<String>, operands: &BTreeSet<String>, at: usize) -> bool {
-        let prefix = self.cur.start..self.cur.statement(at).end;
+        let prefix = self.cur.start..self.ir.stmt_of(at).end;
         if let Some(b) = base {
             if self.length_mention(b, &prefix) {
                 return true;
@@ -880,7 +661,7 @@ impl Flow<'_> {
             if self.cur.ident(k) != Some(x) {
                 continue;
             }
-            let stmt = self.cur.statement(k);
+            let stmt = self.ir.stmt_of(k);
             // Comparison guard: the statement constrains some value
             // with `<` or `>` (covers `<=`, `>=`).
             if stmt
@@ -1005,8 +786,9 @@ pub fn check_codecs(codecs: &[(usize, CodecFn)]) -> Vec<CodecIssue> {
             .collect();
         match (enc.as_slice(), dec.as_slice()) {
             ([(eix, e)], [(dix, d)]) => {
-                let ef = flatten(&e.ops, codecs, 0);
-                let df = flatten(&d.ops, codecs, 0);
+                let (mut enc_budget, mut dec_budget) = (FLATTEN_BUDGET, FLATTEN_BUDGET);
+                let ef = flatten(&e.ops, codecs, 0, &mut enc_budget);
+                let df = flatten(&d.ops, codecs, 0, &mut dec_budget);
                 if let Some((detail, enc_line, dec_line)) = first_divergence(&ef, &df) {
                     issues.push(CodecIssue::Mismatch {
                         enc_ix: *eix,
@@ -1052,31 +834,47 @@ fn collect_called<'a>(ops: &'a [CodecOp], out: &mut BTreeSet<&'a str>) {
     }
 }
 
+/// Ops one flattened sequence may visit. Inlining a codec that calls
+/// itself (or a sibling) several times grows exponentially with the
+/// depth cut, so the budget, not the depth, bounds the work.
+const FLATTEN_BUDGET: usize = 1 << 16;
+
 /// Inlines sub-codec calls (resolved by name within the file) and
 /// re-collapses branches. Unresolvable calls contribute nothing;
-/// recursion is cut at depth 16.
-fn flatten(ops: &[CodecOp], codecs: &[(usize, CodecFn)], depth: usize) -> Vec<CodecOp> {
+/// recursion is cut at depth 16 and after `budget` visited ops.
+fn flatten(
+    ops: &[CodecOp],
+    codecs: &[(usize, CodecFn)],
+    depth: usize,
+    budget: &mut usize,
+) -> Vec<CodecOp> {
     let mut out = Vec::new();
     if depth > 16 {
         return out;
     }
     for op in ops {
+        if *budget == 0 {
+            break;
+        }
+        *budget -= 1;
         match op {
             CodecOp::Prim { .. } => out.push(op.clone()),
             CodecOp::Call { name, .. } => {
                 if let Some((_, c)) = codecs.iter().find(|(_, c)| &c.name == name) {
-                    out.extend(flatten(&c.ops, codecs, depth + 1));
+                    out.extend(flatten(&c.ops, codecs, depth + 1, budget));
                 }
             }
             CodecOp::Rep(inner) => {
-                let f = flatten(inner, codecs, depth + 1);
+                let f = flatten(inner, codecs, depth + 1, budget);
                 if !f.is_empty() {
                     out.push(CodecOp::Rep(f));
                 }
             }
             CodecOp::Branch(arms) => {
-                let flat: Vec<Vec<CodecOp>> =
-                    arms.iter().map(|a| flatten(a, codecs, depth + 1)).collect();
+                let flat: Vec<Vec<CodecOp>> = arms
+                    .iter()
+                    .map(|a| flatten(a, codecs, depth + 1, budget))
+                    .collect();
                 push_branch(&mut out, flat);
             }
         }
@@ -1200,7 +998,7 @@ mod tests {
         parsed
             .functions
             .iter()
-            .map(|f| analyze_fn(&code, f))
+            .map(|f| analyze_fn(&code, f, &crate::ir::build(&code, f)))
             .collect()
     }
 
@@ -1366,6 +1164,20 @@ mod tests {
                    let (head, _tail) = data.split_at(8);\n\
                    head[0] }\n";
         assert!(flows(src)[0].unguarded_indexes.is_empty());
+    }
+
+    #[test]
+    fn self_recursive_codecs_flatten_within_a_budget() {
+        // Four self-calls per level: 4^16 ops without the budget.
+        let src = "fn encode_x(w: &mut W) { w.u8(1); encode_x(w); encode_x(w); encode_x(w); encode_x(w); }\n\
+                   fn decode_x(r: &mut R) { r.u8()?; decode_x(r); decode_x(r); decode_x(r); decode_x(r); }\n";
+        let codecs: Vec<(usize, CodecFn)> = flows(src)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, fl)| fl.codec.map(|c| (i, c)))
+            .collect();
+        assert_eq!(codecs.len(), 2);
+        assert!(check_codecs(&codecs).is_empty());
     }
 
     #[test]

@@ -319,7 +319,7 @@ impl Lexer {
 pub struct Cursor<'a> {
     /// The whole token stream; indices are absolute.
     pub code: &'a [Token],
-    /// First token of the span; flat statements never reach before it.
+    /// First token of the span.
     pub start: usize,
     /// One past the span's last token; scans never reach past it.
     pub end: usize,
@@ -366,33 +366,24 @@ impl<'a> Cursor<'a> {
 
     /// Index one past the balanced `op … cl` group opening at `open`.
     pub fn skip_group(&self, open: usize, op: char, cl: char) -> usize {
-        let mut depth = 0usize;
-        for i in open..self.end {
-            if self.punct(i, op) {
-                depth += 1;
-            } else if self.punct(i, cl) {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-        }
-        self.end
+        self.skip(open, op, cl, false)
     }
 
     /// Index one past the balanced `< … >` group opening at `open`. An
     /// arrow `->` inside the group (`Fn() -> T` bounds) is opaque.
     pub fn skip_angles(&self, open: usize) -> usize {
+        self.skip(open, '<', '>', true)
+    }
+
+    fn skip(&self, open: usize, op: char, cl: char, arrows: bool) -> usize {
         let mut depth = 0usize;
         let mut i = open;
         while i < self.end {
-            if self.punct(i, '-') && self.punct(i + 1, '>') {
-                i += 2;
-                continue;
-            }
-            if self.punct(i, '<') {
+            if arrows && self.punct(i, '-') && self.punct(i + 1, '>') {
+                i += 1;
+            } else if self.punct(i, op) {
                 depth += 1;
-            } else if self.punct(i, '>') {
+            } else if self.punct(i, cl) {
                 depth = depth.saturating_sub(1);
                 if depth == 0 {
                     return i + 1;
@@ -401,22 +392,6 @@ impl<'a> Cursor<'a> {
             i += 1;
         }
         self.end
-    }
-
-    /// The flat statement around token `i`: from the token after the
-    /// previous `;`/`{`/`}` to the next one (exclusive), clamped to the
-    /// span.
-    pub fn statement(&self, i: usize) -> Range<usize> {
-        let boundary = |k: usize| matches!(self.kind(k), Some(TokenKind::Punct(';' | '{' | '}')));
-        let mut start = i;
-        while start > self.start && !boundary(start - 1) {
-            start -= 1;
-        }
-        let mut end = i;
-        while end < self.end && !boundary(end) {
-            end += 1;
-        }
-        start..end
     }
 }
 

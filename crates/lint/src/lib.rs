@@ -10,9 +10,11 @@
 //! 1. the **token-pattern** rules d1, d4 and d6 over each file's token
 //!    stream ([`rules`]), and
 //! 2. the **semantic** layers: a total parser recovers the item tree
-//!    ([`parser`]), a workspace call graph is built with conservative
-//!    fallback edges ([`callgraph`]), and per-function facts
-//!    ([`taint`], [`dataflow`], [`absint`]) are mapped through
+//!    ([`parser`]), each function is read once into a shared
+//!    per-function IR of statements, patterns and closures ([`ir`]), a
+//!    workspace call graph is built with conservative fallback edges
+//!    ([`callgraph`]), and per-function facts ([`taint`],
+//!    [`dataflow`], [`absint`], each reading the IR) are mapped through
 //!    *reachability from the declared deterministic roots*
 //!    ([`ROOT_SPECS`]). Each taint fact has one detector and two
 //!    labels: inside a reachable function it becomes a d7/d8/d9
@@ -37,6 +39,7 @@
 pub mod absint;
 pub mod callgraph;
 pub mod dataflow;
+pub mod ir;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -289,22 +292,25 @@ struct FileLocal {
     lexical: Vec<RawFinding>,
 }
 
-fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
+pub(crate) fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
     let tokens = lexer::tokenize(&sf.text);
     let kept = rules::strip_test_code(&tokens);
     let (allows, malformed) = rules::extract_suppressions(&kept);
     let code = comment_free(&kept);
     let lexical = rules::scan_rules(&sf.crate_name, &code);
     let parsed = parser::parse(&code);
-    let facts = parsed
+    let irs: Vec<ir::FnIr> = parsed
         .functions
         .iter()
-        .map(|f| taint::analyze_fn(&code, f, &parsed.unordered_fields))
+        .map(|f| ir::build(&code, f))
         .collect();
-    let flows = parsed
-        .functions
-        .iter()
-        .map(|f| dataflow::analyze_fn(&code, f))
+    let fns = parsed.functions.iter().zip(&irs);
+    let facts = fns
+        .clone()
+        .map(|(f, ir)| taint::analyze_fn(&code, f, ir, &parsed.unordered_fields))
+        .collect();
+    let flows = fns
+        .map(|(f, ir)| dataflow::analyze_fn(&code, f, ir))
         .collect();
     let local = FileLocal {
         allows,
@@ -318,6 +324,7 @@ fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
         parsed,
         facts,
         flows,
+        irs,
         code,
     };
     (local, items)
@@ -389,6 +396,20 @@ struct Hit {
     chain: Vec<String>,
 }
 
+/// One hit per fact site, all on `chain`.
+fn site_hits<'a>(
+    rule: &'static str,
+    sites: &'a [taint::Site],
+    chain: &'a [String],
+) -> impl Iterator<Item = Hit> + 'a {
+    sites.iter().map(move |s| Hit {
+        rule,
+        line: s.line,
+        message: s.what.clone(),
+        chain: chain.to_vec(),
+    })
+}
+
 /// Turns one file's token-pattern hits and per-function facts into
 /// findings, applying reachability gating and suppression matching.
 fn assemble_file(
@@ -456,59 +477,31 @@ fn assemble_file(
         });
     }
 
-    // Interprocedural facts, routed by reachability.
+    // Interprocedural facts, routed by reachability: inside a
+    // reachable function a fact is d7/d8/d9 with the root chain; in
+    // unreachable code the same fact takes the crate-scoped d2/d5/d3
+    // label, chained to the enclosing function.
     let crate_scoped = |rule_id: &str| {
         rules::rule_by_id(rule_id).is_some_and(|r| rules::in_scope(r, &file.crate_name))
     };
     for &ix in file_nodes {
         let n = &graph.nodes[ix];
-        if reachable(ix) {
-            let chain = chain_names(ix);
-            for s in &n.facts.unordered_sites {
-                hits.push(Hit {
-                    rule: "d7",
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: chain.clone(),
-                });
-            }
-            for s in &n.facts.panic_sites {
-                hits.push(Hit {
-                    rule: "d8",
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: chain.clone(),
-                });
-            }
-            for s in n.facts.clock_sites.iter().chain(&n.facts.entropy_sites) {
-                hits.push(Hit {
-                    rule: "d9",
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: chain.clone(),
-                });
-            }
+        let f = &n.facts;
+        // d9 lists clock sites before entropy sites, d3 the reverse.
+        let (labels, chain, clock_entropy) = if reachable(ix) {
+            let pair = [&f.clock_sites, &f.entropy_sites];
+            (["d7", "d8", "d9", "d9"], chain_names(ix), pair)
         } else {
-            // Unreachable code: the same facts under the crate-scoped
-            // rule labels, chained to the enclosing function.
-            let families = [
-                ("d2", &n.facts.unordered_sites),
-                ("d5", &n.facts.panic_sites),
-                ("d3", &n.facts.entropy_sites),
-                ("d3", &n.facts.clock_sites),
-            ];
-            for (rule, sites) in families {
-                if !crate_scoped(rule) {
-                    continue;
-                }
-                for s in sites {
-                    hits.push(Hit {
-                        rule,
-                        line: s.line,
-                        message: s.what.clone(),
-                        chain: vec![n.qname.clone()],
-                    });
-                }
+            let pair = [&f.entropy_sites, &f.clock_sites];
+            (["d2", "d5", "d3", "d3"], vec![n.qname.clone()], pair)
+        };
+        let [a, b] = clock_entropy;
+        let families = labels
+            .into_iter()
+            .zip([&f.unordered_sites, &f.panic_sites, a, b]);
+        for (rule, sites) in families {
+            if reachable(ix) || crate_scoped(rule) {
+                hits.extend(site_hits(rule, sites, &chain));
             }
         }
     }
@@ -520,28 +513,16 @@ fn assemble_file(
     for &ix in file_nodes {
         let n = &graph.nodes[ix];
         if crate_scoped("d10") {
-            for s in &n.flow.par_accums {
-                hits.push(Hit {
-                    rule: "d10",
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: if reachable(ix) {
-                        chain_names(ix)
-                    } else {
-                        vec![n.qname.clone()]
-                    },
-                });
-            }
+            let chain = if reachable(ix) {
+                chain_names(ix)
+            } else {
+                vec![n.qname.clone()]
+            };
+            hits.extend(site_hits("d10", &n.flow.par_accums, &chain));
         }
         if reach_decode.chains[ix].is_some() {
-            for s in &n.flow.unguarded_indexes {
-                hits.push(Hit {
-                    rule: "d12",
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: names_of(reach_decode, ix),
-                });
-            }
+            let chain = names_of(reach_decode, ix);
+            hits.extend(site_hits("d12", &n.flow.unguarded_indexes, &chain));
         }
     }
 
@@ -550,20 +531,12 @@ fn assemble_file(
     // counter arithmetic cannot corrupt features or metrics) and
     // carrying the root-to-sink chain plus interval evidence.
     for &ix in file_nodes {
-        if !reachable(ix) {
+        let Some(fa) = abs.get(ix).filter(|_| reachable(ix)) else {
             continue;
-        }
-        let Some(fa) = abs.get(ix) else { continue };
+        };
         let chain = chain_names(ix);
         for (rule, sites) in [("d13", &fa.d13), ("d14", &fa.d14), ("d15", &fa.d15)] {
-            for s in sites {
-                hits.push(Hit {
-                    rule,
-                    line: s.line,
-                    message: s.what.clone(),
-                    chain: chain.clone(),
-                });
-            }
+            hits.extend(site_hits(rule, sites, &chain));
         }
     }
 

@@ -315,45 +315,11 @@ impl Parser<'_> {
     /// Parses a `use` tree starting after the `use` keyword, flattening
     /// `a::b::{c, d as e}` into one import per leaf. Globs are skipped.
     fn use_item(&mut self, start: usize, end: usize) -> usize {
-        let mut i = start;
-        let mut prefix: Vec<String> = Vec::new();
-        while i < end && !self.cur.punct(i, ';') {
-            match self.cur.ident(i) {
-                Some("as") => {
-                    if let Some(alias) = self.cur.ident(i + 1).map(str::to_owned) {
-                        if let Some(last) = self.out.imports.last_mut() {
-                            last.alias = alias;
-                        }
-                        i += 2;
-                        continue;
-                    }
-                    i += 1;
-                }
-                Some(seg) => {
-                    let seg = seg.to_owned();
-                    if self.cur.punct(i + 1, ':') && self.cur.punct(i + 2, ':') {
-                        prefix.push(seg);
-                        i += 3;
-                    } else {
-                        let mut path = prefix.clone();
-                        path.push(seg.clone());
-                        self.out.imports.push(UseImport { alias: seg, path });
-                        i += 1;
-                    }
-                }
-                None if self.cur.punct(i, '{') => {
-                    let close = self.cur.until(end).skip_group(i, '{', '}');
-                    self.use_group(i + 1, close.saturating_sub(1), &prefix);
-                    i = close;
-                    // The group ends the tree for this prefix.
-                    while i < end && !self.cur.punct(i, ';') {
-                        i += 1;
-                    }
-                }
-                None => i += 1,
-            }
-        }
-        i + 1
+        let semi = (start..end)
+            .find(|&k| self.cur.punct(k, ';'))
+            .unwrap_or(end);
+        self.use_group(start, semi, &[]);
+        semi + 1
     }
 
     /// Flattens one `{ ... }` group of a use tree under `prefix`.

@@ -1,11 +1,13 @@
 //! Intra-function fact extraction for the interprocedural rules.
 //!
 //! For every parsed function this pass computes `FnFacts`: the lines
-//! where a determinism-relevant value is created and *escapes*. It is
-//! the only detector for these facts; the call graph decides their
-//! label — facts inside functions reachable from a deterministic root
-//! become d7/d8/d9 findings with a call chain; facts in unreachable
-//! functions become the crate-scoped d2/d5/d3 findings.
+//! where a determinism-relevant value is created and *escapes*. Locals,
+//! clock bindings, loop sources and assignment targets come from the
+//! function's [`crate::ir`]. The pass is the only detector for these
+//! facts; the call graph decides their label — facts inside functions
+//! reachable from a deterministic root become d7/d8/d9 findings with a
+//! call chain; facts in unreachable functions become the crate-scoped
+//! d2/d5/d3 findings.
 //!
 //! The analysis is deliberately conservative in the safe direction:
 //!
@@ -17,9 +19,9 @@
 //!   `max_by_key`, …), a `collect::<BTree…>()`, or a collect whose
 //!   binding is later sorted. `sum()` is *not* order-insensitive:
 //!   float addition does not associate. Everything else escapes.
-//! - **clock values** (d9/d3): `let t = Instant::now()` is clean when
-//!   every later use of `t` is `t.elapsed()` assigned into a
-//!   timing-named target (`*_secs`, `duration`, …). Any other use —
+//! - **clock values** (d9/d3): `let t [: Instant] = Instant::now()` is
+//!   clean when every later use of `t` is `t.elapsed()` assigned into
+//!   a timing-named target (`*_secs`, `duration`, …). Any other use —
 //!   passing `t` onward, binding `now()` into a non-timing slot —
 //!   escapes.
 //! - **entropy** (d9/d3): `thread_rng`, `from_entropy`, `random()`,
@@ -28,9 +30,10 @@
 //! - **panics** (d8/d5): `.unwrap()` / `.expect()` / `panic!`-family
 //!   macros.
 
-use crate::lexer::{Cursor, Token, TokenKind};
+use crate::ir::{FnIr, Kind, Let};
+use crate::lexer::{Cursor, Token};
 use crate::parser::FnItem;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// One fact site inside a function body.
@@ -97,13 +100,22 @@ const TIMING_WORDS: &[&str] = &[
 const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "available_parallelism"];
 
 /// Computes the facts for one function over the same comment-free
-/// token stream the parser consumed. Total: never panics.
-pub fn analyze_fn(code: &[Token], f: &FnItem, unordered_fields: &BTreeSet<String>) -> FnFacts {
+/// token stream the parser consumed, reading locals, bindings and
+/// assignment targets from the function's IR. Total: never panics.
+pub fn analyze_fn(
+    code: &[Token],
+    f: &FnItem,
+    ir: &FnIr,
+    unordered_fields: &BTreeSet<String>,
+) -> FnFacts {
     let cur = Cursor::new(code, f.body.clone());
+    let lets = ir.lets();
     let a = Analyzer {
         cur,
+        ir,
         unordered_fields,
-        unordered_locals: collect_unordered_locals(cur, &f.sig),
+        unordered_locals: unordered_locals(cur, ir, &lets),
+        lets,
     };
     let mut facts = FnFacts::default();
     a.unordered(&mut facts);
@@ -114,6 +126,9 @@ pub fn analyze_fn(code: &[Token], f: &FnItem, unordered_fields: &BTreeSet<String
 
 struct Analyzer<'a> {
     cur: Cursor<'a>,
+    ir: &'a FnIr,
+    /// Every `let`, in token order.
+    lets: Vec<(Range<usize>, &'a Let)>,
     unordered_fields: &'a BTreeSet<String>,
     unordered_locals: BTreeSet<String>,
 }
@@ -122,99 +137,62 @@ fn is_unordered_type(word: &str) -> bool {
     word == "HashMap" || word == "HashSet"
 }
 
-/// Unordered locals: parameters in `sig` and `let` bindings in the
-/// cursor's body whose declared type or initializer mentions
-/// `HashMap`/`HashSet`.
-fn collect_unordered_locals(cur: Cursor<'_>, sig: &Range<usize>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    // Parameters: `name: ...HashMap...` up to a depth-0 comma.
-    let mut i = sig.start;
-    while i < sig.end {
-        if let Some(name) = cur.ident(i) {
-            if cur.punct(i + 1, ':') && !cur.punct(i + 2, ':') {
-                let mut depth = 0usize;
-                let mut k = i + 2;
-                let mut unordered = false;
-                while k < sig.end {
-                    match cur.kind(k) {
-                        Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
-                        // A depth-0 `)` closes the parameter list: stop so
-                        // the return type cannot taint the last parameter.
-                        Some(TokenKind::Punct(')')) if depth == 0 => break,
-                        Some(TokenKind::Punct('>' | ')' | ']')) => depth = depth.saturating_sub(1),
-                        Some(TokenKind::Punct(',')) if depth == 0 => break,
-                        Some(TokenKind::Ident(s)) if is_unordered_type(s) => unordered = true,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                if unordered {
-                    out.insert(name.to_owned());
-                }
-                i = k;
-                continue;
+/// Unordered locals: parameters and simple `let` bindings whose
+/// declared type or initializer mentions `HashMap`/`HashSet`.
+fn unordered_locals(cur: Cursor<'_>, ir: &FnIr, lets: &[(Range<usize>, &Let)]) -> BTreeSet<String> {
+    let mentions = |r: Range<usize>| {
+        r.into_iter()
+            .any(|k| cur.ident(k).is_some_and(is_unordered_type))
+    };
+    let params = ir.params.iter().filter(|(_, ty)| mentions(ty.clone()));
+    let mut out: BTreeSet<String> = params.map(|(name, _)| name.clone()).collect();
+    for (span, l) in lets {
+        if let Some(name) = l.name.and_then(|k| cur.ident(k)) {
+            if mentions(l.pat.end..span.end) {
+                out.insert(name.to_owned());
             }
         }
-        i += 1;
-    }
-    // Let bindings: `let [mut] name ... = ...HashMap...;`
-    let mut i = cur.start;
-    while i < cur.end {
-        if cur.ident(i) == Some("let") {
-            let mut j = i + 1;
-            if cur.ident(j) == Some("mut") {
-                j += 1;
-            }
-            if let Some(name) = cur.ident(j) {
-                let mut k = j + 1;
-                let mut unordered = false;
-                while k < cur.end && !cur.punct(k, ';') {
-                    if cur.ident(k).is_some_and(is_unordered_type) {
-                        unordered = true;
-                    }
-                    k += 1;
-                }
-                if unordered {
-                    out.insert(name.to_owned());
-                }
-                i = k;
-                continue;
-            }
-        }
-        i += 1;
     }
     out
 }
 
 impl Analyzer<'_> {
-    /// Whether a statement assigns into a timing-named target: an `=`
-    /// (excluding `==`/`<=`/`>=`/`!=`) whose left side names an
-    /// identifier with a timing word among its snake segments.
-    fn assigns_to_timing_target(&self, stmt: &Range<usize>) -> bool {
-        for k in stmt.clone() {
-            if !self.cur.punct(k, '=') || self.cur.punct(k + 1, '=') {
-                continue;
-            }
-            if k > stmt.start {
-                if let Some(TokenKind::Punct(p)) = self.cur.kind(k - 1) {
-                    if matches!(p, '=' | '<' | '>' | '!') {
-                        continue;
-                    }
-                }
-            }
-            return (stmt.start..k).any(|j| {
-                self.cur.ident(j).is_some_and(|name| {
-                    name.split('_')
-                        .any(|seg| TIMING_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
-                })
-            });
-        }
-        false
+    /// Whether the statement around token `i` assigns into a
+    /// timing-named target: the left side of an assignment, or the
+    /// pattern and type of a `let`, names an identifier with a timing
+    /// word among its snake segments.
+    fn assigns_to_timing_target(&self, i: usize) -> bool {
+        let stmt = self.ir.stmt_starting_at(self.ir.stmt_of(i).start);
+        let lhs = match stmt.map(|s| &s.kind) {
+            Some(Kind::Assign(lhs, ..)) => lhs.clone(),
+            Some(Kind::Let(l)) => l.pat.start..l.ty.as_ref().map_or(l.pat.end, |t| t.end),
+            _ => return false,
+        };
+        lhs.into_iter().any(|j| {
+            self.cur.ident(j).is_some_and(|name| {
+                name.split('_')
+                    .any(|seg| TIMING_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
+            })
+        })
+    }
+
+    /// The simple name bound by the `let` starting at token `i`.
+    fn let_name_at(&self, i: usize) -> Option<&str> {
+        let (_, l) = self.lets.iter().find(|(span, _)| span.start == i)?;
+        l.name.and_then(|k| self.cur.ident(k))
     }
 
     /// d7/d2: unordered-container iteration that can observe hash
     /// order.
     fn unordered(&self, facts: &mut FnFacts) {
+        let mut bare_fors = BTreeMap::new();
+        self.ir.walk(|s| {
+            if let Kind::For(pat, iter, _) = &s.kind {
+                if let Some(src) = self.bare_for_source(iter.clone()) {
+                    bare_fors.insert(pat.start.wrapping_sub(1), src);
+                }
+            }
+        });
         let mut i = self.cur.start;
         while i < self.cur.end {
             // `recv.iter()`-family chain heads.
@@ -233,7 +211,7 @@ impl Analyzer<'_> {
                 }
                 // Bare `for x in map` / `for x in &map { ... }`.
                 if m == "for" {
-                    if let Some((line, recv)) = self.bare_for_source(i) {
+                    if let Some((line, recv)) = bare_fors.get(&i).cloned() {
                         if self.is_unordered(&recv) {
                             facts.unordered_sites.push(Site {
                                 line,
@@ -323,21 +301,15 @@ impl Analyzer<'_> {
                 }
             }
             // `let v = ...collect(); ... v.sort*()` re-establishes order.
-            let stmt = self.cur.statement(head);
-            if self.cur.ident(stmt.start) == Some("let") {
-                let mut j = stmt.start + 1;
-                if self.cur.ident(j) == Some("mut") {
-                    j += 1;
-                }
-                if let Some(bound) = self.cur.ident(j) {
-                    let sorted_later = (stmt.end..self.cur.end).any(|k| {
-                        self.cur.ident(k) == Some(bound)
-                            && self.cur.punct(k + 1, '.')
-                            && self.cur.ident(k + 2).is_some_and(|m| m.starts_with("sort"))
-                    });
-                    if sorted_later {
-                        return None;
-                    }
+            let stmt = self.ir.stmt_of(head);
+            if let Some(bound) = self.let_name_at(stmt.start) {
+                let sorted_later = (stmt.end..self.cur.end).any(|k| {
+                    self.cur.ident(k) == Some(bound)
+                        && self.cur.punct(k + 1, '.')
+                        && self.cur.ident(k + 2).is_some_and(|m| m.starts_with("sort"))
+                });
+                if sorted_later {
+                    return None;
                 }
             }
         }
@@ -347,41 +319,42 @@ impl Analyzer<'_> {
         ))
     }
 
-    /// For a `for` keyword at `at`, the loop source when it is a bare
-    /// identifier or `self.field` (chained sources are handled by the
-    /// method-chain matcher).
-    fn bare_for_source(&self, at: usize) -> Option<(u32, String)> {
-        let mut i = at + 1;
-        let mut guard = 0usize;
-        while i < self.cur.end && self.cur.ident(i) != Some("in") {
-            i += 1;
-            guard += 1;
-            if guard > 64 {
-                return None; // malformed; give up on this `for`
-            }
-        }
-        let mut j = i + 1;
+    /// The loop source when a `for` iterates a bare identifier or
+    /// `self.field` (chained sources are handled by the method-chain
+    /// matcher).
+    fn bare_for_source(&self, iter: Range<usize>) -> Option<(u32, String)> {
+        let mut j = iter.start;
         while self.cur.punct(j, '&') || self.cur.ident(j) == Some("mut") {
             j += 1;
         }
         let name = self.cur.ident(j)?;
         let (name, after) = if name == "self" && self.cur.punct(j + 1, '.') {
-            let field = self.cur.ident(j + 2)?;
-            (format!("self.{field}"), j + 3)
+            (format!("self.{}", self.cur.ident(j + 2)?), j + 3)
         } else {
             (name.to_owned(), j + 1)
         };
-        // Only the bare form: the next token must open the loop body.
-        if self.cur.punct(after, '{') {
-            Some((self.cur.line(j), name))
-        } else {
-            None
-        }
+        (after == iter.end).then(|| (self.cur.line(j), name))
     }
 
     /// d9/d3: clock values escaping timing metadata.
     fn clocks(&self, facts: &mut FnFacts) {
+        // `let [mut] t [: TYPE] = Instant::now();` binds a clock var.
         let mut clock_vars: Vec<(String, usize)> = Vec::new();
+        let mut bindings: Vec<Range<usize>> = Vec::new();
+        for (span, l) in &self.lets {
+            let init = l.init.as_ref().map(|s| s.span.clone()).unwrap_or_default();
+            let bare_now = init.len() == 6
+                && matches!(self.cur.ident(init.start), Some("Instant" | "SystemTime"))
+                && self.cur.punct(init.start + 1, ':')
+                && self.cur.punct(init.start + 2, ':')
+                && self.cur.ident(init.start + 3) == Some("now")
+                && self.cur.punct(init.start + 4, '(')
+                && self.cur.punct(init.start + 5, ')');
+            if let (Some(name), true) = (l.name.and_then(|k| self.cur.ident(k)), bare_now) {
+                clock_vars.push((name.to_owned(), span.end));
+                bindings.push(span.clone());
+            }
+        }
         let mut i = self.cur.start;
         while i < self.cur.end {
             let word = match self.cur.ident(i) {
@@ -391,30 +364,12 @@ impl Analyzer<'_> {
                     continue;
                 }
             };
-            let stmt = self.cur.statement(i);
-            // `let [mut] t = Instant::now();` binds a clock var.
-            if self.cur.ident(stmt.start) == Some("let") {
-                let mut j = stmt.start + 1;
-                if self.cur.ident(j) == Some("mut") {
-                    j += 1;
-                }
-                if let (Some(name), true) = (self.cur.ident(j), self.cur.punct(j + 1, '=')) {
-                    let bare_now = j + 2 == i
-                        && self.cur.punct(i + 1, ':')
-                        && self.cur.punct(i + 2, ':')
-                        && self.cur.ident(i + 3) == Some("now")
-                        && self.cur.punct(i + 4, '(')
-                        && self.cur.punct(i + 5, ')')
-                        && i + 6 == stmt.end;
-                    if bare_now {
-                        clock_vars.push((name.to_owned(), stmt.end));
-                        i = stmt.end;
-                        continue;
-                    }
-                }
+            if let Some(b) = bindings.iter().find(|b| b.contains(&i)) {
+                i = b.end;
+                continue;
             }
             // Any other appearance must land in timing metadata.
-            if !self.assigns_to_timing_target(&stmt) {
+            if !self.assigns_to_timing_target(i) {
                 facts.clock_sites.push(Site {
                     line: self.cur.line(i),
                     what: format!(
@@ -423,7 +378,7 @@ impl Analyzer<'_> {
                     ),
                 });
             }
-            i = stmt.end.max(i + 1);
+            i = self.ir.stmt_of(i).end.max(i + 1);
         }
         // Every later use of a clock var must be `t.elapsed()` assigned
         // into a timing-named target.
@@ -436,7 +391,7 @@ impl Analyzer<'_> {
                 {
                     let conforming = self.cur.punct(i + 1, '.')
                         && self.cur.ident(i + 2) == Some("elapsed")
-                        && self.assigns_to_timing_target(&self.cur.statement(i));
+                        && self.assigns_to_timing_target(i);
                     if !conforming {
                         facts.clock_sites.push(Site {
                             line: self.cur.line(i),
@@ -506,8 +461,8 @@ impl Analyzer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize;
-    use crate::parser;
+    use crate::lexer::{tokenize, TokenKind};
+    use crate::{ir, parser};
 
     fn facts(src: &str) -> FnFacts {
         let code: Vec<Token> = tokenize(src)
@@ -516,7 +471,7 @@ mod tests {
             .collect();
         let parsed = parser::parse(&code);
         let f = parsed.functions.first().expect("fixture has a fn");
-        analyze_fn(&code, f, &parsed.unordered_fields)
+        analyze_fn(&code, f, &ir::build(&code, f), &parsed.unordered_fields)
     }
 
     #[test]
@@ -614,27 +569,42 @@ mod tests {
 
     #[test]
     fn elapsed_into_timing_metadata_is_clean() {
-        let src = "
-            fn f(out: &mut Report) {
-                let ts = Instant::now();
+        for binding in [
+            "let ts = Instant::now();",
+            "let ts: Instant = Instant::now();",
+        ] {
+            let src = format!(
+                "
+            fn f(out: &mut Report) {{
+                {binding}
                 work();
                 out.sanitize_secs = ts.elapsed().as_secs_f64();
-            }
-        ";
-        assert!(facts(src).clock_sites.is_empty());
+            }}
+        "
+            );
+            let got = facts(&src);
+            assert!(got.clock_sites.is_empty(), "{binding}: {got:?}");
+        }
     }
 
     #[test]
     fn clock_value_escaping_is_a_site() {
-        let src = "
-            fn f() -> u64 {
-                let ts = Instant::now();
+        for binding in [
+            "let ts = Instant::now();",
+            "let ts: Instant = Instant::now();",
+        ] {
+            let src = format!(
+                "
+            fn f() -> u64 {{
+                {binding}
                 seed_from(ts)
-            }
-        ";
-        let got = facts(src);
-        assert_eq!(got.clock_sites.len(), 1);
-        assert_eq!(got.clock_sites[0].line, 4);
+            }}
+        "
+            );
+            let got = facts(&src);
+            assert_eq!(got.clock_sites.len(), 1, "{binding}: {got:?}");
+            assert_eq!(got.clock_sites[0].line, 4, "{binding}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ fn abs_of(src: &str) -> FnAbs {
         .collect();
     let parsed = mfpa_lint::parser::parse(&code);
     let f = parsed.functions.last().expect("fixture declares a fn");
-    interpret(&code, f, &BTreeMap::new(), false)
+    let ir = mfpa_lint::ir::build(&code, f);
+    interpret(&code, f, &ir, &BTreeMap::new(), false)
 }
 
 fn iv(lo: i128, hi: i128) -> Interval {

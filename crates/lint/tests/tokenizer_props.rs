@@ -1,8 +1,9 @@
 //! The analysis stack is total: any byte sequence (lossily decoded)
 //! must flow through the lexer — and the full pipeline behind it
-//! (parser, dataflow, call graph, codec pairing) — without panicking,
-//! including unterminated strings, comments, raw-string hash runs,
-//! lone quotes, and closure/codec-shaped fragments.
+//! (parser, per-function IR, dataflow, value ranges, call graph, codec
+//! pairing) — without panicking, including unterminated strings,
+//! comments, raw-string hash runs, lone quotes, and closure-, codec-
+//! and statement-shaped fragments.
 
 use mfpa_lint::lexer::tokenize;
 use mfpa_lint::lint_source;
@@ -37,15 +38,16 @@ proptest! {
 
     #[test]
     fn full_pipeline_never_panics_on_closure_and_codec_shaped_input(
-        parts in prop::collection::vec(0usize..16, 0..96),
+        parts in prop::collection::vec(0usize..19, 0..96),
     ) {
         // Bias toward the dataflow layer's state machines: closure
         // pipes, compound assignment, range loops, slice indexing,
         // codec-vocabulary calls and match arms in random order.
-        const ATOMS: [&str; 16] = [
+        const ATOMS: [&str; 19] = [
             "fn encode_x(", "fn decode_x(", "w.u32(", "rd.u64()", "|a, b| ",
             "for i in 0..n ", "x[i]", "+= 1.0", "ordered_map(", "map_reduce(",
-            "{", "}", ";", ",", "match t ", "=> ",
+            "{", "}", ";", ",", "match t ", "=> ", "move |x| -> u32 { ", "=> { ",
+            "let (a, b) = ",
         ];
         let src: String = parts.iter().map(|&i| ATOMS[i]).collect();
         let _ = lint_source("core", "crates/core/src/fuzz.rs", &src);
@@ -53,16 +55,17 @@ proptest! {
 
     #[test]
     fn full_pipeline_never_panics_on_arithmetic_shaped_input(
-        parts in prop::collection::vec(0usize..20, 0..96),
+        parts in prop::collection::vec(0usize..23, 0..96),
     ) {
         // Bias toward the value-range interpreter's state machines:
         // guards, counter arithmetic, casts, shifts, unit-suffixed
         // idents, loops and early returns in random order.
-        const ATOMS: [&str; 20] = [
+        const ATOMS: [&str; 23] = [
             "fn ingest(", "poh_days: u64", "window_days", "if ", "<= ",
             "== 0 ", "return 0; ", "else ", "- ", "/ ",
             "as u32", "as f64", "<< ", ".max(1)", ".len()",
             "uptime_ms", "let mut n_count = ", "while ", "loop ", "break; ",
+            "else if ", "while let Some(x) = ", "unsafe { ",
         ];
         let src: String = parts.iter().map(|&i| ATOMS[i]).collect();
         let _ = lint_source("core", "crates/core/src/fuzz.rs", &src);

@@ -187,6 +187,9 @@ proptest! {
 
         let artifact = compiled.to_bytes();
         let loaded = CompiledEnsemble::from_bytes(&artifact).expect("roundtrip decodes");
+        // Canonical encoding: re-encoding the decoded artifact reproduces
+        // it byte for byte.
+        prop_assert_eq!(loaded.to_bytes(), artifact);
         prop_assert_eq!(loaded.n_trees(), compiled.n_trees());
         prop_assert_eq!(loaded.n_nodes(), compiled.n_nodes());
         prop_assert_eq!(loaded.lanes(), compiled.lanes());

@@ -246,7 +246,6 @@ pub fn score_fleet(
             "score_fleet scores flat models; sequence models need windowed input".into(),
         ));
     }
-    let monotone = monotone_mask(trained.features());
     let selected: Vec<usize> = trained
         .features()
         .iter()
@@ -270,7 +269,7 @@ pub fn score_fleet(
             // drive's rows in one batch.
             let mut scorer = trained
                 .compiled()
-                .map(|compiled| compiled.sequential(&monotone))
+                .map(|compiled| compiled.sequential(&vec![false; selected.len()]))
                 .transpose()?;
             let mut rows: Vec<f64> = Vec::with_capacity(selected.len() * 256);
             let mut probs: Vec<f64> = Vec::with_capacity(256);
@@ -322,24 +321,6 @@ pub fn score_fleet(
         out.extend(chunk?);
     }
     Ok(out)
-}
-
-/// Which of the model's selected features are non-decreasing over one
-/// drive's accepted record stream. Cumulative SMART counters (the
-/// rollover splice enforces the monotonicity online), Windows-event and
-/// BSOD counters qualify; firmware encoding and gauge attributes do
-/// not. This is a performance hint for [`mfpa_ml::SequentialScorer`] — it
-/// re-verifies per record, so a wrong entry costs speed, never
-/// correctness.
-fn monotone_mask(features: &[FeatureId]) -> Vec<bool> {
-    features
-        .iter()
-        .map(|f| match f {
-            FeatureId::Smart(attr) => attr.is_cumulative(),
-            FeatureId::Firmware => false,
-            FeatureId::WinEventCum(_) | FeatureId::BsodCum(_) => true,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@
 //!   blocks of [`DENSE_BLOCK`] rows distributed over
 //!   [`mfpa_par::ordered_collect`] — bit-identical at any worker count.
 //! - [`SequentialScorer`]: incremental per-device scoring for telemetry
-//!   streams, exploiting two structural facts of monitoring data: most
-//!   features rarely change between consecutive records of one device,
-//!   and cumulative counters never decrease. A tree is re-evaluated
-//!   only when a comparison outcome on its current root-to-leaf path
-//!   can have changed; otherwise its cached leaf is reused. Reuse is
-//!   only taken when every comparison outcome is provably unchanged, so
-//!   the scores are bit-identical to the batch path at any change rate.
+//!   streams, exploiting a structural fact of monitoring data: most
+//!   features rarely change their bin code between consecutive records
+//!   of one device. A tree is re-walked only when a feature's code
+//!   leaves the interval its cached root-to-leaf path holds for;
+//!   otherwise its cached leaf is reused. Reuse is only taken when
+//!   every comparison outcome is provably unchanged, so the scores are
+//!   bit-identical to the batch path at any change rate.
 //!
 //! The compiled form serializes to a hand-rolled little-endian
 //! `.mfpac` artifact with an FNV-1a-64 footer and a truncation-safe
@@ -422,17 +422,18 @@ impl CompiledEnsemble {
         Ok(blocks.into_iter().flatten().collect())
     }
 
-    /// Creates an incremental per-device scorer. `monotone[f]` marks
-    /// features that never decrease over one device's record stream
-    /// (cumulative counters); this is a performance hint only — the
-    /// scorer verifies it per record and falls back to full
-    /// re-evaluation on any violation, so scores stay bit-identical
-    /// even if the hint is wrong.
+    /// Creates an incremental per-device scorer.
+    ///
+    /// `monotone` is the length-checked remnant of an earlier
+    /// performance hint (features that never decrease along one
+    /// device's stream); the scorer no longer reads it, and any mask of
+    /// the right length gives the same scores.
     ///
     /// # Errors
     ///
     /// [`MlError::InvalidParameter`] if `monotone` has the wrong length
-    /// or the feature space exceeds 64 columns (mask width).
+    /// or the feature space exceeds 64 columns (the width of the
+    /// scorer's per-record change mask).
     pub fn sequential(&self, monotone: &[bool]) -> Result<SequentialScorer<'_>, MlError> {
         if monotone.len() != self.n_features {
             return Err(MlError::InvalidParameter(format!(
@@ -447,28 +448,20 @@ impl CompiledEnsemble {
                 self.n_features
             )));
         }
-        let mut mask = 0u64;
-        for (f, &m) in monotone.iter().enumerate() {
-            if m {
-                mask |= 1u64 << f;
-            }
-        }
         let n_trees = self.n_trees();
+        let n_slots = self.n_features * n_trees;
         Ok(SequentialScorer {
             ens: self,
-            monotone: mask,
             cur_leaf: vec![0.0; n_trees],
-            gen: vec![0; n_trees],
-            evaled_at: vec![0; n_trees],
-            heaps_left: vec![Vec::new(); self.n_features],
-            heaps_right: vec![Vec::new(); self.n_features],
-            trig_left: vec![f64::INFINITY; self.n_features],
-            trig_right: vec![f64::NEG_INFINITY; self.n_features],
-            watch_cap: 64 + 2 * self.feat.iter().filter(|&&f| f != LEAF).count(),
+            lo: vec![0; n_slots],
+            hi: vec![u8::MAX; n_slots],
+            path_feats: vec![0; n_trees],
+            marked: vec![0; n_trees],
+            codes: vec![0; self.n_features],
             prev_row: vec![0.0; self.n_features],
             started: false,
-            rec_counter: 0,
             block_fresh: true,
+            change_rows: 0,
             last_prob: 0.0,
             leaves_start: vec![0.0; n_trees],
             patches: Vec::new(),
@@ -509,16 +502,6 @@ impl Classifier for CompiledEnsemble {
     }
 }
 
-/// A watched path comparison: when the feature's value crosses `thr`
-/// (in the direction the owning heap tracks), the owning tree's cached
-/// path is invalidated.
-#[derive(Debug, Clone, Copy)]
-struct Watch {
-    thr: f64,
-    tree: u32,
-    gen: u32,
-}
-
 /// A within-block leaf change: tree `tree` produces `v` from row `r`
 /// (block-relative) onward.
 #[derive(Debug, Clone, Copy)]
@@ -530,60 +513,48 @@ struct Patch {
 
 /// Incremental scorer over one device's chronologically ordered rows.
 ///
-/// Caches each tree's current leaf and re-evaluates a tree only when a
-/// comparison on its current root-to-leaf path actually flips. Every
-/// active path comparison is registered in a per-feature heap keyed by
-/// its threshold:
+/// Caches each tree's current leaf and re-walks a tree only when a
+/// comparison on its cached root-to-leaf path can have flipped. It
+/// works in the bin-code space the compiled nodes route in: for every
+/// tree `t` and feature `f` it keeps the code interval `[lo, hi]`
+/// inside which all of the path's tests on `f` keep their outcome
+/// (going left at cut `c` caps `hi` at `c`, going right lifts `lo` to
+/// `c + 1`; a feature the path does not test keeps `[0, 255]`).
 ///
-/// - Left-routing comparisons (`v <= t`) sit in a min-heap; they flip
-///   exactly when the feature value first exceeds `t`, so only the
-///   heap top needs checking per record.
-/// - Right-routing comparisons (`v > t`) sit in a max-heap; they flip
-///   exactly when the value drops back to `<= t`. Right-routing
-///   comparisons on a monotone (non-decreasing) feature can never flip
-///   and are not watched at all.
-///
-/// A feature whose bits change without crossing any watched threshold
-/// costs two heap peeks — nothing is re-evaluated. If a
-/// monotone-marked feature ever decreases, or any changed feature
-/// moves to or from NaN, every tree is re-evaluated for that record —
-/// correctness never depends on the hint. Scores are bit-identical to
-/// [`CompiledEnsemble::predict_proba`] row by row.
+/// Per record, a bitwise diff finds the changed features. A changed
+/// quantized feature is re-coded, and only when its code moves does
+/// one contiguous scan over its `n_trees` intervals mark the trees the
+/// new code has left. NaN codes past every cut, so it needs no special
+/// case. A [`Lane::Raw`] feature has no codes: a path that tests it
+/// leaves its interval empty, so any bit change of the feature marks
+/// exactly the trees whose path tests it. Each marked tree is re-walked
+/// once. Scores are bit-identical to [`CompiledEnsemble::predict_proba`]
+/// row by row.
 #[derive(Debug)]
 pub struct SequentialScorer<'a> {
     ens: &'a CompiledEnsemble,
-    monotone: u64,
     /// Cached leaf value per tree.
     cur_leaf: Vec<f64>,
-    /// Bumped on every re-evaluation; stale heap entries are skipped.
-    gen: Vec<u32>,
-    /// Global record counter at each tree's last re-evaluation
-    /// (dedups multiple invalidations within one record).
-    evaled_at: Vec<u64>,
-    /// Per-feature min-heaps over left-routing path comparisons.
-    heaps_left: Vec<Vec<Watch>>,
-    /// Per-feature max-heaps over right-routing path comparisons
-    /// (non-monotone features only).
-    heaps_right: Vec<Vec<Watch>>,
-    /// Flat per-feature trigger thresholds mirroring the heap tops
-    /// (`+∞`/`-∞` when empty): the per-record hot path compares the
-    /// incoming value against these two arrays and touches a heap only
-    /// when a watched comparison has actually flipped. Values may be
-    /// stale-conservative (a stale top triggers a harmless pop-and-skip)
-    /// but never miss a live flip.
-    trig_left: Vec<f64>,
-    trig_right: Vec<f64>,
-    /// Heap length that triggers a stale-entry compaction: at most
-    /// one watch per internal node is ever live, so anything beyond
-    /// that is dead weight from superseded re-evaluations.
-    watch_cap: usize,
+    /// Lowest and highest code, per `[f * n_trees + t]`, at which tree
+    /// `t`'s cached path still holds for feature `f`; `lo > hi` (empty)
+    /// for a raw-lane feature the path tests.
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    /// Bitmask of the features tested on each tree's cached path.
+    path_feats: Vec<u64>,
+    /// Per tree, nonzero if it must be re-walked on the current record.
+    marked: Vec<u8>,
+    /// Current code per quantized feature (unused on raw lanes).
+    codes: Vec<u8>,
     prev_row: Vec<f64>,
     started: bool,
-    rec_counter: u64,
-    /// True until the first re-evaluation of the current block copies
-    /// `cur_leaf` into `leaves_start`; blocks with no re-evaluations
-    /// skip the copy (and the whole reduction).
+    /// True until the first re-walk of the current block copies
+    /// `cur_leaf` into `leaves_start`; blocks with no re-walks skip the
+    /// copy (and the whole reduction).
     block_fresh: bool,
+    /// Block-relative rows whose probability must be recomputed: rows
+    /// carrying a patch, and a stream's first row.
+    change_rows: u32,
     /// Probability of the most recently scored row. Rows whose leaf
     /// vector is unchanged reuse it verbatim — same leaves, same
     /// ordered sum, same bits.
@@ -593,21 +564,9 @@ pub struct SequentialScorer<'a> {
 }
 
 impl SequentialScorer<'_> {
-    /// Starts a new device stream: drops all cached state.
+    /// Starts a new device stream: the next row re-walks every tree.
     pub fn reset(&mut self) {
         self.started = false;
-        self.clear_heaps();
-    }
-
-    fn clear_heaps(&mut self) {
-        for h in &mut self.heaps_left {
-            h.clear();
-        }
-        for h in &mut self.heaps_right {
-            h.clear();
-        }
-        self.trig_left.fill(f64::INFINITY);
-        self.trig_right.fill(f64::NEG_INFINITY);
     }
 
     /// Scores a device's rows (row-major, chronological), appending one
@@ -616,20 +575,21 @@ impl SequentialScorer<'_> {
     ///
     /// # Errors
     ///
-    /// [`MlError::FeatureMismatch`] if `rows` is not a whole number of
+    /// [`MlError::InvalidParameter`] if `rows` is not a whole number of
     /// feature rows.
     pub fn score_rows(&mut self, rows: &[f64], out: &mut Vec<f64>) -> Result<(), MlError> {
         let nf = self.ens.n_features;
         if nf == 0 || !rows.len().is_multiple_of(nf) {
-            return Err(MlError::FeatureMismatch {
-                expected: nf,
-                actual: rows.len() % nf.max(1),
-            });
+            return Err(MlError::InvalidParameter(format!(
+                "row buffer of {} values is not a whole number of {nf}-value rows",
+                rows.len()
+            )));
         }
         let n = rows.len() / nf;
         for b0 in (0..n).step_by(SEQ_BLOCK) {
             let bl = SEQ_BLOCK.min(n - b0);
             self.block_fresh = true;
+            self.change_rows = 0;
             self.patches.clear();
             for r in 0..bl {
                 let row = &rows[(b0 + r) * nf..(b0 + r + 1) * nf];
@@ -640,21 +600,11 @@ impl SequentialScorer<'_> {
         Ok(())
     }
 
-    /// Processes one record: detects feature changes, invalidates and
-    /// re-evaluates affected trees, records leaf patches.
-    // The negated comparisons are deliberate: a NaN watch threshold
-    // (raw lane) means the node's routing can never flip, and
-    // `!(w.thr < v)` / `!(w.thr >= v)` keep such watches parked in
-    // their heaps instead of popping them on the NaN arm.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// Processes one record: detects code changes, re-walks the trees
+    /// whose cached path they break, records leaf patches.
     fn advance(&mut self, row: &[f64], r: u32) {
-        self.rec_counter += 1;
-        if !self.started {
-            self.started = true;
-            self.prime(row);
-            self.prev_row.copy_from_slice(row);
-            return;
-        }
+        let ens = self.ens;
+        let nt = self.cur_leaf.len();
         // Branchless bitwise diff: the compiler vectorizes this into
         // packed compares, so the full-width scan costs a few ns
         // regardless of how many features changed.
@@ -662,246 +612,138 @@ impl SequentialScorer<'_> {
         for (f, (&a, &b)) in self.prev_row.iter().zip(row).enumerate() {
             changed |= u64::from(a.to_bits() != b.to_bits()) << f;
         }
-        if changed == 0 {
-            // Identical record: every cached leaf (and `prev_row`)
-            // still holds, so the row costs only the scan above.
-            return;
-        }
-        // One pass over the changed features classifies each as
-        // hint-breaking (`bad`: NaN involved, or a monotone-marked
-        // feature decreased — the no-watch-on-right argument dies) or
-        // as actually crossing a watched threshold (`need`). Features
-        // that changed without reaching their triggers cost two f64
-        // compares and no heap traffic.
-        let mut bad = false;
-        let mut need = 0u64;
-        let mut m = changed;
-        while m != 0 {
-            let f = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let b = row[f];
-            let a = self.prev_row[f];
-            if b.is_nan() || a.is_nan() || (self.monotone >> f) & 1 != 0 && !(b >= a) {
-                bad = true;
-                break;
-            }
-            if b > self.trig_left[f] || b <= self.trig_right[f] {
-                need |= 1u64 << f;
-            }
-        }
-        if bad {
-            self.dirty_all(row, r);
-        } else {
-            let mut m = need;
-            while m != 0 {
-                let f = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let v = row[f];
-                // Left-routing `v <= thr` flips once v exceeds thr.
-                // Watches pushed by re-evaluations inside this loop
-                // reflect the *current* row's routing, so they can
-                // never flip for this record and the loop terminates.
-                while let Some(w) = heap_peek(&self.heaps_left[f]) {
-                    if !(w.thr < v) {
-                        break;
-                    }
-                    let w = heap_pop_min(&mut self.heaps_left[f]);
-                    // Stale if the tree re-evaluated since the push.
-                    if self.gen[w.tree as usize] == w.gen {
-                        self.reeval(w.tree as usize, row, r);
-                    }
-                }
-                self.trig_left[f] = heap_peek(&self.heaps_left[f]).map_or(f64::INFINITY, |w| w.thr);
-                // Right-routing `v > thr` flips once v drops back
-                // to <= thr.
-                while let Some(w) = heap_peek(&self.heaps_right[f]) {
-                    if !(w.thr >= v) {
-                        break;
-                    }
-                    let w = heap_pop_max(&mut self.heaps_right[f]);
-                    if self.gen[w.tree as usize] == w.gen {
-                        self.reeval(w.tree as usize, row, r);
-                    }
-                }
-                self.trig_right[f] =
-                    heap_peek(&self.heaps_right[f]).map_or(f64::NEG_INFINITY, |w| w.thr);
-            }
-        }
         self.prev_row.copy_from_slice(row);
-    }
-
-    /// Evaluates every tree on the first record of a stream, seeding
-    /// the leaf cache and path watches. No patches are recorded: the
-    /// row's probability is computed here directly — same tree order,
-    /// same per-tree operations as the interpreted path — and parked in
-    /// `last_prob` for [`SequentialScorer::reduce_block`] to emit.
-    fn prime(&mut self, row: &[f64]) {
-        self.clear_heaps();
-        let ens = self.ens;
-        let (mut s, shrink) = match ens.finalize {
-            Finalize::RfMean => (0.0, None),
-            Finalize::GbdtLogistic {
-                base_score,
-                learning_rate,
-            } => (base_score, Some(learning_rate)),
-        };
-        // Watches are appended raw and heapified per touched feature
-        // afterwards: O(n) total instead of a sift-up per push.
-        let mut touched = 0u64;
-        for t in 0..self.cur_leaf.len() {
-            self.evaled_at[t] = self.rec_counter;
-            self.gen[t] = self.gen[t].wrapping_add(1);
-            let t32 = u32::try_from(t).unwrap_or(u32::MAX);
-            let g = self.gen[t];
-            let mut ix = ens.tree_roots[t] as usize;
-            loop {
-                let f = ens.feat[ix];
-                if f == LEAF {
-                    break;
+        if !self.started {
+            // A stream's first row walks every tree and is always
+            // scored in full.
+            self.started = true;
+            for (f, lane) in ens.lanes.iter().enumerate() {
+                if let Lane::Quantized(edges) = lane {
+                    self.codes[f] = CompiledEnsemble::code(edges, row[f]);
                 }
-                let fi = f as usize;
-                let thr = ens.thr[ix];
-                let v = row[fi];
-                let go_left = v <= thr;
-                if go_left {
-                    self.heaps_left[fi].push(Watch {
-                        thr,
-                        tree: t32,
-                        gen: g,
-                    });
-                    touched |= 1u64 << fi;
-                } else if self.monotone & (1u64 << fi) == 0 && !thr.is_nan() && !v.is_nan() {
-                    self.heaps_right[fi].push(Watch {
-                        thr,
-                        tree: t32,
-                        gen: g,
-                    });
-                    touched |= 1u64 << fi;
+            }
+            self.marked.fill(1);
+            self.change_rows |= 1 << r;
+        } else {
+            let mut any = false;
+            while changed != 0 {
+                let f = changed.trailing_zeros() as usize;
+                changed &= changed - 1;
+                // A raw lane tests with any code against an empty
+                // interval, so every tree whose path tests `f` is marked.
+                let c = match &ens.lanes[f] {
+                    Lane::Quantized(edges) => {
+                        // Most changes stay inside the current bin: two
+                        // compares instead of a binary search.
+                        let (v, old) = (row[f], usize::from(self.codes[f]));
+                        if old.checked_sub(1).is_none_or(|i| edges[i] < v)
+                            && edges.get(old).is_none_or(|&e| v <= e)
+                        {
+                            continue;
+                        }
+                        let c = CompiledEnsemble::code(edges, v);
+                        if c == self.codes[f] {
+                            continue;
+                        }
+                        self.codes[f] = c;
+                        c
+                    }
+                    Lane::Raw => 0,
+                };
+                let lo = &self.lo[f * nt..(f + 1) * nt];
+                let hi = &self.hi[f * nt..(f + 1) * nt];
+                let mut hit = 0u8;
+                for ((m, &l), &h) in self.marked.iter_mut().zip(lo).zip(hi) {
+                    let out = u8::from(c < l) | u8::from(c > h);
+                    *m |= out;
+                    hit |= out;
                 }
-                ix = ens.left[ix] as usize + usize::from(!go_left);
+                any |= hit != 0;
             }
-            let v = ens.value[ix];
-            self.cur_leaf[t] = v;
-            s += match shrink {
-                Some(lr) => lr * v,
-                None => v,
-            };
-        }
-        while touched != 0 {
-            let f = touched.trailing_zeros() as usize;
-            touched &= touched - 1;
-            let hl = &mut self.heaps_left[f];
-            for i in (0..hl.len() / 2).rev() {
-                sift_down(hl, i, false);
+            if !any {
+                // No cached path broke: every leaf still holds.
+                return;
             }
-            self.trig_left[f] = heap_peek(hl).map_or(f64::INFINITY, |w| w.thr);
-            let hr = &mut self.heaps_right[f];
-            for i in (0..hr.len() / 2).rev() {
-                sift_down(hr, i, true);
-            }
-            self.trig_right[f] = heap_peek(hr).map_or(f64::NEG_INFINITY, |w| w.thr);
         }
-        self.last_prob = ens.finalize_one(s);
-    }
-
-    /// Re-evaluates every tree (hint violation mid-stream).
-    fn dirty_all(&mut self, row: &[f64], r: u32) {
-        // Every watch is about to be re-pushed by the re-evaluations;
-        // dropping the old entries keeps the heaps from accumulating
-        // stale ones across repeated fallbacks.
-        self.clear_heaps();
-        for t in 0..self.cur_leaf.len() {
-            self.reeval(t, row, r);
-        }
-    }
-
-    /// Re-traverses tree `t` on `row`, refreshing its cached leaf and
-    /// path watches, and recording a block patch if the leaf value
-    /// actually changed (identical bits mean an identical ordered sum,
-    /// so an unchanged leaf needs no patch).
-    fn reeval(&mut self, t: usize, row: &[f64], r: u32) {
-        if self.evaled_at[t] == self.rec_counter {
-            return;
-        }
-        self.evaled_at[t] = self.rec_counter;
-        self.gen[t] = self.gen[t].wrapping_add(1);
         if self.block_fresh {
             // Lazily snapshot the leaves as of the block start; blocks
-            // where nothing re-evaluates never pay the copy.
+            // where nothing is re-walked never pay the copy.
             self.leaves_start.copy_from_slice(&self.cur_leaf);
             self.block_fresh = false;
         }
-        let v = self.traverse(t, row);
-        if v.to_bits() != self.cur_leaf[t].to_bits() {
-            self.cur_leaf[t] = v;
-            self.patches.push(Patch {
-                tree: u32::try_from(t).unwrap_or(u32::MAX),
-                r,
-                v,
-            });
+        for t in 0..nt {
+            if std::mem::take(&mut self.marked[t]) != 0 {
+                let v = self.rewalk(t, row);
+                if v.to_bits() != self.cur_leaf[t].to_bits() {
+                    // Identical bits mean an identical ordered sum, so
+                    // an unchanged leaf needs no patch.
+                    self.cur_leaf[t] = v;
+                    self.change_rows |= 1 << r;
+                    self.patches.push(Patch {
+                        tree: u32::try_from(t).unwrap_or(u32::MAX),
+                        r,
+                        v,
+                    });
+                }
+            }
         }
     }
 
-    /// Walks tree `t`'s root-to-leaf path on `row`, registering a watch
-    /// (and maintaining the flat trigger mirrors) for every comparison
-    /// that could flip, and returns the leaf value.
-    fn traverse(&mut self, t: usize, row: &[f64]) -> f64 {
+    /// Walks tree `t` on `row` from the root, replacing its cached
+    /// path's intervals with the new path's, and returns the leaf value.
+    // `!(v <= thr)` is the routing predicate itself: NaN values (and
+    // NaN thresholds on the raw lane) must route right, exactly like
+    // the interpreted walk. A positive rewrite would drop the NaN arm.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn rewalk(&mut self, t: usize, row: &[f64]) -> f64 {
         let ens = self.ens;
-        let t32 = u32::try_from(t).unwrap_or(u32::MAX);
-        let g = self.gen[t];
+        let nt = self.cur_leaf.len();
+        let mut m = self.path_feats[t];
+        while m != 0 {
+            let k = m.trailing_zeros() as usize * nt + t;
+            m &= m - 1;
+            self.lo[k] = 0;
+            self.hi[k] = u8::MAX;
+        }
+        let mut feats = 0u64;
         let mut ix = ens.tree_roots[t] as usize;
         loop {
             let f = ens.feat[ix];
             if f == LEAF {
                 break;
             }
-            let fi = f as usize;
-            let thr = ens.thr[ix];
-            let v = row[fi];
-            let go_left = v <= thr;
-            let w = Watch {
-                thr,
-                tree: t32,
-                gen: g,
+            let f = f as usize;
+            let k = f * nt + t;
+            feats |= 1 << f;
+            let go_right = if ens.qflag[ix] == 1 {
+                // Branch-free narrowing: going right lifts `lo` to
+                // `c + 1` and leaves `hi`; going left caps `hi` at `c`
+                // and leaves `lo`.
+                let c = ens.cut[ix];
+                let right = u8::from(self.codes[f] > c);
+                self.lo[k] = self.lo[k].max(c.saturating_add(1) * right);
+                self.hi[k] = self.hi[k].min(c | 0u8.wrapping_sub(right));
+                right == 1
+            } else {
+                self.lo[k] = u8::MAX;
+                self.hi[k] = 0;
+                !(row[f] <= ens.thr[ix])
             };
-            if go_left {
-                // `v <= thr` flips exactly when v first exceeds thr.
-                // (thr is never NaN here: NaN fails `v <= thr`.)
-                let h = &mut self.heaps_left[fi];
-                if h.len() >= self.watch_cap {
-                    compact_heap(h, &self.gen, false);
-                }
-                heap_push_min(h, w);
-                if thr < self.trig_left[fi] {
-                    self.trig_left[fi] = thr;
-                }
-            } else if self.monotone & (1u64 << fi) == 0 && !thr.is_nan() && !v.is_nan() {
-                // `v > thr` flips exactly when v drops back to <= thr.
-                // Right-routing on a non-decreasing feature is
-                // permanent; a NaN threshold compares false forever;
-                // a NaN value is handled by the dirty-all fallback.
-                let h = &mut self.heaps_right[fi];
-                if h.len() >= self.watch_cap {
-                    compact_heap(h, &self.gen, true);
-                }
-                heap_push_max(h, w);
-                if thr > self.trig_right[fi] {
-                    self.trig_right[fi] = thr;
-                }
-            }
-            ix = ens.left[ix] as usize + usize::from(!go_left);
+            ix = ens.left[ix] as usize + usize::from(go_right);
         }
+        self.path_feats[t] = feats;
         ens.value[ix]
     }
 
     /// Emits the block's probabilities. Rows on which no leaf changed
     /// reuse the previous row's probability verbatim (identical leaf
     /// vector ⇒ identical ordered sum ⇒ identical bits); only "change
-    /// rows" — those carrying at least one patch — run the full
-    /// tree-ordered accumulation, in dedicated SIMD lanes. Accumulation
-    /// order and operations match the interpreted path exactly.
+    /// rows" — a stream's first row and those carrying at least one
+    /// patch — run the full tree-ordered accumulation, in dedicated SIMD
+    /// lanes. Accumulation order and operations match the interpreted
+    /// path exactly.
     fn reduce_block(&mut self, bl: usize, out: &mut Vec<f64>) {
-        if self.patches.is_empty() {
+        if self.change_rows == 0 {
             // Nothing changed anywhere in the block.
             out.resize(out.len() + bl, self.last_prob);
             return;
@@ -917,10 +759,7 @@ impl SequentialScorer<'_> {
         // Lane k holds the k-th change row's accumulator. Unused lanes
         // compute garbage that is never read; fixed-width loops let the
         // compiler vectorize without a runtime bound.
-        let mut rows_mask = 0u32;
-        for p in &self.patches {
-            rows_mask |= 1u32 << p.r;
-        }
+        let rows_mask = self.change_rows;
         let mut acc = [init; SEQ_BLOCK];
         let mut scratch = [0.0f64; SEQ_BLOCK];
         self.patches.sort_unstable_by_key(|p| (p.tree, p.r));
@@ -984,119 +823,6 @@ impl SequentialScorer<'_> {
             out.push(self.last_prob);
         }
     }
-}
-
-/// Min-heap (by threshold) primitives over a plain `Vec`. Thresholds
-/// are never NaN (NaN thresholds route right unconditionally and are
-/// never watched), so plain `<` is a total order here.
-fn heap_peek(h: &[Watch]) -> Option<Watch> {
-    h.first().copied()
-}
-
-fn heap_push_min(h: &mut Vec<Watch>, w: Watch) {
-    h.push(w);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if h[i].thr < h[parent].thr {
-            h.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn heap_pop_min(h: &mut Vec<Watch>) -> Watch {
-    let top = h[0];
-    let last = h.len() - 1;
-    h.swap(0, last);
-    h.truncate(last);
-    let mut i = 0usize;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut min = i;
-        if l < h.len() && h[l].thr < h[min].thr {
-            min = l;
-        }
-        if r < h.len() && h[r].thr < h[min].thr {
-            min = r;
-        }
-        if min == i {
-            break;
-        }
-        h.swap(i, min);
-        i = min;
-    }
-    top
-}
-
-/// Drops stale watches (superseded by a later re-evaluation of their
-/// tree) and restores the heap property. Amortized O(1) per push when
-/// triggered by `watch_cap`, since live entries are bounded by the
-/// internal node count.
-fn compact_heap(h: &mut Vec<Watch>, gen: &[u32], max: bool) {
-    h.retain(|w| gen.get(w.tree as usize).copied() == Some(w.gen));
-    for i in (0..h.len() / 2).rev() {
-        sift_down(h, i, max);
-    }
-}
-
-fn sift_down(h: &mut [Watch], mut i: usize, max: bool) {
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let better = |a: f64, b: f64| if max { a > b } else { a < b };
-        let mut best = i;
-        if l < h.len() && better(h[l].thr, h[best].thr) {
-            best = l;
-        }
-        if r < h.len() && better(h[r].thr, h[best].thr) {
-            best = r;
-        }
-        if best == i {
-            break;
-        }
-        h.swap(i, best);
-        i = best;
-    }
-}
-
-fn heap_push_max(h: &mut Vec<Watch>, w: Watch) {
-    h.push(w);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if h[i].thr > h[parent].thr {
-            h.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn heap_pop_max(h: &mut Vec<Watch>) -> Watch {
-    let top = h[0];
-    let last = h.len() - 1;
-    h.swap(0, last);
-    h.truncate(last);
-    let mut i = 0usize;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut max = i;
-        if l < h.len() && h[l].thr > h[max].thr {
-            max = l;
-        }
-        if r < h.len() && h[r].thr > h[max].thr {
-            max = r;
-        }
-        if max == i {
-            break;
-        }
-        h.swap(i, max);
-        i = max;
-    }
-    top
 }
 
 // --- .mfpac artifact codec ---------------------------------------------
@@ -1352,6 +1078,40 @@ impl CompiledEnsemble {
 mod tests {
     use super::*;
 
+    /// A small GBDT over three integer-valued features.
+    fn three_feature_gbdt() -> CompiledEnsemble {
+        let rows: Vec<Vec<f64>> = (0..32)
+            .map(|i| vec![f64::from(i % 5), f64::from(i % 3), f64::from(i % 7)])
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let y: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
+        let mut gb = crate::Gbdt::new(6, 0.3, 3).with_seed(9);
+        gb.fit(&x, &y).unwrap();
+        gb.compile().unwrap()
+    }
+
+    /// A row buffer that is not a whole number of rows is refused with
+    /// its length and the row width, not with a remainder posing as a
+    /// feature count.
+    #[test]
+    fn ragged_row_buffer_is_refused_with_its_length() {
+        let ens = three_feature_gbdt();
+        let mut scorer = ens.sequential(&[false; 3]).unwrap();
+        let mut out = Vec::new();
+        match scorer.score_rows(&[0.0; 4], &mut out) {
+            Err(MlError::InvalidParameter(msg)) => {
+                assert!(
+                    msg.contains("4 values") && msg.contains("3-value rows"),
+                    "{msg}"
+                );
+            }
+            other => panic!("ragged buffer accepted or misreported: {other:?}"),
+        }
+        assert!(out.is_empty());
+        scorer.score_rows(&[0.0; 6], &mut out).unwrap();
+        assert_eq!(out.len(), 2);
+    }
+
     /// The quantization invariant the whole byte-compare path rests on:
     /// with `edges` the sorted deduped threshold set,
     /// `code(v) <= cut(t) ⟺ v <= t` for every threshold `t` and any
@@ -1401,14 +1161,7 @@ mod tests {
     /// within the owning tree's node range.
     #[test]
     fn flatten_keeps_children_adjacent_and_in_range() {
-        let rows: Vec<Vec<f64>> = (0..32)
-            .map(|i| vec![f64::from(i % 5), f64::from(i % 3), f64::from(i % 7)])
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
-        let mut gb = crate::Gbdt::new(6, 0.3, 3).with_seed(9);
-        gb.fit(&x, &y).unwrap();
-        let ens = gb.compile().unwrap();
+        let ens = three_feature_gbdt();
         for t in 0..ens.n_trees() {
             let (s, e) = ens.tree_range(t);
             assert!(s < e);

@@ -230,6 +230,12 @@ echo "compiled round trip bit-identical across processes, corruption refused"
 echo "== compiled parity proptests (interpreted == compiled, bit for bit) =="
 cargo test --release -q -p mfpa-ml --test compiled_parity
 
+echo "== benchmark tests: unit tests and the untraced and traced --smoke runs =="
+# The benchmark named by BENCHMARK.json is its own workspace and drives
+# the scorer, monitor and pipeline APIs from outside; a change to those
+# APIs fails here instead of in the benchmark run.
+cargo test --release --offline --manifest-path crates/bench/benchmark/Cargo.toml
+
 echo "== crash-recovery equivalence gate (every batch boundary) =="
 cargo test --release -q -p mfpa-suite --test fleet_monitor -- \
     kill_and_restore_is_bit_identical_at_every_batch_boundary \

@@ -224,6 +224,8 @@ pub struct DriveScore {
 /// accepted rows with an incremental [`mfpa_ml::SequentialScorer`]; other
 /// flat families score them in one [`TrainedMfpa::predict_matrix`] call.
 /// Both give the probabilities interpreted inference would, bit for bit.
+/// Offline evaluation ([`TrainedMfpa::predict_rows`]) runs the same
+/// per-drive loop over the prepared frame.
 ///
 /// Drives are scored on the deterministic parallel layer ([`mfpa_par`]):
 /// each worker replays whole drives, results come back in input order,
@@ -246,77 +248,127 @@ pub fn score_fleet(
             "score_fleet scores flat models; sequence models need windowed input".into(),
         ));
     }
-    let selected: Vec<usize> = trained
+    let cols: Vec<usize> = trained
         .features()
         .iter()
         .map(FeatureId::full_index)
         .collect();
-    // Full-width feature groups select every column in order; the
-    // gather then degenerates to a memcpy of the monitor's row.
-    let identity = selected.iter().enumerate().all(|(k, &i)| k == i);
-    let workers = Workers::from_config(n_threads);
-    // Chunk the fleet so each worker amortizes one scorer (and its
-    // row/probability buffers) across many drives. Per-drive scoring is
-    // self-contained — `SequentialScorer::reset` drops every bit of
-    // cross-drive state — so the chunk layout cannot leak into scores.
-    let ranges = mfpa_par::chunk_ranges(drives.len(), workers.get().max(1) * 4);
-    let per_chunk = ordered_map(
-        &ranges,
-        workers,
-        |_, range| -> Result<Vec<DriveScore>, CoreError> {
-            // Tree ensembles stream each drive through an incremental
-            // compiled scorer; families with no compiled form score a
-            // drive's rows in one batch.
-            let mut scorer = trained
-                .compiled()
-                .map(|compiled| compiled.sequential(&vec![false; selected.len()]))
-                .transpose()?;
-            let mut rows: Vec<f64> = Vec::with_capacity(selected.len() * 256);
-            let mut probs: Vec<f64> = Vec::with_capacity(256);
-            let mut scores = Vec::with_capacity(range.len());
-            for drive in &drives[range.clone()] {
-                let mut monitor = DriveMonitor::new(drive.serial(), drive.firmware().clone());
-                rows.clear();
-                for record in drive.raw_records() {
-                    match monitor.ingest_ref(record) {
-                        Ok(full) if identity => rows.extend_from_slice(&full[..selected.len()]),
-                        Ok(full) => rows.extend(selected.iter().map(|&i| full[i])),
-                        Err(
-                            CoreError::CorruptRecord { .. } | CoreError::OutOfOrderRecord { .. },
-                        ) => {}
-                        Err(other) => return Err(other),
-                    }
+    score_streams(
+        trained,
+        drives,
+        &cols,
+        Workers::from_config(n_threads),
+        |drive, rows| {
+            let mut monitor = DriveMonitor::new(drive.serial(), drive.firmware().clone());
+            for record in drive.raw_records() {
+                match monitor.ingest_ref(record) {
+                    Ok(full) => rows.gather(full),
+                    Err(CoreError::CorruptRecord { .. } | CoreError::OutOfOrderRecord { .. }) => {}
+                    Err(other) => return Err(other),
                 }
-                probs.clear();
-                match scorer.as_mut() {
-                    Some(scorer) => {
-                        scorer.reset();
-                        scorer.score_rows(&rows, &mut probs)?;
-                    }
-                    None if !rows.is_empty() => {
-                        let x = Matrix::from_flat(std::mem::take(&mut rows), selected.len())?;
-                        probs = trained.predict_matrix(&x)?;
-                    }
-                    None => {}
-                }
-                let mut max_score = 0.0f64;
-                let mut last_score = 0.0f64;
-                for &p in &probs {
-                    max_score = max_score.max(p);
-                    last_score = p;
-                }
-                scores.push(DriveScore {
-                    serial: drive.serial(),
-                    max_score,
-                    last_score,
-                    n_scored: probs.len(),
-                    report: *monitor.sanitize_report(),
-                });
             }
-            Ok(scores)
+            Ok(*monitor.sanitize_report())
         },
-    );
-    let mut out = Vec::with_capacity(drives.len());
+        |drive, report, probs, out| {
+            let mut max_score = 0.0f64;
+            let mut last_score = 0.0f64;
+            for &p in probs {
+                max_score = max_score.max(p);
+                last_score = p;
+            }
+            out.push(DriveScore {
+                serial: drive.serial(),
+                max_score,
+                last_score,
+                n_scored: probs.len(),
+                report,
+            });
+        },
+    )
+}
+
+/// One stream's rows in the model's selected columns, gathered from
+/// full-width rows.
+pub(crate) struct StreamRows<'c> {
+    cols: &'c [usize],
+    /// `cols` is `0..cols.len()`: every full-width group selects its
+    /// columns in order, and the gather degenerates to a memcpy.
+    prefix: bool,
+    rows: Vec<f64>,
+}
+
+impl StreamRows<'_> {
+    /// Appends the selected cells of one full-width row.
+    pub(crate) fn gather(&mut self, full: &[f64]) {
+        if self.prefix {
+            self.rows.extend_from_slice(&full[..self.cols.len()]);
+        } else {
+            self.rows.extend(self.cols.iter().map(|&c| full[c]));
+        }
+    }
+}
+
+/// The one per-device scoring loop behind [`score_fleet`] and
+/// [`TrainedMfpa::predict_rows`].
+///
+/// For each stream, `fill` gathers the stream's chronological
+/// full-width rows to `cols` and returns per-stream state; the rows are
+/// scored, and `emit` turns the state and the probabilities into output
+/// items. Streams are chunked across `workers`, each chunk amortizing
+/// one scorer and one pair of buffers over many streams; per-stream
+/// scoring is self-contained — [`mfpa_ml::SequentialScorer::reset`]
+/// drops every bit of cross-stream state — so neither the chunk layout
+/// nor the worker count can leak into the output, which comes back in
+/// stream order.
+pub(crate) fn score_streams<T, S, R>(
+    trained: &TrainedMfpa,
+    streams: &[T],
+    cols: &[usize],
+    workers: Workers,
+    fill: impl Fn(&T, &mut StreamRows<'_>) -> Result<S, CoreError> + Sync,
+    emit: impl Fn(&T, S, &[f64], &mut Vec<R>) + Sync,
+) -> Result<Vec<R>, CoreError>
+where
+    T: Sync,
+    R: Send,
+{
+    let prefix = cols.iter().enumerate().all(|(k, &c)| k == c);
+    let ranges = mfpa_par::chunk_ranges(streams.len(), workers.get() * 4);
+    let per_chunk = ordered_map(&ranges, workers, |_, range| -> Result<Vec<R>, CoreError> {
+        // Tree ensembles stream each device through an incremental
+        // compiled scorer; families with no compiled form score a
+        // device's rows in one batch.
+        let mut scorer = trained
+            .compiled()
+            .map(|compiled| compiled.sequential(&vec![false; cols.len()]))
+            .transpose()?;
+        let mut rows = StreamRows {
+            cols,
+            prefix,
+            rows: Vec::with_capacity(cols.len() * 256),
+        };
+        let mut probs: Vec<f64> = Vec::with_capacity(256);
+        let mut out = Vec::with_capacity(range.len());
+        for stream in &streams[range.clone()] {
+            rows.rows.clear();
+            let state = fill(stream, &mut rows)?;
+            probs.clear();
+            match scorer.as_mut() {
+                Some(scorer) => {
+                    scorer.reset();
+                    scorer.score_rows(&rows.rows, &mut probs)?;
+                }
+                None if !rows.rows.is_empty() => {
+                    let x = Matrix::from_flat(std::mem::take(&mut rows.rows), cols.len())?;
+                    probs = trained.predict_matrix(&x)?;
+                }
+                None => {}
+            }
+            emit(stream, state, &probs, &mut out);
+        }
+        Ok(out)
+    });
+    let mut out = Vec::with_capacity(streams.len());
     for chunk in per_chunk {
         out.extend(chunk?);
     }

@@ -73,6 +73,6 @@ pub use fleet_monitor::{
     BatchOutcome, CheckpointOutcome, FleetMonitor, FleetMonitorConfig, FleetScore, QuarantineInfo,
     ShardReport, SweepOutcome,
 };
-pub use pipeline::{CvStrategy, Mfpa, MfpaConfig, SplitStrategy, TrainedMfpa};
+pub use pipeline::{CvStrategy, Mfpa, MfpaConfig, Prepared, SplitStrategy, TrainedMfpa};
 pub use report::{EvalReport, MetricSet, StageTimings};
 pub use sanitize::{QuarantineCause, SanitizeConfig, SanitizeReport};

@@ -29,9 +29,10 @@ fn main() -> Result<(), CoreError> {
     );
 
     // "Live" scoring: the single most recent row of each drive in the
-    // deployment window.
+    // deployment window. Ordered by drive, so the row order and the
+    // order of tied ranks are the same on every run.
     let meta = prepared.samples().flat.meta();
-    let mut latest: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut latest: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
     for &row in &split.test {
         let e = latest.entry(meta[row].group).or_insert(row);
         if meta[row].time > meta[*e].time {

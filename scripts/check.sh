@@ -230,6 +230,9 @@ echo "compiled round trip bit-identical across processes, corruption refused"
 echo "== compiled parity proptests (interpreted == compiled, bit for bit) =="
 cargo test --release -q -p mfpa-ml --test compiled_parity
 
+echo "== evaluation scoring parity (per-drive sequential == dense, bit for bit) =="
+cargo test --release -q -p mfpa-suite --test evaluation_parity
+
 echo "== benchmark tests: unit tests and the untraced and traced --smoke runs =="
 # The benchmark named by BENCHMARK.json is its own workspace and drives
 # the scorer, monitor and pipeline APIs from outside; a change to those

@@ -2,7 +2,8 @@
 //! parallel execution layer, checked end to end.
 //!
 //! Every parallel stage in the workspace (fleet telemetry generation,
-//! per-drive sanitize + preprocess, model fitting and batch scoring)
+//! per-drive sanitize + preprocess, model fitting, batch scoring and
+//! per-drive evaluation scoring)
 //! must produce bit-identical output at any worker count. The widths
 //! {1, 2, 7} cover the serial fast path, the even split, and uneven
 //! tail chunks. Wall-clock fields (`*_secs`) are the only report fields
@@ -11,6 +12,7 @@
 
 use mfpa_core::deploy::score_fleet;
 use mfpa_core::{Algorithm, EvalReport, FeatureGroup, Mfpa, MfpaConfig};
+use mfpa_dataset::split::{ratio_split, timepoint_split_fraction};
 use mfpa_dataset::Matrix;
 use mfpa_fleetsim::{FaultConfig, FleetConfig, SimulatedDrive, SimulatedFleet};
 use mfpa_ml::{BinnedMatrix, Classifier, Gbdt, RandomForest};
@@ -234,5 +236,34 @@ fn batch_scoring_is_thread_count_invariant() {
             assert_eq!(a.n_scored, b.n_scored);
             assert_eq!(a.report, b.report);
         }
+    }
+}
+
+#[test]
+fn evaluation_scoring_is_thread_count_invariant() {
+    let fleet = SimulatedFleet::generate(
+        &FleetConfig::tiny(29)
+            .with_population_fraction(0.001)
+            .with_faults(FaultConfig::uniform(0.03)),
+    );
+    let config = MfpaConfig::new(FeatureGroup::Sfwb, Algorithm::RandomForest);
+    let prepared = Mfpa::new(config.clone()).prepare(&fleet).expect("prepare");
+    let times = prepared.samples().flat.times();
+    let split = timepoint_split_fraction(&times, 0.7).expect("timepoint split");
+    // Time-ordered and shuffled requests: per-drive runs are cut after
+    // the sort either way, and chunked across the workers.
+    let shuffled = ratio_split(times.len(), 0.3, 11).expect("ratio split").test;
+    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
+    let score = |n: usize| {
+        let trained = Mfpa::new(config.clone().with_threads(n))
+            .train_rows(&prepared, &split.train)
+            .expect("train");
+        assert!(trained.compiled().is_some(), "random forests compile");
+        [&split.test, &shuffled]
+            .map(|rows| bits(&trained.predict_rows(&prepared, rows).expect("predict_rows")))
+    };
+    let reference = score(WIDTHS[0]);
+    for &n in &WIDTHS[1..] {
+        assert_eq!(score(n), reference, "n_threads = {n}");
     }
 }

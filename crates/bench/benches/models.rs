@@ -71,44 +71,6 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-/// Histogram (default `max_bins` = 256) vs exact (`max_bins` = 0) split
-/// search on the same task — the PR-3 speedup, benchmarkable in
-/// isolation via `cargo bench --bench models -- hist`.
-fn bench_hist(c: &mut Criterion) {
-    let (x, y) = task(1);
-    let mut group = c.benchmark_group("hist");
-    group.sample_size(10);
-    group.bench_function("gbdt_50x3_binned", |b| {
-        b.iter(|| {
-            let mut m = Gbdt::new(50, 0.2, 3).with_seed(2);
-            m.fit(black_box(&x), black_box(&y)).unwrap();
-            black_box(m)
-        })
-    });
-    group.bench_function("gbdt_50x3_exact", |b| {
-        b.iter(|| {
-            let mut m = Gbdt::new(50, 0.2, 3).with_seed(2).with_max_bins(0);
-            m.fit(black_box(&x), black_box(&y)).unwrap();
-            black_box(m)
-        })
-    });
-    group.bench_function("random_forest_40x10_binned", |b| {
-        b.iter(|| {
-            let mut m = RandomForest::new(40, 10).with_seed(2);
-            m.fit(black_box(&x), black_box(&y)).unwrap();
-            black_box(m)
-        })
-    });
-    group.bench_function("random_forest_40x10_exact", |b| {
-        b.iter(|| {
-            let mut m = RandomForest::new(40, 10).with_seed(2).with_max_bins(0);
-            m.fit(black_box(&x), black_box(&y)).unwrap();
-            black_box(m)
-        })
-    });
-    group.finish();
-}
-
 fn bench_predict(c: &mut Criterion) {
     let (x, y) = task(1);
     let mut rf = RandomForest::new(120, 12).with_seed(3);
@@ -120,5 +82,5 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_hist, bench_predict);
+criterion_group!(benches, bench_fit, bench_predict);
 criterion_main!(benches);

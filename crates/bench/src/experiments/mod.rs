@@ -5,7 +5,6 @@ mod ablations;
 mod dataset_exps;
 mod defs;
 mod model_exps;
-mod perf;
 mod precursors;
 mod robustness;
 mod scale;
@@ -167,11 +166,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "scale",
             title: "Scale: deterministic parallel speedup (MFPA_THREADS)",
             run: scale::scale,
-        },
-        Experiment {
-            id: "perf",
-            title: "Perf: stage trajectory, histogram vs exact split search",
-            run: perf::perf,
         },
         Experiment {
             id: "serve",

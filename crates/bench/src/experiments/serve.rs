@@ -18,16 +18,14 @@
 //! A handful of synthetic poison drives (sentinel SMART pages every
 //! batch) is injected on top of the simulated corruption so the
 //! quarantine ladder is exercised deterministically at any scale.
-//! Results are printed and written machine-readably to
-//! `BENCH_PR6.json`, one JSON object per line.
+//! Results are printed and returned as the experiment's JSON summary.
 
 use std::path::Path;
 use std::time::Instant;
 
 use mfpa_core::checkpoint::latest_checkpoint;
 use mfpa_core::fleet_monitor::{
-    CheckpointOutcome, FleetMonitor, FleetMonitorConfig, FleetScore, QuarantineInfo, ShardReport,
-    SweepOutcome,
+    FleetMonitor, FleetMonitorConfig, FleetScore, QuarantineInfo, ShardReport,
 };
 use mfpa_core::{Algorithm, FeatureGroup, Mfpa, MfpaConfig, TrainedMfpa};
 use mfpa_fleetsim::replay::{arrival_stream, flip_one_byte, into_batches, TransportFaultConfig};
@@ -40,8 +38,6 @@ use serde_json::json;
 use crate::ctx::Ctx;
 use crate::format::section;
 
-/// Output path for the machine-readable serve benchmark.
-const OUT_PATH: &str = "BENCH_PR6.json";
 /// Records per ingestion batch.
 const BATCH_SIZE: usize = 2048;
 /// Monitor shards (also the transport burst-loss target space).
@@ -80,39 +76,21 @@ fn poison_event(p: u64, tick: usize) -> ArrivalEvent {
     }
 }
 
-/// Accounting from one serve run.
-struct RunStats {
-    latencies_ms: Vec<f64>,
-    sweeps_scored: u64,
-    sweeps_shed_outcomes: u64,
-    checkpoints_written: u64,
-    checkpoints_failed: u64,
-}
-
-/// Ingests `batches[from..]`, recording per-batch latency and outcome
-/// counts.
+/// Ingests `batches[from..]` and returns the per-batch latencies in ms.
 fn run_batches(
     fm: &mut FleetMonitor,
     batches: &[Vec<ArrivalEvent>],
     from: usize,
     trained: &TrainedMfpa,
-    stats: &mut RunStats,
-) {
-    for batch in &batches[from..] {
-        let t = Instant::now();
-        let out = fm.ingest_batch(batch, Some(trained)).expect("ingest_batch");
-        stats.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        match out.sweep {
-            SweepOutcome::Scores(_) => stats.sweeps_scored += 1,
-            SweepOutcome::Shed => stats.sweeps_shed_outcomes += 1,
-            SweepOutcome::NotDue => {}
-        }
-        match out.checkpoint {
-            CheckpointOutcome::Written { .. } => stats.checkpoints_written += 1,
-            CheckpointOutcome::Failed { .. } => stats.checkpoints_failed += 1,
-            CheckpointOutcome::NotDue => {}
-        }
-    }
+) -> Vec<f64> {
+    batches[from..]
+        .iter()
+        .map(|batch| {
+            let t = Instant::now();
+            fm.ingest_batch(batch, Some(trained)).expect("ingest_batch");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect()
 }
 
 /// Finishes a run: drains reorder windows, checks conservation on every
@@ -215,25 +193,17 @@ pub fn serve(ctx: &Ctx) -> serde_json::Value {
     let dir_b = root.join("killed");
 
     // ---- Run A: uninterrupted ----------------------------------------
-    let mut stats_a = RunStats {
-        latencies_ms: Vec::with_capacity(n_batches),
-        sweeps_scored: 0,
-        sweeps_shed_outcomes: 0,
-        checkpoints_written: 0,
-        checkpoints_failed: 0,
-    };
     let mut fm_a = FleetMonitor::new(monitor_config(&dir_a, checkpoint_interval, sweep_interval))
         .expect("config");
     let t_ingest = Instant::now();
-    run_batches(&mut fm_a, &batches, 0, &trained, &mut stats_a);
+    let mut latencies_ms = run_batches(&mut fm_a, &batches, 0, &trained);
     let ingest_secs = t_ingest.elapsed().as_secs_f64();
     let (scores_a, quarantined_a, report_a) = finish(&mut fm_a, &trained);
 
     let records_per_sec = report_a.received as f64 / ingest_secs.max(1e-9);
-    let mut sorted = stats_a.latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
-    let p50_ms = percentile_ms(&sorted, 0.50);
-    let p99_ms = percentile_ms(&sorted, 0.99);
+    latencies_ms.sort_by(f64::total_cmp);
+    let p50_ms = percentile_ms(&latencies_ms, 0.50);
+    let p99_ms = percentile_ms(&latencies_ms, 0.99);
     println!(
         "  uninterrupted: {:.0} records/s, batch p50 {:.2} ms p99 {:.2} ms",
         records_per_sec, p50_ms, p99_ms
@@ -266,13 +236,6 @@ pub fn serve(ctx: &Ctx) -> serde_json::Value {
 
     // ---- Run B: kill at 3/5, restore from checkpoint, replay ---------
     let kill_at = (n_batches * 3) / 5;
-    let mut stats_b = RunStats {
-        latencies_ms: Vec::new(),
-        sweeps_scored: 0,
-        sweeps_shed_outcomes: 0,
-        checkpoints_written: 0,
-        checkpoints_failed: 0,
-    };
     {
         let mut fm_b =
             FleetMonitor::new(monitor_config(&dir_b, checkpoint_interval, sweep_interval))
@@ -291,13 +254,7 @@ pub fn serve(ctx: &Ctx) -> serde_json::Value {
     let recovery_ms = t_recover.elapsed().as_secs_f64() * 1e3;
     let resumed_tick = fm_b.tick();
     assert!(resumed_tick as usize <= kill_at);
-    run_batches(
-        &mut fm_b,
-        &batches,
-        resumed_tick as usize,
-        &trained,
-        &mut stats_b,
-    );
+    run_batches(&mut fm_b, &batches, resumed_tick as usize, &trained);
     let (scores_b, quarantined_b, report_b) = finish(&mut fm_b, &trained);
 
     // Recovery must be bit-identical to the uninterrupted run.
@@ -335,47 +292,13 @@ pub fn serve(ctx: &Ctx) -> serde_json::Value {
 
     let _ = std::fs::remove_dir_all(&root);
 
-    let rows = vec![
-        json!({"metric": "sustained_records_per_sec", "value": records_per_sec}),
-        json!({"metric": "batch_latency_p50_ms", "value": p50_ms}),
-        json!({"metric": "batch_latency_p99_ms", "value": p99_ms}),
-        json!({"metric": "recovery_ms", "value": recovery_ms}),
-        json!({"metric": "batches", "value": n_batches}),
-        json!({"metric": "batch_size", "value": BATCH_SIZE}),
-        json!({"metric": "n_shards", "value": N_SHARDS}),
-        json!({"metric": "records_received", "value": report_a.received}),
-        json!({"metric": "records_accepted", "value": report_a.accepted}),
-        json!({"metric": "rejected_corrupt", "value": report_a.rejected_corrupt}),
-        json!({"metric": "rejected_late", "value": report_a.rejected_late}),
-        json!({"metric": "shed_overflow", "value": report_a.shed_overflow}),
-        json!({"metric": "dropped_quarantined", "value": report_a.dropped_quarantined}),
-        json!({"metric": "quarantines", "value": report_a.quarantines}),
-        json!({"metric": "readmissions", "value": report_a.readmissions}),
-        json!({"metric": "drives_quarantined_final", "value": quarantined_a.len()}),
-        json!({"metric": "transport_truncated_records", "value": transport.truncated_records}),
-        json!({"metric": "transport_burst_dropped", "value": transport.burst_dropped}),
-        json!({"metric": "sweeps_scored", "value": stats_a.sweeps_scored}),
-        json!({"metric": "sweeps_shed", "value": stats_a.sweeps_shed_outcomes}),
-        json!({"metric": "checkpoints_written", "value": stats_a.checkpoints_written}),
-        json!({"metric": "checkpoints_failed", "value": stats_a.checkpoints_failed}),
-        json!({"metric": "kill_at_batch", "value": kill_at}),
-        json!({"metric": "resumed_tick", "value": resumed_tick}),
-        json!({"metric": "recovery_bit_identical", "value": true}),
-        json!({"metric": "corrupt_checkpoint_rejected", "value": rejected}),
-    ];
-    let payload: String = rows.iter().map(|r| format!("{r}\n")).collect();
-    std::fs::write(OUT_PATH, payload).unwrap_or_else(|e| panic!("cannot write {OUT_PATH}: {e}"));
-    println!("  wrote {OUT_PATH} ({} metric rows)", rows.len());
-
     json!({
-        "out_path": OUT_PATH,
         "sustained_records_per_sec": records_per_sec,
         "batch_latency_p99_ms": p99_ms,
         "recovery_ms": recovery_ms,
         "recovery_bit_identical": true,
         "corrupt_checkpoint_rejected": rejected,
         "quarantined": quarantined_a.len(),
-        "rows": rows,
     })
 }
 

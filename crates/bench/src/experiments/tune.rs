@@ -31,34 +31,23 @@ pub fn tune(ctx: &Ctx) -> serde_json::Value {
     let y = sub.labels().to_vec();
     let folds = time_series_cv(&sub.times(), 2).expect("folds");
 
-    // `max_bins` 0 = the exact re-sorting split search, 256 = the
-    // default histogram path; tuning over both doubles as a CV-level
-    // check that binning does not cost accuracy.
     let grid = ParamGrid::new()
         .add("n_trees", &[40.0, 80.0, 120.0])
-        .add("max_depth", &[6.0, 10.0, 14.0])
-        .add("max_bins", &[0.0, 256.0]);
+        .add("max_depth", &[6.0, 10.0, 14.0]);
     let result = grid_search(&grid, &folds, sub.matrix(), &y, |p| {
-        Box::new(
-            RandomForest::new(p["n_trees"] as usize, p["max_depth"] as usize)
-                .with_seed(13)
-                .with_max_bins(p["max_bins"] as usize),
-        )
+        Box::new(RandomForest::new(p["n_trees"] as usize, p["max_depth"] as usize).with_seed(13))
     })
     .expect("grid search");
 
     for t in &result.trials {
         println!(
-            "  n_trees={:<4} max_depth={:<3} max_bins={:<4} mean AUC={:.4}",
-            t.params["n_trees"], t.params["max_depth"], t.params["max_bins"], t.mean_auc
+            "  n_trees={:<4} max_depth={:<3} mean AUC={:.4}",
+            t.params["n_trees"], t.params["max_depth"], t.mean_auc
         );
     }
     println!(
-        "  best: n_trees={} max_depth={} max_bins={} (AUC {:.4})",
-        result.best_params["n_trees"],
-        result.best_params["max_depth"],
-        result.best_params["max_bins"],
-        result.best_auc
+        "  best: n_trees={} max_depth={} (AUC {:.4})",
+        result.best_params["n_trees"], result.best_params["max_depth"], result.best_auc
     );
     json!({
         "best": result.best_params,

@@ -68,7 +68,7 @@ impl Algorithm {
     /// `features` is the column set the model will see (the threshold
     /// detector needs it to locate the SMART attributes its rules read);
     /// `seq_len` only matters for [`Algorithm::CnnLstm`], and `max_bins`
-    /// (histogram split-search budget, `0` = exact) only for the tree
+    /// (histogram split-search budget, at least 2) only for the tree
     /// ensembles.
     pub fn build(
         self,

@@ -85,7 +85,8 @@ pub struct MfpaConfig {
     /// report is bit-identical at any value.
     pub n_threads: usize,
     /// Per-feature bin budget for the tree ensembles' histogram split
-    /// search (`0` = the exact re-sorting path).
+    /// search: at least 2 (fitting refuses smaller values), at most 256
+    /// (larger values are clamped).
     pub max_bins: usize,
 }
 
@@ -138,7 +139,7 @@ impl MfpaConfig {
         self
     }
 
-    /// Sets the tree ensembles' histogram bin budget (`0` = exact path).
+    /// Sets the tree ensembles' histogram bin budget (2 to 256).
     pub fn with_max_bins(mut self, n: usize) -> Self {
         self.max_bins = n;
         self

@@ -1,8 +1,8 @@
 //! Feature quantization for histogram-based tree training.
 //!
-//! Exact CART split search re-sorts every candidate feature at every
-//! node — `O(F · n log n)` per node, repeated per tree and per boosting
-//! round. The LightGBM-style alternative implemented here quantizes each
+//! An exhaustive CART split search re-sorts every candidate feature at
+//! every node — `O(F · n log n)` per node, repeated per tree and per
+//! boosting round. The LightGBM-style search used here quantizes each
 //! feature **once per fit** into at most 256 quantile bins; split search
 //! then accumulates per-bin `(Σtarget, count)` histograms in `O(n · F)`
 //! and scans at most 256 bin boundaries per feature instead of `n`.
@@ -24,10 +24,10 @@
 //! §III: gap-filled counters concentrate probability mass on few
 //! distinct values): when a feature has at most `max_bins` distinct
 //! values — the common case for event counters after gap handling — the
-//! edge set equals the exact path's full candidate set (every midpoint
-//! between consecutive distinct values), so nothing is lost; only
-//! genuinely continuous features are coarsened, and there the quantile
-//! cuts put equal sample mass in each bin.
+//! edge set equals an exhaustive search's full candidate set (every
+//! midpoint between consecutive distinct values), so nothing is lost;
+//! only genuinely continuous features are coarsened, and there the
+//! quantile cuts put equal sample mass in each bin.
 
 use mfpa_dataset::Matrix;
 use mfpa_par::{ordered_collect, Workers};
@@ -133,9 +133,9 @@ impl BinnedMatrix {
 }
 
 /// The bin code of `v` against ascending `edges`: the first bin whose
-/// upper threshold contains it. NaN maps to the last bin, matching the
-/// exact path where NaN compares greater than every threshold
-/// (`v <= t` is false) and therefore always routes right.
+/// upper threshold contains it. NaN maps to the last bin, matching raw
+/// routing, where `NaN <= t` is false for every threshold and NaN
+/// therefore always routes right.
 fn bin_code(v: f64, edges: &[f64]) -> u8 {
     if v.is_nan() {
         return edges.len() as u8;
@@ -146,9 +146,9 @@ fn bin_code(v: f64, edges: &[f64]) -> u8 {
 /// Chooses the split thresholds for one feature.
 ///
 /// With at most `max_bins` distinct (non-NaN) values the edges are the
-/// midpoints between every consecutive distinct pair — the exact path's
-/// complete candidate set, which is what makes exact↔binned parity
-/// testable. Otherwise bins are built greedily over the sorted sample
+/// midpoints between every consecutive distinct pair — an exhaustive
+/// search's complete candidate set, which is what makes the parity test
+/// against an exhaustive oracle possible. Otherwise bins are built greedily over the sorted sample
 /// distribution, closing a bin once it holds `⌈n / max_bins⌉` samples:
 /// every bin gets roughly equal sample mass, and a heavy-mass value (a
 /// gap-filled counter stuck at one reading) gets a bin of its own
@@ -262,8 +262,8 @@ mod tests {
         let x = col(&[1.0, f64::NAN, 2.0, 3.0]);
         let b = BinnedMatrix::build(&x, 256, Workers::new(1));
         // The last bin's code is strictly greater than every boundary
-        // index, so a NaN row never routes left — matching the exact
-        // path, where `NaN <= threshold` is false.
+        // index, so a NaN row never routes left — matching raw routing,
+        // where `NaN <= threshold` is false.
         assert_eq!(b.column(0)[1] as usize, b.n_bins(0) - 1);
         assert_eq!(b.n_bins(0) - 1, b.edges(0).len());
     }

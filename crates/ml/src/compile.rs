@@ -2,15 +2,18 @@
 //!
 //! [`CompiledEnsemble`] flattens the pointer-linked trees of a fitted
 //! [`crate::RandomForest`] or [`crate::Gbdt`] into breadth-first
-//! structure-of-arrays node blocks, quantizes thresholds to `u8` bin
-//! cuts where a feature's threshold set fits 255 edges (byte compares
-//! on the hot path, with an `f64` raw-threshold fallback lane
-//! otherwise), and scores rows in blocks one tree-level at a time.
-//! Probabilities are bit-identical to the interpreted
-//! `predict_proba` of the source model: node routing uses the exact
-//! `value <= threshold` comparisons (the quantized code compare is
-//! provably equivalent, see [`Lane`]), and per-row accumulation runs
-//! in the same tree order with the same operations.
+//! structure-of-arrays node blocks, quantizes every threshold to a `u8`
+//! bin cut (byte compares on the hot path), and scores rows in blocks
+//! one tree-level at a time. Probabilities are bit-identical to the
+//! interpreted `predict_proba` of the source model: the code compare is
+//! provably equivalent to the interpreted `value <= threshold` (see
+//! [`CompiledEnsemble::edges`]), and per-row accumulation runs in the
+//! same tree order with the same operations.
+//!
+//! A histogram-fitted tree splits only at its feature's bin edges, at
+//! most 255 per feature, so every fitted ensemble quantizes. A feature
+//! with more distinct thresholds, or a NaN threshold, has no `u8` cut
+//! and is refused.
 //!
 //! Two scoring paths are exposed:
 //!
@@ -54,26 +57,6 @@ const SEQ_BLOCK: usize = 16;
 /// Maximum quantized edges per feature; codes and cuts are `u8`.
 const MAX_EDGES: usize = 255;
 
-/// How a feature's thresholds are represented on the hot path.
-///
-/// For a `Quantized` feature, `edges` is the sorted, deduplicated set
-/// of every split threshold the ensemble uses on that feature. A raw
-/// value maps to the code `#{e in edges : e < v}` (NaN maps past the
-/// end), and a node's threshold `t` — itself an edge — to the cut
-/// `#{e : e < t}`. Then `code(v) <= cut ⟺ v <= t` *exactly*: every
-/// edge below `v` is below `t` iff `v <= t`, so byte compares route
-/// rows identically to the raw `f64` compares, NaN included.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Lane {
-    /// Hot path compares raw `f64` values against node thresholds.
-    /// Chosen when a feature has more than 255 distinct thresholds or a
-    /// NaN threshold (unrepresentable as a cut).
-    Raw,
-    /// Hot path compares `u8` bin codes against node cuts; `edges` maps
-    /// values to codes.
-    Quantized(Vec<f64>),
-}
-
 /// Ensemble-specific reduction from per-tree leaf sums to a probability.
 #[derive(Debug, Clone, PartialEq)]
 enum Finalize {
@@ -97,13 +80,12 @@ pub struct CompiledEnsemble {
     n_features: usize,
     /// Split feature per node, or [`LEAF`].
     feat: Vec<u32>,
-    /// Raw split threshold per node (always populated).
+    /// Raw split threshold per node: the serialized form, from which
+    /// `edges` and `cut` derive.
     thr: Vec<f64>,
-    /// Quantized cut per node (valid when the feature's lane is
-    /// [`Lane::Quantized`]).
+    /// Quantized cut per node: its threshold's index in the feature's
+    /// edges.
     cut: Vec<u8>,
-    /// 1 if this node compares codes, 0 if it compares raw values.
-    qflag: Vec<u8>,
     /// Absolute index of the left child; the right child is `left + 1`.
     left: Vec<u32>,
     /// Leaf value (valid when `feat == LEAF`).
@@ -114,13 +96,15 @@ pub struct CompiledEnsemble {
     tree_roots: Vec<u32>,
     /// Height of each tree (a lone leaf has depth 0).
     tree_depths: Vec<u32>,
-    lanes: Vec<Lane>,
+    /// Per-feature quantization edges; see [`CompiledEnsemble::edges`].
+    edges: Vec<Vec<f64>>,
     finalize: Finalize,
     n_threads: usize,
 }
 
 impl CompiledEnsemble {
-    /// Compiles GBDT round trees; returns `None` if any tree is empty.
+    /// Compiles GBDT round trees; returns `None` if any tree is empty or
+    /// a feature's thresholds do not quantize.
     pub(crate) fn from_gbdt(
         trees: &[DecisionTree],
         n_features: usize,
@@ -139,7 +123,8 @@ impl CompiledEnsemble {
         )
     }
 
-    /// Compiles random-forest trees; returns `None` if any tree is empty.
+    /// Compiles random-forest trees; returns `None` if any tree is empty
+    /// or a feature's thresholds do not quantize.
     pub(crate) fn from_forest(
         trees: &[DecisionTree],
         n_features: usize,
@@ -166,12 +151,11 @@ impl CompiledEnsemble {
             feat: Vec::with_capacity(total),
             thr: Vec::with_capacity(total),
             cut: vec![0; total],
-            qflag: vec![0; total],
             left: Vec::with_capacity(total),
             value: Vec::with_capacity(total),
             tree_roots: Vec::with_capacity(trees.len()),
             tree_depths: Vec::with_capacity(trees.len()),
-            lanes: Vec::new(),
+            edges: Vec::new(),
             finalize,
             n_threads: n_threads.max(1),
         };
@@ -212,54 +196,49 @@ impl CompiledEnsemble {
                 }
             }
         }
-        ens.build_lanes();
+        ens.build_edges().ok()?;
         Some(ens)
     }
 
-    /// Derives per-feature quantization lanes from the union of node
-    /// thresholds and fills in node cuts.
-    fn build_lanes(&mut self) {
-        let mut per_feat: Vec<Vec<f64>> = vec![Vec::new(); self.n_features];
+    /// Derives each feature's edges from the node thresholds and fills
+    /// in node cuts.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the feature if its thresholds include a NaN or
+    /// more than [`MAX_EDGES`] distinct values: neither has a `u8` cut.
+    fn build_edges(&mut self) -> Result<(), String> {
+        let mut edges: Vec<Vec<f64>> = vec![Vec::new(); self.n_features];
         for (&f, &t) in self.feat.iter().zip(&self.thr) {
-            if f == LEAF || f as usize >= per_feat.len() {
-                continue;
+            // `LEAF` indexes past every feature.
+            if let Some(e) = edges.get_mut(f as usize) {
+                e.push(t);
             }
-            per_feat[f as usize].push(t);
         }
-        self.lanes = per_feat
-            .into_iter()
-            .map(|mut thrs| {
-                if thrs.is_empty() || thrs.iter().any(|t| t.is_nan()) {
-                    return Lane::Raw;
-                }
-                thrs.sort_by(f64::total_cmp);
-                // Numeric dedup also collapses -0.0/0.0: routing by
-                // either representative is numerically identical.
-                thrs.dedup_by(|a, b| a == b);
-                if thrs.len() > MAX_EDGES {
-                    Lane::Raw
-                } else {
-                    Lane::Quantized(thrs)
-                }
-            })
-            .collect();
-        let nodes = self
-            .feat
-            .iter()
-            .zip(&self.thr)
-            .zip(self.cut.iter_mut())
-            .zip(self.qflag.iter_mut());
-        for (((&f, &t), cut), qflag) in nodes {
-            if f == LEAF || f as usize >= self.lanes.len() {
-                continue;
+        for (f, e) in edges.iter_mut().enumerate() {
+            if e.iter().any(|t| t.is_nan()) {
+                return Err(format!("feature {f} has a NaN threshold"));
             }
-            if let Lane::Quantized(edges) = &self.lanes[f as usize] {
-                let c = edges.partition_point(|&e| e < t);
-                debug_assert!(c < edges.len() && edges[c] == t);
+            e.sort_by(f64::total_cmp);
+            // Numeric dedup also collapses -0.0/0.0: routing by either
+            // representative is numerically identical.
+            e.dedup_by(|a, b| a == b);
+            if e.len() > MAX_EDGES {
+                return Err(format!(
+                    "feature {f} has {} distinct thresholds, more than {MAX_EDGES}",
+                    e.len()
+                ));
+            }
+        }
+        for ((&f, &t), cut) in self.feat.iter().zip(&self.thr).zip(self.cut.iter_mut()) {
+            if let Some(e) = edges.get(f as usize) {
+                let c = e.partition_point(|&x| x < t);
+                debug_assert!(c < e.len() && e[c] == t);
                 *cut = u8::try_from(c).unwrap_or(u8::MAX);
-                *qflag = 1;
             }
         }
+        self.edges = edges;
+        Ok(())
     }
 
     /// Limits worker threads for [`CompiledEnsemble::predict_proba`].
@@ -285,9 +264,18 @@ impl CompiledEnsemble {
         self.n_features
     }
 
-    /// Per-feature threshold lanes (mainly for inspection/tests).
-    pub fn lanes(&self) -> &[Lane] {
-        &self.lanes
+    /// Per-feature quantization edges (mainly for inspection/tests).
+    ///
+    /// A feature's edges are the sorted, deduplicated set of every split
+    /// threshold the ensemble uses on it; a feature no tree splits on
+    /// has none. A raw value maps to the code `#{e in edges : e < v}`
+    /// (NaN maps past the end), and a node's threshold `t` — itself an
+    /// edge — to the cut `#{e : e < t}`. Then `code(v) <= cut ⟺ v <= t`
+    /// *exactly*: every edge below `v` is below `t` iff `v <= t`, so
+    /// byte compares route rows identically to the raw `f64` compares,
+    /// NaN included.
+    pub fn edges(&self) -> &[Vec<f64>] {
+        &self.edges
     }
 
     /// Node range of tree `t`.
@@ -300,7 +288,7 @@ impl CompiledEnsemble {
         (start, end)
     }
 
-    /// Maps a raw value to its bin code for a quantized feature.
+    /// Maps a raw value to its bin code among a feature's `edges`.
     #[inline]
     fn code(edges: &[f64], v: f64) -> u8 {
         if v.is_nan() {
@@ -315,31 +303,15 @@ impl CompiledEnsemble {
     /// Scores one block of rows (row-major `rows`, `bl` rows), writing
     /// probabilities to `out`. Bit-identical to the interpreted path:
     /// same routing, same per-row accumulation order.
-    // `!(v <= thr)` is the routing predicate itself: NaN values (and
-    // NaN thresholds on the raw lane) must route right, exactly like
-    // the interpreted walk. A positive rewrite would drop the NaN arm.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn score_block(&self, x: &Matrix, row0: usize, bl: usize, out: &mut Vec<f64>) {
         debug_assert!(bl <= DENSE_BLOCK);
-        let nf = self.n_features;
-        // Transpose the block to feature-major and bin quantized lanes
-        // once; every tree level then sweeps contiguous L1-resident
-        // columns.
-        let mut cols = vec![0.0f64; nf * bl];
-        let mut codes = vec![0u8; nf * bl];
+        // Bin the block once, feature-major; every tree level then
+        // sweeps contiguous L1-resident code columns.
+        let mut codes = vec![0u8; self.n_features * bl];
         for k in 0..bl {
             let row = x.row(row0 + k);
-            for f in 0..nf {
-                cols[f * bl + k] = row[f];
-            }
-        }
-        for f in 0..nf {
-            if let Lane::Quantized(edges) = &self.lanes[f] {
-                let col = &cols[f * bl..(f + 1) * bl];
-                let out = &mut codes[f * bl..(f + 1) * bl];
-                for k in 0..bl {
-                    out[k] = Self::code(edges, col[k]);
-                }
+            for (f, edges) in self.edges.iter().enumerate() {
+                codes[f * bl + k] = Self::code(edges, row[f]);
             }
         }
         let (init, shrink) = match self.finalize {
@@ -364,12 +336,7 @@ impl CompiledEnsemble {
                     if f == LEAF {
                         continue;
                     }
-                    let f = f as usize;
-                    let go_right = if self.qflag[ix] == 1 {
-                        codes[f * bl + k] > self.cut[ix]
-                    } else {
-                        !(cols[f * bl + k] <= self.thr[ix])
-                    };
+                    let go_right = codes[f as usize * bl + k] > self.cut[ix];
                     idx[k] = self.left[ix] + u32::from(go_right);
                 }
             }
@@ -522,29 +489,25 @@ struct Patch {
 /// `c + 1`; a feature the path does not test keeps `[0, 255]`).
 ///
 /// Per record, a bitwise diff finds the changed features. A changed
-/// quantized feature is re-coded, and only when its code moves does
-/// one contiguous scan over its `n_trees` intervals mark the trees the
-/// new code has left. NaN codes past every cut, so it needs no special
-/// case. A [`Lane::Raw`] feature has no codes: a path that tests it
-/// leaves its interval empty, so any bit change of the feature marks
-/// exactly the trees whose path tests it. Each marked tree is re-walked
-/// once. Scores are bit-identical to [`CompiledEnsemble::predict_proba`]
-/// row by row.
+/// feature is re-coded, and only when its code moves does one
+/// contiguous scan over its `n_trees` intervals mark the trees the new
+/// code has left. NaN codes past every cut, so it needs no special
+/// case. Each marked tree is re-walked once. Scores are bit-identical
+/// to [`CompiledEnsemble::predict_proba`] row by row.
 #[derive(Debug)]
 pub struct SequentialScorer<'a> {
     ens: &'a CompiledEnsemble,
     /// Cached leaf value per tree.
     cur_leaf: Vec<f64>,
     /// Lowest and highest code, per `[f * n_trees + t]`, at which tree
-    /// `t`'s cached path still holds for feature `f`; `lo > hi` (empty)
-    /// for a raw-lane feature the path tests.
+    /// `t`'s cached path still holds for feature `f`.
     lo: Vec<u8>,
     hi: Vec<u8>,
     /// Bitmask of the features tested on each tree's cached path.
     path_feats: Vec<u64>,
     /// Per tree, nonzero if it must be re-walked on the current record.
     marked: Vec<u8>,
-    /// Current code per quantized feature (unused on raw lanes).
+    /// Current code per feature.
     codes: Vec<u8>,
     prev_row: Vec<f64>,
     started: bool,
@@ -617,10 +580,8 @@ impl SequentialScorer<'_> {
             // A stream's first row walks every tree and is always
             // scored in full.
             self.started = true;
-            for (f, lane) in ens.lanes.iter().enumerate() {
-                if let Lane::Quantized(edges) = lane {
-                    self.codes[f] = CompiledEnsemble::code(edges, row[f]);
-                }
+            for (f, edges) in ens.edges.iter().enumerate() {
+                self.codes[f] = CompiledEnsemble::code(edges, row[f]);
             }
             self.marked.fill(1);
             self.change_rows |= 1 << r;
@@ -629,27 +590,21 @@ impl SequentialScorer<'_> {
             while changed != 0 {
                 let f = changed.trailing_zeros() as usize;
                 changed &= changed - 1;
-                // A raw lane tests with any code against an empty
-                // interval, so every tree whose path tests `f` is marked.
-                let c = match &ens.lanes[f] {
-                    Lane::Quantized(edges) => {
-                        // Most changes stay inside the current bin: two
-                        // compares instead of a binary search.
-                        let (v, old) = (row[f], usize::from(self.codes[f]));
-                        if old.checked_sub(1).is_none_or(|i| edges[i] < v)
-                            && edges.get(old).is_none_or(|&e| v <= e)
-                        {
-                            continue;
-                        }
-                        let c = CompiledEnsemble::code(edges, v);
-                        if c == self.codes[f] {
-                            continue;
-                        }
-                        self.codes[f] = c;
-                        c
-                    }
-                    Lane::Raw => 0,
-                };
+                // Most changes stay inside the current bin: two compares
+                // instead of a binary search. A feature no tree splits
+                // on has one bin and never gets past here.
+                let edges = &ens.edges[f];
+                let (v, old) = (row[f], usize::from(self.codes[f]));
+                if old.checked_sub(1).is_none_or(|i| edges[i] < v)
+                    && edges.get(old).is_none_or(|&e| v <= e)
+                {
+                    continue;
+                }
+                let c = CompiledEnsemble::code(edges, v);
+                if c == self.codes[f] {
+                    continue;
+                }
+                self.codes[f] = c;
                 let lo = &self.lo[f * nt..(f + 1) * nt];
                 let hi = &self.hi[f * nt..(f + 1) * nt];
                 let mut hit = 0u8;
@@ -673,7 +628,7 @@ impl SequentialScorer<'_> {
         }
         for t in 0..nt {
             if std::mem::take(&mut self.marked[t]) != 0 {
-                let v = self.rewalk(t, row);
+                let v = self.rewalk(t);
                 if v.to_bits() != self.cur_leaf[t].to_bits() {
                     // Identical bits mean an identical ordered sum, so
                     // an unchanged leaf needs no patch.
@@ -689,13 +644,10 @@ impl SequentialScorer<'_> {
         }
     }
 
-    /// Walks tree `t` on `row` from the root, replacing its cached
-    /// path's intervals with the new path's, and returns the leaf value.
-    // `!(v <= thr)` is the routing predicate itself: NaN values (and
-    // NaN thresholds on the raw lane) must route right, exactly like
-    // the interpreted walk. A positive rewrite would drop the NaN arm.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn rewalk(&mut self, t: usize, row: &[f64]) -> f64 {
+    /// Walks tree `t` on the current codes from the root, replacing its
+    /// cached path's intervals with the new path's, and returns the leaf
+    /// value.
+    fn rewalk(&mut self, t: usize) -> f64 {
         let ens = self.ens;
         let nt = self.cur_leaf.len();
         let mut m = self.path_feats[t];
@@ -715,21 +667,14 @@ impl SequentialScorer<'_> {
             let f = f as usize;
             let k = f * nt + t;
             feats |= 1 << f;
-            let go_right = if ens.qflag[ix] == 1 {
-                // Branch-free narrowing: going right lifts `lo` to
-                // `c + 1` and leaves `hi`; going left caps `hi` at `c`
-                // and leaves `lo`.
-                let c = ens.cut[ix];
-                let right = u8::from(self.codes[f] > c);
-                self.lo[k] = self.lo[k].max(c.saturating_add(1) * right);
-                self.hi[k] = self.hi[k].min(c | 0u8.wrapping_sub(right));
-                right == 1
-            } else {
-                self.lo[k] = u8::MAX;
-                self.hi[k] = 0;
-                !(row[f] <= ens.thr[ix])
-            };
-            ix = ens.left[ix] as usize + usize::from(go_right);
+            // Branch-free narrowing: going right lifts `lo` to `c + 1`
+            // and leaves `hi`; going left caps `hi` at `c` and leaves
+            // `lo`.
+            let c = ens.cut[ix];
+            let right = u8::from(self.codes[f] > c);
+            self.lo[k] = self.lo[k].max(c.saturating_add(1) * right);
+            self.hi[k] = self.hi[k].min(c | 0u8.wrapping_sub(right));
+            ix = ens.left[ix] as usize + usize::from(right);
         }
         self.path_feats[t] = feats;
         ens.value[ix]
@@ -862,7 +807,7 @@ fn corrupt(msg: impl Into<String>) -> MlError {
 impl CompiledEnsemble {
     /// Serializes to the little-endian `.mfpac` format: header, node
     /// arrays, FNV-1a-64 footer over everything before it. Quantization
-    /// lanes are not stored — they derive deterministically from the
+    /// edges are not stored — they derive deterministically from the
     /// node thresholds and are rebuilt on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n_nodes = self.feat.len();
@@ -911,9 +856,9 @@ impl CompiledEnsemble {
     }
 
     /// Decodes a `.mfpac` artifact. Any corruption — truncation, bit
-    /// flips, inconsistent structure — is refused with a structured
-    /// [`MlError::CorruptArtifact`]; this never panics on hostile
-    /// input.
+    /// flips, inconsistent structure, thresholds that do not quantize —
+    /// is refused with a structured [`MlError::CorruptArtifact`]; this
+    /// never panics on hostile input.
     ///
     /// # Errors
     ///
@@ -1040,7 +985,7 @@ impl CompiledEnsemble {
                 reached[l + 1 - s] = true;
             }
             // Every node must be reachable: the compiler never emits
-            // dead nodes, and `build_lanes` walks every node, so an
+            // dead nodes, and `build_edges` walks every node, so an
             // unreachable one would escape the checks above.
             if let Some(dead) = reached.iter().position(|&r| !r) {
                 return Err(corrupt(format!(
@@ -1058,18 +1003,17 @@ impl CompiledEnsemble {
         let mut ens = CompiledEnsemble {
             n_features,
             cut: vec![0; n_nodes],
-            qflag: vec![0; n_nodes],
             feat,
             thr,
             left,
             value,
             tree_roots,
             tree_depths,
-            lanes: Vec::new(),
+            edges: Vec::new(),
             finalize,
             n_threads: 1,
         };
-        ens.build_lanes();
+        ens.build_edges().map_err(corrupt)?;
         Ok(ens)
     }
 }
@@ -1154,6 +1098,52 @@ mod tests {
         assert_eq!(CompiledEnsemble::code(&edges, f64::NAN), 3);
         let full: Vec<f64> = (0..MAX_EDGES).map(|i| i as f64).collect();
         assert_eq!(CompiledEnsemble::code(&full, f64::NAN), u8::MAX);
+    }
+
+    /// A one-tree forest over one feature: a right-leaning chain whose
+    /// `k`-th inner node splits feature 0 at `thresholds[k]`, with a leaf
+    /// on every left branch and one at the end.
+    fn chain_ensemble(thresholds: &[f64]) -> CompiledEnsemble {
+        let n_nodes = 2 * thresholds.len() + 1;
+        let mut ens = CompiledEnsemble {
+            n_features: 1,
+            feat: vec![LEAF; n_nodes],
+            thr: vec![0.0; n_nodes],
+            cut: vec![0; n_nodes],
+            left: vec![0; n_nodes],
+            value: (0..n_nodes).map(|i| i as f64).collect(),
+            tree_roots: vec![0],
+            tree_depths: vec![u32::try_from(thresholds.len()).unwrap()],
+            edges: Vec::new(),
+            finalize: Finalize::RfMean,
+            n_threads: 1,
+        };
+        for (k, &t) in thresholds.iter().enumerate() {
+            ens.feat[2 * k] = 0;
+            ens.thr[2 * k] = t;
+            ens.left[2 * k] = u32::try_from(2 * k + 1).unwrap();
+        }
+        ens
+    }
+
+    /// The decoder refuses a feature whose thresholds have no `u8` cut:
+    /// more than 255 distinct values, or a NaN.
+    #[test]
+    fn decoder_refuses_thresholds_that_do_not_quantize() {
+        let fits: Vec<f64> = (0..MAX_EDGES).map(|i| i as f64).collect();
+        let loaded = CompiledEnsemble::from_bytes(&chain_ensemble(&fits).to_bytes())
+            .expect("255 distinct thresholds quantize");
+        assert_eq!(loaded.edges()[0], fits);
+
+        let too_many: Vec<f64> = (0..=MAX_EDGES).map(|i| i as f64).collect();
+        let mut with_nan = fits.clone();
+        with_nan[7] = f64::NAN;
+        for (thresholds, why) in [(too_many, "256 distinct"), (with_nan, "NaN")] {
+            match CompiledEnsemble::from_bytes(&chain_ensemble(&thresholds).to_bytes()) {
+                Err(MlError::CorruptArtifact(msg)) => assert!(msg.contains("feature 0"), "{msg}"),
+                other => panic!("{why} thresholds accepted: {other:?}"),
+            }
+        }
     }
 
     /// The flattened layout invariants the kernels index by: children

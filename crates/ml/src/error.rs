@@ -88,6 +88,18 @@ pub(crate) fn check_fit_inputs(x: &mfpa_dataset::Matrix, y: &[bool]) -> Result<u
     Ok(x.n_cols())
 }
 
+/// Validates a tree ensemble's histogram bin budget: split search needs
+/// at least two bins per feature. (`BinnedMatrix::build` clamps budgets
+/// above 256 to the `u8` code range.)
+pub(crate) fn check_max_bins(max_bins: usize) -> Result<(), MlError> {
+    if max_bins < 2 {
+        return Err(MlError::InvalidParameter(format!(
+            "max_bins must be at least 2, got {max_bins}"
+        )));
+    }
+    Ok(())
+}
+
 /// Validates prediction input width against the fitted width.
 pub(crate) fn check_predict_inputs(
     x: &mfpa_dataset::Matrix,

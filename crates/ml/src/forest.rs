@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
-use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
+use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
 use crate::model::Classifier;
 use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
 
@@ -84,8 +84,8 @@ impl RandomForest {
         self
     }
 
-    /// Overrides the per-feature bin budget for histogram split search;
-    /// `0` selects the exact (re-sorting) training path.
+    /// Overrides the per-feature bin budget for histogram split search
+    /// (at least 2; fitting refuses smaller values).
     pub fn with_max_bins(mut self, n: usize) -> Self {
         self.tree_params.max_bins = n;
         self
@@ -123,27 +123,10 @@ impl RandomForest {
         imp
     }
 
-    fn fit_one_tree(
-        x: &Matrix,
-        targets: &[f64],
-        params: TreeParams,
-        seed: u64,
-    ) -> Result<DecisionTree, MlError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = x.n_rows();
-        let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-        let bx = x.select_rows(&indices);
-        let bt: Vec<f64> = indices.iter().map(|&i| targets[i]).collect();
-        let mut tree =
-            DecisionTree::new(params).with_seed(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        tree.fit_regression(&bx, &bt, None)?;
-        Ok(tree)
-    }
-
-    /// Binned analogue of [`RandomForest::fit_one_tree`]: same bootstrap
-    /// draw and tree seed, but the bootstrap is a row-index view into the
-    /// shared [`BinnedMatrix`] — no per-tree matrix materialisation.
-    fn fit_one_tree_binned(
+    /// Fits one tree on a bootstrap drawn from `seed`. The bootstrap is a
+    /// row-index view into the shared [`BinnedMatrix`] — no per-tree
+    /// matrix materialisation.
+    fn fit_bootstrap_tree(
         binned: &BinnedMatrix,
         targets: &[f64],
         params: TreeParams,
@@ -162,6 +145,7 @@ impl RandomForest {
 impl Classifier for RandomForest {
     fn fit(&mut self, x: &Matrix, y: &[bool]) -> Result<(), MlError> {
         check_fit_inputs(x, y)?;
+        check_max_bins(self.tree_params.max_bins)?;
         let targets: Vec<f64> = y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
         let params = self.tree_params;
         let base_seed = self.seed;
@@ -172,17 +156,11 @@ impl Classifier for RandomForest {
             .map(|ix| base_seed.wrapping_add(ix as u64))
             .collect();
         let workers = Workers::new(self.n_threads);
-        let results = if params.max_bins > 0 {
-            // Quantize once; every tree's bootstrap is an index view.
-            let binned = BinnedMatrix::build(x, params.max_bins, workers);
-            ordered_map(&tree_seeds, workers, |_, &seed| {
-                Self::fit_one_tree_binned(&binned, &targets, params, seed)
-            })
-        } else {
-            ordered_map(&tree_seeds, workers, |_, &seed| {
-                Self::fit_one_tree(x, &targets, params, seed)
-            })
-        };
+        // Quantize once; every tree's bootstrap is an index view.
+        let binned = BinnedMatrix::build(x, params.max_bins, workers);
+        let results = ordered_map(&tree_seeds, workers, |_, &seed| {
+            Self::fit_bootstrap_tree(&binned, &targets, params, seed)
+        });
         self.trees = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         self.n_features = Some(x.n_cols());
         Ok(())
@@ -312,6 +290,18 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0]]).unwrap();
         assert_eq!(rf.predict_proba(&x), Err(MlError::NotFitted));
         assert!(rf.feature_importances().is_empty());
+    }
+
+    #[test]
+    fn bin_budget_below_two_is_refused() {
+        let (x, y) = clusters(40, 2);
+        for max_bins in [0, 1] {
+            let mut rf = RandomForest::new(3, 3).with_max_bins(max_bins);
+            assert!(
+                matches!(rf.fit(&x, &y), Err(MlError::InvalidParameter(_))),
+                "max_bins = {max_bins}"
+            );
+        }
     }
 
     #[test]

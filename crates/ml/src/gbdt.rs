@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
-use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
+use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
 use crate::model::Classifier;
 use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
 
@@ -94,9 +94,9 @@ impl Gbdt {
         self
     }
 
-    /// Overrides the per-feature bin budget for histogram split search;
-    /// `0` selects the exact (re-sorting) training path. The binned
-    /// matrix is built once per fit and reused across every round.
+    /// Overrides the per-feature bin budget for histogram split search
+    /// (at least 2; fitting refuses smaller values). The binned matrix
+    /// is built once per fit and reused across every round.
     pub fn with_max_bins(mut self, n: usize) -> Self {
         self.max_bins = n;
         self
@@ -174,6 +174,7 @@ impl Classifier for Gbdt {
                 self.learning_rate
             )));
         }
+        check_max_bins(self.max_bins)?;
         let n = x.n_rows();
         let targets: Vec<f64> = y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
         let pos = targets.iter().sum::<f64>();
@@ -193,11 +194,7 @@ impl Classifier for Gbdt {
         };
         // Quantize once; every boosting round trains on bin codes and
         // never re-reads the row-major matrix.
-        let binned = if self.max_bins > 0 {
-            Some(BinnedMatrix::build(x, self.max_bins, workers))
-        } else {
-            None
-        };
+        let binned = BinnedMatrix::build(x, self.max_bins, workers);
         let mut trees = Vec::with_capacity(self.n_rounds);
         let mut all_rows: Vec<usize> = (0..n).collect();
         for round in 0..self.n_rounds {
@@ -217,16 +214,7 @@ impl Classifier for Gbdt {
             } else {
                 &all_rows
             };
-            if let Some(binned) = &binned {
-                tree.fit_binned(binned, rows, &grads, Some(&hess))?;
-            } else if rows.len() < n {
-                let bx = x.select_rows(rows);
-                let bg: Vec<f64> = rows.iter().map(|&i| grads[i]).collect();
-                let bh: Vec<f64> = rows.iter().map(|&i| hess[i]).collect();
-                tree.fit_regression(&bx, &bg, Some(&bh))?;
-            } else {
-                tree.fit_regression(x, &grads, Some(&hess))?;
-            }
+            tree.fit_binned(&binned, rows, &grads, Some(&hess))?;
             // Rounds are inherently sequential, but within a round every
             // row's score update is independent.
             let deltas = ordered_collect(n, workers, |i| tree.predict_row(x.row(i)));
@@ -373,6 +361,18 @@ mod tests {
             g.fit(&x, &[true, false]),
             Err(MlError::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn bin_budget_below_two_is_refused() {
+        let (x, y) = ring_data(40, 3);
+        for max_bins in [0, 1] {
+            let mut g = Gbdt::new(3, 0.2, 2).with_max_bins(max_bins);
+            assert!(
+                matches!(g.fit(&x, &y), Err(MlError::InvalidParameter(_))),
+                "max_bins = {max_bins}"
+            );
+        }
     }
 
     #[test]

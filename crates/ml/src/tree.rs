@@ -5,19 +5,15 @@
 //! to minimising Gini impurity, since `Var = p(1−p) = Gini/2`) and GBDT
 //! (regression on gradients with Newton leaf values `Σg / Σh`).
 //!
-//! Two split-search strategies share the same tree structure:
-//!
-//! * **Exact** ([`TreeParams::max_bins`] `== 0`): every candidate
-//!   feature is re-sorted at every node and all `n − 1` thresholds are
-//!   scanned — `O(F · n log n)` per node. Kept for parity testing and as
-//!   the reference semantics.
-//! * **Histogram** (`max_bins > 0`, the default): features are
-//!   quantized once into a [`BinnedMatrix`]; each node accumulates
-//!   per-bin `(Σtarget, count)` histograms in `O(n · F)` and scans at
-//!   most `max_bins − 1` boundaries per feature. When a node considers
-//!   *all* features (the GBDT configuration), the larger child's
-//!   histograms are obtained for free by subtracting the smaller
-//!   child's from the parent's.
+//! Split search is histogram-based: features are quantized once into a
+//! [`BinnedMatrix`] of at most [`TreeParams::max_bins`] bins; each node
+//! accumulates per-bin `(Σtarget, count)` histograms in `O(n · F)` and
+//! scans at most `max_bins − 1` boundaries per feature. When a node
+//! considers *all* features (the GBDT configuration), the larger child's
+//! histograms are obtained for free by subtracting the smaller child's
+//! from the parent's. A feature with at most `max_bins` distinct values
+//! keeps every midpoint between consecutive values as a candidate, so
+//! the search is exhaustive there.
 
 use mfpa_dataset::Matrix;
 use mfpa_par::Workers;
@@ -27,7 +23,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
-use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
+use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
 use crate::model::Classifier;
 
 /// How many candidate features each split considers.
@@ -67,9 +63,9 @@ pub struct TreeParams {
     pub min_samples_leaf: usize,
     /// Number of candidate features per split.
     pub max_features: MaxFeatures,
-    /// Bin budget for histogram split search; `0` selects the exact
-    /// (re-sorting) path. Values above 256 are clamped — bin codes are
-    /// `u8`.
+    /// Bin budget per feature for histogram split search, at least 2;
+    /// fitting refuses smaller values. Values above 256 are clamped —
+    /// bin codes are `u8`.
     pub max_bins: usize,
 }
 
@@ -124,15 +120,6 @@ pub struct DecisionTree {
     nodes: Vec<Node>,
     n_features: Option<usize>,
     importances: Vec<f64>,
-}
-
-struct BuildCtx<'a> {
-    x: &'a Matrix,
-    targets: &'a [f64],
-    hessians: Option<&'a [f64]>,
-    params: TreeParams,
-    rng: StdRng,
-    feature_pool: Vec<usize>,
 }
 
 struct BinnedCtx<'a> {
@@ -222,59 +209,26 @@ impl DecisionTree {
     /// Fits the tree as a regressor on `targets`, with optional per-sample
     /// `hessians` for Newton leaf values `Σtarget / Σhessian` (GBDT).
     ///
-    /// With [`TreeParams::max_bins`] `> 0` (the default) the features
-    /// are quantized internally and the histogram path is used; `0`
-    /// selects the exact path. Ensembles that reuse one quantization
-    /// across many trees should build a [`BinnedMatrix`] once and call
-    /// [`DecisionTree::fit_binned`] instead.
+    /// The features are quantized internally into
+    /// [`TreeParams::max_bins`] bins. Ensembles that reuse one
+    /// quantization across many trees should build a [`BinnedMatrix`]
+    /// once and call [`DecisionTree::fit_binned`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::EmptyTrainingSet`] or [`MlError::LabelMismatch`]
-    /// for degenerate inputs.
+    /// for degenerate inputs, and [`MlError::InvalidParameter`] for a
+    /// bin budget below 2.
     pub fn fit_regression(
         &mut self,
         x: &Matrix,
         targets: &[f64],
         hessians: Option<&[f64]>,
     ) -> Result<(), MlError> {
-        if x.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        if targets.len() != x.n_rows() {
-            return Err(MlError::LabelMismatch {
-                rows: x.n_rows(),
-                labels: targets.len(),
-            });
-        }
-        if let Some(h) = hessians {
-            if h.len() != x.n_rows() {
-                return Err(MlError::LabelMismatch {
-                    rows: x.n_rows(),
-                    labels: h.len(),
-                });
-            }
-        }
-        if self.params.max_bins > 0 {
-            let binned = BinnedMatrix::build(x, self.params.max_bins, Workers::new(1));
-            let all: Vec<usize> = (0..x.n_rows()).collect();
-            return self.fit_binned(&binned, &all, targets, hessians);
-        }
-        self.nodes.clear();
-        self.importances = vec![0.0; x.n_cols()];
-        self.n_features = Some(x.n_cols());
-        let mut ctx = BuildCtx {
-            x,
-            targets,
-            hessians,
-            params: self.params,
-            rng: StdRng::seed_from_u64(self.seed),
-            feature_pool: (0..x.n_cols()).collect(),
-        };
+        check_max_bins(self.params.max_bins)?;
+        let binned = BinnedMatrix::build(x, self.params.max_bins, Workers::new(1));
         let all: Vec<usize> = (0..x.n_rows()).collect();
-        self.build(&mut ctx, all, 0);
-        self.normalise_importances();
-        Ok(())
+        self.fit_binned(&binned, &all, targets, hessians)
     }
 
     /// Fits the tree on pre-quantized features: `rows` selects the
@@ -397,7 +351,17 @@ impl DecisionTree {
         &self.nodes
     }
 
-    fn build(&mut self, ctx: &mut BuildCtx<'_>, indices: Vec<usize>, depth: usize) -> u32 {
+    /// Grows the subtree over `indices` and returns its root's index.
+    /// `hists` carries per-feature histograms inherited from the
+    /// parent's subtraction (all `None` at the root and whenever
+    /// subtraction is off).
+    fn build_binned(
+        &mut self,
+        ctx: &mut BinnedCtx<'_>,
+        indices: Vec<usize>,
+        depth: usize,
+        hists: Vec<Option<Hist>>,
+    ) -> u32 {
         let node_ix = self.nodes.len() as u32;
         let sum_t: f64 = indices.iter().map(|&i| ctx.targets[i]).sum();
         let sum_h: f64 = match ctx.hessians {
@@ -432,128 +396,9 @@ impl DecisionTree {
         if node_sse < 1e-12 {
             return node_ix;
         }
-        let Some(split) = self.best_split(ctx, &indices) else {
-            return node_ix;
-        };
 
-        self.importances[split.feature] += split.gain;
-        let (left_ix, right_ix): (Vec<usize>, Vec<usize>) = indices
-            .into_iter()
-            .partition(|&i| ctx.x.get(i, split.feature) <= split.threshold);
-        let left = self.build(ctx, left_ix, depth + 1);
-        let right = self.build(ctx, right_ix, depth + 1);
-        let node = &mut self.nodes[node_ix as usize];
-        node.feature = split.feature as u32;
-        node.threshold = split.threshold;
-        node.left = left;
-        node.right = right;
-        node_ix
-    }
-
-    fn best_split(&self, ctx: &mut BuildCtx<'_>, indices: &[usize]) -> Option<Split> {
-        if indices.is_empty() {
-            return None;
-        }
-        let n_candidates = ctx.params.max_features.resolve(ctx.feature_pool.len());
-        ctx.feature_pool.shuffle(&mut ctx.rng);
-        let candidates: Vec<usize> = ctx.feature_pool[..n_candidates].to_vec();
-
-        let total_sum: f64 = indices.iter().map(|&i| ctx.targets[i]).sum();
-        let total_n = indices.len() as f64;
-        let parent_score = total_sum * total_sum / total_n;
-
-        let mut best: Option<Split> = None;
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
-        for feature in candidates {
-            pairs.clear();
-            pairs.extend(
-                indices
-                    .iter()
-                    .map(|&i| (ctx.x.get(i, feature), ctx.targets[i])),
-            );
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            if pairs.first().map(|p| p.0) == pairs.last().map(|p| p.0) {
-                continue; // constant feature in this node
-            }
-            let mut left_sum = 0.0;
-            let mut left_n = 0.0;
-            for w in 0..pairs.len() - 1 {
-                left_sum += pairs[w].1;
-                left_n += 1.0;
-                if pairs[w].0 == pairs[w + 1].0 {
-                    continue; // can only split between distinct values
-                }
-                let right_n = total_n - left_n;
-                if right_n < 1.0
-                    || (left_n as usize) < ctx.params.min_samples_leaf
-                    || (right_n as usize) < ctx.params.min_samples_leaf
-                {
-                    continue;
-                }
-                let right_sum = total_sum - left_sum;
-                // Maximising Σ²/n of the children == minimising child SSE.
-                let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
-                // Zero-gain splits are accepted on impure nodes (the
-                // caller has already checked impurity): patterns like XOR
-                // have no first-split gain yet are learnable.
-                let gain = (score - parent_score).max(0.0);
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(Split {
-                        feature,
-                        threshold: 0.5 * (pairs[w].0 + pairs[w + 1].0),
-                        gain,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    /// Histogram analogue of [`DecisionTree::build`]. `hists` carries
-    /// per-feature histograms inherited from the parent's subtraction
-    /// (all `None` at the root and whenever subtraction is off).
-    fn build_binned(
-        &mut self,
-        ctx: &mut BinnedCtx<'_>,
-        indices: Vec<usize>,
-        depth: usize,
-        hists: Vec<Option<Hist>>,
-    ) -> u32 {
-        let node_ix = self.nodes.len() as u32;
-        let sum_t: f64 = indices.iter().map(|&i| ctx.targets[i]).sum();
-        let sum_h: f64 = match ctx.hessians {
-            Some(h) => indices.iter().map(|&i| h[i]).sum(),
-            None => indices.len() as f64,
-        };
-        let value = if sum_h.abs() > 1e-12 {
-            sum_t / sum_h
-        } else {
-            0.0
-        };
-        self.nodes.push(Node {
-            feature: LEAF,
-            threshold: 0.0,
-            left: 0,
-            right: 0,
-            value,
-        });
-
-        if indices.is_empty()
-            || depth >= ctx.params.max_depth
-            || indices.len() < ctx.params.min_samples_split
-        {
-            return node_ix;
-        }
-        let sum_sq: f64 = indices
-            .iter()
-            .map(|&i| ctx.targets[i] * ctx.targets[i])
-            .sum();
-        let node_sse = sum_sq - sum_t * sum_t / indices.len() as f64;
-        if node_sse < 1e-12 {
-            return node_ix;
-        }
-
-        // Same candidate draw (and RNG consumption) as the exact path.
+        // One shuffle of the feature pool per split node, whether or not
+        // it subsamples: the RNG stream is part of the fitted model.
         let n_features = ctx.feature_pool.len();
         let n_candidates = ctx.params.max_features.resolve(n_features);
         ctx.feature_pool.shuffle(&mut ctx.rng);
@@ -617,9 +462,9 @@ impl DecisionTree {
     }
 
     /// Scans at most `n_bins − 1` boundaries per candidate feature over
-    /// the pre-accumulated histograms. Gain arithmetic mirrors
-    /// [`DecisionTree::best_split`] operation-for-operation so that the
-    /// two paths agree bit-for-bit whenever the bin sums do.
+    /// the pre-accumulated histograms and returns the highest-gain
+    /// boundary (the first one on ties). Maximising `Σ²/n` of the two
+    /// children minimises their squared error.
     fn best_split_binned(
         ctx: &BinnedCtx<'_>,
         indices: &[usize],
@@ -663,6 +508,9 @@ impl DecisionTree {
                 let right_n = right_cnt as f64;
                 let right_sum = total_sum - left_sum;
                 let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
+                // Zero-gain splits are accepted on impure nodes (the
+                // caller has already checked impurity): patterns like XOR
+                // have no first-split gain yet are learnable.
                 let gain = (score - parent_score).max(0.0);
                 if best.as_ref().is_none_or(|s| gain > s.gain) {
                     best = Some(BinnedSplit {
@@ -676,13 +524,6 @@ impl DecisionTree {
         }
         best
     }
-}
-
-#[derive(Debug)]
-struct Split {
-    feature: usize,
-    threshold: f64,
-    gain: f64,
 }
 
 #[derive(Debug)]
@@ -789,6 +630,21 @@ mod tests {
         let v = t.predict_values(&x).unwrap();
         assert!((v[0] - 1.0).abs() < 1e-9); // (0.4+0.6)/(0.5+0.5)
         assert!((v[2] + 0.6).abs() < 1e-9); // (-0.6)/(1.0)
+    }
+
+    #[test]
+    fn bin_budget_below_two_is_refused() {
+        let (x, y) = xor_data();
+        for max_bins in [0, 1] {
+            let mut t = DecisionTree::new(TreeParams {
+                max_bins,
+                ..TreeParams::default()
+            });
+            assert!(
+                matches!(t.fit(&x, &y), Err(MlError::InvalidParameter(_))),
+                "max_bins = {max_bins}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use mfpa_bytes::ByteWriter;
 use mfpa_dataset::Matrix;
-use mfpa_ml::compile::Lane;
 use mfpa_ml::{Classifier, CompiledEnsemble, Gbdt, MlError, RandomForest};
 use proptest::prelude::*;
 
@@ -134,11 +133,12 @@ proptest! {
 
         // A device stream: column 0 is a cumulative counter, column 1
         // drifts freely, column 2 oscillates. Column 3 lands exactly on
-        // its own lane's edges (so `v <= t` holds with equality) and
+        // its own edges (so `v <= t` holds with equality) and
         // goes NaN on every fifth row (NaN → value → NaN).
-        let edges = match &compiled.lanes()[3] {
-            Lane::Quantized(edges) => edges.clone(),
-            Lane::Raw => vec![2.0],
+        // A column no tree splits on has no edges; stream a fixed value.
+        let edges = match compiled.edges()[3].as_slice() {
+            [] => vec![2.0],
+            edges => edges.to_vec(),
         };
         let mut rows: Vec<f64> = Vec::new();
         let mut state = [1.0f64, 2.0, 2.0, 0.0];
@@ -204,7 +204,7 @@ proptest! {
         prop_assert_eq!(loaded.to_bytes(), artifact);
         prop_assert_eq!(loaded.n_trees(), compiled.n_trees());
         prop_assert_eq!(loaded.n_nodes(), compiled.n_nodes());
-        prop_assert_eq!(loaded.lanes(), compiled.lanes());
+        prop_assert_eq!(loaded.edges(), compiled.edges());
 
         let xe = eval_matrix(&eval, n_cols, &[false]);
         prop_assert_eq!(
@@ -253,78 +253,6 @@ proptest! {
                 other.map(|_| "Ok")
             ),
         }
-    }
-}
-
-/// A column with hundreds of distinct continuous values, fitted on the
-/// exact split path, carries more than 255 distinct thresholds: its
-/// lane is raw, so nodes on it route with `f64` compares and the
-/// sequential scorer keeps no code interval for it. Both scoring paths
-/// must still equal the interpreted model bit for bit, over a drifting
-/// stream with NaN holes.
-#[test]
-fn raw_lane_parity() {
-    // SplitMix64: a fixed, dependency-free stream of uniforms.
-    let mut state = 0x5EED_u64;
-    let mut uniform = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as f64 / u64::MAX as f64
-    };
-    let n_rows = 1200;
-    let mut train = Vec::with_capacity(n_rows);
-    let mut y = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        let v = 100.0 * uniform();
-        train.push(vec![v, (i % 5) as f64, 10.0 * uniform()]);
-        // Noisy labels keep the trees splitting the continuous column.
-        y.push(uniform() < v / 100.0);
-    }
-    let x = Matrix::from_rows(&train).expect("matrix");
-
-    // A drifting device stream: the continuous column random-walks,
-    // the others wobble, and NaN holes open in every column.
-    let mut rows = Vec::new();
-    let mut level = 50.0;
-    for i in 0..400 {
-        level += 4.0 * (uniform() - 0.5);
-        for (f, v) in [level, (i % 5) as f64, 10.0 * uniform()]
-            .into_iter()
-            .enumerate()
-        {
-            rows.push(if (i * 3 + f) % 17 == 0 { f64::NAN } else { v });
-        }
-    }
-    let xe = Matrix::from_rows(&rows.chunks(3).map(<[f64]>::to_vec).collect::<Vec<_>>())
-        .expect("matrix");
-
-    let mut gb = Gbdt::new(40, 0.2, 6).with_max_bins(0).with_seed(3);
-    gb.fit(&x, &y).expect("fit");
-    let mut rf = RandomForest::new(30, 10).with_max_bins(0).with_seed(3);
-    rf.fit(&x, &y).expect("fit");
-    let (gb_importances, rf_importances) = (gb.feature_importances(), rf.feature_importances());
-    let models: [(Box<dyn Classifier>, Vec<f64>); 2] = [
-        (Box::new(gb), gb_importances),
-        (Box::new(rf), rf_importances),
-    ];
-    for (model, importances) in models {
-        let compiled = model.compile().expect("compiles");
-        assert!(
-            importances[0] > 0.0,
-            "{}: column 0 is split on",
-            model.name()
-        );
-        assert_eq!(compiled.lanes()[0], Lane::Raw, "{}", model.name());
-
-        let reference = bits(&model.predict_proba(&xe).expect("interpreted"));
-        let batch = bits(&compiled.predict_proba(&xe).expect("compiled"));
-        assert_eq!(batch, reference, "{}: batch", model.name());
-        let mut scorer = compiled.sequential(&[false; 3]).expect("scorer");
-        let mut got = Vec::new();
-        scorer.score_rows(&rows, &mut got).expect("score_rows");
-        assert_eq!(bits(&got), reference, "{}: sequential", model.name());
     }
 }
 

@@ -191,14 +191,15 @@ if target/release/mfpa-lint --root "$smoke_dir" > /dev/null; then
 fi
 echo "d13/d14/d15 injections caught, as expected"
 
-echo "== criterion smoke: histogram vs exact split search (1 sample) =="
-MFPA_BENCH_SAMPLES=1 cargo bench -p mfpa-bench --bench models -- hist
+echo "== criterion smoke: model fit group (1 sample) =="
+MFPA_BENCH_SAMPLES=1 cargo bench -p mfpa-bench --bench models -- fit
 
 echo "== repro serve smoke: replay + crash recovery at reduced scale =="
 # The serve experiment asserts the fault-tolerance contract internally
 # (kill-and-restore bit-identity, quarantine of poison drives, refusal
-# of a bit-flipped checkpoint); any violation panics. Run from a temp
-# cwd so the committed BENCH_PR6.json is not overwritten.
+# of a bit-flipped checkpoint); any violation panics. It writes no
+# files outside its own temp checkpoint directory; the temp cwd keeps
+# the log out of the tree.
 cargo build --release -q -p mfpa-bench
 serve_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$fresh_report" "$serve_dir"' EXIT
@@ -244,8 +245,9 @@ cargo test --release -q -p mfpa-suite --test fleet_monitor -- \
     kill_and_restore_is_bit_identical_at_every_batch_boundary \
     corrupted_checkpoints_are_always_refused
 
-# The workspace runs below include the exact<->binned parity proptests
-# (crates/ml/tests/binned_parity.rs) at both worker counts.
+# The workspace runs below include the histogram-vs-exhaustive-oracle
+# split-search proptests (crates/ml/tests/binned_parity.rs) at both
+# worker counts.
 echo "== cargo test (workspace, MFPA_THREADS=1) =="
 MFPA_THREADS=1 cargo test -q --workspace
 

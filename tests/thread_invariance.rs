@@ -177,8 +177,8 @@ fn binned_matrix_build_is_thread_count_invariant() {
     }
 }
 
-/// The binned ensemble fits (the default path since `max_bins` > 0)
-/// must stay bit-identical at any worker count: quantization is
+/// The binned ensemble fits (the only split search) must stay
+/// bit-identical at any worker count: quantization is
 /// per-column independent and tree fits go through `ordered_map`.
 #[test]
 fn binned_ensemble_fit_is_thread_count_invariant() {

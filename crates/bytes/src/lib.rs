@@ -3,7 +3,7 @@
 //! artifacts, future chunked-dataset codecs).
 //!
 //! Before this crate existed, `core::checkpoint` and `ml::compile`
-//! each carried a private copy of the same writer/reader/FNV trio.
+//! each carried a private copy of the same writer/reader/checksum trio.
 //! Centralizing them does two jobs:
 //!
 //! * **one truncation-safe implementation** — every read is
@@ -16,14 +16,17 @@
 //!   the reader-side `len`) when it checks that an encoder's write
 //!   sequence mirrors its decoder's read sequence.
 //!
-//! Checksum framing lives here too ([`seal`]/[`unseal`]): the FNV-1a-64
-//! footer is appended and verified *outside* the field sequence, so
-//! encoders and decoders stay textually symmetric for d11.
+//! Checksum framing lives here too ([`seal`]/[`unseal`]): the
+//! [`checksum64`] footer is appended and verified *outside* the field
+//! sequence, so encoders and decoders stay textually symmetric for d11.
+//! [`fnv1a64`] is kept for output digests only; no format seals with it.
 //!
 //! All integers are little-endian; floats travel as IEEE-754 bit
 //! patterns (`f64::to_bits`) so round trips are exact.
 
-/// FNV-1a 64-bit over `data`.
+/// FNV-1a 64-bit over `data`. A byte-serial hash (one dependent
+/// multiply per byte) kept for output digests only — sealed formats use
+/// [`checksum64`].
 #[must_use]
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -34,16 +37,94 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Append an FNV-1a-64 footer over `payload` and return the sealed
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// XXH64's lane round: a bijection of `acc` for fixed `w` and of `w`
+/// for fixed `acc`.
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Folds one 64-bit word into the state; a bijection of `h` for fixed
+/// `w` and of `w` for fixed `h`.
+fn fold(h: u64, w: u64) -> u64 {
+    (h ^ round(0, w))
+        .rotate_left(27)
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// The little-endian word in `bytes`, which is exactly `N` long (every
+/// caller passes a `chunks_exact(N)` item).
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut b = [0u8; N];
+    b.copy_from_slice(bytes);
+    b
+}
+
+/// Word-parallel 64-bit checksum of `data`: the footer of every sealed
+/// format.
+///
+/// XXH64's primes, lane round and avalanche, with a serial lane fold:
+/// four lanes take the 32-byte stripes, then `h = P5` absorbs each lane
+/// in turn, then the length, then the 8-byte, 4-byte and 1-byte tail
+/// steps, then the avalanche. Each step is a bijection of the state for
+/// fixed input and of its input for fixed state, so a change confined
+/// to one step's input — one aligned 8-byte word, the tail's 4-byte
+/// half-word or one tail byte — always changes the result; in
+/// particular every single-byte change does. (XXH64's own
+/// `Σ rotl(lane)` merge can cancel a one-lane change, so its test
+/// vectors do not apply here.)
+#[must_use]
+pub fn checksum64(data: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = data.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, u64::from_le_bytes(le(w)));
+        }
+    }
+    let mut h = lanes.iter().fold(P5, |h, &lane| fold(h, lane));
+    h = h.wrapping_add(data.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = fold(h, u64::from_le_bytes(le(w)));
+    }
+    let mut halves = words.remainder().chunks_exact(4);
+    for w in &mut halves {
+        h = (h ^ u64::from(u32::from_le_bytes(le(w))).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+    }
+    for &b in halves.remainder() {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Append a [`checksum64`] footer over `payload` and return the sealed
 /// buffer. The inverse of [`unseal`].
 #[must_use]
 pub fn seal(mut payload: Vec<u8>) -> Vec<u8> {
-    let checksum = fnv1a64(&payload);
+    let checksum = checksum64(&payload);
     payload.extend_from_slice(&checksum.to_le_bytes());
     payload
 }
 
-/// Verify the trailing FNV-1a-64 footer of `data` and return the
+/// Verify the trailing [`checksum64`] footer of `data` and return the
 /// payload with the footer stripped. Errors describe the failure
 /// (too short / checksum mismatch) without panicking.
 pub fn unseal(data: &[u8]) -> Result<&[u8], String> {
@@ -58,7 +139,7 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], String> {
         .try_into()
         .map_err(|_| "checksum footer is not 8 bytes".to_string())?;
     let stored = u64::from_le_bytes(footer);
-    let actual = fnv1a64(payload);
+    let actual = checksum64(payload);
     if stored != actual {
         return Err(format!(
             "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
@@ -127,7 +208,7 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Finish the payload and append the FNV-1a-64 footer ([`seal`]).
+    /// Finish the payload and append the [`checksum64`] footer ([`seal`]).
     #[must_use]
     pub fn into_sealed(self) -> Vec<u8> {
         seal(self.buf)
@@ -281,16 +362,68 @@ mod tests {
         }
     }
 
+    /// A deterministic, non-repeating payload of `len` bytes.
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
     #[test]
     fn seal_unseal_roundtrip_and_reject() {
-        let payload = b"field sequence".to_vec();
-        let sealed = seal(payload.clone());
-        assert_eq!(unseal(&sealed), Ok(payload.as_slice()));
-        assert!(unseal(&sealed[..7]).is_err(), "short input must be refused");
+        for len in 0..=100 {
+            let payload = payload(len);
+            let sealed = seal(payload.clone());
+            assert_eq!(sealed.len(), len + 8);
+            assert_eq!(unseal(&sealed), Ok(payload.as_slice()), "length {len}");
+            for cut in 0..sealed.len() {
+                assert!(
+                    unseal(&sealed[..cut]).is_err(),
+                    "length {len}: truncation to {cut} bytes went unnoticed"
+                );
+            }
+        }
+        let sealed = seal(b"field sequence".to_vec());
         for bit in 0..sealed.len() * 8 {
             let mut bad = sealed.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(unseal(&bad).is_err(), "bit flip {bit} went unnoticed");
+        }
+    }
+
+    /// Lengths 0–72 reach the stripe, word, half-word and byte paths
+    /// (two full stripes plus every tail shape); every one of the 255
+    /// other values at every position must change the checksum.
+    #[test]
+    fn every_single_byte_change_is_detected() {
+        for len in 0..=72 {
+            let mut data = payload(len);
+            let clean = checksum64(&data);
+            for pos in 0..len {
+                let orig = data[pos];
+                for delta in 1..=255u8 {
+                    data[pos] = orig.wrapping_add(delta);
+                    assert_ne!(
+                        checksum64(&data),
+                        clean,
+                        "length {len}: byte {pos} changed by {delta} went unnoticed"
+                    );
+                }
+                data[pos] = orig;
+            }
+        }
+    }
+
+    /// Pins the footer so that an accidental change to the sealed
+    /// formats' checksum fails here first.
+    #[test]
+    fn golden_footers_pin_the_format() {
+        for (len, want) in [
+            (0, 0xf0cb_5810_7a70_55ca_u64),
+            (7, 0x5fde_fd8e_7689_8f91),
+            (31, 0xeacf_c462_3f1f_78c2),
+            (32, 0x4fa9_b780_f38d_0947),
+            (100, 0x3246_f1be_4b4d_22fa),
+        ] {
+            assert_eq!(checksum64(&payload(len)), want, "length {len}");
         }
     }
 

@@ -13,20 +13,23 @@
 //! ```text
 //! magic "MFPA" | version | n_shards | tick | degradation counters
 //! per shard: report | n_drives | per drive: full DriveState
-//! footer: FNV-1a-64 of everything above
+//! footer: mfpa_bytes::checksum64 of everything above
 //! ```
 //!
-//! Durability rules:
+//! Crash-safety rules:
 //!
 //! * writes go to `ckpt-{tick:020}.mfpa.tmp` and are renamed into
-//!   place, so a crash mid-write never leaves a half checkpoint under
-//!   the canonical name;
+//!   place, so a process crash mid-write never leaves a half checkpoint
+//!   under the canonical name. Nothing is fsynced: the write is atomic
+//!   against a process crash, not durable across power loss;
 //! * the newest snapshot is the one with the largest tick in its file
 //!   name — selection never depends on directory iteration order;
 //! * [`restore`] validates magic, version, shard layout, structural
 //!   bounds and the checksum, refusing damaged files with
 //!   [`CoreError::CheckpointCorrupt`] rather than loading poisoned
-//!   state.
+//!   state. A file of another format version is refused by version
+//!   before its checksum is checked, so an old checkpoint reads as
+//!   unsupported, not as damaged.
 
 use std::path::{Path, PathBuf};
 
@@ -46,8 +49,9 @@ use crate::sanitize::{SanitizeConfig, SanitizeReport};
 const MAGIC: u32 = 0x4D46_5041;
 /// Bump on any layout change; old versions are refused, not migrated.
 /// Version 2 stores each drive's carry-forward page and rebuilds the
-/// feature row on restore instead of storing it.
-const VERSION: u32 = 2;
+/// feature row on restore instead of storing it; version 3 keeps that
+/// payload and seals it with `checksum64` instead of FNV-1a-64.
+const VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -341,6 +345,23 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> CoreError {
     }
 }
 
+/// Refuses a checkpoint whose first 8 bytes carry our magic and another
+/// version. Runs before the checksum, whose algorithm may differ across
+/// versions; it accepts nothing — [`decode`] still verifies everything.
+fn peek_version(data: &[u8]) -> Result<(), String> {
+    let word = |at: usize| {
+        data.get(at..at + 4)
+            .and_then(|b| b.try_into().ok())
+            .map(u32::from_le_bytes)
+    };
+    match (word(0), word(4)) {
+        (Some(MAGIC), Some(version)) if version != VERSION => {
+            Err(format!("unsupported version {version} (want {VERSION})"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Decodes and validates checkpoint bytes under `cfg`.
 fn decode(cfg: FleetMonitorConfig, data: &[u8], path: &Path) -> Result<FleetMonitor, CoreError> {
     let payload = unseal(data).map_err(|e| corrupt(path, e))?;
@@ -501,6 +522,7 @@ pub fn write_checkpoint(monitor: &FleetMonitor) -> Result<PathBuf, CoreError> {
 pub fn restore(cfg: FleetMonitorConfig, path: &Path) -> Result<FleetMonitor, CoreError> {
     cfg.validate()?;
     let data = std::fs::read(path).map_err(|e| io_corrupt(path, "read", &e))?;
+    peek_version(&data).map_err(|e| corrupt(path, e))?;
     decode(cfg, &data, path)
 }
 
@@ -585,19 +607,23 @@ mod tests {
     }
 
     #[test]
-    fn version_one_checkpoints_are_refused() {
-        let dir = temp_dir("v1");
+    fn old_version_checkpoints_are_refused() {
+        let dir = temp_dir("v2");
         let fm = populated_monitor(&dir);
         let path = write_checkpoint(&fm).expect("write");
-        // Re-stamp the payload as version 1 under a valid checksum, so
-        // only the version check stands between it and a restore.
+        // Rebuild the file as version 2 wrote it: the same payload
+        // stamped version 2 and sealed with the FNV-1a-64 footer. Its
+        // footer fails today's checksum, so only the version peek can
+        // name the real reason for the refusal.
         let sealed = std::fs::read(&path).expect("read");
-        let mut payload = unseal(&sealed).expect("sealed").to_vec();
-        payload[4..8].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, crate::bytes::seal(payload)).expect("rewrite");
+        let mut old = unseal(&sealed).expect("sealed").to_vec();
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let footer = crate::bytes::fnv1a64(&old);
+        old.extend_from_slice(&footer.to_le_bytes());
+        std::fs::write(&path, old).expect("rewrite");
         match restore(fm.config().clone(), &path) {
             Err(CoreError::CheckpointCorrupt { detail, .. }) => {
-                assert!(detail.contains("unsupported version 1"), "{detail}");
+                assert!(detail.contains("unsupported version 2"), "{detail}");
             }
             other => panic!("expected a version refusal, got {other:?}"),
         }

@@ -332,7 +332,9 @@ pub enum SweepOutcome {
 pub enum CheckpointOutcome {
     /// No checkpoint was scheduled this tick.
     NotDue,
-    /// A checkpoint was written and fsynced into place.
+    /// A checkpoint was written to a temporary file and renamed into
+    /// place: atomic against a process crash, but not fsynced, so not
+    /// durable across power loss.
     Written {
         /// The tick the snapshot captures.
         tick: u64,

@@ -47,8 +47,9 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 /// Shared little-endian codec vocabulary (re-export of `mfpa-bytes`):
-/// [`bytes::ByteWriter`], [`bytes::ByteReader`] and the FNV-1a-64
-/// checksum framing used by the checkpoint and `.mfpac` codecs.
+/// [`bytes::ByteWriter`], [`bytes::ByteReader`] and the
+/// [`bytes::checksum64`] framing used by the checkpoint and `.mfpac`
+/// codecs.
 pub use mfpa_bytes as bytes;
 
 mod algorithms;

@@ -30,7 +30,7 @@
 //!   bit-identical to the batch path at any change rate.
 //!
 //! The compiled form serializes to a hand-rolled little-endian
-//! `.mfpac` artifact with an FNV-1a-64 footer and a truncation-safe
+//! `.mfpac` artifact with a `checksum64` footer and a truncation-safe
 //! decoder (same codec discipline as `core::checkpoint`), so a monitor
 //! process can load a model without refitting.
 
@@ -774,8 +774,9 @@ impl SequentialScorer<'_> {
 
 /// `.mfpac` magic: "MFPC" as a little-endian u32.
 const MFPAC_MAGIC: u32 = 0x4350_464D;
-/// Artifact format version.
-const MFPAC_VERSION: u32 = 1;
+/// Artifact format version. Version 2 keeps version 1's layout and
+/// seals it with `checksum64` instead of FNV-1a-64.
+const MFPAC_VERSION: u32 = 2;
 
 /// [`mfpa_bytes::ByteReader`] adapter mapping truncation errors into
 /// structured [`MlError::CorruptArtifact`] values — every overrun is
@@ -804,11 +805,31 @@ fn corrupt(msg: impl Into<String>) -> MlError {
     MlError::CorruptArtifact(msg.into())
 }
 
+/// Refuses an artifact whose first 8 bytes carry the `.mfpac` magic and
+/// another version. Runs before the checksum, whose algorithm may
+/// differ across versions; it accepts nothing — `from_bytes` still
+/// verifies everything.
+fn peek_version(bytes: &[u8]) -> Result<(), MlError> {
+    let word = |at: usize| {
+        bytes
+            .get(at..at + 4)
+            .and_then(|b| b.try_into().ok())
+            .map(u32::from_le_bytes)
+    };
+    match (word(0), word(4)) {
+        (Some(MFPAC_MAGIC), Some(version)) if version != MFPAC_VERSION => Err(corrupt(format!(
+            "unsupported version {version} (want {MFPAC_VERSION})"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 impl CompiledEnsemble {
-    /// Serializes to the little-endian `.mfpac` format: header, node
-    /// arrays, FNV-1a-64 footer over everything before it. Quantization
-    /// edges are not stored — they derive deterministically from the
-    /// node thresholds and are rebuilt on load.
+    /// Serializes to the little-endian `.mfpac` format (version 2):
+    /// header, node arrays, and an `mfpa_bytes::checksum64` footer over
+    /// everything before it. Quantization edges are not stored — they
+    /// derive deterministically from the node thresholds and are rebuilt
+    /// on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n_nodes = self.feat.len();
         let mut w = ByteWriter::with_capacity(64 + n_nodes * 25 + self.tree_roots.len() * 8);
@@ -864,6 +885,7 @@ impl CompiledEnsemble {
     ///
     /// [`MlError::CorruptArtifact`] as described above.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, MlError> {
+        peek_version(bytes)?;
         let body = unseal(bytes).map_err(corrupt)?;
         let mut rd = Rd(ByteReader::new(body));
         if rd.u32()? != MFPAC_MAGIC {

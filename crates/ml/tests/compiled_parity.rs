@@ -8,7 +8,7 @@
 //! across an `.mfpac` serialization round trip. Corrupt artifacts must
 //! be refused with a structured error, never a panic.
 
-use mfpa_bytes::ByteWriter;
+use mfpa_bytes::{fnv1a64, unseal, ByteWriter};
 use mfpa_dataset::Matrix;
 use mfpa_ml::{Classifier, CompiledEnsemble, Gbdt, MlError, RandomForest};
 use proptest::prelude::*;
@@ -279,7 +279,7 @@ fn mfpac_rejects_junk() {
 fn one_tree_artifact(feat: &[u32]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(0x4350_464D); // magic "MFPC"
-    w.u32(1); // version
+    w.u32(2); // version
     w.counter(1); // n_features
     w.counter(1); // n_trees
     w.counter(feat.len()); // n_nodes
@@ -301,6 +301,25 @@ fn one_tree_artifact(feat: &[u32]) -> Vec<u8> {
         w.f64(0.0); // value
     }
     w.into_sealed()
+}
+
+/// An artifact written before the checksum changed — version 1, sealed
+/// with an FNV-1a-64 footer — is refused by its version, not reported as
+/// a checksum mismatch.
+#[test]
+fn mfpac_refuses_old_version_artifacts() {
+    const LEAF: u32 = u32::MAX;
+    let current = one_tree_artifact(&[LEAF]);
+    let mut old = unseal(&current).expect("sealed").to_vec();
+    old[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let footer = fnv1a64(&old);
+    old.extend_from_slice(&footer.to_le_bytes());
+    match CompiledEnsemble::from_bytes(&old) {
+        Err(MlError::CorruptArtifact(msg)) => {
+            assert!(msg.contains("unsupported version 1"), "{msg}");
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
 }
 
 /// Nodes no root reaches are refused: validation only walks reachable

@@ -240,10 +240,22 @@ echo "== benchmark tests: unit tests and the untraced and traced --smoke runs ==
 # APIs fails here instead of in the benchmark run.
 cargo test --release --offline --manifest-path crates/bench/benchmark/Cargo.toml
 
-echo "== crash-recovery equivalence gate (every batch boundary) =="
+echo "== checkpoint and artifact integrity gate =="
+# Crash recovery is bit-identical at every batch boundary and damaged
+# checkpoints are refused; the seal's checksum detects every single-byte
+# change and keeps its golden footers; files of an older format version
+# are refused by version, not reported as damage.
 cargo test --release -q -p mfpa-suite --test fleet_monitor -- \
     kill_and_restore_is_bit_identical_at_every_batch_boundary \
     corrupted_checkpoints_are_always_refused
+cargo test --release -q -p mfpa-bytes -- \
+    every_single_byte_change_is_detected \
+    golden_footers_pin_the_format \
+    seal_unseal_roundtrip_and_reject
+cargo test --release -q -p mfpa-core --lib -- \
+    checkpoint::tests::old_version_checkpoints_are_refused
+cargo test --release -q -p mfpa-ml --test compiled_parity -- \
+    mfpac_refuses_old_version_artifacts
 
 # The workspace runs below include the histogram-vs-exhaustive-oracle
 # split-search proptests (crates/ml/tests/binned_parity.rs) at both

@@ -12,9 +12,19 @@
 //!
 //! ```text
 //! magic "MFPA" | version | n_shards | tick | degradation counters
-//! per shard: report | n_drives | per drive: full DriveState
+//! per shard: report | n_drives | per drive, by ascending serial: full DriveState
 //! footer: mfpa_bytes::checksum64 of everything above
 //! ```
+//!
+//! The drive table is canonical: [`restore`] refuses, as
+//! [`CoreError::CheckpointCorrupt`], a shard whose serials are not
+//! strictly ascending (which includes a repeated serial), a drive
+//! stored on a shard its serial does not route to, a reorder window
+//! not strictly sorted by `(day, seq)` or holding a `seq` at or past
+//! the drive's `next_seq`, and a shard report whose `drives` or
+//! `pending` gauge disagrees with what is stored. So every accepted file re-encodes to
+//! its own bytes, and each restored drive has exactly one state, on its
+//! own shard.
 //!
 //! Crash-safety rules:
 //!
@@ -31,6 +41,7 @@
 //!   before its checksum is checked, so an old checkpoint reads as
 //!   unsupported, not as damaged.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use mfpa_telemetry::{DailyRecord, DayStamp, FirmwareVersion, SerialNumber, SmartValues, Vendor};
@@ -40,8 +51,8 @@ use crate::bytes::{unseal, ByteReader, ByteWriter};
 use crate::error::CoreError;
 use crate::feature_state::FeatureState;
 use crate::fleet_monitor::{
-    DriveState, FleetMonitor, FleetMonitorConfig, PendingRecord, QuarantineInfo, ShardReport,
-    ShardState,
+    DriveState, DriveTable, FleetMonitor, FleetMonitorConfig, PendingRecord, QuarantineInfo,
+    ShardReport, ShardState,
 };
 use crate::sanitize::{SanitizeConfig, SanitizeReport};
 
@@ -114,8 +125,8 @@ fn put_shard_report(w: &mut ByteWriter, r: &ShardReport) {
     w.u64(r.drives);
 }
 
-fn put_drive_state(w: &mut ByteWriter, serial: SerialNumber, state: &DriveState) {
-    put_serial(w, serial);
+fn put_drive_state(w: &mut ByteWriter, state: &DriveState) {
+    put_serial(w, state.monitor.serial);
     let m = &state.monitor;
     let f = &m.features;
     put_firmware(w, &f.firmware);
@@ -159,7 +170,9 @@ fn put_drive_state(w: &mut ByteWriter, serial: SerialNumber, state: &DriveState)
     }
 }
 
-/// Serializes `monitor` to checksummed checkpoint bytes.
+/// Serializes `monitor` to checksummed checkpoint bytes. Each shard's
+/// drives are written sorted by serial, so the bytes never depend on
+/// the order drives were first seen in.
 pub(crate) fn encode(monitor: &FleetMonitor) -> Vec<u8> {
     let mut w = ByteWriter::default();
     w.u32(MAGIC);
@@ -171,9 +184,11 @@ pub(crate) fn encode(monitor: &FleetMonitor) -> Vec<u8> {
     w.u64(monitor.checkpoint_failures);
     for shard in &monitor.shards {
         put_shard_report(&mut w, &shard.report);
-        w.counter(shard.monitors.len());
-        for (serial, state) in &shard.monitors {
-            put_drive_state(&mut w, *serial, state);
+        let mut states: Vec<&DriveState> = shard.drives.iter().collect();
+        states.sort_unstable_by_key(|state| state.monitor.serial);
+        w.counter(states.len());
+        for state in states {
+            put_drive_state(&mut w, state);
         }
     }
     w.into_sealed()
@@ -261,7 +276,7 @@ fn get_shard_report(r: &mut ByteReader<'_>) -> Result<ShardReport, String> {
     })
 }
 
-fn get_drive_state(r: &mut ByteReader<'_>) -> Result<(SerialNumber, DriveState), String> {
+fn get_drive_state(r: &mut ByteReader<'_>) -> Result<DriveState, String> {
     let serial = get_serial(r)?;
     let firmware = get_firmware(r)?;
     let mut w_cum = [0u64; 5];
@@ -291,15 +306,16 @@ fn get_drive_state(r: &mut ByteReader<'_>) -> Result<(SerialNumber, DriveState),
     };
     let report = get_sanitize_report(r)?;
     let n_pending = r.len(8)?;
-    let mut pending = Vec::with_capacity(n_pending);
+    let mut pending = VecDeque::with_capacity(n_pending);
     for _ in 0..n_pending {
         let seq = r.u64()?;
-        pending.push(PendingRecord {
+        pending.push_back(PendingRecord {
             seq,
             record: get_record(r)?,
         });
     }
     let next_seq = r.u64()?;
+    check_window(&pending, next_seq).map_err(|rule| format!("drive {serial}: {rule}"))?;
     let consecutive_corrupt = r.u32()?;
     let strikes = r.u32()?;
     let tag = r.u8()?;
@@ -325,17 +341,78 @@ fn get_drive_state(r: &mut ByteReader<'_>) -> Result<(SerialNumber, DriveState),
         sanitize_cfg,
         report,
     };
-    Ok((
-        serial,
-        DriveState {
-            monitor,
-            pending,
-            next_seq,
-            consecutive_corrupt,
-            strikes,
-            quarantine,
-        },
-    ))
+    Ok(DriveState {
+        monitor,
+        pending,
+        next_seq,
+        consecutive_corrupt,
+        strikes,
+        quarantine,
+    })
+}
+
+/// The reorder-window rules of a canonical checkpoint: strictly sorted
+/// by `(day, seq)` (arrival numbers are unique per drive) and every
+/// `seq` below the drive's `next_seq`.
+fn check_window(pending: &VecDeque<PendingRecord>, next_seq: u64) -> Result<(), String> {
+    let keys = || pending.iter().map(|p| (p.record.day, p.seq));
+    if keys().zip(keys().skip(1)).any(|(a, b)| a >= b) {
+        return Err("reorder window not strictly sorted by (day, seq)".into());
+    }
+    if let Some(seq) = pending.iter().map(|p| p.seq).find(|&seq| seq >= next_seq) {
+        return Err(format!(
+            "reorder window holds seq {seq} >= next_seq {next_seq}"
+        ));
+    }
+    Ok(())
+}
+
+/// Reads one shard's drives, enforcing the canonical-table rules: one
+/// state per serial in strictly ascending serial order, each on the
+/// shard its serial routes to, with the report's `drives` and
+/// `pending` gauges matching what is stored.
+fn get_shard(
+    r: &mut ByteReader<'_>,
+    shard_ix: usize,
+    n_shards: usize,
+) -> Result<ShardState, String> {
+    let report = get_shard_report(r)?;
+    let n_drives = r.len(1)?;
+    let mut drives = DriveTable::default();
+    let mut last: Option<SerialNumber> = None;
+    let mut n_pending = 0u64;
+    for _ in 0..n_drives {
+        let state = get_drive_state(r)?;
+        let serial = state.monitor.serial;
+        if last.is_some_and(|prev| prev >= serial) {
+            return Err(format!(
+                "shard {shard_ix}: serials not strictly ascending at drive {serial}"
+            ));
+        }
+        let home = serial.shard(n_shards);
+        if home != shard_ix {
+            return Err(format!(
+                "drive {serial} stored on shard {shard_ix} but routes to shard {home}"
+            ));
+        }
+        last = Some(serial);
+        n_pending += state.pending.len() as u64;
+        drives.push(state);
+    }
+    if report.drives != drives.len() as u64 {
+        return Err(format!(
+            "shard {shard_ix}: report.drives {} != {} drives stored",
+            report.drives,
+            drives.len()
+        ));
+    }
+    if report.pending != n_pending {
+        return Err(format!(
+            "shard {shard_ix}: report.pending {} != {n_pending} records in reorder windows",
+            report.pending
+        ));
+    }
+    Ok(ShardState { drives, report })
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> CoreError {
@@ -387,15 +464,8 @@ fn decode(cfg: FleetMonitorConfig, data: &[u8], path: &Path) -> Result<FleetMoni
         let sweeps_shed = r.u64()?;
         let checkpoint_failures = r.u64()?;
         let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let report = get_shard_report(r)?;
-            let n_drives = r.len(1)?;
-            let mut monitors = std::collections::BTreeMap::new();
-            for _ in 0..n_drives {
-                let (serial, state) = get_drive_state(r)?;
-                monitors.insert(serial, state);
-            }
-            shards.push(ShardState { monitors, report });
+        for shard_ix in 0..n_shards {
+            shards.push(get_shard(r, shard_ix, n_shards)?);
         }
         if !r.done() {
             return Err(format!(
@@ -604,6 +674,73 @@ mod tests {
             assert_eq!(restored.drive_row(serial).ok(), fm.drive_row(serial).ok());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Damages a populated monitor's in-memory state with `damage`,
+    /// encodes it under a valid seal, and returns the detail of the
+    /// restore's refusal.
+    fn refusal(tag: &str, damage: impl FnOnce(&mut FleetMonitor)) -> String {
+        let dir = temp_dir(tag);
+        let mut fm = populated_monitor(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        damage(&mut fm);
+        match decode(fm.config().clone(), &encode(&fm), Path::new("in-memory")) {
+            Err(CoreError::CheckpointCorrupt { detail, .. }) => detail,
+            other => panic!("expected a canonical-table refusal, got {other:?}"),
+        }
+    }
+
+    /// The first drive whose reorder window holds at least two records.
+    fn windowed(fm: &mut FleetMonitor) -> &mut DriveState {
+        fm.shards
+            .iter_mut()
+            .flat_map(|shard| shard.drives.iter_mut())
+            .find(|state| state.pending.len() >= 2)
+            .expect("a drive with a two-record window")
+    }
+
+    #[test]
+    fn canonical_restore_refuses_a_repeated_serial() {
+        let detail = refusal("dup", |fm| {
+            let shard = &mut fm.shards[0];
+            let copy = shard.drives.iter().next().expect("a drive").clone();
+            shard.drives.push(copy);
+            shard.report.drives += 1;
+        });
+        assert!(detail.contains("not strictly ascending"), "{detail}");
+    }
+
+    #[test]
+    fn canonical_restore_refuses_a_drive_on_the_wrong_shard() {
+        let detail = refusal("wrong-shard", |fm| {
+            let stray = fm.shards[0].drives.iter().next().expect("a drive").clone();
+            fm.shards[1].drives.push(stray);
+            fm.shards[1].report.drives += 1;
+        });
+        assert!(detail.contains("routes to shard 0"), "{detail}");
+    }
+
+    #[test]
+    fn canonical_restore_refuses_an_unsorted_window() {
+        let detail = refusal("unsorted", |fm| windowed(fm).pending.swap(0, 1));
+        assert!(detail.contains("strictly sorted by (day, seq)"), "{detail}");
+    }
+
+    #[test]
+    fn canonical_restore_refuses_a_seq_past_next_seq() {
+        let detail = refusal("next-seq", |fm| {
+            let state = windowed(fm);
+            state.next_seq = state.pending.back().expect("non-empty").seq;
+        });
+        assert!(detail.contains(">= next_seq"), "{detail}");
+    }
+
+    #[test]
+    fn canonical_restore_refuses_mismatched_gauges() {
+        let detail = refusal("drives-gauge", |fm| fm.shards[2].report.drives += 1);
+        assert!(detail.contains("report.drives"), "{detail}");
+        let detail = refusal("pending-gauge", |fm| fm.shards[3].report.pending += 1);
+        assert!(detail.contains("report.pending"), "{detail}");
     }
 
     #[test]

@@ -16,7 +16,18 @@
 //! * **Bounded reordering** — a per-drive window of
 //!   [`FleetMonitorConfig::reorder_depth`] records absorbs the bounded
 //!   out-of-order delivery a real collector produces before handing
-//!   records to the strictly-sequential [`DriveMonitor`].
+//!   records to the strictly-sequential [`DriveMonitor`]. The window is
+//!   a ring buffer kept sorted by `(day, arrival)`: an in-order record
+//!   is appended at the back, a straggler is inserted at its sorted
+//!   position, and releases pop the front, so admission never shifts
+//!   the window on the common path.
+//! * **Slab drive table** — each shard keeps its drives in a slab in
+//!   first-arrival order, found through a serial → slot hash index on a
+//!   fixed (never entropy-seeded) hasher. Nothing iterates the index,
+//!   and slab order is never observed: sweeps and the quarantine list
+//!   sort by serial, draining is order-free, and checkpoints write each
+//!   shard's drives sorted by serial. Serial order is imposed only
+//!   where it is observed.
 //! * **Crash-safe checkpoints** — every
 //!   [`FleetMonitorConfig::checkpoint_interval`] batches the full state
 //!   is snapshotted through [`crate::checkpoint`] (checksummed,
@@ -36,13 +47,15 @@
 //!   record is counted in a [`ShardReport`]: nothing is ever dropped
 //!   silently ([`ShardReport::is_conserved`]).
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::PathBuf;
 
 use mfpa_dataset::Matrix;
 use mfpa_fleetsim::ArrivalEvent;
 use mfpa_par::{ordered_map_mut, Workers};
-use mfpa_telemetry::{DailyRecord, SerialNumber};
+use mfpa_telemetry::{DailyRecord, FirmwareVersion, SerialNumber};
 
 use crate::checkpoint;
 use crate::deploy::DriveMonitor;
@@ -369,23 +382,175 @@ pub(crate) struct PendingRecord {
     pub(crate) record: DailyRecord,
 }
 
+/// Window slots reserved when a drive is first seen: room for the
+/// default depth plus the record that overflows it. Never derived from
+/// [`FleetMonitorConfig::reorder_depth`] alone, which is unvalidated
+/// and may be `usize::MAX`; deeper windows grow on demand.
+const WINDOW_RESERVE: usize = 9;
+
 /// Per-drive serving state: the incremental monitor plus the reorder
 /// window and the quarantine state machine around it.
 #[derive(Debug, Clone)]
 pub(crate) struct DriveState {
     pub(crate) monitor: DriveMonitor,
-    /// Reorder window, sorted by `(day, seq)`.
-    pub(crate) pending: Vec<PendingRecord>,
+    /// Reorder window, sorted by `(day, seq)`; every `seq` is below
+    /// `next_seq`.
+    pub(crate) pending: VecDeque<PendingRecord>,
     pub(crate) next_seq: u64,
     pub(crate) consecutive_corrupt: u32,
     pub(crate) strikes: u32,
     pub(crate) quarantine: Option<QuarantineInfo>,
 }
 
+impl DriveState {
+    /// Fresh state for a drive first seen carrying `firmware`.
+    fn new(serial: SerialNumber, firmware: FirmwareVersion, cfg: &FleetMonitorConfig) -> Self {
+        DriveState {
+            monitor: DriveMonitor::with_sanitize(serial, firmware, cfg.sanitize),
+            pending: VecDeque::with_capacity(
+                cfg.reorder_depth.saturating_add(1).min(WINDOW_RESERVE),
+            ),
+            next_seq: 0,
+            consecutive_corrupt: 0,
+            strikes: 0,
+            quarantine: None,
+        }
+    }
+
+    /// Buffers `record` under the next arrival sequence number, keeping
+    /// the window sorted by `(day, seq)`. An in-order record (the whole
+    /// of a clean stream) is appended; a straggler is inserted at its
+    /// sorted position.
+    fn buffer(&mut self, record: &DailyRecord) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = (record.day, seq);
+        let entry = PendingRecord {
+            seq,
+            record: record.clone(),
+        };
+        match self.pending.back() {
+            Some(back) if (back.record.day, back.seq) > key => {
+                let ix = self
+                    .pending
+                    .partition_point(|p| (p.record.day, p.seq) <= key);
+                self.pending.insert(ix, entry);
+            }
+            _ => self.pending.push_back(entry),
+        }
+    }
+
+    /// Releases the oldest buffered record while the window holds more
+    /// than `depth`.
+    fn release(&mut self, depth: usize) -> Option<PendingRecord> {
+        if self.pending.len() > depth {
+            self.pending.pop_front()
+        } else {
+            None
+        }
+    }
+}
+
+/// A [`Hasher`] for serial numbers: folds each written word with a
+/// multiply and finishes with the MurmurHash3 64-bit finalizer.
+/// Deliberately not [`SerialNumber::shard`]'s mix, under which every
+/// serial on one shard agrees modulo the shard count and would crowd a
+/// fraction of the index's buckets. Fixed rather than entropy-seeded:
+/// the index is never iterated, so a fixed hash cannot leak into any
+/// output, and giving up flood resistance is accepted because a
+/// crafted run of colliding serials could only slow one shard's
+/// admission, never change what it computes.
+#[derive(Debug, Default, Clone, Copy)]
+struct SerialHasher(u64);
+
+impl Hasher for SerialHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        z ^ (z >> 33)
+    }
+}
+
+/// One shard's drives: a slab of states in first-arrival order and a
+/// serial → slot index into it. Exactly one slot per serial; slots are
+/// never removed. The index is only looked up, never iterated, and no
+/// caller observes slab order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DriveTable {
+    slab: Vec<DriveState>,
+    index: HashMap<SerialNumber, usize, BuildHasherDefault<SerialHasher>>,
+}
+
+impl DriveTable {
+    /// Number of drives in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// The state of `serial`, if it has one.
+    pub(crate) fn get(&self, serial: SerialNumber) -> Option<&DriveState> {
+        self.index
+            .get(&serial)
+            .and_then(|&slot| self.slab.get(slot))
+    }
+
+    /// Every drive's state, in slab (first-arrival) order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, DriveState> {
+        self.slab.iter()
+    }
+
+    /// Every drive's state, mutably, in slab order.
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, DriveState> {
+        self.slab.iter_mut()
+    }
+
+    /// The state of `serial`, created by `make` on first sight, plus
+    /// whether it was created: one index probe either way.
+    fn get_or_insert_with(
+        &mut self,
+        serial: SerialNumber,
+        make: impl FnOnce() -> DriveState,
+    ) -> (&mut DriveState, bool) {
+        let (slot, inserted) = match self.index.entry(serial) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => {
+                let slot = self.slab.len();
+                self.slab.push(make());
+                e.insert(slot);
+                (slot, true)
+            }
+        };
+        (&mut self.slab[slot], inserted)
+    }
+
+    /// Appends the state of a drive not yet in the table (the caller
+    /// guarantees the serial is new, as checkpoint restore does by
+    /// refusing non-ascending serials).
+    pub(crate) fn push(&mut self, state: DriveState) {
+        self.index.insert(state.monitor.serial, self.slab.len());
+        self.slab.push(state);
+    }
+}
+
 /// One shard: the drives routed to it and their accounting.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardState {
-    pub(crate) monitors: BTreeMap<SerialNumber, DriveState>,
+    pub(crate) drives: DriveTable,
     pub(crate) report: ShardReport,
 }
 
@@ -437,26 +602,14 @@ impl ShardState {
     /// Admits one routed record: quarantine gate, then the reordering
     /// window, flushing its overflow into the drive monitor.
     fn admit(&mut self, ev: &ArrivalEvent, tick: u64, cfg: &FleetMonitorConfig) {
-        let ShardState { monitors, report } = self;
+        let ShardState { drives, report } = self;
         report.received += 1;
-        if let std::collections::btree_map::Entry::Vacant(slot) = monitors.entry(ev.serial) {
-            slot.insert(DriveState {
-                monitor: DriveMonitor::with_sanitize(
-                    ev.serial,
-                    ev.record.firmware.clone(),
-                    cfg.sanitize,
-                ),
-                pending: Vec::new(),
-                next_seq: 0,
-                consecutive_corrupt: 0,
-                strikes: 0,
-                quarantine: None,
-            });
+        let (state, inserted) = drives.get_or_insert_with(ev.serial, || {
+            DriveState::new(ev.serial, ev.record.firmware.clone(), cfg)
+        });
+        if inserted {
             report.drives += 1;
         }
-        let Some(state) = monitors.get_mut(&ev.serial) else {
-            return; // unreachable: inserted above
-        };
         if let Some(q) = state.quarantine {
             let readmit = matches!(q.until_tick, Some(until) if tick >= until);
             if !readmit {
@@ -467,22 +620,9 @@ impl ShardState {
             state.consecutive_corrupt = 0;
             report.readmissions += 1;
         }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        let key = (ev.record.day, seq);
-        let ix = state
-            .pending
-            .partition_point(|p| (p.record.day, p.seq) <= key);
-        state.pending.insert(
-            ix,
-            PendingRecord {
-                seq,
-                record: ev.record.clone(),
-            },
-        );
+        state.buffer(&ev.record);
         report.pending += 1;
-        while state.pending.len() > cfg.reorder_depth {
-            let head = state.pending.remove(0);
+        while let Some(head) = state.release(cfg.reorder_depth) {
             report.pending -= 1;
             flush_one(state, &head.record, tick, cfg, report);
         }
@@ -490,8 +630,8 @@ impl ShardState {
 
     /// Flushes every reordering window on this shard.
     fn drain(&mut self, tick: u64, cfg: &FleetMonitorConfig) {
-        let ShardState { monitors, report } = self;
-        for state in monitors.values_mut() {
+        let ShardState { drives, report } = self;
+        for state in drives.iter_mut() {
             let pending = std::mem::take(&mut state.pending);
             for p in pending {
                 report.pending -= 1;
@@ -734,7 +874,7 @@ impl FleetMonitor {
         }
         let mut entries: Vec<(SerialNumber, Vec<f64>)> = Vec::new();
         for shard in &self.shards {
-            for (serial, state) in &shard.monitors {
+            for state in shard.drives.iter() {
                 if state.quarantine.is_some() || state.monitor.last_row.is_empty() {
                     continue;
                 }
@@ -743,7 +883,7 @@ impl FleetMonitor {
                     .iter()
                     .map(|f| state.monitor.last_row[f.full_index()])
                     .collect();
-                entries.push((*serial, selected));
+                entries.push((state.monitor.serial, selected));
             }
         }
         entries.sort_by_key(|(serial, _)| *serial);
@@ -786,11 +926,7 @@ impl FleetMonitor {
     /// readmission tick) while the drive is quarantined.
     pub fn drive_row(&self, serial: SerialNumber) -> Result<Option<Vec<f64>>, CoreError> {
         let shard_ix = serial.shard(self.cfg.n_shards);
-        let Some(state) = self
-            .shards
-            .get(shard_ix)
-            .and_then(|s| s.monitors.get(&serial))
-        else {
+        let Some(state) = self.shards.get(shard_ix).and_then(|s| s.drives.get(serial)) else {
             return Ok(None);
         };
         if let Some(q) = state.quarantine {
@@ -810,9 +946,9 @@ impl FleetMonitor {
             .iter()
             .flat_map(|shard| {
                 shard
-                    .monitors
+                    .drives
                     .iter()
-                    .filter_map(|(serial, state)| state.quarantine.map(|q| (*serial, q)))
+                    .filter_map(|state| state.quarantine.map(|q| (state.monitor.serial, q)))
             })
             .collect();
         out.sort_by_key(|(serial, _)| *serial);
@@ -837,7 +973,8 @@ impl FleetMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfpa_telemetry::{DayStamp, FirmwareVersion, SmartAttr, SmartValues, Vendor};
+    use mfpa_telemetry::{DayStamp, SmartAttr, SmartValues, Vendor};
+    use proptest::prelude::*;
 
     fn event(id: u64, day: i64) -> ArrivalEvent {
         ArrivalEvent {
@@ -1045,5 +1182,113 @@ mod tests {
         assert_eq!(merged, fm.fleet_report());
         assert_eq!(merged.drives, 40);
         assert!(per_shard.iter().filter(|r| r.received > 0).count() > 1);
+    }
+
+    /// Reference model of the reorder window in its plainest form — a
+    /// sorted `Vec` of `(day, seq)` keys with `insert` and `remove(0)`
+    /// — the oracle for the ring window.
+    #[derive(Default)]
+    struct VecWindow {
+        pending: Vec<(DayStamp, u64)>,
+        next_seq: u64,
+    }
+
+    impl VecWindow {
+        fn admit(&mut self, day: DayStamp, depth: usize, released: &mut Vec<(DayStamp, u64)>) {
+            let key = (day, self.next_seq);
+            self.next_seq += 1;
+            let ix = self.pending.partition_point(|p| *p <= key);
+            self.pending.insert(ix, key);
+            while self.pending.len() > depth {
+                released.push(self.pending.remove(0));
+            }
+        }
+    }
+
+    /// Builds a per-drive day sequence from drawn edits: `0` keeps the
+    /// next day in order, `1` re-delivers the previous day, `2` swaps
+    /// with a record 1–3 arrivals back (inside a depth-8 window) and
+    /// `3` swaps with one 9–12 back (beyond it).
+    fn days_from(ops: &[(u8, usize)]) -> Vec<i64> {
+        let mut days: Vec<i64> = (0..ops.len() as i64).collect();
+        for (i, &(op, k)) in ops.iter().enumerate() {
+            let back = match op {
+                2 => 1 + k % 3,
+                3 => 9 + k % 4,
+                _ => 0,
+            };
+            if op == 1 && i > 0 {
+                days[i] = days[i - 1];
+            } else if back > 0 && i >= back {
+                days.swap(i, i - back);
+            }
+        }
+        days
+    }
+
+    proptest! {
+        /// The ring window releases exactly the `(day, seq)` sequence
+        /// of the sorted-`Vec` oracle, and the monitor built on it
+        /// leaves the oracle's accepted / late / pending counts.
+        #[test]
+        fn ring_window_matches_the_sorted_vec_oracle(
+            ops in proptest::collection::vec((0u8..4, 0usize..12), 1..40),
+            batch_size in 1usize..5,
+        ) {
+            let days = days_from(&ops);
+            let events: Vec<ArrivalEvent> = days.iter().map(|&d| event(1, d)).collect();
+            for depth in [0usize, 1, 8] {
+                let cfg = small_cfg().with_shards(1).with_reorder_depth(depth);
+
+                // Release sequences: the ring window against the oracle.
+                let first = &events[0];
+                let mut ring = DriveState::new(first.serial, first.record.firmware.clone(), &cfg);
+                let mut oracle = VecWindow::default();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for ev in &events {
+                    ring.buffer(&ev.record);
+                    while let Some(head) = ring.release(depth) {
+                        got.push((head.record.day, head.seq));
+                    }
+                    oracle.admit(ev.record.day, depth, &mut want);
+                }
+                let ring_window: Vec<(DayStamp, u64)> =
+                    ring.pending.iter().map(|p| (p.record.day, p.seq)).collect();
+                prop_assert_eq!(&ring_window, &oracle.pending);
+                prop_assert_eq!(&got, &want);
+
+                // Counts: the oracle's releases through a reference
+                // drive monitor, against the full fleet monitor.
+                let counts = |released: &[(DayStamp, u64)]| {
+                    let mut dm = DriveMonitor::with_sanitize(
+                        first.serial,
+                        first.record.firmware.clone(),
+                        cfg.sanitize,
+                    );
+                    let (mut accepted, mut late) = (0u64, 0u64);
+                    for &(day, _) in released {
+                        match dm.ingest_ref(&event(1, day.day()).record) {
+                            Ok(_) => accepted += 1,
+                            Err(CoreError::OutOfOrderRecord { .. }) => late += 1,
+                            Err(e) => panic!("clean record refused: {e}"),
+                        }
+                    }
+                    (accepted, late)
+                };
+                let mut fm = FleetMonitor::new(cfg.clone()).expect("config");
+                for batch in events.chunks(batch_size) {
+                    fm.ingest_batch(batch, None).expect("ingest");
+                }
+                let r = fm.fleet_report();
+                prop_assert_eq!((r.accepted, r.rejected_late), counts(&want));
+                prop_assert_eq!(r.pending, oracle.pending.len() as u64);
+                fm.drain();
+                want.append(&mut oracle.pending);
+                let r = fm.fleet_report();
+                prop_assert_eq!((r.accepted, r.rejected_late), counts(&want));
+                prop_assert_eq!(r.pending, 0);
+                prop_assert!(r.is_conserved());
+            }
+        }
     }
 }

@@ -242,18 +242,29 @@ cargo test --release --offline --manifest-path crates/bench/benchmark/Cargo.toml
 
 echo "== checkpoint and artifact integrity gate =="
 # Crash recovery is bit-identical at every batch boundary and damaged
-# checkpoints are refused; the seal's checksum detects every single-byte
-# change and keeps its golden footers; files of an older format version
-# are refused by version, not reported as damage.
+# checkpoints are refused; checkpoint bytes do not depend on the order
+# drives were first seen in; the seal's checksum detects every
+# single-byte change and keeps its golden footers; files of an older
+# format version are refused by version, not reported as damage; a
+# checksum-valid file whose drive table is not canonical (repeated or
+# unsorted serials, a drive on the wrong shard, an unsorted or
+# overrunning reorder window, gauges that disagree with the table) is
+# refused by rule.
 cargo test --release -q -p mfpa-suite --test fleet_monitor -- \
     kill_and_restore_is_bit_identical_at_every_batch_boundary \
-    corrupted_checkpoints_are_always_refused
+    corrupted_checkpoints_are_always_refused \
+    checkpoints_do_not_depend_on_drive_arrival_order
 cargo test --release -q -p mfpa-bytes -- \
     every_single_byte_change_is_detected \
     golden_footers_pin_the_format \
     seal_unseal_roundtrip_and_reject
 cargo test --release -q -p mfpa-core --lib -- \
-    checkpoint::tests::old_version_checkpoints_are_refused
+    checkpoint::tests::old_version_checkpoints_are_refused \
+    checkpoint::tests::canonical_restore_refuses_a_repeated_serial \
+    checkpoint::tests::canonical_restore_refuses_a_drive_on_the_wrong_shard \
+    checkpoint::tests::canonical_restore_refuses_an_unsorted_window \
+    checkpoint::tests::canonical_restore_refuses_a_seq_past_next_seq \
+    checkpoint::tests::canonical_restore_refuses_mismatched_gauges
 cargo test --release -q -p mfpa-ml --test compiled_parity -- \
     mfpac_refuses_old_version_artifacts
 

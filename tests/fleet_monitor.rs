@@ -4,8 +4,9 @@
 //! Covers the three guarantees the serving layer makes:
 //!
 //! 1. **Crash safety** — kill-and-restore at *every* batch boundary is
-//!    bit-identical to an uninterrupted run, and corrupted checkpoints
-//!    are always refused.
+//!    bit-identical to an uninterrupted run, checkpoint bytes do not
+//!    depend on the order drives were first seen in, and corrupted
+//!    checkpoints are always refused.
 //! 2. **Determinism** — final scores, quarantine sets and accounting
 //!    are invariant to the worker count.
 //! 3. **Containment** — poison drives are quarantined with bounded
@@ -15,8 +16,8 @@
 
 use std::path::PathBuf;
 
-use mfpa_core::checkpoint::{latest_checkpoint, restore};
-use mfpa_core::fleet_monitor::{FleetMonitor, FleetMonitorConfig, SweepOutcome};
+use mfpa_core::checkpoint::{latest_checkpoint, restore, write_checkpoint};
+use mfpa_core::fleet_monitor::{CheckpointOutcome, FleetMonitor, FleetMonitorConfig, SweepOutcome};
 use mfpa_core::{Algorithm, CoreError, FeatureGroup, Mfpa, MfpaConfig, TrainedMfpa};
 use mfpa_fleetsim::replay::{arrival_stream, flip_one_byte, into_batches, TransportFaultConfig};
 use mfpa_fleetsim::{ArrivalEvent, FaultConfig, FleetConfig, SimulatedFleet};
@@ -111,21 +112,50 @@ fn clean(id: u64, day: i64) -> ArrivalEvent {
     }
 }
 
+/// Every drive's newest row as NaN-proof bits, or the refusal it gets.
+fn drive_rows(
+    fm: &FleetMonitor,
+    serials: &[SerialNumber],
+) -> Vec<Result<Option<Vec<u64>>, String>> {
+    serials
+        .iter()
+        .map(|&serial| match fm.drive_row(serial) {
+            Ok(row) => Ok(row.map(|r| r.iter().map(|v| v.to_bits()).collect())),
+            Err(e) => Err(e.to_string()),
+        })
+        .collect()
+}
+
+/// The bytes of a checkpoint `fm` writes now.
+fn checkpoint_bytes(fm: &FleetMonitor) -> Vec<u8> {
+    let path = write_checkpoint(fm).expect("write checkpoint");
+    std::fs::read(path).expect("read checkpoint")
+}
+
 #[test]
 fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
     let fleet = fleet();
     let model = trained(&fleet);
     let batches = batches(&fleet);
+    let serials: Vec<SerialNumber> = fleet.drives().iter().map(|d| d.serial()).collect();
     assert!(batches.len() >= 4, "need a multi-batch stream");
 
-    // Reference: uninterrupted, no checkpointing.
-    let mut reference = FleetMonitor::new(base_config()).expect("config");
+    // Reference: uninterrupted, with a checkpoint directory for the
+    // final snapshot only (interval 0 writes nothing on the way).
+    let dir = scratch("boundary");
+    let mut reference =
+        FleetMonitor::new(base_config().with_checkpointing(dir.join("reference"), 0))
+            .expect("config");
     for batch in &batches {
         reference.ingest_batch(batch, None).expect("ingest");
     }
     let want = end_state(&mut reference, &model);
+    let want_rows = drive_rows(&reference, &serials);
+    let want_bytes = checkpoint_bytes(&reference);
 
-    let dir = scratch("boundary");
+    // The restored monitor rebuilds each shard's drive table in serial
+    // order, the uninterrupted one holds it in arrival order: rows and
+    // checkpoint bytes must not see the difference.
     for kill_at in 1..batches.len() {
         let run_dir = dir.join(format!("k{kill_at}"));
         let cfg = base_config().with_checkpointing(&run_dir, 1);
@@ -145,8 +175,109 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
         }
         let got = end_state(&mut fm, &model);
         assert!(got == want, "diverged after kill at batch {kill_at}");
+        assert!(
+            drive_rows(&fm, &serials) == want_rows,
+            "drive rows diverged after kill at batch {kill_at}"
+        );
+        assert!(
+            checkpoint_bytes(&fm) == want_bytes,
+            "final checkpoint bytes diverged after kill at batch {kill_at}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoints_do_not_depend_on_drive_arrival_order() {
+    // The same per-drive streams, in the same batches, with drives
+    // first seen in opposite orders: each batch's records are stably
+    // regrouped by serial, ascending in one run and descending in the
+    // other. Each drive's own records keep their relative order, so
+    // only the slab order of the drive tables differs.
+    let fleet = fleet();
+    let batches = batches(&fleet);
+    let regroup = |descending: bool| -> Vec<Vec<ArrivalEvent>> {
+        batches
+            .iter()
+            .map(|batch| {
+                let mut batch = batch.clone();
+                if descending {
+                    batch.sort_by_key(|ev| std::cmp::Reverse(ev.serial));
+                } else {
+                    batch.sort_by_key(|ev| ev.serial);
+                }
+                batch
+            })
+            .collect()
+    };
+    let dir = scratch("arrival-order");
+    let mut runs: Vec<FleetMonitor> = ["ascending", "descending"]
+        .iter()
+        .map(|tag| {
+            FleetMonitor::new(base_config().with_checkpointing(dir.join(tag), 1)).expect("config")
+        })
+        .collect();
+    let streams = [regroup(false), regroup(true)];
+    for tick in 0..batches.len() {
+        let written: Vec<Vec<u8>> = runs
+            .iter_mut()
+            .zip(&streams)
+            .map(|(fm, stream)| {
+                match fm
+                    .ingest_batch(&stream[tick], None)
+                    .expect("ingest")
+                    .checkpoint
+                {
+                    CheckpointOutcome::Written { path, .. } => {
+                        std::fs::read(path).expect("read checkpoint")
+                    }
+                    other => panic!("tick {tick}: expected a checkpoint, got {other:?}"),
+                }
+            })
+            .collect();
+        assert!(
+            written[0] == written[1],
+            "checkpoint bytes depend on arrival order at tick {tick}"
+        );
+    }
+    let drained: Vec<Vec<u8>> = runs
+        .iter_mut()
+        .map(|fm| {
+            fm.drain();
+            checkpoint_bytes(fm)
+        })
+        .collect();
+    assert!(drained[0] == drained[1], "drained checkpoints differ");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn huge_reorder_depth_buffers_everything_without_a_huge_reservation() {
+    // usize::MAX is an unvalidated but legal depth: nothing is ever
+    // released until drain, and the window must grow on demand rather
+    // than reserve depth + 1 slots up front.
+    let cfg = base_config().with_reorder_depth(usize::MAX);
+    let mut fm = FleetMonitor::new(cfg).expect("config");
+    let stream: Vec<ArrivalEvent> = (0..12)
+        .flat_map(|day| (0..3).map(move |id| clean(id, day)))
+        .collect();
+    for batch in stream.chunks(5) {
+        fm.ingest_batch(batch, None).expect("ingest");
+        let report = fm.fleet_report();
+        assert!(report.is_conserved(), "{report:?}");
+        assert_eq!(report.pending, report.received, "every record pending");
+    }
+    fm.drain();
+    let report = fm.fleet_report();
+    assert!(report.is_conserved(), "{report:?}");
+    assert_eq!((report.pending, report.accepted), (0, 36));
+    let more: Vec<ArrivalEvent> = (0..3).map(|id| clean(id, 12)).collect();
+    fm.ingest_batch(&more, None).expect("ingest after drain");
+    let report = fm.fleet_report();
+    assert!(report.is_conserved(), "{report:?}");
+    assert_eq!((report.pending, report.received), (3, 39));
+    fm.drain();
+    assert_eq!(fm.fleet_report().accepted, 39);
 }
 
 #[test]

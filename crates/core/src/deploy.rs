@@ -529,7 +529,7 @@ mod tests {
             &SanitizeConfig::default(),
         );
         let (_, rows) = raw_rows(&history, &FirmwareVersion::new(Vendor::I, 1), true);
-        let offline: Vec<f64> = rows.iter().map(|r| r[poh_col]).collect();
+        let offline: Vec<f64> = rows.chunks_exact(ROW_WIDTH).map(|r| r[poh_col]).collect();
         assert_eq!(online, offline);
         assert_eq!(report.rollovers_repaired, 1);
     }

@@ -50,7 +50,36 @@ pub fn identify_failure_day(
     }
 }
 
-/// Labels every ticketed drive in a collection of series.
+/// Labels one drive from its tickets: the day of the last ticket, in
+/// the order given (fleet order), that [`identify_failure_day`]
+/// resolves. Tickets for other serials are ignored; `None` when no
+/// ticket resolves.
+pub fn label_drive<'a>(
+    series: &CleanSeries,
+    tickets: impl IntoIterator<Item = &'a TroubleTicket>,
+    config: &LabelingConfig,
+) -> Option<i64> {
+    tickets
+        .into_iter()
+        .filter(|t| t.serial() == series.serial)
+        .filter_map(|t| identify_failure_day(series, t, config))
+        .last()
+}
+
+/// Indexes tickets by serial, keeping each drive's tickets in the order
+/// given.
+pub(crate) fn tickets_by_serial(
+    tickets: &[TroubleTicket],
+) -> BTreeMap<SerialNumber, Vec<&TroubleTicket>> {
+    let mut by_serial: BTreeMap<SerialNumber, Vec<&TroubleTicket>> = BTreeMap::new();
+    for ticket in tickets {
+        by_serial.entry(ticket.serial()).or_default().push(ticket);
+    }
+    by_serial
+}
+
+/// Labels every ticketed drive in a collection of series: a loop of
+/// [`label_drive`] over the series.
 ///
 /// Returns `serial → failure day` as an ordered map (iteration must
 /// stay deterministic wherever it feeds output). Drives without a
@@ -62,17 +91,14 @@ pub fn label_failures(
     tickets: &[TroubleTicket],
     config: &LabelingConfig,
 ) -> BTreeMap<SerialNumber, i64> {
-    let by_serial: BTreeMap<SerialNumber, &CleanSeries> =
-        series.iter().map(|s| (s.serial, s)).collect();
-    let mut labels = BTreeMap::new();
-    for ticket in tickets {
-        if let Some(s) = by_serial.get(&ticket.serial()) {
-            if let Some(day) = identify_failure_day(s, ticket, config) {
-                labels.insert(ticket.serial(), day);
-            }
-        }
-    }
-    labels
+    let by_serial = tickets_by_serial(tickets);
+    series
+        .iter()
+        .filter_map(|s| {
+            let tickets = by_serial.get(&s.serial)?;
+            Some((s.serial, label_drive(s, tickets.iter().copied(), config)?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -85,7 +111,7 @@ mod tests {
             serial: SerialNumber::new(Vendor::I, 1),
             vendor: Vendor::I,
             days: days.to_vec(),
-            rows: days.iter().map(|_| vec![0.0; 45]).collect(),
+            rows: vec![0.0; days.len() * 45],
             imputed: vec![false; days.len()],
         }
     }
@@ -155,5 +181,53 @@ mod tests {
         );
         let labels = label_failures(&[s], &[other], &LabelingConfig::default());
         assert!(labels.is_empty());
+    }
+
+    /// Both labelling paths on one drive's tickets: the per-drive
+    /// function over the whole list and `label_failures` over the series.
+    fn both_ways(s: &CleanSeries, tickets: &[TroubleTicket]) -> (Option<i64>, Option<i64>) {
+        let cfg = LabelingConfig::default();
+        let per_drive = label_drive(s, tickets, &cfg);
+        let fleet = label_failures(std::slice::from_ref(s), tickets, &cfg);
+        (per_drive, fleet.get(&s.serial).copied())
+    }
+
+    #[test]
+    fn the_last_resolving_ticket_labels_the_drive() {
+        let s = series(&[40, 45, 50, 60]);
+        // Both resolve: the later ticket (in fleet order) wins, even
+        // though its day is earlier.
+        assert_eq!(
+            both_ways(&s, &[ticket(62), ticket(46)]),
+            (Some(45), Some(45))
+        );
+        assert_eq!(
+            both_ways(&s, &[ticket(46), ticket(62)]),
+            (Some(60), Some(60))
+        );
+        // The later ticket predates the data (resolves to None): the
+        // earlier ticket's day survives.
+        assert_eq!(
+            both_ways(&s, &[ticket(53), ticket(39)]),
+            (Some(50), Some(50))
+        );
+        // No ticket resolves: unlabelled both ways.
+        assert_eq!(both_ways(&s, &[ticket(39), ticket(10)]), (None, None));
+        // A ticket for a drive with no series is ignored, wherever it
+        // sits in the list.
+        let ghost = TroubleTicket::new(
+            SerialNumber::new(Vendor::II, 9),
+            DayStamp::new(70),
+            FailureCause::Bootloop,
+        );
+        let tickets = [ticket(46), ghost, ticket(39)];
+        assert_eq!(both_ways(&s, &tickets), (Some(45), Some(45)));
+        let labels = label_failures(
+            std::slice::from_ref(&s),
+            &tickets,
+            &LabelingConfig::default(),
+        );
+        assert_eq!(labels.len(), 1);
+        assert!(!labels.contains_key(&ghost.serial()));
     }
 }

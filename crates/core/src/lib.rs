@@ -74,6 +74,8 @@ pub use fleet_monitor::{
     BatchOutcome, CheckpointOutcome, FleetMonitor, FleetMonitorConfig, FleetScore, QuarantineInfo,
     ShardReport, SweepOutcome,
 };
-pub use pipeline::{CvStrategy, Mfpa, MfpaConfig, Prepared, SplitStrategy, TrainedMfpa};
+pub use pipeline::{
+    CvStrategy, Mfpa, MfpaConfig, Prepared, SplitStrategy, TrainedMfpa, DRIVES_PER_WORKER,
+};
 pub use report::{EvalReport, MetricSet, StageTimings};
 pub use sanitize::{QuarantineCause, SanitizeConfig, SanitizeReport};

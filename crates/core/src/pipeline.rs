@@ -15,11 +15,18 @@ use serde::{Deserialize, Serialize};
 use crate::algorithms::Algorithm;
 use crate::error::CoreError;
 use crate::features::{FeatureGroup, FeatureId};
-use crate::labeling::{label_failures, LabelingConfig};
+use crate::labeling::{label_drive, tickets_by_serial, LabelingConfig};
 use crate::preprocess::{preprocess, CleanSeries, PreprocessConfig};
 use crate::report::{EvalReport, MetricSet, StageTimings};
 use crate::sanitize::{sanitize, SanitizeConfig, SanitizeReport};
-use crate::windows::{SampleSet, WindowConfig};
+use crate::windows::{SampleBuilder, SampleSet, WindowConfig};
+
+/// Drives each worker sanitizes and preprocesses per group in
+/// [`Mfpa::prepare`]: the group's clean series are the only ones alive
+/// at once, so this bounds preparation memory independently of fleet
+/// size while keeping each parallel call long enough to amortise its
+/// thread spawns.
+pub const DRIVES_PER_WORKER: usize = 16;
 
 /// Train/test segmentation strategy (Fig 8(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -291,7 +298,21 @@ impl Mfpa {
         &self.config
     }
 
-    /// Stage 1–3: preprocess, θ-label, assemble samples.
+    /// Stage 1–3: sanitize, preprocess, θ-label, assemble samples.
+    ///
+    /// The fleet streams through one drive at a time: a drive's raw
+    /// stream is sanitized and preprocessed into a [`CleanSeries`], which
+    /// is θ-labelled, appended to the sample frame by a
+    /// [`SampleBuilder`] and dropped before later drives are built, so
+    /// at most one group's series are alive at once, never the fleet's.
+    /// Sanitize + preprocess run on the deterministic parallel layer
+    /// over groups of [`DRIVES_PER_WORKER`] drives per worker; labelling
+    /// and windowing run serially in drive order. The output is the
+    /// stage-by-stage composition — [`crate::sanitize::sanitize`],
+    /// [`crate::preprocess::preprocess`],
+    /// [`crate::labeling::label_failures`] and
+    /// [`crate::windows::build_samples_for`] over the whole fleet — bit
+    /// for bit, at any worker count.
     ///
     /// # Errors
     ///
@@ -303,11 +324,11 @@ impl Mfpa {
             .iter()
             .filter(|d| self.config.vendor.is_none_or(|v| d.vendor() == v))
             .collect();
-        // Per-drive sanitize + preprocess are independent, so they run on
-        // the deterministic parallel layer; results come back in drive
-        // order and are merged serially, so every counter and the series
-        // list are bit-identical at any worker count. The stage seconds
-        // are summed *work* across workers, not wall-clock.
+        // Results come back in drive order and are merged serially, so
+        // every counter, label and sample row is bit-identical at any
+        // worker count. Every stage's seconds are summed per-drive
+        // *work* (across workers for sanitize + preprocess), not
+        // wall-clock.
         struct DriveOut {
             series: Option<CleanSeries>,
             n_raw: usize,
@@ -316,80 +337,87 @@ impl Mfpa {
             preprocess_secs: f64,
         }
         let workers = Workers::from_config(self.config.n_threads);
-        let outputs = ordered_map(&selected, workers, |_, drive| {
-            let mut out = DriveOut {
-                series: None,
-                n_raw: 0,
-                report: None,
-                sanitize_secs: 0.0,
-                preprocess_secs: 0.0,
-            };
-            let sanitized;
-            let history = match &self.config.sanitize {
-                Some(cfg) => {
-                    out.n_raw = drive.raw_records().len();
-                    let ts = Instant::now();
-                    let (h, report) = sanitize(
-                        drive.serial(),
-                        drive.history().model(),
-                        drive.raw_records(),
-                        cfg,
-                    );
-                    out.sanitize_secs = ts.elapsed().as_secs_f64();
-                    out.report = Some(report);
-                    sanitized = h;
-                    &sanitized
-                }
-                None => {
-                    out.n_raw = drive.history().len();
-                    drive.history()
-                }
-            };
-            let tp = Instant::now();
-            out.series = preprocess(history, drive.firmware(), &self.config.preprocess);
-            out.preprocess_secs = tp.elapsed().as_secs_f64();
-            out
-        });
-
-        let mut series: Vec<CleanSeries> = Vec::new();
+        let tickets = tickets_by_serial(fleet.tickets());
+        let mut samples =
+            SampleBuilder::new(&self.config.window, self.config.algorithm.needs_sequence());
+        let mut failure_days = BTreeMap::new();
+        let mut n_series = 0usize;
         let mut n_raw_records = 0usize;
         let mut sanitize_report = SanitizeReport::default();
         let mut sanitize_secs = 0.0f64;
         let mut preprocess_secs = 0.0f64;
-        for out in outputs {
-            n_raw_records += out.n_raw;
-            if let Some(report) = &out.report {
-                sanitize_report.merge(report);
-            }
-            sanitize_secs += out.sanitize_secs;
-            preprocess_secs += out.preprocess_secs;
-            if let Some(s) = out.series {
-                series.push(s);
+        let mut labeling_secs = 0.0f64;
+        let mut sampling_secs = 0.0f64;
+        for group in selected.chunks(DRIVES_PER_WORKER * workers.get()) {
+            let outputs = ordered_map(group, workers, |_, drive| {
+                let mut out = DriveOut {
+                    series: None,
+                    n_raw: 0,
+                    report: None,
+                    sanitize_secs: 0.0,
+                    preprocess_secs: 0.0,
+                };
+                let sanitized;
+                let history = match &self.config.sanitize {
+                    Some(cfg) => {
+                        out.n_raw = drive.raw_records().len();
+                        let ts = Instant::now();
+                        let (h, report) = sanitize(
+                            drive.serial(),
+                            drive.history().model(),
+                            drive.raw_records(),
+                            cfg,
+                        );
+                        out.sanitize_secs = ts.elapsed().as_secs_f64();
+                        out.report = Some(report);
+                        sanitized = h;
+                        &sanitized
+                    }
+                    None => {
+                        out.n_raw = drive.history().len();
+                        drive.history()
+                    }
+                };
+                let tp = Instant::now();
+                out.series = preprocess(history, drive.firmware(), &self.config.preprocess);
+                out.preprocess_secs = tp.elapsed().as_secs_f64();
+                out
+            });
+            for out in outputs {
+                n_raw_records += out.n_raw;
+                if let Some(report) = &out.report {
+                    sanitize_report.merge(report);
+                }
+                sanitize_secs += out.sanitize_secs;
+                preprocess_secs += out.preprocess_secs;
+                let Some(series) = out.series else {
+                    continue;
+                };
+                n_series += 1;
+
+                let t1 = Instant::now();
+                let own = tickets.get(&series.serial).into_iter().flatten().copied();
+                let failure_day = label_drive(&series, own, &self.config.labeling);
+                if let Some(day) = failure_day {
+                    failure_days.insert(series.serial, day);
+                }
+                labeling_secs += t1.elapsed().as_secs_f64();
+
+                let t2 = Instant::now();
+                samples.push_drive(&series, failure_day)?;
+                sampling_secs += t2.elapsed().as_secs_f64();
             }
         }
-        if series.is_empty() {
+        if n_series == 0 {
             return Err(CoreError::NoUsableDrives);
         }
 
-        let t1 = Instant::now();
-        let failure_days = label_failures(&series, fleet.tickets(), &self.config.labeling);
-        let labeling_secs = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let samples = crate::windows::build_samples_for(
-            &series,
-            &failure_days,
-            &self.config.window,
-            self.config.algorithm.needs_sequence(),
-        )?;
-        let sampling_secs = t2.elapsed().as_secs_f64();
-
         Ok(Prepared {
-            samples,
+            samples: samples.finish(),
             failure_days,
             sanitize_report,
             n_raw_records,
-            n_series: series.len(),
+            n_series,
             sanitize_secs,
             preprocess_secs,
             labeling_secs,

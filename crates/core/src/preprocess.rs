@@ -55,9 +55,10 @@ pub struct CleanSeries {
     pub vendor: Vendor,
     /// Day stamps, strictly ascending.
     pub days: Vec<i64>,
-    /// Feature rows aligned with `days` ([`crate::FeatureId::full_row`]
-    /// order).
-    pub rows: Vec<Vec<f64>>,
+    /// Feature rows aligned with `days`, stored flat: row `i` is
+    /// `rows[i * 45..(i + 1) * 45]` in [`crate::FeatureId::full_row`]
+    /// order (see [`CleanSeries::row`]).
+    pub rows: Vec<f64>,
     /// Whether each row was imputed by gap filling.
     pub imputed: Vec<bool>,
 }
@@ -73,6 +74,15 @@ impl CleanSeries {
         self.days.is_empty()
     }
 
+    /// The feature row of day `days[i]`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`CleanSeries::len`].
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i * ROW_WIDTH..(i + 1) * ROW_WIDTH]
+    }
+
     /// Index of the latest row at or before `day`.
     pub fn index_at_or_before(&self, day: i64) -> Option<usize> {
         match self.days.binary_search(&day) {
@@ -85,20 +95,24 @@ impl CleanSeries {
 
 /// Builds the raw (pre-gap-handling) feature rows: SMART values, encoded
 /// firmware, and cumulative (or, for the ablation, daily) W/B counts per
-/// observed day. `firmware` is the drive's firmware before its first
-/// record; each record's own firmware stamp applies from that record on,
-/// exactly as in [`crate::deploy::DriveMonitor`].
+/// observed day, flat with a stride of 45 like [`CleanSeries::rows`].
+/// `firmware` is the drive's firmware before its first record; each
+/// record's own firmware stamp applies from that record on, exactly as
+/// in [`crate::deploy::DriveMonitor`].
 pub fn raw_rows(
     history: &DriveHistory,
     firmware: &FirmwareVersion,
     cumulative_events: bool,
-) -> (Vec<i64>, Vec<Vec<f64>>) {
+) -> (Vec<i64>, Vec<f64>) {
     let mut state = FeatureState::new(firmware.clone());
     let mut days = Vec::with_capacity(history.len());
-    let mut rows = Vec::with_capacity(history.len());
-    for rec in history.records() {
-        let mut row = vec![0.0; ROW_WIDTH];
-        state.push_row(rec, rec.smart.as_slice(), &mut row);
+    let mut rows = vec![0.0; history.len() * ROW_WIDTH];
+    for (rec, row) in history
+        .records()
+        .iter()
+        .zip(rows.chunks_exact_mut(ROW_WIDTH))
+    {
+        state.push_row(rec, rec.smart.as_slice(), row);
         if !cumulative_events {
             for (slot, ev) in row[17..22].iter_mut().zip(MODEL_W_EVENTS) {
                 *slot = f64::from(rec.w(ev));
@@ -108,7 +122,6 @@ pub fn raw_rows(
             }
         }
         days.push(rec.day.day());
-        rows.push(row);
     }
     (days, rows)
 }
@@ -135,32 +148,35 @@ pub fn preprocess(
         }
     }
     let days = &days[seg_start..];
-    let rows = &rows[seg_start..];
+    let rows = &rows[seg_start * ROW_WIDTH..];
     if days.len() < config.min_len {
         return None;
     }
 
     // Mean-fill short gaps.
     let mut out_days = Vec::with_capacity(days.len());
-    let mut out_rows: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
+    let mut out_rows = Vec::with_capacity(rows.len());
     let mut out_imputed = Vec::with_capacity(days.len());
-    for i in 0..days.len() {
-        if i > 0 {
-            let gap = days[i] - days[i - 1];
+    let mut prev: Option<(i64, &[f64])> = None;
+    for (&day, row) in days.iter().zip(rows.chunks_exact(ROW_WIDTH)) {
+        if let Some((prev_day, prev_row)) = prev {
+            let gap = day - prev_day;
             if gap > 1 && gap <= config.fill_gap {
-                let prev = rows[i - 1].clone();
-                let next = &rows[i];
-                let mean: Vec<f64> = prev.iter().zip(next).map(|(a, b)| 0.5 * (a + b)).collect();
-                for missing in days[i - 1] + 1..days[i] {
+                let mut mean = [0.0; ROW_WIDTH];
+                for ((m, a), b) in mean.iter_mut().zip(prev_row).zip(row) {
+                    *m = 0.5 * (a + b);
+                }
+                for missing in prev_day + 1..day {
                     out_days.push(missing);
-                    out_rows.push(mean.clone());
+                    out_rows.extend_from_slice(&mean);
                     out_imputed.push(true);
                 }
             }
         }
-        out_days.push(days[i]);
-        out_rows.push(rows[i].clone());
+        out_days.push(day);
+        out_rows.extend_from_slice(row);
         out_imputed.push(false);
+        prev = Some((day, row));
     }
 
     Some(CleanSeries {
@@ -211,7 +227,7 @@ mod tests {
         let h = history(&[(0, 1), (1, 0), (2, 2)]);
         let (_, rows) = raw_rows(&h, &fw(), true);
         let w161_col = FeatureId::WinEventCum(WindowsEventId::W161).full_index();
-        let vals: Vec<f64> = rows.iter().map(|r| r[w161_col]).collect();
+        let vals: Vec<f64> = rows.chunks_exact(ROW_WIDTH).map(|r| r[w161_col]).collect();
         assert_eq!(vals, vec![1.0, 1.0, 3.0]);
     }
 
@@ -219,7 +235,8 @@ mod tests {
     fn firmware_encoded_in_column_16() {
         let h = history(&[(0, 0)]);
         let (_, rows) = raw_rows(&h, &fw(), true);
-        assert_eq!(rows[0][FeatureId::Firmware.full_index()], 2.0);
+        assert_eq!(rows.len(), ROW_WIDTH);
+        assert_eq!(rows[FeatureId::Firmware.full_index()], 2.0);
     }
 
     #[test]
@@ -250,8 +267,9 @@ mod tests {
         );
         // Media errors were set to the day number → imputed = mean(0, 3).
         let media_col = FeatureId::Smart(SmartAttr::MediaErrors).full_index();
-        assert_eq!(s.rows[1][media_col], 1.5);
-        assert_eq!(s.rows[2][media_col], 1.5);
+        assert_eq!(s.rows.len(), 7 * ROW_WIDTH);
+        assert_eq!(s.row(1)[media_col], 1.5);
+        assert_eq!(s.row(2)[media_col], 1.5);
     }
 
     #[test]

@@ -71,9 +71,13 @@ pub struct StageTimings {
     pub n_repaired: usize,
     /// Seconds spent in preprocessing (gap handling + feature rows).
     pub preprocess_secs: f64,
-    /// Seconds spent aligning tickets (θ labelling).
+    /// Seconds spent aligning tickets (θ labelling): the sum of the
+    /// per-drive labelling times, since preparation labels each drive as
+    /// its series is built.
     pub labeling_secs: f64,
-    /// Seconds spent assembling sample frames.
+    /// Seconds spent assembling sample frames: the sum of the per-drive
+    /// appends to the frames, since preparation windows each drive as
+    /// its series is built.
     pub sampling_secs: f64,
     /// Training rows after under-sampling.
     pub n_train_rows: usize,

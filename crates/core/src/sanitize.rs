@@ -229,26 +229,25 @@ pub fn sanitize(
     }
     kept.sort_by_key(|r| r.day);
 
-    // 2. Duplicate collapsing: last record of a duplicated day wins (it
-    // is the retransmission).
-    let mut collapsed: Vec<DailyRecord> = Vec::with_capacity(kept.len());
-    for record in kept {
-        match collapsed.last() {
-            Some(prev) if prev.day == record.day => {
-                report.duplicates_collapsed += 1;
-                // mfpa-lint: allow(d8, "guarded by the Some(prev) arm of the last() match above")
-                *collapsed.last_mut().expect("non-empty") = record;
-            }
-            _ => collapsed.push(record),
+    // 2. Duplicate collapsing, in place: last record of a duplicated day
+    // wins (it is the retransmission). The sort is stable, so a day's
+    // records stay in emission order; each later duplicate is swapped
+    // into the kept slot before `dedup_by` removes it.
+    kept.dedup_by(|later, slot| {
+        let duplicate = later.day == slot.day;
+        if duplicate {
+            std::mem::swap(later, slot);
+            report.duplicates_collapsed += 1;
         }
-    }
+        duplicate
+    });
 
     // 3. Leading NaNs take their attribute's first valid value (the
     // lookahead an online consumer cannot do).
     for attr in SmartAttr::ALL {
-        if let Some(first) = collapsed.iter().position(|r| !r.smart.get(attr).is_nan()) {
-            let fill = collapsed[first].smart.get(attr);
-            for r in &mut collapsed[..first] {
+        if let Some(first) = kept.iter().position(|r| !r.smart.get(attr).is_nan()) {
+            let fill = kept[first].smart.get(attr);
+            for r in &mut kept[..first] {
                 r.smart.set(attr, fill);
                 report.values_imputed += 1;
             }
@@ -260,7 +259,7 @@ pub fn sanitize(
     // A record still missing a value (its whole column was NaN) is
     // quarantined.
     let mut state = FeatureState::new(FirmwareVersion::new(serial.vendor(), 1));
-    collapsed.retain_mut(|record| {
+    kept.retain_mut(|record| {
         let mut page = [0.0f64; 16];
         page.copy_from_slice(record.smart.as_slice());
         let repaired = state.repair_page(&mut page, &mut report).is_ok();
@@ -269,8 +268,8 @@ pub fn sanitize(
         repaired
     });
 
-    report.kept_records = collapsed.len();
-    (DriveHistory::new(serial, model, collapsed), report)
+    report.kept_records = kept.len();
+    (DriveHistory::new(serial, model, kept), report)
 }
 
 #[cfg(test)]
@@ -339,6 +338,30 @@ mod tests {
                 .smart
                 .get(SmartAttr::CompositeTemperature),
             55.0
+        );
+
+        // Day 4 sent three times, out of order (4, 6, 4, 5, 4): the last
+        // emission wins and two duplicates collapse.
+        let mut records: Vec<DailyRecord> = (0..4).map(rec).collect();
+        for (day, temp) in [(4, 41.0), (6, 40.0), (4, 42.0), (5, 40.0), (4, 43.0)] {
+            let mut r = rec(day);
+            r.smart.set(SmartAttr::CompositeTemperature, temp);
+            records.push(r);
+        }
+        let (h, report) = run(records);
+        assert_eq!(report.duplicates_collapsed, 2);
+        assert_eq!(report.reordered, 3);
+        assert_eq!(report.kept_records, 7);
+        assert_eq!(
+            h.records().iter().map(|r| r.day.day()).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4, 5, 6]
+        );
+        assert_eq!(
+            h.record_on(DayStamp::new(4))
+                .unwrap()
+                .smart
+                .get(SmartAttr::CompositeTemperature),
+            43.0
         );
     }
 

@@ -14,6 +14,7 @@ use mfpa_dataset::{DatasetError, FeatureFrame, SampleMeta};
 use mfpa_telemetry::SerialNumber;
 use serde::{Deserialize, Serialize};
 
+use crate::feature_state::ROW_WIDTH;
 use crate::features::FeatureId;
 use crate::preprocess::CleanSeries;
 
@@ -81,7 +82,8 @@ pub fn build_samples(
 
 /// [`build_samples`] with control over the sequence view: flat-only
 /// callers (tree/linear models) can skip it, halving sample-assembly
-/// time and memory. When skipped, `seq` is an empty frame.
+/// time and memory. When skipped, `seq` is an empty frame. This is a
+/// loop of [`SampleBuilder::push_drive`] over the series.
 ///
 /// # Errors
 ///
@@ -92,29 +94,72 @@ pub fn build_samples_for(
     config: &WindowConfig,
     build_seq: bool,
 ) -> Result<SampleSet, DatasetError> {
-    let names: Vec<String> = FeatureId::full_row()
-        .iter()
-        .map(|f| f.to_string())
-        .collect();
-    let n_cols = names.len();
-    let seq_names: Vec<String> = (0..config.seq_len)
-        .flat_map(|t| {
-            let back = config.seq_len - 1 - t;
-            names.iter().map(move |n| format!("t-{back}:{n}"))
-        })
-        .collect();
-    let mut flat = FeatureFrame::new(names);
-    let mut seq = FeatureFrame::new(seq_names);
-
-    let mut seq_buf = vec![0.0; config.seq_len * n_cols];
-    let mut unwindowed_failures = Vec::new();
+    let mut builder = SampleBuilder::new(config, build_seq);
     for s in series {
-        let fail = failure_days.get(&s.serial).copied();
-        let group = group_of(s.serial);
-        let tag = s.vendor.index() as u32;
+        builder.push_drive(s, failure_days.get(&s.serial).copied())?;
+    }
+    Ok(builder.finish())
+}
+
+/// Assembles a [`SampleSet`] one drive at a time, so a caller can drop
+/// each [`CleanSeries`] as soon as its rows are in the frame
+/// ([`crate::Mfpa::prepare`] streams the fleet through one). Each
+/// drive's rows are appended contiguously, in day order; pushing the
+/// series of [`build_samples_for`] in the same order gives the same set
+/// bit for bit.
+#[derive(Debug)]
+pub struct SampleBuilder {
+    config: WindowConfig,
+    build_seq: bool,
+    flat: FeatureFrame,
+    seq: FeatureFrame,
+    seq_buf: Vec<f64>,
+    unwindowed_failures: Vec<(u64, i64)>,
+}
+
+impl SampleBuilder {
+    /// An empty builder; `build_seq` as in [`build_samples_for`].
+    pub fn new(config: &WindowConfig, build_seq: bool) -> Self {
+        let names: Vec<String> = FeatureId::full_row()
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        let seq_names: Vec<String> = (0..config.seq_len)
+            .flat_map(|t| {
+                let back = config.seq_len - 1 - t;
+                names.iter().map(move |n| format!("t-{back}:{n}"))
+            })
+            .collect();
+        SampleBuilder {
+            config: *config,
+            build_seq,
+            seq_buf: vec![0.0; config.seq_len * names.len()],
+            flat: FeatureFrame::new(names),
+            seq: FeatureFrame::new(seq_names),
+            unwindowed_failures: Vec::new(),
+        }
+    }
+
+    /// Appends one drive's samples. `failure_day` is the drive's
+    /// θ-identified failure day, `None` for a drive with no usable
+    /// ticket: rows inside the (lookahead-shifted) positive window of a
+    /// failed drive become positives, every row of an unticketed drive
+    /// becomes a negative, and the rest of a failed drive is discarded.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`build_samples`].
+    pub fn push_drive(
+        &mut self,
+        series: &CleanSeries,
+        failure_day: Option<i64>,
+    ) -> Result<(), DatasetError> {
+        let config = &self.config;
+        let group = group_of(series.serial);
+        let tag = series.vendor.index() as u32;
         let mut emitted_positive = false;
-        for (ix, (&day, row)) in s.days.iter().zip(&s.rows).enumerate() {
-            let label = match fail {
+        for (ix, &day) in series.days.iter().enumerate() {
+            let label = match failure_day {
                 Some(fd) => {
                     let hi = fd - config.lookahead;
                     let lo = hi - config.positive_window + 1;
@@ -127,28 +172,33 @@ pub fn build_samples_for(
                 None => false,
             };
             let meta = SampleMeta::with_tag(group, day, tag);
-            flat.push_row(row, meta, label)?;
-            if build_seq {
+            self.flat.push_row(series.row(ix), meta, label)?;
+            if self.build_seq {
                 // Trailing window, oldest first, front-padded with row 0.
-                for t in 0..config.seq_len {
+                for (t, step) in self.seq_buf.chunks_exact_mut(ROW_WIDTH).enumerate() {
                     let back = config.seq_len - 1 - t;
-                    let src = ix.saturating_sub(back);
-                    seq_buf[t * n_cols..(t + 1) * n_cols].copy_from_slice(&s.rows[src]);
+                    step.copy_from_slice(series.row(ix.saturating_sub(back)));
                 }
-                seq.push_row(&seq_buf, meta, label)?;
+                self.seq.push_row(&self.seq_buf, meta, label)?;
             }
         }
-        if let Some(fd) = fail {
+        if let Some(fd) = failure_day {
             if !emitted_positive {
-                unwindowed_failures.push((group, fd - config.lookahead));
+                self.unwindowed_failures
+                    .push((group, fd - config.lookahead));
             }
+        }
+        Ok(())
+    }
+
+    /// The assembled sample set.
+    pub fn finish(self) -> SampleSet {
+        SampleSet {
+            flat: self.flat,
+            seq: self.seq,
+            unwindowed_failures: self.unwindowed_failures,
         }
     }
-    Ok(SampleSet {
-        flat,
-        seq,
-        unwindowed_failures,
-    })
 }
 
 #[cfg(test)]
@@ -163,8 +213,8 @@ mod tests {
             days: days.to_vec(),
             rows: days
                 .iter()
-                .map(|&d| {
-                    let mut r = vec![0.0; 45];
+                .flat_map(|&d| {
+                    let mut r = [0.0; ROW_WIDTH];
                     r[0] = d as f64; // marker feature
                     r
                 })

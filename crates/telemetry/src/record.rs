@@ -93,13 +93,18 @@ impl DriveHistory {
     /// days (last record wins).
     pub fn new(serial: SerialNumber, model: DriveModel, mut records: Vec<DailyRecord>) -> Self {
         records.sort_by_key(|r| r.day);
-        // Keep the *last* record of a duplicated day: dedup_by removes the
-        // earlier element when the closure returns true for (later, earlier)
-        // pairs scanned right-to-left, so reverse, dedup (first wins =
-        // chronologically last), and restore order.
-        records.reverse();
-        records.dedup_by_key(|r| r.day);
-        records.reverse();
+        // Keep the *last* record of a duplicated day: the sort is stable,
+        // so a day's records stay in arrival order, and `dedup_by` hands
+        // each later duplicate beside the slot it keeps; swapping the
+        // later record into that slot before the duplicate is removed
+        // leaves the last arrival in place.
+        records.dedup_by(|later, kept| {
+            let duplicate = later.day == kept.day;
+            if duplicate {
+                std::mem::swap(later, kept);
+            }
+            duplicate
+        });
         DriveHistory {
             serial,
             model,
@@ -234,6 +239,19 @@ mod tests {
         assert_eq!(h.records()[1].w(WindowsEventId::W161), 9);
         assert_eq!(h.first_day(), Some(DayStamp::new(0)));
         assert_eq!(h.last_day(), Some(DayStamp::new(5)));
+
+        // A day sent three times, out of order: the last one sent wins.
+        let h = history(vec![
+            rec(3, 1),
+            rec(7, 0),
+            rec(3, 2),
+            rec(1, 0),
+            rec(3, 5),
+            rec(9, 0),
+        ]);
+        let days: Vec<i64> = h.records().iter().map(|r| r.day.day()).collect();
+        assert_eq!(days, vec![1, 3, 7, 9]);
+        assert_eq!(h.records()[1].w(WindowsEventId::W161), 5);
     }
 
     #[test]

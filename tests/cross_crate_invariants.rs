@@ -41,8 +41,7 @@ fn preprocessing_preserves_order_and_width() {
     let n_cols = FeatureId::full_row().len();
     for s in clean_series() {
         assert!(s.days.windows(2).all(|w| w[0] < w[1]), "days not ascending");
-        assert!(s.rows.iter().all(|r| r.len() == n_cols));
-        assert_eq!(s.days.len(), s.rows.len());
+        assert_eq!(s.rows.len(), s.days.len() * n_cols);
         assert_eq!(s.days.len(), s.imputed.len());
         // Post-drop segments never contain a long gap.
         assert!(s
@@ -61,7 +60,7 @@ fn cumulative_event_columns_are_monotone() {
         .collect();
     for s in clean_series() {
         for &c in &w_cols {
-            let vals: Vec<f64> = s.rows.iter().map(|r| r[c]).collect();
+            let vals: Vec<f64> = (0..s.len()).map(|i| s.row(i)[c]).collect();
             assert!(
                 vals.windows(2).all(|w| w[1] >= w[0] - 1e-9),
                 "column {c} not monotone for {}",

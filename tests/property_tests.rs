@@ -288,7 +288,7 @@ proptest! {
                 prop_assert!(gap < drop_gap);
                 prop_assert!(gap == 1 || gap > fill_gap);
             }
-            prop_assert_eq!(s.days.len(), s.rows.len());
+            prop_assert_eq!(s.days.len() * 45, s.rows.len());
         }
     }
 
@@ -392,7 +392,7 @@ proptest! {
         let (history, report) =
             sanitize(serial, DriveModel::ALL[0], &raw, &SanitizeConfig::default());
         let (_, rows) = raw_rows(&history, &firmware, true);
-        let offline: Vec<u64> = rows.iter().flatten().map(|v| v.to_bits()).collect();
+        let offline: Vec<u64> = rows.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(online, offline);
         let live = monitor.sanitize_report();
         prop_assert_eq!(live.values_imputed, report.values_imputed);

@@ -123,9 +123,10 @@ impl RandomForest {
         imp
     }
 
-    /// Fits one tree on a bootstrap drawn from `seed`. The bootstrap is a
-    /// row-index view into the shared [`BinnedMatrix`] — no per-tree
-    /// matrix materialisation.
+    /// Fits one tree on a bootstrap drawn from `seed`. The `n` draws are
+    /// folded into per-row counts: the tree grows over the distinct
+    /// drawn rows of the shared [`BinnedMatrix`], each weighted by how
+    /// often it was drawn.
     fn fit_bootstrap_tree(
         binned: &BinnedMatrix,
         targets: &[f64],
@@ -134,10 +135,13 @@ impl RandomForest {
     ) -> Result<DecisionTree, MlError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = binned.n_rows();
-        let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
+        let mut counts = vec![0u32; n];
+        for _ in 0..n {
+            counts[rng.random_range(0..n)] += 1;
+        }
         let mut tree =
             DecisionTree::new(params).with_seed(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        tree.fit_binned(binned, &indices, targets, None)?;
+        tree.fit_counts(binned, &counts, targets)?;
         Ok(tree)
     }
 }

@@ -7,13 +7,19 @@
 //!
 //! Split search is histogram-based: features are quantized once into a
 //! [`BinnedMatrix`] of at most [`TreeParams::max_bins`] bins; each node
-//! accumulates per-bin `(Σtarget, count)` histograms in `O(n · F)` and
-//! scans at most `max_bins − 1` boundaries per feature. When a node
-//! considers *all* features (the GBDT configuration), the larger child's
-//! histograms are obtained for free by subtracting the smaller child's
-//! from the parent's. A feature with at most `max_bins` distinct values
-//! keeps every midpoint between consecutive values as a candidate, so
-//! the search is exhaustive there.
+//! accumulates per-bin `(Σtarget, count)` histograms in `O(u · F)` for
+//! its `u` distinct rows and scans at most `max_bins − 1` boundaries per
+//! feature. A tree grows over distinct rows, each with a count: a
+//! bootstrap's repeats fold into one row. For 0/1 targets (the random
+//! forest) a row is one packed integer word, `(positives << 32) |
+//! count`, so a histogram bin takes one integer add per row and every
+//! sum is exact in any order; gradient targets (GBDT) keep `f64` sums in
+//! row-list order. Each node splits its rows in place, stably. When a
+//! node considers *all* features (the GBDT configuration), the larger
+//! child's histograms are obtained for free by subtracting the smaller
+//! child's from the parent's. A feature with at most `max_bins` distinct
+//! values keeps every midpoint between consecutive values as a
+//! candidate, so the search is exhaustive there.
 
 use mfpa_dataset::Matrix;
 use mfpa_par::Workers;
@@ -122,59 +128,235 @@ pub struct DecisionTree {
     importances: Vec<f64>,
 }
 
-struct BinnedCtx<'a> {
-    binned: &'a BinnedMatrix,
-    targets: &'a [f64],
-    hessians: Option<&'a [f64]>,
-    params: TreeParams,
-    rng: StdRng,
-    feature_pool: Vec<usize>,
+/// Row ids and multiplicity-weighted row counts are `u32`: a fit takes
+/// at most this many rows.
+const MAX_ROWS: usize = u32::MAX as usize;
+
+/// A node at least this many rows per bin deep accumulates into four
+/// partial histograms; below it, zeroing and merging the partials costs
+/// more than they save.
+const PARTIAL_ROWS_PER_BIN: usize = 8;
+
+/// What a node sums over its rows; the target kind decides which one a
+/// fit uses. [`Counts`] serves 0/1 targets without hessians (the random
+/// forest and [`DecisionTree::fit`]), [`Gradients`] everything else
+/// (GBDT). Both grow on the one builder, [`DecisionTree::build_binned`].
+trait Accumulator {
+    /// One feature's per-bin histogram at one node.
+    type Hist;
+
+    /// `(Σtarget, Σhessian, count)` over `rows`, each row weighted by
+    /// its multiplicity; `Σhessian` is the count when there are no
+    /// hessians.
+    fn totals(&self, rows: &[u32]) -> (f64, f64, u32);
+
+    /// `Σtarget²` over `rows`, whose `Σtarget` is `sum_t`.
+    fn sum_sq(&self, rows: &[u32], sum_t: f64) -> f64;
+
+    /// The histogram of one feature, with bin codes `col`, over `rows`.
+    fn accumulate(&self, col: &[u8], n_bins: usize, rows: &[u32]) -> Self::Hist;
+
+    /// The sibling's histogram: `parent` minus `child`.
+    fn sibling(parent: &Self::Hist, child: &Self::Hist) -> Self::Hist;
+
+    /// Bin `b`'s `(Σtarget, count)`.
+    fn bin(hist: &Self::Hist, b: usize) -> (f64, u32);
 }
 
-/// Per-bin `(Σtarget, count)` histogram of one feature at one node.
+/// 0/1 targets, each row with a multiplicity. Row `r` is one packed
+/// word, `(positives << 32) | count`: `count` copies of the row, of
+/// which `positives` (all or none) have target 1. A bin, a node total
+/// or a sibling is a sum or difference of words, one integer add per
+/// row, exact in any order. Totals never exceed [`MAX_ROWS`], so the
+/// low half never carries into the high one.
+struct Counts {
+    words: Vec<u64>,
+}
+
+impl Counts {
+    /// Packs `counts[r]` copies of each row `r` with 0/1 target
+    /// `targets[r]`. Returns the words and the rows with a nonzero
+    /// count, ascending.
+    fn pack(counts: &[u32], targets: &[f64]) -> (Counts, Vec<u32>) {
+        let mut rows = Vec::new();
+        let mut words = Vec::with_capacity(counts.len());
+        for (r, (&c, &t)) in (0u32..).zip(counts.iter().zip(targets)) {
+            if c > 0 {
+                rows.push(r);
+            }
+            let c = u64::from(c);
+            words.push(if t == 1.0 { (c << 32) | c } else { c });
+        }
+        (Counts { words }, rows)
+    }
+}
+
+/// A packed word's `(positives, count)`, positives as `f64` (exact).
+fn unpack(word: u64) -> (f64, u32) {
+    ((word >> 32) as f64, word as u32)
+}
+
+impl Accumulator for Counts {
+    type Hist = Vec<u64>;
+
+    fn totals(&self, rows: &[u32]) -> (f64, f64, u32) {
+        let (sum_t, count) = unpack(rows.iter().map(|&r| self.words[r as usize]).sum());
+        (sum_t, f64::from(count), count)
+    }
+
+    fn sum_sq(&self, _rows: &[u32], sum_t: f64) -> f64 {
+        sum_t // t² = t for 0/1 targets
+    }
+
+    fn accumulate(&self, col: &[u8], n_bins: usize, rows: &[u32]) -> Vec<u64> {
+        let words = &self.words;
+        if rows.len() < PARTIAL_ROWS_PER_BIN * n_bins {
+            let mut hist = vec![0u64; n_bins];
+            for &r in rows {
+                hist[usize::from(col[r as usize])] += words[r as usize];
+            }
+            return hist;
+        }
+        // Rows are dealt round-robin to four partials, so consecutive
+        // rows in one bin do not wait on each other's store.
+        let mut parts = [[0u64; 256]; 4];
+        let (quads, rest) = rows.as_chunks::<4>();
+        for &[a, b, c, d] in quads {
+            parts[0][usize::from(col[a as usize])] += words[a as usize];
+            parts[1][usize::from(col[b as usize])] += words[b as usize];
+            parts[2][usize::from(col[c as usize])] += words[c as usize];
+            parts[3][usize::from(col[d as usize])] += words[d as usize];
+        }
+        for &r in rest {
+            parts[0][usize::from(col[r as usize])] += words[r as usize];
+        }
+        (0..n_bins)
+            .map(|b| parts[0][b] + parts[1][b] + parts[2][b] + parts[3][b])
+            .collect()
+    }
+
+    fn sibling(parent: &Vec<u64>, child: &Vec<u64>) -> Vec<u64> {
+        // Each half of a child word is at most its parent's half, so
+        // the word difference never borrows across halves.
+        parent.iter().zip(child).map(|(p, c)| p - c).collect()
+    }
+
+    fn bin(hist: &Vec<u64>, b: usize) -> (f64, u32) {
+        unpack(hist[b])
+    }
+}
+
+/// Gradient targets with optional hessians (GBDT), or any non-0/1
+/// regression target. Rows are visited once per occurrence, in the
+/// order given: `f64` sums depend on that order.
+struct Gradients<'a> {
+    targets: &'a [f64],
+    hessians: Option<&'a [f64]>,
+}
+
+/// Per-bin `(Σtarget, count)` of one feature at one node.
 ///
 /// The split gain uses only target sums and counts (hessians enter at
 /// the leaf values, not the scan), so two arrays per feature suffice.
-#[derive(Debug, Clone)]
-struct Hist {
+struct GradHist {
     sum: Vec<f64>,
     cnt: Vec<u32>,
 }
 
-impl Hist {
-    /// Accumulates the histogram of `feature` over `indices`.
-    fn accumulate(ctx: &BinnedCtx<'_>, feature: usize, indices: &[usize]) -> Hist {
-        let col = ctx.binned.column(feature);
-        let n_bins = ctx.binned.n_bins(feature);
-        let mut sum = vec![0.0; n_bins];
-        let mut cnt = vec![0u32; n_bins];
-        for &i in indices {
-            let b = col[i] as usize;
-            sum[b] += ctx.targets[i];
-            cnt[b] += 1;
-        }
-        Hist { sum, cnt }
+impl Accumulator for Gradients<'_> {
+    type Hist = GradHist;
+
+    fn totals(&self, rows: &[u32]) -> (f64, f64, u32) {
+        let sum_t: f64 = rows.iter().map(|&r| self.targets[r as usize]).sum();
+        let sum_h: f64 = match self.hessians {
+            Some(h) => rows.iter().map(|&r| h[r as usize]).sum(),
+            None => rows.len() as f64,
+        };
+        (sum_t, sum_h, rows.len() as u32)
     }
 
-    /// The sibling's histogram: parent minus this child. For 0/1
-    /// classification targets the sums are small integers, so the
-    /// subtraction is exact and bit-identical to direct accumulation.
-    fn sibling_from(&self, parent: &Hist) -> Hist {
-        Hist {
+    fn sum_sq(&self, rows: &[u32], _sum_t: f64) -> f64 {
+        rows.iter()
+            .map(|&r| self.targets[r as usize] * self.targets[r as usize])
+            .sum()
+    }
+
+    fn accumulate(&self, col: &[u8], n_bins: usize, rows: &[u32]) -> GradHist {
+        let mut sum = vec![0.0; n_bins];
+        let mut cnt = vec![0u32; n_bins];
+        for &r in rows {
+            let b = usize::from(col[r as usize]);
+            sum[b] += self.targets[r as usize];
+            cnt[b] += 1;
+        }
+        GradHist { sum, cnt }
+    }
+
+    fn sibling(parent: &GradHist, child: &GradHist) -> GradHist {
+        // An `f64` difference may differ in its last bits from summing
+        // the sibling's rows directly; the fitted model is defined by
+        // the difference.
+        GradHist {
             sum: parent
                 .sum
                 .iter()
-                .zip(&self.sum)
+                .zip(&child.sum)
                 .map(|(p, c)| p - c)
                 .collect(),
             cnt: parent
                 .cnt
                 .iter()
-                .zip(&self.cnt)
+                .zip(&child.cnt)
                 .map(|(p, c)| p - c)
                 .collect(),
         }
     }
+
+    fn bin(hist: &GradHist, b: usize) -> (f64, u32) {
+        (hist.sum[b], hist.cnt[b])
+    }
+}
+
+struct BinnedCtx<'a, A> {
+    binned: &'a BinnedMatrix,
+    acc: A,
+    params: TreeParams,
+    rng: StdRng,
+    feature_pool: Vec<usize>,
+    /// Holds a node's right-hand rows while it is partitioned; one per
+    /// tree, sized to the root.
+    scratch: Vec<u32>,
+}
+
+/// Splits `rows` in place and stably: the rows `goes_left` accepts move
+/// to the front in their order, the others follow in theirs. Returns
+/// the number of left rows.
+fn partition(rows: &mut [u32], scratch: &mut Vec<u32>, goes_left: impl Fn(u32) -> bool) -> usize {
+    scratch.clear();
+    let mut n_left = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
+        if goes_left(r) {
+            rows[n_left] = r;
+            n_left += 1;
+        } else {
+            scratch.push(r);
+        }
+    }
+    rows[n_left..].copy_from_slice(scratch);
+    n_left
+}
+
+/// Refuses a table of `len` per-row values that does not match
+/// `binned`'s rows.
+fn check_rows(binned: &BinnedMatrix, len: usize) -> Result<(), MlError> {
+    if len != binned.n_rows() {
+        return Err(MlError::LabelMismatch {
+            rows: binned.n_rows(),
+            labels: len,
+        });
+    }
+    Ok(())
 }
 
 impl DecisionTree {
@@ -237,10 +419,15 @@ impl DecisionTree {
     /// matrix's **global** row ids. Ensembles build the [`BinnedMatrix`]
     /// once per fit and share it across every tree and boosting round.
     ///
+    /// With 0/1 targets and no hessians, a repeated row is grown as one
+    /// row with a count, and the order of `rows` does not matter. Any
+    /// other targets are summed over `rows` in the order given.
+    ///
     /// # Errors
     ///
     /// Returns [`MlError::EmptyTrainingSet`] or [`MlError::LabelMismatch`]
-    /// for degenerate inputs.
+    /// for degenerate inputs, and [`MlError::InvalidParameter`] for a row
+    /// id outside `binned` or more than `u32::MAX` rows.
     pub fn fit_binned(
         &mut self,
         binned: &BinnedMatrix,
@@ -251,34 +438,73 @@ impl DecisionTree {
         if rows.is_empty() || binned.n_rows() == 0 {
             return Err(MlError::EmptyTrainingSet);
         }
-        if targets.len() != binned.n_rows() {
-            return Err(MlError::LabelMismatch {
-                rows: binned.n_rows(),
-                labels: targets.len(),
-            });
+        if rows.len() > MAX_ROWS || binned.n_rows() > MAX_ROWS {
+            return Err(MlError::InvalidParameter(format!(
+                "a tree fits at most {MAX_ROWS} rows"
+            )));
         }
+        if let Some(&r) = rows.iter().find(|&&r| r >= binned.n_rows()) {
+            return Err(MlError::InvalidParameter(format!(
+                "row {r} is outside the {} binned rows",
+                binned.n_rows()
+            )));
+        }
+        check_rows(binned, targets.len())?;
         if let Some(h) = hessians {
-            if h.len() != binned.n_rows() {
-                return Err(MlError::LabelMismatch {
-                    rows: binned.n_rows(),
-                    labels: h.len(),
-                });
-            }
+            check_rows(binned, h.len())?;
         }
+        if hessians.is_none() && targets.iter().all(|&t| t == 1.0 || t.to_bits() == 0) {
+            let mut counts = vec![0u32; binned.n_rows()];
+            for &r in rows {
+                counts[r] += 1;
+            }
+            return self.fit_counts(binned, &counts, targets);
+        }
+        let rows = rows.iter().map(|&r| r as u32).collect();
+        self.grow(binned, Gradients { targets, hessians }, rows);
+        Ok(())
+    }
+
+    /// Fits on 0/1 `targets` with row `r` taken `counts[r]` times: the
+    /// tree [`DecisionTree::fit_binned`] grows over a row list holding
+    /// each row that often, in any order.
+    pub(crate) fn fit_counts(
+        &mut self,
+        binned: &BinnedMatrix,
+        counts: &[u32],
+        targets: &[f64],
+    ) -> Result<(), MlError> {
+        check_rows(binned, counts.len())?;
+        check_rows(binned, targets.len())?;
+        let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+        if total == 0 {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        if total > MAX_ROWS as u64 {
+            return Err(MlError::InvalidParameter(format!(
+                "a tree fits at most {MAX_ROWS} rows"
+            )));
+        }
+        let (acc, rows) = Counts::pack(counts, targets);
+        self.grow(binned, acc, rows);
+        Ok(())
+    }
+
+    /// Grows the tree over `rows` of `binned`, summing with `acc`.
+    fn grow<A: Accumulator>(&mut self, binned: &BinnedMatrix, acc: A, mut rows: Vec<u32>) {
         self.nodes.clear();
         self.importances = vec![0.0; binned.n_cols()];
         self.n_features = Some(binned.n_cols());
         let mut ctx = BinnedCtx {
             binned,
-            targets,
-            hessians,
+            acc,
             params: self.params,
             rng: StdRng::seed_from_u64(self.seed),
             feature_pool: (0..binned.n_cols()).collect(),
+            scratch: Vec::with_capacity(rows.len()),
         };
-        self.build_binned(&mut ctx, rows.to_vec(), 0, Vec::new());
+        self.build_binned(&mut ctx, &mut rows, 0, Vec::new());
         self.normalise_importances();
-        Ok(())
     }
 
     fn normalise_importances(&mut self) {
@@ -351,23 +577,19 @@ impl DecisionTree {
         &self.nodes
     }
 
-    /// Grows the subtree over `indices` and returns its root's index.
+    /// Grows the subtree over `rows` and returns its root's index.
     /// `hists` carries per-feature histograms inherited from the
-    /// parent's subtraction (all `None` at the root and whenever
-    /// subtraction is off).
-    fn build_binned(
+    /// parent's subtraction (empty at the root and whenever subtraction
+    /// is off).
+    fn build_binned<A: Accumulator>(
         &mut self,
-        ctx: &mut BinnedCtx<'_>,
-        indices: Vec<usize>,
+        ctx: &mut BinnedCtx<'_, A>,
+        rows: &mut [u32],
         depth: usize,
-        hists: Vec<Option<Hist>>,
+        hists: Vec<Option<A::Hist>>,
     ) -> u32 {
         let node_ix = self.nodes.len() as u32;
-        let sum_t: f64 = indices.iter().map(|&i| ctx.targets[i]).sum();
-        let sum_h: f64 = match ctx.hessians {
-            Some(h) => indices.iter().map(|&i| h[i]).sum(),
-            None => indices.len() as f64,
-        };
+        let (sum_t, sum_h, count) = ctx.acc.totals(rows);
         let value = if sum_h.abs() > 1e-12 {
             sum_t / sum_h
         } else {
@@ -381,18 +603,14 @@ impl DecisionTree {
             value,
         });
 
-        if indices.is_empty()
+        if count == 0
             || depth >= ctx.params.max_depth
-            || indices.len() < ctx.params.min_samples_split
+            || (count as usize) < ctx.params.min_samples_split
         {
             return node_ix;
         }
         // Pure node (zero SSE): nothing left to explain.
-        let sum_sq: f64 = indices
-            .iter()
-            .map(|&i| ctx.targets[i] * ctx.targets[i])
-            .sum();
-        let node_sse = sum_sq - sum_t * sum_t / indices.len() as f64;
+        let node_sse = ctx.acc.sum_sq(rows, sum_t) - sum_t * sum_t / f64::from(count);
         if node_sse < 1e-12 {
             return node_ix;
         }
@@ -407,38 +625,42 @@ impl DecisionTree {
         // feature's histogram — i.e. no per-node feature subsampling.
         let use_subtraction = n_candidates == n_features;
 
+        let binned = ctx.binned;
         let mut hists = if hists.is_empty() {
-            vec![None; ctx.binned.n_cols()]
+            (0..binned.n_cols()).map(|_| None).collect()
         } else {
             hists
         };
         for &f in &candidates {
             if hists[f].is_none() {
-                hists[f] = Some(Hist::accumulate(ctx, f, &indices));
+                hists[f] = Some(ctx.acc.accumulate(binned.column(f), binned.n_bins(f), rows));
             }
         }
 
-        let Some(split) = Self::best_split_binned(ctx, &indices, sum_t, &candidates, &hists) else {
+        let Some(split) = Self::best_split_binned(ctx, sum_t, count, &candidates, &hists) else {
             return node_ix;
         };
 
         self.importances[split.feature] += split.gain;
-        let col = ctx.binned.column(split.feature);
-        let (left_ix, right_ix): (Vec<usize>, Vec<usize>) = indices
-            .into_iter()
-            .partition(|&i| (col[i] as usize) <= split.bin);
+        let col = binned.column(split.feature);
+        let n_left = partition(rows, &mut ctx.scratch, |r| {
+            usize::from(col[r as usize]) <= split.bin
+        });
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
 
         let (left_hists, right_hists) = if use_subtraction {
             // Accumulate the smaller child; the larger is parent − smaller.
-            let left_is_small = left_ix.len() <= right_ix.len();
-            let small_ix = if left_is_small { &left_ix } else { &right_ix };
+            let left_is_small = left_rows.len() <= right_rows.len();
+            let small_rows: &[u32] = if left_is_small { left_rows } else { right_rows };
             let mut small = Vec::with_capacity(n_features);
             let mut large = Vec::with_capacity(n_features);
             for (f, parent) in hists.iter().enumerate() {
                 // mfpa-lint: allow(d8, "hists holds one accumulated entry per feature by construction")
                 let parent = parent.as_ref().expect("all features accumulated");
-                let child = Hist::accumulate(ctx, f, small_ix);
-                large.push(Some(child.sibling_from(parent)));
+                let child = ctx
+                    .acc
+                    .accumulate(binned.column(f), binned.n_bins(f), small_rows);
+                large.push(Some(A::sibling(parent, &child)));
                 small.push(Some(child));
             }
             if left_is_small {
@@ -451,8 +673,8 @@ impl DecisionTree {
         };
         drop(hists);
 
-        let left = self.build_binned(ctx, left_ix, depth + 1, left_hists);
-        let right = self.build_binned(ctx, right_ix, depth + 1, right_hists);
+        let left = self.build_binned(ctx, left_rows, depth + 1, left_hists);
+        let right = self.build_binned(ctx, right_rows, depth + 1, right_hists);
         let node = &mut self.nodes[node_ix as usize];
         node.feature = split.feature as u32;
         node.threshold = split.threshold;
@@ -462,21 +684,21 @@ impl DecisionTree {
     }
 
     /// Scans at most `n_bins − 1` boundaries per candidate feature over
-    /// the pre-accumulated histograms and returns the highest-gain
-    /// boundary (the first one on ties). Maximising `Σ²/n` of the two
-    /// children minimises their squared error.
-    fn best_split_binned(
-        ctx: &BinnedCtx<'_>,
-        indices: &[usize],
+    /// the pre-accumulated histograms of a node with `total_cnt` rows
+    /// summing to `total_sum`, and returns the highest-gain boundary
+    /// (the first one on ties). Maximising `Σ²/n` of the two children
+    /// minimises their squared error.
+    fn best_split_binned<A: Accumulator>(
+        ctx: &BinnedCtx<'_, A>,
         total_sum: f64,
+        total_cnt: u32,
         candidates: &[usize],
-        hists: &[Option<Hist>],
+        hists: &[Option<A::Hist>],
     ) -> Option<BinnedSplit> {
-        if indices.is_empty() {
+        if total_cnt == 0 {
             return None;
         }
-        let total_n = indices.len() as f64;
-        let total_cnt = indices.len() as u32;
+        let total_n = f64::from(total_cnt);
         let parent_score = total_sum * total_sum / total_n;
 
         let mut best: Option<BinnedSplit> = None;
@@ -490,8 +712,9 @@ impl DecisionTree {
             let mut left_sum = 0.0;
             let mut left_cnt = 0u32;
             for (b, &edge) in edges.iter().enumerate() {
-                left_sum += hist.sum[b];
-                left_cnt += hist.cnt[b];
+                let (bin_sum, bin_cnt) = A::bin(hist, b);
+                left_sum += bin_sum;
+                left_cnt += bin_cnt;
                 if left_cnt == 0 {
                     continue; // nothing routes left of this boundary
                 }
@@ -645,6 +868,24 @@ mod tests {
                 "max_bins = {max_bins}"
             );
         }
+    }
+
+    #[test]
+    fn binned_fits_refuse_rows_outside_the_matrix_and_empty_counts() {
+        let (x, y) = xor_data();
+        let binned = BinnedMatrix::build(&x, DEFAULT_MAX_BINS, Workers::new(1));
+        let targets: Vec<f64> = y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
+        let mut t = DecisionTree::new(TreeParams::default());
+        for hessians in [None, Some(&targets[..])] {
+            assert!(matches!(
+                t.fit_binned(&binned, &[0, x.n_rows()], &targets, hessians),
+                Err(MlError::InvalidParameter(_))
+            ));
+        }
+        assert_eq!(
+            t.fit_counts(&binned, &vec![0; x.n_rows()], &targets),
+            Err(MlError::EmptyTrainingSet)
+        );
     }
 
     #[test]

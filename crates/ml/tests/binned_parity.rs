@@ -5,20 +5,25 @@
 //! exhaustive CART search. For 0/1 classification targets every
 //! histogram sum is a small integer, so gains agree bit-for-bit, both
 //! searches pick the same partitions in the same order, and the fitted
-//! trees predict identically on the training sample (recorded
-//! thresholds may differ *within* the gap between two sample values —
-//! both route every training row the same way).
+//! trees predict identically.
 //!
-//! The oracle below is test code: a plain re-sorting CART search with
-//! midpoint thresholds, the tree's gain arithmetic and the tree's
-//! per-node feature draw.
+//! The oracle below is test code: a plain re-sorting CART search over
+//! an explicit row list, with the tree's gain arithmetic, stopping
+//! rules and per-node feature draw. A row listed twice counts twice,
+//! which is what the tree's count-weighted fit must reproduce. Its
+//! threshold between node values `a < b` is the midpoint of `a` and the
+//! next distinct value of the whole column, which is the bin edge the
+//! histogram tree records, so rows outside the fit (a bootstrap's
+//! out-of-bag rows) route the same way too.
 
 use mfpa_dataset::Matrix;
-use mfpa_ml::{Classifier, DecisionTree, Gbdt, MaxFeatures, TreeParams};
+use mfpa_ml::binning::BinnedMatrix;
+use mfpa_ml::{Classifier, DecisionTree, Gbdt, MaxFeatures, RandomForest, TreeParams};
+use mfpa_par::Workers;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// Builds a matrix whose cells come from a small integer alphabet, so
 /// each feature has at most `alphabet` distinct values — far below the
@@ -39,6 +44,10 @@ fn labels(bits: &[bool]) -> Vec<bool> {
     y
 }
 
+fn targets(y: &[bool]) -> Vec<f64> {
+    y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect()
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|p| p.to_bits()).collect()
 }
@@ -50,12 +59,14 @@ struct OracleNode {
     split: Option<(usize, f64, usize, usize)>,
 }
 
-/// Exhaustive CART over 0/1 targets with `TreeParams::default()`'s
-/// stopping rules (depth 12, two rows to split, one row per leaf).
+/// Exhaustive CART over 0/1 targets and an explicit, possibly repeating
+/// row list, with `params`' stopping rules.
 struct Oracle<'a> {
     x: &'a Matrix,
     y: Vec<f64>,
-    max_features: MaxFeatures,
+    params: TreeParams,
+    /// Each column's distinct values, ascending.
+    distinct: Vec<Vec<f64>>,
     rng: StdRng,
     pool: Vec<usize>,
     nodes: Vec<OracleNode>,
@@ -63,17 +74,26 @@ struct Oracle<'a> {
 }
 
 impl<'a> Oracle<'a> {
-    fn fit(x: &'a Matrix, y: &[bool], max_features: MaxFeatures, seed: u64) -> Self {
+    fn fit(x: &'a Matrix, y: &[bool], rows: Vec<usize>, params: TreeParams, seed: u64) -> Self {
+        let distinct = (0..x.n_cols())
+            .map(|f| {
+                let mut col = x.column(f);
+                col.sort_by(f64::total_cmp);
+                col.dedup();
+                col
+            })
+            .collect();
         let mut oracle = Oracle {
             x,
-            y: y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect(),
-            max_features,
+            y: targets(y),
+            params,
+            distinct,
             rng: StdRng::seed_from_u64(seed),
             pool: (0..x.n_cols()).collect(),
             nodes: Vec::new(),
             importances: vec![0.0; x.n_cols()],
         };
-        oracle.grow((0..x.n_rows()).collect(), 0);
+        oracle.grow(rows, 0);
         let total: f64 = oracle.importances.iter().sum();
         if total > 0.0 {
             for imp in &mut oracle.importances {
@@ -81,6 +101,13 @@ impl<'a> Oracle<'a> {
             }
         }
         oracle
+    }
+
+    /// The midpoint of `a` and the next distinct value of column `f`.
+    fn threshold(&self, f: usize, a: f64) -> f64 {
+        let col = &self.distinct[f];
+        let next = col[col.partition_point(|&v| v <= a)];
+        0.5 * (a + next)
     }
 
     fn grow(&mut self, rows: Vec<usize>, depth: usize) -> usize {
@@ -92,15 +119,16 @@ impl<'a> Oracle<'a> {
             split: None,
         });
         let sum_sq: f64 = rows.iter().map(|&i| self.y[i] * self.y[i]).sum();
-        if depth >= TreeParams::default().max_depth
-            || rows.len() < 2
+        if depth >= self.params.max_depth
+            || rows.len() < self.params.min_samples_split
             || sum_sq - sum * sum / n < 1e-12
         {
             return ix;
         }
         // The tree shuffles its feature pool once per split node.
-        let n_candidates = self.max_features.resolve(self.pool.len());
+        let n_candidates = self.params.max_features.resolve(self.pool.len());
         self.pool.shuffle(&mut self.rng);
+        let min_leaf = self.params.min_samples_leaf as f64;
         let parent = sum * sum / n;
         let mut best: Option<(usize, f64, f64)> = None;
         for &f in &self.pool[..n_candidates] {
@@ -117,10 +145,13 @@ impl<'a> Oracle<'a> {
                     continue;
                 }
                 let (right_sum, right_n) = (sum - left_sum, n - left_n);
+                if left_n < min_leaf || right_n < min_leaf {
+                    continue;
+                }
                 let score = left_sum * left_sum / left_n + right_sum * right_sum / right_n;
                 let gain = (score - parent).max(0.0);
                 if best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((f, 0.5 * (pairs[w].0 + pairs[w + 1].0), gain));
+                    best = Some((f, self.threshold(f, pairs[w].0), gain));
                 }
             }
         }
@@ -137,14 +168,15 @@ impl<'a> Oracle<'a> {
         ix
     }
 
-    fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
+    /// Raw leaf values, one per row of `x`.
+    fn values(&self, x: &Matrix) -> Vec<f64> {
         x.rows()
             .map(|row| {
                 let mut ix = 0;
                 while let Some((f, t, left, right)) = self.nodes[ix].split {
                     ix = if row[f] <= t { left } else { right };
                 }
-                self.nodes[ix].value.clamp(0.0, 1.0)
+                self.nodes[ix].value
             })
             .collect()
     }
@@ -165,15 +197,31 @@ fn assert_matches_oracle(
     };
     let mut tree = DecisionTree::new(params).with_seed(seed);
     tree.fit(x, y).expect("binned fit");
-    let oracle = Oracle::fit(x, y, max_features, seed);
+    let oracle = Oracle::fit(x, y, (0..x.n_rows()).collect(), params, seed);
 
     prop_assert_eq!(tree.n_nodes(), oracle.nodes.len());
     prop_assert_eq!(bits(tree.feature_importances()), bits(&oracle.importances));
     prop_assert_eq!(
         bits(&tree.predict_proba(x).expect("binned proba")),
-        bits(&oracle.predict_proba(x))
+        bits(&oracle.values(x))
     );
     Ok(())
+}
+
+/// `RandomForest`'s draw for the tree of seed `tree_seed`: the bootstrap
+/// row list and the tree's own feature-draw seed (see `forest.rs`).
+fn bootstrap(tree_seed: u64, n: usize) -> (Vec<usize>, u64) {
+    let mut rng = StdRng::seed_from_u64(tree_seed);
+    let rows = (0..n).map(|_| rng.random_range(0..n)).collect();
+    (rows, tree_seed.wrapping_mul(0x9E37_79B9).wrapping_add(1))
+}
+
+fn max_features(all: bool) -> MaxFeatures {
+    if all {
+        MaxFeatures::All
+    } else {
+        MaxFeatures::Sqrt
+    }
 }
 
 proptest! {
@@ -201,6 +249,99 @@ proptest! {
         let x = int_matrix(&cells[..cells.len() / n_cols * n_cols], n_cols, 5);
         let y = labels(&raw_labels[..x.n_rows()]);
         assert_matches_oracle(&x, &y, MaxFeatures::Sqrt, seed)?;
+    }
+
+    #[test]
+    fn count_weighted_fit_equals_oracle_on_repeated_rows(
+        cells in prop::collection::vec(0usize..6, 3 * 12..3 * 40),
+        raw_labels in prop::collection::vec(any::<bool>(), 40),
+        picks in prop::collection::vec(0usize..1000, 20..120),
+        min_leaf in 1usize..4,
+        min_split in 2usize..7,
+        all_features in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // An explicit row list in which rows repeat: the tree folds it
+        // into per-row counts, the oracle visits every occurrence.
+        let n_cols = 3;
+        let x = int_matrix(&cells[..cells.len() / n_cols * n_cols], n_cols, 6);
+        let y = labels(&raw_labels[..x.n_rows()]);
+        let rows: Vec<usize> = picks.iter().map(|&p| p % x.n_rows()).collect();
+        let params = TreeParams {
+            min_samples_split: min_split,
+            min_samples_leaf: min_leaf,
+            max_features: max_features(all_features),
+            ..TreeParams::default()
+        };
+        let binned = BinnedMatrix::build(&x, params.max_bins, Workers::new(1));
+        let t = targets(&y);
+        let mut tree = DecisionTree::new(params).with_seed(seed);
+        tree.fit_binned(&binned, &rows, &t, None).expect("count-weighted fit");
+        let oracle = Oracle::fit(&x, &y, rows.clone(), params, seed);
+        let probs = tree.predict_proba(&x).expect("proba");
+        prop_assert_eq!(tree.n_nodes(), oracle.nodes.len());
+        prop_assert_eq!(bits(tree.feature_importances()), bits(&oracle.importances));
+        prop_assert_eq!(bits(&probs), bits(&oracle.values(&x)));
+
+        // The order of the row list does not matter.
+        let mut reversed = rows;
+        reversed.reverse();
+        let mut again = DecisionTree::new(params).with_seed(seed);
+        again.fit_binned(&binned, &reversed, &t, None).expect("count-weighted fit");
+        prop_assert_eq!(bits(again.feature_importances()), bits(tree.feature_importances()));
+        prop_assert_eq!(bits(&again.predict_proba(&x).expect("proba")), bits(&probs));
+    }
+
+    #[test]
+    fn random_forest_trees_equal_oracle_fits_on_their_bootstrap(
+        cells in prop::collection::vec(0usize..5, 4 * 16..4 * 48),
+        raw_labels in prop::collection::vec(any::<bool>(), 48),
+        min_leaf in 1usize..4,
+        all_features in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let n_cols = 4;
+        let x = int_matrix(&cells[..cells.len() / n_cols * n_cols], n_cols, 5);
+        let y = labels(&raw_labels[..x.n_rows()]);
+        let (n_trees, max_depth) = (5, 6);
+        let params = TreeParams {
+            max_depth,
+            min_samples_split: 2,
+            min_samples_leaf: min_leaf,
+            max_features: max_features(all_features),
+            ..TreeParams::default()
+        };
+        // The oracle forest: each tree on its bootstrap draw, values and
+        // importances summed in tree order as the forest sums them.
+        let mut sum = vec![0.0; x.n_rows()];
+        let mut importances = vec![0.0; n_cols];
+        for ix in 0..n_trees {
+            let (rows, tree_seed) = bootstrap(seed.wrapping_add(ix), x.n_rows());
+            let oracle = Oracle::fit(&x, &y, rows, params, tree_seed);
+            for (s, v) in sum.iter_mut().zip(oracle.values(&x)) {
+                *s += v;
+            }
+            for (a, b) in importances.iter_mut().zip(&oracle.importances) {
+                *a += b;
+            }
+        }
+        let want: Vec<f64> = sum.iter().map(|s| (s / n_trees as f64).clamp(0.0, 1.0)).collect();
+        let total: f64 = importances.iter().sum();
+        if total > 0.0 {
+            for v in &mut importances {
+                *v /= total;
+            }
+        }
+        for width in [1, 2, 7] {
+            let mut rf = RandomForest::new(n_trees as usize, max_depth)
+                .with_seed(seed)
+                .with_max_features(params.max_features)
+                .with_min_samples_leaf(min_leaf)
+                .with_threads(width);
+            rf.fit(&x, &y).expect("forest fit");
+            prop_assert_eq!(bits(&rf.predict_proba(&x).expect("proba")), bits(&want), "width {}", width);
+            prop_assert_eq!(bits(&rf.feature_importances()), bits(&importances), "width {}", width);
+        }
     }
 
     #[test]

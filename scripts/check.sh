@@ -279,6 +279,19 @@ echo "== streamed prepare equivalence gate =="
 # and the sanitize accounting, at worker counts 1, 2 and 7.
 cargo test --release -q -p mfpa-suite --test prepare_streaming
 
+echo "== tree-fit equivalence gate =="
+# Trees grow over distinct rows with per-row counts (a bootstrap's
+# repeats fold into one row), packed integer histograms for 0/1 targets
+# and an in-place row partition. The fit goldens pin the .mfpac bytes,
+# probabilities and importances of RF, DecisionTree and GBDT fits at
+# worker counts 1, 2 and 7. The multiplicity oracle checks
+# count-weighted fits over repeated row lists, and every forest tree on
+# its bootstrap draw, against an exhaustive CART search, bit for bit.
+cargo test --release -q -p mfpa-ml --test fit_goldens
+cargo test --release -q -p mfpa-ml --test binned_parity -- \
+    count_weighted_fit_equals_oracle_on_repeated_rows \
+    random_forest_trees_equal_oracle_fits_on_their_bootstrap
+
 # The workspace runs below include the histogram-vs-exhaustive-oracle
 # split-search proptests (crates/ml/tests/binned_parity.rs) at both
 # worker counts.

@@ -153,22 +153,42 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
     let want_rows = drive_rows(&reference, &serials);
     let want_bytes = checkpoint_bytes(&reference);
 
-    // The restored monitor rebuilds each shard's drive table in serial
-    // order, the uninterrupted one holds it in arrival order: rows and
-    // checkpoint bytes must not see the difference.
-    for kill_at in 1..batches.len() {
-        let run_dir = dir.join(format!("k{kill_at}"));
-        let cfg = base_config().with_checkpointing(&run_dir, 1);
-        {
-            let mut fm = FleetMonitor::new(cfg.clone()).expect("config");
-            for batch in &batches[..kill_at] {
-                fm.ingest_batch(batch, None).expect("ingest");
+    // The same stream uninterrupted with a checkpoint after every batch,
+    // all of them kept: `ckpt-k` is the state a process killed after
+    // batch k leaves behind. Writing them must not change the run.
+    let kept_cfg = base_config()
+        .with_checkpointing(dir.join("kept"), 1)
+        .with_checkpoint_keep(batches.len() + 1);
+    let mut kept = FleetMonitor::new(kept_cfg).expect("config");
+    let mut ckpt: Vec<PathBuf> = Vec::with_capacity(batches.len());
+    for batch in &batches {
+        match kept.ingest_batch(batch, None).expect("ingest").checkpoint {
+            CheckpointOutcome::Written { tick, path } => {
+                assert_eq!(tick as usize, ckpt.len() + 1, "one checkpoint per batch");
+                ckpt.push(path);
             }
-            // Dropped here: the crash. Only checkpoint files survive.
+            other => panic!("expected a checkpoint, got {other:?}"),
         }
-        let mut fm = FleetMonitor::restore_latest(cfg)
-            .expect("restore_latest")
-            .expect("checkpoint exists");
+    }
+    // `ckpt[k - 1]` is `ckpt-k`; read them before the final snapshot
+    // below lands beside them.
+    let ckpt_bytes: Vec<Vec<u8>> = ckpt
+        .iter()
+        .map(|p| std::fs::read(p).expect("read checkpoint"))
+        .collect();
+    assert!(
+        end_state(&mut kept, &model) == want,
+        "checkpointing changed the run"
+    );
+    assert!(drive_rows(&kept, &serials) == want_rows);
+    assert!(checkpoint_bytes(&kept) == want_bytes);
+
+    // Restore every boundary's checkpoint and replay the rest of the
+    // stream. The restored monitor rebuilds each shard's drive table in
+    // serial order, the uninterrupted one holds it in arrival order:
+    // rows and checkpoint bytes must not see the difference.
+    let replay_cfg = base_config().with_checkpointing(dir.join("replay"), 0);
+    let assert_resumes = |mut fm: FleetMonitor, kill_at: usize| {
         assert_eq!(fm.tick() as usize, kill_at, "resumed at the kill point");
         for batch in &batches[kill_at..] {
             fm.ingest_batch(batch, None).expect("ingest");
@@ -183,6 +203,35 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
             checkpoint_bytes(&fm) == want_bytes,
             "final checkpoint bytes diverged after kill at batch {kill_at}"
         );
+    };
+    for kill_at in 1..batches.len() {
+        let fm = restore(replay_cfg.clone(), &ckpt[kill_at - 1]).expect("restore");
+        assert_resumes(fm, kill_at);
+    }
+
+    // Real crashes at the first, middle and last boundary: the killed
+    // process's newest checkpoint is the uninterrupted run's `ckpt-k`,
+    // byte for byte, and `restore_latest` resumes from it.
+    for kill_at in [1, batches.len() / 2, batches.len() - 1] {
+        let cfg = base_config().with_checkpointing(dir.join(format!("k{kill_at}")), 1);
+        {
+            let mut fm = FleetMonitor::new(cfg.clone()).expect("config");
+            for batch in &batches[..kill_at] {
+                fm.ingest_batch(batch, None).expect("ingest");
+            }
+            // Dropped here: the crash. Only checkpoint files survive.
+        }
+        let newest = latest_checkpoint(cfg.checkpoint_dir.as_ref().expect("dir"))
+            .expect("list checkpoints")
+            .expect("checkpoint exists");
+        assert!(
+            std::fs::read(newest).expect("read checkpoint") == ckpt_bytes[kill_at - 1],
+            "checkpoint at kill point {kill_at} differs from the uninterrupted run's"
+        );
+        let fm = FleetMonitor::restore_latest(cfg)
+            .expect("restore_latest")
+            .expect("checkpoint exists");
+        assert_resumes(fm, kill_at);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -223,7 +223,8 @@ pub struct DriveScore {
 /// Tree ensembles (compiled at training time) score each drive's
 /// accepted rows with an incremental [`mfpa_ml::SequentialScorer`]; other
 /// flat families score them in one [`TrainedMfpa::predict_matrix`] call.
-/// Both give the probabilities interpreted inference would, bit for bit.
+/// Both give the probabilities of the model's own `predict_proba`, bit
+/// for bit; a tree ensemble's is the compiled engine's dense kernel.
 /// Offline evaluation ([`TrainedMfpa::predict_rows`]) runs the same
 /// per-drive loop over the prepared frame.
 ///

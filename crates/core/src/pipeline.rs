@@ -537,9 +537,10 @@ impl Mfpa {
 /// A trained model plus everything needed to score new rows.
 pub struct TrainedMfpa {
     model: Box<dyn Classifier>,
-    /// Flat scoring engine compiled from `model` at training time (tree
-    /// ensembles only); when present, batch scoring routes through it.
-    /// Probabilities are bit-identical to the interpreted model.
+    /// The tree ensembles' compiled engine (a copy of the one `model`
+    /// fitted into, or an installed `.mfpac` artifact); `None` for
+    /// families with no compiled form. When present, batch and
+    /// per-drive scoring route through it.
     compiled: Option<mfpa_ml::CompiledEnsemble>,
     features: Vec<FeatureId>,
     uses_seq: bool,

@@ -31,7 +31,6 @@
 
 use mfpa_dataset::Matrix;
 use mfpa_par::{ordered_collect, Workers};
-use serde::{Deserialize, Serialize};
 
 /// Default bin budget per feature — the full range of a `u8` code.
 pub const DEFAULT_MAX_BINS: usize = 256;
@@ -52,7 +51,7 @@ pub const DEFAULT_MAX_BINS: usize = 256;
 /// assert_eq!(b.column(0), &[0, 2, 1]);
 /// assert_eq!(b.edges(0), &[2.0, 4.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     /// Column-major bin codes: `codes[col * n_rows + row]`.
     codes: Vec<u8>,
@@ -162,7 +161,7 @@ fn quantile_edges(values: &[f64], max_bins: usize) -> Vec<f64> {
         return Vec::new();
     }
     if distinct.len() <= max_bins {
-        return distinct.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
+        return distinct.windows(2).map(|w| midpoint(w[0], w[1])).collect();
     }
     let n = sorted.len();
     let target = n.div_ceil(max_bins);
@@ -177,11 +176,23 @@ fn quantile_edges(values: &[f64], max_bins: usize) -> Vec<f64> {
         }
         in_bin += i - start;
         if in_bin >= target && edges.len() < max_bins - 1 {
-            edges.push(0.5 * (w[0] + w[1]));
+            edges.push(midpoint(w[0], w[1]));
             in_bin = 0;
         }
     }
     edges
+}
+
+/// The edge between consecutive distinct values `a < b`: their
+/// midpoint, or `0.0` between `-∞` and `+∞`, whose midpoint is NaN. A
+/// NaN edge would route nothing left, and no `u8` cut could hold it.
+fn midpoint(a: f64, b: f64) -> f64 {
+    let m = 0.5 * (a + b);
+    if m.is_nan() {
+        0.0
+    } else {
+        m
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +277,14 @@ mod tests {
         // where `NaN <= threshold` is false.
         assert_eq!(b.column(0)[1] as usize, b.n_bins(0) - 1);
         assert_eq!(b.n_bins(0) - 1, b.edges(0).len());
+    }
+
+    #[test]
+    fn infinite_values_get_a_finite_edge_between_them() {
+        let x = col(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let b = BinnedMatrix::build(&x, 256, Workers::new(1));
+        assert_eq!(b.edges(0), &[0.0]);
+        assert_eq!(b.column(0), &[1, 0, 1]);
     }
 
     #[test]

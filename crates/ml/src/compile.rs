@@ -1,19 +1,25 @@
-//! Post-fit compilation of tree ensembles into a flat scoring engine.
+//! The compiled tree ensemble: the one form a fitted tree model keeps.
 //!
-//! [`CompiledEnsemble`] flattens the pointer-linked trees of a fitted
-//! [`crate::RandomForest`] or [`crate::Gbdt`] into breadth-first
+//! [`CompiledEnsemble`] holds the trees of a fitted
+//! [`crate::RandomForest`] or [`crate::Gbdt`] as breadth-first
 //! structure-of-arrays node blocks, quantizes every threshold to a `u8`
 //! bin cut (byte compares on the hot path), and scores rows in blocks
-//! one tree-level at a time. Probabilities are bit-identical to the
-//! interpreted `predict_proba` of the source model: the code compare is
-//! provably equivalent to the interpreted `value <= threshold` (see
-//! [`CompiledEnsemble::edges`]), and per-row accumulation runs in the
-//! same tree order with the same operations.
+//! one tree-level at a time. Both models compile their trees at the end
+//! of `fit` and drop them; their `predict_proba` is this kernel's.
+//!
+//! Each node records the raw threshold its split was fitted with, and a
+//! row goes left iff `value <= threshold` (NaN goes right). The byte
+//! compare routes every row exactly that way (see
+//! [`CompiledEnsemble::edges`]), and per-row sums run in tree order, so
+//! a probability is a function of the `.mfpac` payload alone.
+//! `crates/ml/tests/compiled_parity.rs` pins this bit for bit against a
+//! test oracle that decodes the payload and routes by raw `f64`
+//! compares.
 //!
 //! A histogram-fitted tree splits only at its feature's bin edges, at
-//! most 255 per feature, so every fitted ensemble quantizes. A feature
-//! with more distinct thresholds, or a NaN threshold, has no `u8` cut
-//! and is refused.
+//! most 255 per feature and never NaN, so every fitted ensemble
+//! quantizes. A feature with more distinct thresholds, or a NaN
+//! threshold, has no `u8` cut and is refused.
 //!
 //! Two scoring paths are exposed:
 //!
@@ -40,7 +46,6 @@ use mfpa_par::{ordered_collect, Workers};
 
 use crate::error::MlError;
 use crate::gbdt::sigmoid;
-use crate::model::Classifier;
 use crate::tree::{DecisionTree, LEAF};
 
 /// Rows per block in the batch (dense) kernel. 64 rows of one feature
@@ -59,7 +64,7 @@ const MAX_EDGES: usize = 255;
 
 /// Ensemble-specific reduction from per-tree leaf sums to a probability.
 #[derive(Debug, Clone, PartialEq)]
-enum Finalize {
+pub(crate) enum Finalize {
     /// Random forest: mean leaf probability, clamped to `[0, 1]`.
     RfMean,
     /// GBDT: `sigmoid(base_score + Σ learning_rate · leaf)`.
@@ -73,8 +78,9 @@ enum Finalize {
 /// (`right == left + 1`), each level is a contiguous block, and the
 /// hot arrays (`feat`, `cut`, `left`) pack 16–64 nodes per cache line.
 ///
-/// Build one with [`Classifier::compile`] on a fitted
-/// [`crate::RandomForest`] or [`crate::Gbdt`].
+/// A fitted [`crate::RandomForest`] or [`crate::Gbdt`] holds one; get a
+/// copy with [`crate::Classifier::compile`], or decode a shipped one
+/// with [`CompiledEnsemble::from_bytes`].
 #[derive(Debug, Clone)]
 pub struct CompiledEnsemble {
     n_features: usize,
@@ -103,48 +109,28 @@ pub struct CompiledEnsemble {
 }
 
 impl CompiledEnsemble {
-    /// Compiles GBDT round trees; returns `None` if any tree is empty or
-    /// a feature's thresholds do not quantize.
-    pub(crate) fn from_gbdt(
-        trees: &[DecisionTree],
-        n_features: usize,
-        base_score: f64,
-        learning_rate: f64,
-        n_threads: usize,
-    ) -> Option<Self> {
-        Self::from_trees(
-            trees,
-            n_features,
-            Finalize::GbdtLogistic {
-                base_score,
-                learning_rate,
-            },
-            n_threads,
-        )
-    }
-
-    /// Compiles random-forest trees; returns `None` if any tree is empty
-    /// or a feature's thresholds do not quantize.
-    pub(crate) fn from_forest(
-        trees: &[DecisionTree],
-        n_features: usize,
-        n_threads: usize,
-    ) -> Option<Self> {
-        Self::from_trees(trees, n_features, Finalize::RfMean, n_threads)
-    }
-
-    fn from_trees(
+    /// Flattens fitted trees, reduced by `finalize`.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::InvalidParameter`] if there are no trees, an unfitted
+    /// one, more nodes than `u32` indexes, or a feature whose thresholds
+    /// do not quantize; a histogram fit produces none of these.
+    pub(crate) fn from_trees(
         trees: &[DecisionTree],
         n_features: usize,
         finalize: Finalize,
         n_threads: usize,
-    ) -> Option<Self> {
+    ) -> Result<Self, MlError> {
+        let refuse =
+            |msg: &str| MlError::InvalidParameter(format!("ensemble does not compile: {msg}"));
         if trees.is_empty() || trees.iter().any(|t| t.nodes().is_empty()) {
-            return None;
+            return Err(refuse("no trees, or an unfitted one"));
         }
         let total: usize = trees.iter().map(|t| t.nodes().len()).sum();
+        let too_many = || refuse("more nodes than u32 indexes");
         if total >= u32::MAX as usize {
-            return None;
+            return Err(too_many());
         }
         let mut ens = CompiledEnsemble {
             n_features,
@@ -167,8 +153,10 @@ impl CompiledEnsemble {
         for tree in trees {
             let nodes = tree.nodes();
             let base = ens.feat.len();
-            ens.tree_roots.push(u32::try_from(base).ok()?);
-            ens.tree_depths.push(u32::try_from(tree.depth()).ok()?);
+            ens.tree_roots
+                .push(u32::try_from(base).map_err(|_| too_many())?);
+            ens.tree_depths
+                .push(u32::try_from(tree.depth()).map_err(|_| too_many())?);
             order.clear();
             new_left.clear();
             order.push(0);
@@ -178,8 +166,7 @@ impl CompiledEnsemble {
                 if n.feature == LEAF {
                     new_left.push(0);
                 } else {
-                    let child = u32::try_from(base + order.len()).ok()?;
-                    new_left.push(child);
+                    new_left.push(u32::try_from(base + order.len()).map_err(|_| too_many())?);
                     order.push(n.left);
                     order.push(n.right);
                 }
@@ -187,17 +174,17 @@ impl CompiledEnsemble {
             }
             for (slot, &orig) in order.iter().enumerate() {
                 let n = &nodes[orig as usize];
+                if n.feature != LEAF && n.feature as usize >= n_features {
+                    return Err(refuse("a split feature is out of range"));
+                }
                 ens.feat.push(n.feature);
                 ens.thr.push(n.threshold);
                 ens.left.push(new_left[slot]);
                 ens.value.push(n.value);
-                if n.feature != LEAF && n.feature as usize >= n_features {
-                    return None;
-                }
             }
         }
-        ens.build_edges().ok()?;
-        Some(ens)
+        ens.build_edges().map_err(|msg| refuse(&msg))?;
+        Ok(ens)
     }
 
     /// Derives each feature's edges from the node thresholds and fills
@@ -301,8 +288,8 @@ impl CompiledEnsemble {
     }
 
     /// Scores one block of rows (row-major `rows`, `bl` rows), writing
-    /// probabilities to `out`. Bit-identical to the interpreted path:
-    /// same routing, same per-row accumulation order.
+    /// probabilities to `out`: raw-threshold routing by byte compares,
+    /// leaves summed per row in tree order.
     fn score_block(&self, x: &Matrix, row0: usize, bl: usize, out: &mut Vec<f64>) {
         debug_assert!(bl <= DENSE_BLOCK);
         // Bin the block once, feature-major; every tree level then
@@ -362,8 +349,9 @@ impl CompiledEnsemble {
     }
 
     /// Predicts positive-class probabilities for each row of `x`,
-    /// bit-identical to the source model's interpreted
-    /// [`Classifier::predict_proba`] at any worker count.
+    /// bit-identical at any worker count. This is the fitted
+    /// [`crate::RandomForest`]'s and [`crate::Gbdt`]'s
+    /// [`crate::Classifier::predict_proba`].
     ///
     /// # Errors
     ///
@@ -435,8 +423,8 @@ impl CompiledEnsemble {
         })
     }
 
-    /// Applies the ensemble reduction to one raw accumulator sum —
-    /// the exact per-row operations of the interpreted path.
+    /// Applies the ensemble reduction to one raw accumulator sum; every
+    /// scoring path ends here, so all reduce with the same operations.
     #[inline]
     fn finalize_one(&self, s: f64) -> f64 {
         match self.finalize {
@@ -446,26 +434,6 @@ impl CompiledEnsemble {
             }
             Finalize::GbdtLogistic { .. } => sigmoid(s),
         }
-    }
-}
-
-impl Classifier for CompiledEnsemble {
-    fn fit(&mut self, _x: &Matrix, _y: &[bool]) -> Result<(), MlError> {
-        Err(MlError::InvalidParameter(
-            "compiled ensembles are immutable; refit the source model and recompile".to_owned(),
-        ))
-    }
-
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        CompiledEnsemble::predict_proba(self, x)
-    }
-
-    fn name(&self) -> &'static str {
-        "compiled"
-    }
-
-    fn compile(&self) -> Option<CompiledEnsemble> {
-        Some(self.clone())
     }
 }
 
@@ -685,8 +653,8 @@ impl SequentialScorer<'_> {
     /// vector ⇒ identical ordered sum ⇒ identical bits); only "change
     /// rows" — a stream's first row and those carrying at least one
     /// patch — run the full tree-ordered accumulation, in dedicated SIMD
-    /// lanes. Accumulation order and operations match the interpreted
-    /// path exactly.
+    /// lanes. Accumulation order and operations match the batch kernel
+    /// exactly.
     fn reduce_block(&mut self, bl: usize, out: &mut Vec<f64>) {
         if self.change_rows == 0 {
             // Nothing changed anywhere in the block.
@@ -1043,6 +1011,7 @@ impl CompiledEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Classifier;
 
     /// A small GBDT over three integer-valued features.
     fn three_feature_gbdt() -> CompiledEnsemble {

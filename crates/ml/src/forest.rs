@@ -2,20 +2,22 @@
 //! 0.56% FPR with SFWB features, §IV(3)).
 //!
 //! Bagged CART trees with per-split feature subsampling. Trees are built
-//! and batch predictions scored in parallel on the shared deterministic
-//! layer ([`mfpa_par`]): per-tree seeds derive from the global tree
-//! index, so the result is independent of scheduling and worker count.
+//! in parallel on the shared deterministic layer ([`mfpa_par`]): per-tree
+//! seeds derive from the global tree index, so the result is independent
+//! of scheduling and worker count. `fit` ends by compiling the trees
+//! into a [`CompiledEnsemble`], which is all the fitted forest keeps and
+//! what it predicts with.
 
 use mfpa_dataset::Matrix;
-use mfpa_par::{ordered_collect, ordered_map, Workers};
+use mfpa_par::{ordered_map, Workers};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
-use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
+use crate::compile::{CompiledEnsemble, Finalize};
+use crate::error::{check_fit_inputs, check_max_bins, MlError};
 use crate::model::Classifier;
-use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
+use crate::tree::{ensemble_importances, DecisionTree, MaxFeatures, TreeParams};
 
 /// Random-Forest binary classifier.
 ///
@@ -35,14 +37,15 @@ use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
 /// assert_eq!(rf.predict(&x)?, y);
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     n_trees: usize,
     tree_params: TreeParams,
     seed: u64,
     n_threads: usize,
-    trees: Vec<DecisionTree>,
-    n_features: Option<usize>,
+    /// The fitted trees, compiled; `None` before fitting.
+    compiled: Option<CompiledEnsemble>,
+    importances: Vec<f64>,
 }
 
 impl RandomForest {
@@ -61,8 +64,8 @@ impl RandomForest {
             },
             seed: 0,
             n_threads: Workers::auto().get(),
-            trees: Vec::new(),
-            n_features: None,
+            compiled: None,
+            importances: Vec::new(),
         }
     }
 
@@ -91,7 +94,8 @@ impl RandomForest {
         self
     }
 
-    /// Limits the number of worker threads used during fitting.
+    /// Limits the worker threads of fitting and of the batch scoring of
+    /// the ensemble it fits.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.n_threads = n.max(1);
         self
@@ -105,22 +109,7 @@ impl RandomForest {
     /// Mean feature importances across trees (normalised to sum to 1);
     /// empty before fitting.
     pub fn feature_importances(&self) -> Vec<f64> {
-        let Some(n_features) = self.n_features else {
-            return Vec::new();
-        };
-        let mut imp = vec![0.0; n_features];
-        for tree in &self.trees {
-            for (a, b) in imp.iter_mut().zip(tree.feature_importances()) {
-                *a += b;
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        self.importances.clone()
     }
 
     /// Fits one tree on a bootstrap drawn from `seed`. The `n` draws are
@@ -165,37 +154,27 @@ impl Classifier for RandomForest {
         let results = ordered_map(&tree_seeds, workers, |_, &seed| {
             Self::fit_bootstrap_tree(&binned, &targets, params, seed)
         });
-        self.trees = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        self.n_features = Some(x.n_cols());
+        let trees = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let compiled =
+            CompiledEnsemble::from_trees(&trees, x.n_cols(), Finalize::RfMean, self.n_threads)?;
+        self.importances = ensemble_importances(&trees, x.n_cols());
+        self.compiled = Some(compiled);
         Ok(())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        check_predict_inputs(x, self.n_features)?;
-        let k = self.trees.len() as f64;
-        // Per-row vote sums accumulate in tree order, so the result is
-        // bit-identical to the serial trees-outer loop at any width.
-        Ok(ordered_collect(
-            x.n_rows(),
-            Workers::new(self.n_threads),
-            |i| {
-                let row = x.row(i);
-                let mut p = 0.0;
-                for tree in &self.trees {
-                    p += tree.predict_row(row);
-                }
-                (p / k).clamp(0.0, 1.0)
-            },
-        ))
+        self.compiled
+            .as_ref()
+            .ok_or(MlError::NotFitted)?
+            .predict_proba(x)
     }
 
     fn name(&self) -> &'static str {
         "RF"
     }
 
-    fn compile(&self) -> Option<crate::compile::CompiledEnsemble> {
-        let n_features = self.n_features?;
-        crate::compile::CompiledEnsemble::from_forest(&self.trees, n_features, self.n_threads)
+    fn compile(&self) -> Option<CompiledEnsemble> {
+        self.compiled.clone()
     }
 }
 
@@ -306,6 +285,27 @@ mod tests {
                 "max_bins = {max_bins}"
             );
         }
+    }
+
+    #[test]
+    fn fits_a_column_holding_both_infinities() {
+        // The one pair of values whose midpoint is NaN: the split at
+        // their finite edge routes them apart, and the fit compiles.
+        let x = Matrix::from_rows(&[
+            vec![f64::NEG_INFINITY],
+            vec![f64::NEG_INFINITY],
+            vec![f64::INFINITY],
+            vec![f64::INFINITY],
+            vec![f64::NAN],
+        ])
+        .unwrap();
+        let y = [false, false, true, true, true];
+        let mut rf = RandomForest::new(5, 3)
+            .with_seed(1)
+            .with_max_features(MaxFeatures::All);
+        rf.fit(&x, &y).unwrap();
+        let p = rf.predict_proba(&x).unwrap();
+        assert!(p[0] < 0.5 && p[2] > 0.5, "p = {p:?}");
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! Newton boosting: each round fits a regression tree to the gradient
 //! residuals `y − p` and sets leaf values with the second-order step
 //! `Σ(y − p) / Σ p(1 − p)`, then the ensemble score is updated with
-//! shrinkage. Optional row subsampling makes it stochastic GBDT.
+//! shrinkage. Optional row subsampling makes it stochastic GBDT. `fit`
+//! ends by compiling the round trees into a [`CompiledEnsemble`], which
+//! is all the fitted booster keeps and what it predicts with.
 
 use mfpa_dataset::Matrix;
 use mfpa_par::{ordered_collect, Workers};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
-use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
+use crate::compile::{CompiledEnsemble, Finalize};
+use crate::error::{check_fit_inputs, check_max_bins, MlError};
 use crate::model::Classifier;
-use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
+use crate::tree::{ensemble_importances, DecisionTree, MaxFeatures, TreeParams};
 
 /// Gradient-boosted decision-tree binary classifier.
 ///
@@ -34,7 +36,7 @@ use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
 /// assert_eq!(g.predict(&x)?, y);
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gbdt {
     n_rounds: usize,
     learning_rate: f64,
@@ -44,9 +46,9 @@ pub struct Gbdt {
     max_bins: usize,
     seed: u64,
     n_threads: usize,
-    base_score: f64,
-    trees: Vec<DecisionTree>,
-    n_features: Option<usize>,
+    /// The fitted round trees, compiled; `None` before fitting.
+    compiled: Option<CompiledEnsemble>,
+    importances: Vec<f64>,
 }
 
 impl Gbdt {
@@ -62,9 +64,8 @@ impl Gbdt {
             max_bins: DEFAULT_MAX_BINS,
             seed: 0,
             n_threads: Workers::auto().get(),
-            base_score: 0.0,
-            trees: Vec::new(),
-            n_features: None,
+            compiled: None,
+            importances: Vec::new(),
         }
     }
 
@@ -74,16 +75,9 @@ impl Gbdt {
         self
     }
 
-    /// Enables stochastic boosting with the given row fraction per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
+    /// Enables stochastic boosting with the given row fraction per round
+    /// (in `(0, 1]`; fitting refuses anything else).
     pub fn with_subsample(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "subsample fraction must be in (0, 1]"
-        );
         self.subsample = fraction;
         self
     }
@@ -117,47 +111,10 @@ impl Gbdt {
         self.n_rounds
     }
 
-    /// Raw additive scores (log-odds) for each row.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Classifier::predict_proba`].
-    pub fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        check_predict_inputs(x, self.n_features)?;
-        // Per-row sums accumulate in round order, exactly as the serial
-        // trees-outer loop would — bit-identical at any worker count.
-        Ok(ordered_collect(
-            x.n_rows(),
-            Workers::new(self.n_threads),
-            |i| {
-                let row = x.row(i);
-                let mut s = self.base_score;
-                for tree in &self.trees {
-                    s += self.learning_rate * tree.predict_row(row);
-                }
-                s
-            },
-        ))
-    }
-
-    /// Mean per-feature split-gain importances over all rounds.
+    /// Mean per-feature split-gain importances over all rounds
+    /// (normalised to sum to 1); empty before fitting.
     pub fn feature_importances(&self) -> Vec<f64> {
-        let Some(n_features) = self.n_features else {
-            return Vec::new();
-        };
-        let mut imp = vec![0.0; n_features];
-        for t in &self.trees {
-            for (a, b) in imp.iter_mut().zip(t.feature_importances()) {
-                *a += b;
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        self.importances.clone()
     }
 }
 
@@ -174,17 +131,23 @@ impl Classifier for Gbdt {
                 self.learning_rate
             )));
         }
+        if !(self.subsample > 0.0 && self.subsample <= 1.0) {
+            return Err(MlError::InvalidParameter(format!(
+                "subsample must be in (0, 1], got {}",
+                self.subsample
+            )));
+        }
         check_max_bins(self.max_bins)?;
         let n = x.n_rows();
         let targets: Vec<f64> = y.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
         let pos = targets.iter().sum::<f64>();
         // F0 = log-odds of the base rate.
         let p0 = (pos / n as f64).clamp(1e-6, 1.0 - 1e-6);
-        self.base_score = (p0 / (1.0 - p0)).ln();
+        let base_score = (p0 / (1.0 - p0)).ln();
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         let workers = Workers::new(self.n_threads);
-        let mut scores = vec![self.base_score; n];
+        let mut scores = vec![base_score; n];
         let params = TreeParams {
             max_depth: self.max_depth,
             min_samples_split: 2,
@@ -223,32 +186,29 @@ impl Classifier for Gbdt {
             }
             trees.push(tree);
         }
-        self.trees = trees;
-        self.n_features = Some(x.n_cols());
+        let finalize = Finalize::GbdtLogistic {
+            base_score,
+            learning_rate: self.learning_rate,
+        };
+        let compiled = CompiledEnsemble::from_trees(&trees, x.n_cols(), finalize, self.n_threads)?;
+        self.importances = ensemble_importances(&trees, x.n_cols());
+        self.compiled = Some(compiled);
         Ok(())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        Ok(self
-            .decision_function(x)?
-            .into_iter()
-            .map(sigmoid)
-            .collect())
+        self.compiled
+            .as_ref()
+            .ok_or(MlError::NotFitted)?
+            .predict_proba(x)
     }
 
     fn name(&self) -> &'static str {
         "GBDT"
     }
 
-    fn compile(&self) -> Option<crate::compile::CompiledEnsemble> {
-        let n_features = self.n_features?;
-        crate::compile::CompiledEnsemble::from_gbdt(
-            &self.trees,
-            n_features,
-            self.base_score,
-            self.learning_rate,
-            self.n_threads,
-        )
+    fn compile(&self) -> Option<CompiledEnsemble> {
+        self.compiled.clone()
     }
 }
 
@@ -376,14 +336,15 @@ mod tests {
     }
 
     #[test]
-    fn decision_function_monotone_with_proba() {
-        let (x, y) = ring_data(80, 9);
-        let mut g = Gbdt::new(20, 0.2, 3).with_seed(1);
-        g.fit(&x, &y).unwrap();
-        let d = g.decision_function(&x).unwrap();
-        let p = g.predict_proba(&x).unwrap();
-        for (di, pi) in d.iter().zip(&p) {
-            assert!((sigmoid(*di) - pi).abs() < 1e-12);
+    fn subsample_outside_unit_interval_is_refused() {
+        let (x, y) = ring_data(40, 9);
+        for fraction in [f64::NAN, 0.0, -0.5, 1.5] {
+            let mut g = Gbdt::new(3, 0.2, 2).with_subsample(fraction);
+            assert!(
+                matches!(g.fit(&x, &y), Err(MlError::InvalidParameter(_))),
+                "subsample = {fraction}"
+            );
+            assert_eq!(g.predict_proba(&x), Err(MlError::NotFitted));
         }
     }
 }

@@ -52,13 +52,15 @@ pub trait Classifier: Send + Sync {
     /// A short human-readable model name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Compiles the fitted model into a flat [`CompiledEnsemble`] for
-    /// serving-grade batch scoring, or `None` for model families without
+    /// A copy of the fitted model's [`CompiledEnsemble`], the form that
+    /// ships as an `.mfpac` artifact; `None` for model families without
     /// a compiled form (everything except the tree ensembles) and for
     /// unfitted models.
     ///
-    /// A compiled ensemble's probabilities are bit-identical to this
-    /// model's [`Classifier::predict_proba`].
+    /// A fitted [`crate::RandomForest`] or [`crate::Gbdt`] keeps only its
+    /// compiled ensemble, built at the end of `fit`, so this is a clone
+    /// and its probabilities are this model's
+    /// [`Classifier::predict_proba`].
     fn compile(&self) -> Option<CompiledEnsemble> {
         None
     }

@@ -26,14 +26,13 @@ use mfpa_par::Workers;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::binning::{BinnedMatrix, DEFAULT_MAX_BINS};
 use crate::error::{check_fit_inputs, check_max_bins, check_predict_inputs, MlError};
 use crate::model::Classifier;
 
 /// How many candidate features each split considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaxFeatures {
     /// All features (classic CART).
     All,
@@ -59,7 +58,7 @@ impl MaxFeatures {
 }
 
 /// Tree growth hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -89,7 +88,7 @@ impl Default for TreeParams {
 
 pub(crate) const LEAF: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Node {
     /// Split feature, or [`LEAF`].
     pub(crate) feature: u32,
@@ -119,7 +118,7 @@ pub(crate) struct Node {
 /// assert_eq!(t.predict(&x)?, y);
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     params: TreeParams,
     seed: u64,
@@ -504,16 +503,7 @@ impl DecisionTree {
             scratch: Vec::with_capacity(rows.len()),
         };
         self.build_binned(&mut ctx, &mut rows, 0, Vec::new());
-        self.normalise_importances();
-    }
-
-    fn normalise_importances(&mut self) {
-        let total: f64 = self.importances.iter().sum();
-        if total > 0.0 {
-            for imp in &mut self.importances {
-                *imp /= total;
-            }
-        }
+        normalise(&mut self.importances);
     }
 
     /// Predicts the raw tree value for each row (class-probability for
@@ -532,7 +522,7 @@ impl DecisionTree {
     /// # Panics
     ///
     /// Panics if the tree is unfitted.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.nodes.is_empty(), "tree is not fitted");
         let mut ix = 0usize;
         loop {
@@ -572,7 +562,7 @@ impl DecisionTree {
     }
 
     /// Read-only view of the flat node pool (root at index 0); used by
-    /// the post-fit compiler in [`crate::compile`].
+    /// the ensembles' compile step in [`crate::compile`].
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
@@ -747,6 +737,29 @@ impl DecisionTree {
         }
         best
     }
+}
+
+/// Scales `imp` to sum to 1; all zeros stay zeros.
+fn normalise(imp: &mut [f64]) {
+    let total: f64 = imp.iter().sum();
+    if total > 0.0 {
+        for v in imp {
+            *v /= total;
+        }
+    }
+}
+
+/// An ensemble's importances: its trees' summed feature by feature in
+/// tree order, then normalised to sum to 1.
+pub(crate) fn ensemble_importances(trees: &[DecisionTree], n_features: usize) -> Vec<f64> {
+    let mut imp = vec![0.0; n_features];
+    for tree in trees {
+        for (a, b) in imp.iter_mut().zip(&tree.importances) {
+            *a += b;
+        }
+    }
+    normalise(&mut imp);
+    imp
 }
 
 #[derive(Debug)]

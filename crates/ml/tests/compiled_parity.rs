@@ -1,17 +1,137 @@
-//! Compiled↔interpreted parity for the flattened scoring engine.
+//! Compiled-kernel parity against an independent oracle.
 //!
-//! The compiled engine routes rows with quantized byte compares and
-//! accumulates per-row sums in tree order — the contract is that every
-//! probability is *bit-identical* to the interpreted
-//! `predict_proba` of the source model, for any input (NaN included),
-//! at any worker count, through the sequential per-device scorer, and
-//! across an `.mfpac` serialization round trip. Corrupt artifacts must
-//! be refused with a structured error, never a panic.
+//! A fitted `RandomForest` or `Gbdt` keeps only its compiled ensemble,
+//! so its `predict_proba` *is* the kernel under test. The reference here
+//! is [`Oracle`]: test code that decodes the documented `.mfpac` payload
+//! by hand and scores rows the plain way, by raw `f64` threshold
+//! compares. The contract is that every probability of the batch kernel
+//! (at any worker count) and of the sequential per-device scorer is
+//! *bit-identical* to the oracle's, for any input (NaN included), and
+//! survives an `.mfpac` serialization round trip. Corrupt artifacts
+//! must be refused with a structured error, never a panic.
 
-use mfpa_bytes::{fnv1a64, unseal, ByteWriter};
+use mfpa_bytes::{fnv1a64, unseal, ByteReader, ByteWriter};
 use mfpa_dataset::Matrix;
 use mfpa_ml::{Classifier, CompiledEnsemble, Gbdt, MlError, RandomForest};
 use proptest::prelude::*;
+
+/// The node marker for a leaf in the `feat` array.
+const LEAF: u32 = u32::MAX;
+
+/// How an ensemble reduces its per-tree leaf sum to a probability.
+enum Reduce {
+    /// Finalize tag 0: the mean leaf value, clamped to `[0, 1]`.
+    RfMean,
+    /// Finalize tag 1: `sigmoid(base_score + Σ learning_rate · leaf)`.
+    GbdtLogistic { base_score: f64, learning_rate: f64 },
+}
+
+/// An `.mfpac` payload decoded field by field from its documented
+/// layout, scored without any of the compiled engine's machinery: no
+/// bin codes, no cuts, no blocks. Each row walks each tree from its
+/// root, going left iff `value <= threshold` (so NaN goes right) and
+/// right to `left + 1` otherwise; leaves are summed in tree order and
+/// the reduction is applied here.
+struct Oracle {
+    reduce: Reduce,
+    roots: Vec<u32>,
+    depths: Vec<u32>,
+    feat: Vec<u32>,
+    thr: Vec<f64>,
+    left: Vec<u32>,
+    value: Vec<f64>,
+}
+
+impl Oracle {
+    fn decode(artifact: &[u8]) -> Oracle {
+        let body = unseal(artifact).expect("sealed artifact");
+        let mut rd = ByteReader::new(body);
+        let u32s = |rd: &mut ByteReader, n: usize| -> Vec<u32> {
+            (0..n).map(|_| rd.u32().expect("u32 field")).collect()
+        };
+        assert_eq!(rd.u32().expect("magic"), 0x4350_464D, "magic \"MFPC\"");
+        assert_eq!(rd.u32().expect("version"), 2, "version");
+        let _n_features = rd.counter().expect("n_features");
+        let n_trees = rd.counter().expect("n_trees");
+        let n_nodes = rd.counter().expect("n_nodes");
+        let tag = rd.u8().expect("finalize tag");
+        let (a, b) = (rd.f64().expect("param"), rd.f64().expect("param"));
+        let reduce = match tag {
+            0 => Reduce::RfMean,
+            1 => Reduce::GbdtLogistic {
+                base_score: a,
+                learning_rate: b,
+            },
+            other => panic!("unknown finalize tag {other}"),
+        };
+        let roots = u32s(&mut rd, n_trees);
+        let depths = u32s(&mut rd, n_trees);
+        let feat = u32s(&mut rd, n_nodes);
+        let thr = (0..n_nodes).map(|_| rd.f64().expect("thr")).collect();
+        let left = u32s(&mut rd, n_nodes);
+        let value = (0..n_nodes).map(|_| rd.f64().expect("value")).collect();
+        assert!(rd.done(), "trailing bytes after the value array");
+        Oracle {
+            reduce,
+            roots,
+            depths,
+            feat,
+            thr,
+            left,
+            value,
+        }
+    }
+
+    /// The leaf tree `t` routes `row` to, reached in at most the tree's
+    /// stored depth.
+    fn leaf(&self, t: usize, row: &[f64]) -> f64 {
+        let mut ix = self.roots[t] as usize;
+        for _ in 0..self.depths[t] {
+            let f = self.feat[ix];
+            if f == LEAF {
+                break;
+            }
+            let left = self.left[ix] as usize;
+            ix = if row[f as usize] <= self.thr[ix] {
+                left
+            } else {
+                left + 1
+            };
+        }
+        assert_eq!(
+            self.feat[ix], LEAF,
+            "tree {t} is deeper than its stored depth"
+        );
+        self.value[ix]
+    }
+
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        let trees = 0..self.roots.len();
+        match self.reduce {
+            Reduce::RfMean => {
+                let mut sum = 0.0;
+                for t in trees {
+                    sum += self.leaf(t, row);
+                }
+                (sum / self.roots.len() as f64).clamp(0.0, 1.0)
+            }
+            Reduce::GbdtLogistic {
+                base_score,
+                learning_rate,
+            } => {
+                let mut sum = base_score;
+                for t in trees {
+                    sum += learning_rate * self.leaf(t, row);
+                }
+                1.0 / (1.0 + (-sum.clamp(-700.0, 700.0)).exp())
+            }
+        }
+    }
+
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|row| self.predict_row(row)).collect()
+    }
+}
 
 /// Training matrix over a small integer alphabet (guarantees split-able
 /// features without degenerate single-value columns).
@@ -75,7 +195,8 @@ proptest! {
 
         let nan_at = if nan_at.iter().all(|&b| b) { vec![false] } else { nan_at };
         let xe = eval_matrix(&eval, n_cols, &nan_at);
-        let reference = bits(&rf.predict_proba(&xe).expect("interpreted"));
+        let reference = bits(&Oracle::decode(&compiled.to_bytes()).predict(&xe));
+        prop_assert_eq!(&bits(&rf.predict_proba(&xe).expect("rf")), &reference);
         for threads in [1usize, 2, 7] {
             let engine = compiled.clone().with_threads(threads);
             let got = bits(&engine.predict_proba(&xe).expect("compiled"));
@@ -100,7 +221,8 @@ proptest! {
 
         let nan_at = if nan_at.iter().all(|&b| b) { vec![false] } else { nan_at };
         let xe = eval_matrix(&eval, n_cols, &nan_at);
-        let reference = bits(&gb.predict_proba(&xe).expect("interpreted"));
+        let reference = bits(&Oracle::decode(&compiled.to_bytes()).predict(&xe));
+        prop_assert_eq!(&bits(&gb.predict_proba(&xe).expect("gbdt")), &reference);
         for threads in [1usize, 2, 7] {
             let engine = compiled.clone().with_threads(threads);
             let got = bits(&engine.predict_proba(&xe).expect("compiled"));
@@ -121,15 +243,13 @@ proptest! {
         let n_cols = 4;
         let x = int_matrix(&cells[..cells.len() / n_cols * n_cols], n_cols, 5);
         let y = labels(&raw_labels[..x.n_rows()]);
-        let (compiled, reference_model): (CompiledEnsemble, Box<dyn Classifier>) = if gbdt {
-            let mut m = Gbdt::new(12, 0.2, 3).with_seed(seed);
-            m.fit(&x, &y).expect("fit");
-            (m.compile().expect("compiles"), Box::new(m))
+        let mut model: Box<dyn Classifier> = if gbdt {
+            Box::new(Gbdt::new(12, 0.2, 3).with_seed(seed))
         } else {
-            let mut m = RandomForest::new(6, 6).with_seed(seed);
-            m.fit(&x, &y).expect("fit");
-            (m.compile().expect("compiles"), Box::new(m))
+            Box::new(RandomForest::new(6, 6).with_seed(seed))
         };
+        model.fit(&x, &y).expect("fit");
+        let compiled = model.compile().expect("compiles");
 
         // A device stream: column 0 is a cumulative counter, column 1
         // drifts freely, column 2 oscillates. Column 3 lands exactly on
@@ -166,7 +286,7 @@ proptest! {
         let xe = Matrix::from_rows(
             &rows.chunks(n_cols).map(<[f64]>::to_vec).collect::<Vec<_>>(),
         ).expect("matrix");
-        let reference = reference_model.predict_proba(&xe).expect("interpreted");
+        let reference = Oracle::decode(&compiled.to_bytes()).predict(&xe);
         prop_assert_eq!(bits(&got), bits(&reference));
 
         // Reset and replay: a reused scorer must match a fresh one.
@@ -308,7 +428,6 @@ fn one_tree_artifact(feat: &[u32]) -> Vec<u8> {
 /// a checksum mismatch.
 #[test]
 fn mfpac_refuses_old_version_artifacts() {
-    const LEAF: u32 = u32::MAX;
     let current = one_tree_artifact(&[LEAF]);
     let mut old = unseal(&current).expect("sealed").to_vec();
     old[4..8].copy_from_slice(&1u32.to_le_bytes());
@@ -327,7 +446,6 @@ fn mfpac_refuses_old_version_artifacts() {
 /// smuggle an out-of-range feature past the checks.
 #[test]
 fn mfpac_refuses_unreachable_nodes() {
-    const LEAF: u32 = u32::MAX;
     assert!(
         CompiledEnsemble::from_bytes(&one_tree_artifact(&[LEAF])).is_ok(),
         "the one-leaf control artifact must decode"

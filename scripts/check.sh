@@ -230,7 +230,7 @@ target/release/examples/mfpac_smoke load "$mfpac_dir"
 target/release/examples/mfpac_smoke corrupt "$mfpac_dir"
 echo "compiled round trip bit-identical across processes, corruption refused"
 
-echo "== compiled parity proptests (interpreted == compiled, bit for bit) =="
+echo "== compiled parity proptests (dense and sequential kernels == .mfpac payload oracle, bit for bit) =="
 cargo test --release -q -p mfpa-ml --test compiled_parity
 
 echo "== evaluation scoring parity (per-drive sequential == dense, bit for bit) =="

@@ -4,7 +4,9 @@
 
 use mfpa_dataset::Matrix;
 use mfpa_ml::metrics::auc;
-use mfpa_ml::{Classifier, CnnLstm, GaussianNb, Gbdt, LinearSvm, MlError, RandomForest};
+use mfpa_ml::{
+    Classifier, CnnLstm, CompiledEnsemble, GaussianNb, Gbdt, LinearSvm, MlError, RandomForest,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -167,26 +169,30 @@ fn seeded_models_are_reproducible() {
 #[test]
 fn models_roundtrip_through_serde() {
     // The paper pushes model updates to clients every two months — the
-    // fitted models must survive serialisation exactly.
+    // fitted models must survive shipping exactly. Tree ensembles ship
+    // as their `.mfpac` artifact: compile, encode, decode, and the
+    // decoded engine scores every row with the fitted model's bits.
     let (x, y) = separable(80, 17);
-
-    let mut rf = RandomForest::new(15, 6).with_seed(4);
-    rf.fit(&x, &y).unwrap();
-    let json = serde_json::to_string(&rf).expect("serialise rf");
-    let back: RandomForest = serde_json::from_str(&json).expect("deserialise rf");
-    assert_eq!(
-        rf.predict_proba(&x).unwrap(),
-        back.predict_proba(&x).unwrap()
-    );
-
-    let mut gbdt = Gbdt::new(10, 0.3, 3).with_seed(4);
-    gbdt.fit(&x, &y).unwrap();
-    let json = serde_json::to_string(&gbdt).unwrap();
-    let back: Gbdt = serde_json::from_str(&json).unwrap();
-    assert_eq!(
-        gbdt.predict_proba(&x).unwrap(),
-        back.predict_proba(&x).unwrap()
-    );
+    let mut extreme = x.clone();
+    extreme
+        .push_row(&[f64::NAN, 1e9, -1e9, f64::INFINITY, 0.0, f64::NEG_INFINITY])
+        .unwrap();
+    let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let trees: [Box<dyn Classifier>; 2] = [
+        Box::new(RandomForest::new(15, 6).with_seed(4)),
+        Box::new(Gbdt::new(10, 0.3, 3).with_seed(4)),
+    ];
+    for mut model in trees {
+        model.fit(&x, &y).unwrap();
+        let artifact = model.compile().expect("a fitted tree ensemble compiles");
+        let shipped = CompiledEnsemble::from_bytes(&artifact.to_bytes()).expect("decodes");
+        assert_eq!(
+            bits(shipped.predict_proba(&extreme).unwrap()),
+            bits(model.predict_proba(&extreme).unwrap()),
+            "{}",
+            model.name()
+        );
+    }
 
     let mut nb = GaussianNb::new();
     nb.fit(&x, &y).unwrap();

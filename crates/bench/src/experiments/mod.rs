@@ -7,8 +7,6 @@ mod defs;
 mod model_exps;
 mod precursors;
 mod robustness;
-mod scale;
-mod serve;
 mod tune;
 
 use crate::ctx::Ctx;
@@ -161,16 +159,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "robustness",
             title: "Robustness: fault injection × sanitization",
             run: robustness::robustness,
-        },
-        Experiment {
-            id: "scale",
-            title: "Scale: deterministic parallel speedup (MFPA_THREADS)",
-            run: scale::scale,
-        },
-        Experiment {
-            id: "serve",
-            title: "Serve: sharded fleet monitor, transport faults, crash recovery",
-            run: serve::serve,
         },
     ]
 }

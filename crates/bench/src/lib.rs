@@ -4,8 +4,8 @@
 //! experiment in [`experiments`]; the `repro` binary dispatches on the
 //! experiment id (`repro fig9`, `repro all`, …) and prints both a
 //! human-readable table and a machine-readable JSON line per experiment.
-//! Criterion performance benches (Fig 20's overhead breakdown) live in
-//! `benches/`.
+//! Speed is measured elsewhere: the `mfpa-benchmark` binary under
+//! `benchmark/` times the train, rescore, monitor and ingest workloads.
 
 pub mod ctx;
 pub mod experiments;

@@ -490,8 +490,8 @@ impl Mfpa {
         let train_secs = t0.elapsed().as_secs_f64();
 
         Ok(TrainedMfpa {
-            compiled: model.compile(),
             model,
+            installed: None,
             features,
             uses_seq,
             seq_len: self.config.window.seq_len,
@@ -537,11 +537,10 @@ impl Mfpa {
 /// A trained model plus everything needed to score new rows.
 pub struct TrainedMfpa {
     model: Box<dyn Classifier>,
-    /// The tree ensembles' compiled engine (a copy of the one `model`
-    /// fitted into, or an installed `.mfpac` artifact); `None` for
-    /// families with no compiled form. When present, batch and
-    /// per-drive scoring route through it.
-    compiled: Option<mfpa_ml::CompiledEnsemble>,
+    /// A compiled engine installed from `.mfpac` artifact bytes. It
+    /// takes the place of the engine `model` fitted into (see
+    /// [`TrainedMfpa::compiled`]).
+    installed: Option<mfpa_ml::CompiledEnsemble>,
     features: Vec<FeatureId>,
     uses_seq: bool,
     seq_len: usize,
@@ -557,7 +556,7 @@ impl std::fmt::Debug for TrainedMfpa {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrainedMfpa")
             .field("model", &self.model.name())
-            .field("compiled", &self.compiled.is_some())
+            .field("compiled", &self.compiled().is_some())
             .field("n_features", &self.features.len())
             .field("uses_seq", &self.uses_seq)
             .field("threshold", &self.threshold)
@@ -586,22 +585,22 @@ impl TrainedMfpa {
     /// ensemble, so this builds nothing; it is idempotent and `true` for
     /// random forests and GBDT.
     pub fn compile(&mut self) -> bool {
-        self.compiled.is_some()
+        self.compiled().is_some()
     }
 
-    /// The compiled scoring engine: present for the tree ensembles,
-    /// `None` for families with no compiled form.
+    /// The compiled scoring engine: the installed `.mfpac` artifact if
+    /// there is one, else the engine a tree ensemble fitted into; `None`
+    /// for families with no compiled form. When present, batch and
+    /// per-drive scoring route through it.
     pub fn compiled(&self) -> Option<&mfpa_ml::CompiledEnsemble> {
-        self.compiled.as_ref()
+        self.installed.as_ref().or_else(|| self.model.compiled())
     }
 
     /// Serializes the compiled engine to its `.mfpac` artifact bytes,
     /// if one is present. Pair with
     /// [`TrainedMfpa::install_compiled_artifact`] on the monitor side.
     pub fn compiled_artifact(&self) -> Option<Vec<u8>> {
-        self.compiled
-            .as_ref()
-            .map(mfpa_ml::CompiledEnsemble::to_bytes)
+        self.compiled().map(mfpa_ml::CompiledEnsemble::to_bytes)
     }
 
     /// Installs a compiled engine decoded from `.mfpac` artifact bytes:
@@ -610,9 +609,16 @@ impl TrainedMfpa {
     ///
     /// # Errors
     ///
+    /// [`CoreError::UnsupportedModel`] for a sequence model, whose
+    /// columns are windows of the selected features, not the features;
     /// [`CoreError::Model`] when the artifact is corrupt or truncated,
     /// or disagrees with this model's feature width.
     pub fn install_compiled_artifact(&mut self, bytes: &[u8]) -> Result<(), CoreError> {
+        if self.uses_seq {
+            return Err(CoreError::UnsupportedModel(
+                "compiled artifacts score flat models; sequence models read windowed input".into(),
+            ));
+        }
         let engine = mfpa_ml::CompiledEnsemble::from_bytes(bytes).map_err(CoreError::from)?;
         if engine.n_features() != self.features.len() {
             return Err(CoreError::Model(format!(
@@ -621,7 +627,7 @@ impl TrainedMfpa {
                 self.features.len()
             )));
         }
-        self.compiled = Some(engine);
+        self.installed = Some(engine);
         Ok(())
     }
 
@@ -667,7 +673,7 @@ impl TrainedMfpa {
         };
         let cols = col_indices(&self.features, self.uses_seq, self.seq_len);
         let x = frame.matrix();
-        if self.compiled.is_none() {
+        if self.compiled().is_none() {
             let mut cells = Vec::with_capacity(rows.len() * cols.len());
             for &r in rows {
                 let row = x.row(r);
@@ -724,7 +730,7 @@ impl TrainedMfpa {
     ///
     /// Propagates model prediction errors.
     pub fn predict_matrix(&self, x: &Matrix) -> Result<Vec<f64>, CoreError> {
-        match &self.compiled {
+        match self.compiled() {
             Some(c) => Ok(c.predict_proba(x)?),
             None => Ok(self.model.predict_proba(x)?),
         }
@@ -961,6 +967,33 @@ mod tests {
             assert_eq!(trained.compiled().is_some(), compiles, "{algorithm:?}");
             assert_eq!(trained.compile(), compiles, "{algorithm:?}");
         }
+    }
+
+    /// A sequence model reads `seq_len × features` columns, so a flat
+    /// artifact over the same features must not install: its width
+    /// check alone would pass (16 = 16) and scoring would fail later.
+    #[test]
+    fn sequence_models_refuse_compiled_artifacts() {
+        let mut cfg = MfpaConfig::new(FeatureGroup::S, Algorithm::CnnLstm);
+        cfg.window.seq_len = 3;
+        let cnn = Mfpa::new(cfg);
+        let prepared = cnn.prepare(fleet()).unwrap();
+        let all: Vec<usize> = (0..prepared.n_rows()).collect();
+        let artifact = Mfpa::new(MfpaConfig::new(FeatureGroup::S, Algorithm::RandomForest))
+            .train_rows(&prepared, &all)
+            .unwrap()
+            .compiled_artifact()
+            .unwrap();
+
+        let mut trained = cnn.train_rows(&prepared, &all).unwrap();
+        assert_eq!(trained.features().len(), 16);
+        let err = trained.install_compiled_artifact(&artifact).unwrap_err();
+        assert!(matches!(err, CoreError::UnsupportedModel(_)), "{err}");
+        assert!(trained.compiled().is_none());
+        assert_eq!(
+            trained.predict_rows(&prepared, &all).unwrap().len(),
+            all.len()
+        );
     }
 
     #[test]

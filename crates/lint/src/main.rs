@@ -1,8 +1,7 @@
 //! CLI for the workspace determinism-and-robustness lint pass.
 //!
 //! ```text
-//! mfpa-lint [--root PATH] [--format human|json] [--report PATH]
-//!           [--verbose] [--fix]
+//! mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--fix]
 //! ```
 //!
 //! Exit codes (CI semantics): `0` clean, `1` unsuppressed violations,
@@ -20,7 +19,6 @@ struct Args {
     root: Option<PathBuf>,
     format: Format,
     report: Option<PathBuf>,
-    verbose: bool,
     fix: bool,
 }
 
@@ -35,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         format: Format::Human,
         report: None,
-        verbose: false,
         fix: false,
     };
     let mut it = std::env::args().skip(1);
@@ -53,10 +50,9 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--report" => args.report = Some(PathBuf::from(grab("--report")?)),
-            "--verbose" => args.verbose = true,
             "--fix" => args.fix = true,
             "--help" | "-h" => {
-                println!("mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--verbose] [--fix]");
+                println!("mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--fix]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -101,14 +97,7 @@ fn run() -> Result<bool, String> {
         }
     }
     match args.format {
-        Format::Human => {
-            if args.verbose {
-                for f in report.suppressed() {
-                    println!("{f}");
-                }
-            }
-            print!("{}", report.render_human());
-        }
+        Format::Human => print!("{}", report.render_human()),
         Format::Json => println!("{}", report.to_json()),
     }
     if let Some(path) = args.report {

@@ -47,7 +47,8 @@ fn compile_model() -> Result<CompiledEnsemble, String> {
     let mut model = Gbdt::new(12, 0.2, 3).with_seed(42);
     model.fit(&x, &y).map_err(|e| format!("fit: {e}"))?;
     model
-        .compile()
+        .compiled()
+        .cloned()
         .ok_or_else(|| "gbdt must compile".to_string())
 }
 

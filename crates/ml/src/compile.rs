@@ -78,8 +78,8 @@ pub(crate) enum Finalize {
 /// (`right == left + 1`), each level is a contiguous block, and the
 /// hot arrays (`feat`, `cut`, `left`) pack 16–64 nodes per cache line.
 ///
-/// A fitted [`crate::RandomForest`] or [`crate::Gbdt`] holds one; get a
-/// copy with [`crate::Classifier::compile`], or decode a shipped one
+/// A fitted [`crate::RandomForest`] or [`crate::Gbdt`] holds one; borrow
+/// it with [`crate::Classifier::compiled`], or decode a shipped one
 /// with [`CompiledEnsemble::from_bytes`].
 #[derive(Debug, Clone)]
 pub struct CompiledEnsemble {
@@ -1022,7 +1022,7 @@ mod tests {
         let y: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
         let mut gb = crate::Gbdt::new(6, 0.3, 3).with_seed(9);
         gb.fit(&x, &y).unwrap();
-        gb.compile().unwrap()
+        gb.compiled().unwrap().clone()
     }
 
     /// A row buffer that is not a whole number of rows is refused with

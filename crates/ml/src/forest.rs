@@ -173,8 +173,8 @@ impl Classifier for RandomForest {
         "RF"
     }
 
-    fn compile(&self) -> Option<CompiledEnsemble> {
-        self.compiled.clone()
+    fn compiled(&self) -> Option<&CompiledEnsemble> {
+        self.compiled.as_ref()
     }
 }
 

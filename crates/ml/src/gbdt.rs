@@ -207,8 +207,8 @@ impl Classifier for Gbdt {
         "GBDT"
     }
 
-    fn compile(&self) -> Option<CompiledEnsemble> {
-        self.compiled.clone()
+    fn compiled(&self) -> Option<&CompiledEnsemble> {
+        self.compiled.as_ref()
     }
 }
 

@@ -52,16 +52,15 @@ pub trait Classifier: Send + Sync {
     /// A short human-readable model name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// A copy of the fitted model's [`CompiledEnsemble`], the form that
-    /// ships as an `.mfpac` artifact; `None` for model families without
-    /// a compiled form (everything except the tree ensembles) and for
+    /// The fitted model's [`CompiledEnsemble`], the form that ships as
+    /// an `.mfpac` artifact; `None` for model families without a
+    /// compiled form (everything except the tree ensembles) and for
     /// unfitted models.
     ///
     /// A fitted [`crate::RandomForest`] or [`crate::Gbdt`] keeps only its
-    /// compiled ensemble, built at the end of `fit`, so this is a clone
-    /// and its probabilities are this model's
-    /// [`Classifier::predict_proba`].
-    fn compile(&self) -> Option<CompiledEnsemble> {
+    /// compiled ensemble, built at the end of `fit`, so this borrows the
+    /// engine that computes this model's [`Classifier::predict_proba`].
+    fn compiled(&self) -> Option<&CompiledEnsemble> {
         None
     }
 }

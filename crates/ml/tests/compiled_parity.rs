@@ -191,7 +191,7 @@ proptest! {
         let y = labels(&raw_labels[..x.n_rows()]);
         let mut rf = RandomForest::new(8, 6).with_seed(seed);
         rf.fit(&x, &y).expect("fit");
-        let compiled = rf.compile().expect("rf compiles");
+        let compiled = rf.compiled().expect("rf compiles");
 
         let nan_at = if nan_at.iter().all(|&b| b) { vec![false] } else { nan_at };
         let xe = eval_matrix(&eval, n_cols, &nan_at);
@@ -217,7 +217,7 @@ proptest! {
         let y = labels(&raw_labels[..x.n_rows()]);
         let mut gb = Gbdt::new(15, 0.2, 3).with_seed(seed);
         gb.fit(&x, &y).expect("fit");
-        let compiled = gb.compile().expect("gbdt compiles");
+        let compiled = gb.compiled().expect("gbdt compiles");
 
         let nan_at = if nan_at.iter().all(|&b| b) { vec![false] } else { nan_at };
         let xe = eval_matrix(&eval, n_cols, &nan_at);
@@ -249,7 +249,7 @@ proptest! {
             Box::new(RandomForest::new(6, 6).with_seed(seed))
         };
         model.fit(&x, &y).expect("fit");
-        let compiled = model.compile().expect("compiles");
+        let compiled = model.compiled().expect("compiles");
 
         // A device stream: column 0 is a cumulative counter, column 1
         // drifts freely, column 2 oscillates. Column 3 lands exactly on
@@ -310,11 +310,11 @@ proptest! {
         let compiled = if gbdt {
             let mut m = Gbdt::new(10, 0.2, 3).with_seed(seed);
             m.fit(&x, &y).expect("fit");
-            m.compile().expect("compiles")
+            m.compiled().expect("compiles").clone()
         } else {
             let mut m = RandomForest::new(5, 5).with_seed(seed);
             m.fit(&x, &y).expect("fit");
-            m.compile().expect("compiles")
+            m.compiled().expect("compiles").clone()
         };
 
         let artifact = compiled.to_bytes();
@@ -347,7 +347,7 @@ proptest! {
         let y = labels(&raw_labels[..x.n_rows()]);
         let mut m = Gbdt::new(8, 0.2, 3).with_seed(seed);
         m.fit(&x, &y).expect("fit");
-        let artifact = m.compile().expect("compiles").to_bytes();
+        let artifact = m.compiled().expect("compiles").to_bytes();
 
         // Any strict truncation must be refused with a structured error.
         let keep = (cut * artifact.len() as f64) as usize; // < len since cut < 1

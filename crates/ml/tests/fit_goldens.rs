@@ -54,7 +54,7 @@ fn fingerprint(model: &dyn Classifier, importances: &[f64]) -> (u64, u64, u64) {
     let (held_out, _) = data(500, 2);
     let mut probs = model.predict_proba(&train).expect("predict");
     probs.extend(model.predict_proba(&held_out).expect("predict"));
-    let artifact = model.compile().map_or(0, |c| fnv1a64(&c.to_bytes()));
+    let artifact = model.compiled().map_or(0, |c| fnv1a64(&c.to_bytes()));
     (artifact, hash_f64s(&probs), hash_f64s(importances))
 }
 

@@ -53,8 +53,9 @@ echo "== mfpa-lint size ratchet: lint source lines may only go down =="
 # lint code must bump this constant in the same commit, with a comment
 # saying what was added and why. History: set to the line count at
 # which taint, dataflow and absint moved onto the shared per-function
-# IR (ir.rs).
-max_lint_lines=8251
+# IR (ir.rs); 8240 since `mfpa-lint --verbose` was removed (the waived
+# findings it printed are in `--format json` and the snapshot).
+max_lint_lines=8240
 n_lint_lines="$(cat crates/lint/src/*.rs | wc -l)"
 if [ "$n_lint_lines" -gt "$max_lint_lines" ]; then
     echo "error: crates/lint/src holds $n_lint_lines lines, ceiling is $max_lint_lines" >&2
@@ -193,38 +194,13 @@ if target/release/mfpa-lint --root "$smoke_dir" > /dev/null; then
 fi
 echo "d13/d14/d15 injections caught, as expected"
 
-echo "== criterion smoke: model fit group (1 sample) =="
-MFPA_BENCH_SAMPLES=1 cargo bench -p mfpa-bench --bench models -- fit
-
-echo "== repro serve smoke: replay + crash recovery at reduced scale =="
-# The serve experiment asserts the fault-tolerance contract internally
-# (kill-and-restore bit-identity, quarantine of poison drives, refusal
-# of a bit-flipped checkpoint); any violation panics. It writes no
-# files outside its own temp checkpoint directory; the temp cwd keeps
-# the log out of the tree.
-cargo build --release -q -p mfpa-bench
-serve_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fresh_report" "$serve_dir"' EXIT
-(cd "$serve_dir" && "$OLDPWD/target/release/repro" serve --fraction 0.004 --horizon 120 > serve.log 2>&1) || {
-    echo "error: repro serve smoke failed" >&2
-    tail -30 "$serve_dir/serve.log" >&2
-    exit 1
-}
-for must in "replay is bit-identical" "bit-flipped checkpoint refused"; do
-    if ! grep -q "$must" "$serve_dir/serve.log"; then
-        echo "error: serve smoke output is missing \"$must\"" >&2
-        exit 1
-    fi
-done
-echo "serve smoke passed (recovery bit-identical, corrupt checkpoint refused)"
-
 echo "== compiled inference smoke: cross-process .mfpac round trip =="
 # `save` compiles in one process, `load` decodes and rescores in a
 # *fresh* process (the artifact is the only thing crossing), `corrupt`
 # flips one bit and must be refused with a structured error.
 cargo build --release -q -p mfpa-ml --example mfpac_smoke
 mfpac_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fresh_report" "$serve_dir" "$mfpac_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$fresh_report" "$mfpac_dir"' EXIT
 target/release/examples/mfpac_smoke save "$mfpac_dir"
 target/release/examples/mfpac_smoke load "$mfpac_dir"
 target/release/examples/mfpac_smoke corrupt "$mfpac_dir"

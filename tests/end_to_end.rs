@@ -45,14 +45,31 @@ fn every_feature_group_runs() {
 
 #[test]
 fn every_algorithm_runs_on_sfwb() {
-    for algo in Algorithm::LEARNED {
-        let mut cfg = MfpaConfig::new(FeatureGroup::Sfwb, algo);
-        // Keep the NN tiny for test speed.
-        cfg.window.seq_len = 3;
-        let r = Mfpa::new(cfg)
-            .run(fleet())
-            .unwrap_or_else(|e| panic!("{algo} failed: {e}"));
-        assert!(r.drive.auc > 0.6, "{algo} AUC {}", r.drive.auc);
+    let fpr: Vec<(Algorithm, f64)> = Algorithm::LEARNED
+        .into_iter()
+        .map(|algo| {
+            let mut cfg = MfpaConfig::new(FeatureGroup::Sfwb, algo);
+            // Keep the NN tiny for test speed.
+            cfg.window.seq_len = 3;
+            let r = Mfpa::new(cfg)
+                .run(fleet())
+                .unwrap_or_else(|e| panic!("{algo} failed: {e}"));
+            assert!(r.drive.auc > 0.6, "{algo} AUC {}", r.drive.auc);
+            (algo, r.drive.fpr())
+        })
+        .collect();
+    // Fig 10/14: the tree models raise fewer false alarms than the
+    // Bayes and SVM baselines.
+    let fpr_of = |algo| fpr.iter().find(|(a, _)| *a == algo).expect("fitted").1;
+    for tree in [Algorithm::RandomForest, Algorithm::Gbdt] {
+        for baseline in [Algorithm::Bayes, Algorithm::Svm] {
+            assert!(
+                fpr_of(tree) < fpr_of(baseline),
+                "{tree} FPR {} !< {baseline} FPR {} ({fpr:?})",
+                fpr_of(tree),
+                fpr_of(baseline)
+            );
+        }
     }
 }
 

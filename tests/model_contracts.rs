@@ -184,7 +184,7 @@ fn models_roundtrip_through_serde() {
     ];
     for mut model in trees {
         model.fit(&x, &y).unwrap();
-        let artifact = model.compile().expect("a fitted tree ensemble compiles");
+        let artifact = model.compiled().expect("a fitted tree ensemble compiles");
         let shipped = CompiledEnsemble::from_bytes(&artifact.to_bytes()).expect("decodes");
         assert_eq!(
             bits(shipped.predict_proba(&extreme).unwrap()),

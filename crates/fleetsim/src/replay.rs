@@ -213,7 +213,6 @@ pub fn flip_one_byte(data: &mut [u8], seed: u64) -> Option<usize> {
         return None;
     }
     let pos = (mix64(seed ^ 0x666C_6970) % data.len() as u64) as usize;
-    // mfpa-lint: allow(d6, "bit index is bounded 0..8 by the modulo on the same line")
     let bit = (mix64(seed ^ 0x6269_7421) % 8) as u8;
     data[pos] ^= 1 << bit;
     Some(pos)

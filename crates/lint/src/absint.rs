@@ -792,8 +792,8 @@ impl<'a> Interp<'a> {
     /// only when the logic stays sound (¬(A ∧ B) refines nothing;
     /// ¬(A ∨ B) refines both).
     fn refine(&mut self, cond: &Range<usize>, positive: bool) {
-        let conjuncts = split_bool(self.cur, cond, '&');
-        let disjuncts = split_bool(self.cur, cond, '|');
+        let conjuncts = self.cur.split0(cond.clone(), "&&");
+        let disjuncts = self.cur.split0(cond.clone(), "||");
         if positive {
             if disjuncts.len() > 1 {
                 return;
@@ -920,32 +920,30 @@ impl<'a> Interp<'a> {
 
     /// The binder interval of a `a..b` / `a..=b` iterator, else ⊤.
     fn range_binder_interval(&mut self, iter: &Range<usize>) -> Interval {
-        let mut depth = 0usize;
-        for k in iter.start..iter.end {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('.'))
-                    if depth == 0
-                        && self.cur.punct(k + 1, '.')
-                        && !self.cur.punct(k.wrapping_sub(1), '.') =>
-                {
-                    let inclusive = self.cur.punct(k + 2, '=');
-                    let lo = self.eval_quiet(iter.start..k);
-                    let hi_start = if inclusive { k + 3 } else { k + 2 };
-                    let hi = self.eval_quiet(hi_start..iter.end);
-                    let hi_end = if inclusive {
-                        hi.hi
-                    } else {
-                        hi.hi.saturating_sub(1)
-                    };
-                    return Interval::new(lo.lo, hi_end.max(lo.lo));
-                }
-                _ => {}
-            }
+        let k = self
+            .cur
+            .depth0(iter.start, iter.end, |k| self.is_range_op(k));
+        if k >= iter.end {
+            let _ = self.eval(iter.clone());
+            return Interval::top();
         }
-        let _ = self.eval(iter.clone());
-        Interval::top()
+        let inclusive = self.cur.punct(k + 2, '=');
+        let lo = self.eval_quiet(iter.start..k);
+        let hi_start = if inclusive { k + 3 } else { k + 2 };
+        let hi = self.eval_quiet(hi_start..iter.end);
+        let hi_end = if inclusive {
+            hi.hi
+        } else {
+            hi.hi.saturating_sub(1)
+        };
+        Interval::new(lo.lo, hi_end.max(lo.lo))
+    }
+
+    /// Whether token `k` starts a `..` range operator.
+    fn is_range_op(&self, k: usize) -> bool {
+        self.cur.punct(k, '.')
+            && self.cur.punct(k + 1, '.')
+            && !self.cur.punct(k.wrapping_sub(1), '.')
     }
 
     /// The widening protocol: one quiet pass to find the mutated
@@ -1100,9 +1098,7 @@ impl<'a> Interp<'a> {
             let _ = self.eval(rhs);
             return Some(Interval::new(0, 1));
         }
-        if let Some(k) = self.find_depth0(r, |s, k| {
-            s.cur.punct(k, '.') && s.cur.punct(k + 1, '.') && !s.cur.punct(k.wrapping_sub(1), '.')
-        }) {
+        if let Some(k) = self.find_depth0(r, true, |s, k| s.is_range_op(k)) {
             let _ = self.eval(r.start..k);
             let skip = if self.cur.punct(k + 2, '=') { 3 } else { 2 };
             let _ = self.eval(k + skip..r.end);
@@ -1153,7 +1149,7 @@ impl<'a> Interp<'a> {
             }
             return Some(rem_interval(&lv, &rv));
         }
-        if let Some(k) = self.find_depth0(r, |s, k| s.cur.ident(k) == Some("as")) {
+        if let Some(k) = self.find_depth0(r, true, |s, k| s.cur.ident(k) == Some("as")) {
             let lv = self.eval(r.start..k);
             let ty = self.cur.ident(k + 1).unwrap_or("");
             return Some(self.check_cast(&(r.start..k), &lv, ty, self.cur.line(k)));
@@ -1161,57 +1157,38 @@ impl<'a> Interp<'a> {
         None
     }
 
-    /// Rightmost depth-0 position matching `pred`, scanning right to
-    /// left with bracket tracking.
-    fn find_depth0(&self, r: &Range<usize>, pred: impl Fn(&Self, usize) -> bool) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut k = r.end;
-        while k > r.start {
-            k -= 1;
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct(')' | ']' | '}')) => depth += 1,
-                Some(TokenKind::Punct('(' | '[' | '{')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('|')) if depth == 0 => return None, // closure: bail
-                _ if depth == 0 && pred(self, k) => return Some(k),
-                _ => {}
+    /// Rightmost depth-0 position in `r` matching `pred`. With
+    /// `closures`, a depth-0 `|` right of it (a closure) gives `None`.
+    fn find_depth0(
+        &self,
+        r: &Range<usize>,
+        closures: bool,
+        pred: impl Fn(&Self, usize) -> bool,
+    ) -> Option<usize> {
+        let bail = |k: usize| closures && self.cur.punct(k, '|');
+        let mut last = None;
+        // Never stops: visits every depth-0 token.
+        self.cur.depth0(r.start, r.end, |k| {
+            if bail(k) || pred(self, k) {
+                last = Some(k);
             }
-        }
-        None
+            false
+        });
+        last.filter(|&k| !bail(k))
     }
 
     /// Depth-0 `&&` / `||` / single `&`-as-and: bool context. Returns
     /// (lhs_end, rhs_start).
     fn find_bool_op(&self, r: &Range<usize>) -> Option<(usize, usize)> {
-        let k = self.find_depth0_raw(r, |s, k| {
+        let k = self.find_depth0(r, false, |s, k| {
             (s.cur.punct(k, '&') && s.cur.punct(k + 1, '&'))
                 || (s.cur.punct(k, '|') && s.cur.punct(k + 1, '|'))
         })?;
         Some((k, k + 2))
     }
 
-    /// Like `find_depth0` but without the closure bail (used to find
-    /// the bool ops themselves).
-    fn find_depth0_raw(
-        &self,
-        r: &Range<usize>,
-        pred: impl Fn(&Self, usize) -> bool,
-    ) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut k = r.end;
-        while k > r.start {
-            k -= 1;
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct(')' | ']' | '}')) => depth += 1,
-                Some(TokenKind::Punct('(' | '[' | '{')) => depth = depth.saturating_sub(1),
-                _ if depth == 0 && pred(self, k) => return Some(k),
-                _ => {}
-            }
-        }
-        None
-    }
-
     fn find_shift(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, |s, k| {
+        self.find_depth0(r, true, |s, k| {
             ((s.cur.punct(k, '<') && s.cur.punct(k + 1, '<'))
                 || (s.cur.punct(k, '>') && s.cur.punct(k + 1, '>')))
                 && k > r.start
@@ -1221,7 +1198,7 @@ impl<'a> Interp<'a> {
     }
 
     fn find_addsub(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, |s, k| {
+        self.find_depth0(r, true, |s, k| {
             (s.cur.punct(k, '+') || s.cur.punct(k, '-'))
                 && k > r.start
                 && s.is_value_end(k - 1)
@@ -1231,7 +1208,7 @@ impl<'a> Interp<'a> {
     }
 
     fn find_muldiv(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, |s, k| {
+        self.find_depth0(r, true, |s, k| {
             (s.cur.punct(k, '*') || s.cur.punct(k, '/') || s.cur.punct(k, '%'))
                 && k > r.start
                 && s.is_value_end(k - 1)
@@ -1292,23 +1269,12 @@ impl<'a> Interp<'a> {
             } else {
                 ('[', ']')
             };
-            // Find the matching opener.
-            let mut depth = 0usize;
-            let mut open = r.end;
-            while open > r.start {
-                open -= 1;
-                if self.cur.punct(open, cl) {
-                    depth += 1;
-                } else if self.cur.punct(open, op) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            if open <= r.start {
+            let Some(open) = self
+                .find_depth0(r, false, |s, k| s.cur.punct(k, op))
+                .filter(|&open| open > r.start)
+            else {
                 return Interval::top();
-            }
+            };
             // Evaluate each depth-0 comma-separated argument.
             let args = self.eval_args(open + 1..r.end - 1);
             if cl == ']' {
@@ -1336,28 +1302,12 @@ impl<'a> Interp<'a> {
     }
 
     fn eval_args(&mut self, r: Range<usize>) -> Vec<Interval> {
-        let mut out = Vec::new();
-        let mut depth = 0usize;
-        let mut start = r.start;
-        let mut k = r.start;
-        while k < r.end {
-            match self.cur.kind(k) {
-                Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct(',')) if depth == 0 => {
-                    if k > start {
-                        out.push(self.eval(start..k));
-                    }
-                    start = k + 1;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if start < r.end {
-            out.push(self.eval(start..r.end));
-        }
-        out
+        self.cur
+            .split0(r, ",")
+            .into_iter()
+            .filter(|a| !a.is_empty())
+            .map(|a| self.eval(a))
+            .collect()
     }
 
     /// Known interval-preserving methods; everything else is ⊤ (with
@@ -1646,30 +1596,6 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// Splits a boolean condition at depth-0 doubled `c` puncts (`&&` or
-/// `||`); returns the single whole range when none exist.
-fn split_bool(cur: Cursor<'_>, r: &Range<usize>, c: char) -> Vec<Range<usize>> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = r.start;
-    let mut k = r.start;
-    while k < r.end {
-        match cur.kind(k) {
-            Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-            Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-            _ if depth == 0 && cur.punct(k, c) && cur.punct(k + 1, c) => {
-                parts.push(start..k);
-                start = k + 2;
-                k += 1;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    parts.push(start..r.end);
-    parts
-}
-
 /// Finds the depth-0 comparison operator in `r`: returns the operator
 /// text and its token index. `<`/`>` are accepted only between value
 /// tokens (turbofish and generics sit next to `:` or idents that are
@@ -1681,34 +1607,27 @@ fn find_comparison<'a>(cur: Cursor<'_>, r: &Range<usize>) -> Option<(&'a str, us
         Some(TokenKind::Punct(')' | ']')) => true,
         _ => false,
     };
-    let mut depth = 0usize;
-    let mut k = r.start;
-    while k < r.end {
-        match cur.kind(k) {
-            Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
-            Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-            Some(TokenKind::Punct(c)) if depth == 0 => match c {
-                '=' if cur.punct(k + 1, '=') => return Some(("==", k)),
-                '!' if cur.punct(k + 1, '=') => return Some(("!=", k)),
-                '<' | '>'
-                    if k > r.start
-                        && value_end(k - 1)
-                        && !cur.punct(k.wrapping_sub(1), ':')
-                        && !cur.punct(k + 1, *c) // shift
-                        && !(*c == '>' && cur.punct(k.wrapping_sub(1), '-')) =>
-                {
-                    if cur.punct(k + 1, '=') {
-                        return Some((if *c == '<' { "<=" } else { ">=" }, k));
-                    }
-                    return Some((if *c == '<' { "<" } else { ">" }, k));
-                }
-                _ => {}
-            },
-            _ => {}
+    let op_at = |k: usize| match cur.kind(k) {
+        Some(TokenKind::Punct('=')) if cur.punct(k + 1, '=') => Some("=="),
+        Some(TokenKind::Punct('!')) if cur.punct(k + 1, '=') => Some("!="),
+        Some(TokenKind::Punct(c @ ('<' | '>')))
+            if k > r.start
+                && value_end(k - 1)
+                && !cur.punct(k.wrapping_sub(1), ':')
+                && !cur.punct(k + 1, *c) // shift
+                && !(*c == '>' && cur.punct(k.wrapping_sub(1), '-')) =>
+        {
+            Some(match (c, cur.punct(k + 1, '=')) {
+                ('<', true) => "<=",
+                ('<', false) => "<",
+                (_, true) => ">=",
+                (_, false) => ">",
+            })
         }
-        k += 1;
-    }
-    None
+        _ => None,
+    };
+    let k = cur.depth0(r.start, r.end, |k| op_at(k).is_some());
+    op_at(k).filter(|_| k < r.end).map(|op| (op, k))
 }
 
 fn negate(op: &str) -> &'static str {

@@ -201,7 +201,7 @@ impl CallGraph {
         raw_edges.sort_by(|a, b| {
             (a.caller, a.callee, a.line, a.fallback).cmp(&(b.caller, b.callee, b.line, b.fallback))
         });
-        raw_edges.dedup_by(|a, b| a.caller == b.caller && a.callee == b.callee);
+        raw_edges.dedup_by(|a, b| (a.caller, a.callee, a.line) == (b.caller, b.callee, b.line));
         g.out_edges = vec![Vec::new(); g.nodes.len()];
         for (ex, e) in raw_edges.iter().enumerate() {
             if let Some(out) = g.out_edges.get_mut(e.caller) {

@@ -229,7 +229,10 @@ fn signature(cur: Cursor<'_>) -> (Params, Option<Range<usize>>) {
     }
     let close = cur.skip_group(open, '(', ')');
     let mut params = Vec::new();
-    for part in split_depth0(cur, open + 1..close.saturating_sub(1).max(open + 1)) {
+    for part in cur
+        .types()
+        .split0(open + 1..close.saturating_sub(1).max(open + 1), ",")
+    {
         if let Some(colon) = part.clone().find(|&k| single_colon(cur, k)) {
             if let Some(name) = simple_name(cur, part.start..colon).and_then(|k| cur.ident(k)) {
                 params.push((name.to_owned(), colon + 1..part.end));
@@ -260,53 +263,23 @@ fn simple_name(cur: Cursor<'_>, r: Range<usize>) -> Option<usize> {
 /// keywords, `_`, and path, tuple-struct and struct names are not
 /// binders.
 fn binders(cur: Cursor<'_>, r: Range<usize>) -> Vec<usize> {
+    let ty = cur.types();
     let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_type = false;
-    for k in r {
-        match cur.kind(k) {
-            Some(TokenKind::Punct('(' | '[' | '{' | '<')) => depth += 1,
-            Some(TokenKind::Punct(')' | ']' | '}' | '>')) => depth = depth.saturating_sub(1),
-            Some(TokenKind::Punct(',')) if depth == 0 => in_type = false,
-            Some(TokenKind::Punct(':')) if depth == 0 && single_colon(cur, k) => in_type = true,
-            Some(TokenKind::Ident(w)) if !in_type => {
-                let path = |a: usize, b: usize| cur.punct(a, ':') && cur.punct(b, ':');
-                let named_type = cur.punct(k + 1, '(')
-                    || cur.punct(k + 1, '{')
-                    || path(k + 1, k + 2)
-                    || path(k.wrapping_sub(1), k.wrapping_sub(2));
-                if !is_keyword(w) && w != "_" && !named_type {
-                    out.push(k);
-                }
+    for part in ty.split0(r, ",") {
+        let colon = ty.depth0(part.start, part.end, |k| single_colon(cur, k));
+        for k in part.start..colon {
+            let Some(w) = cur.ident(k) else { continue };
+            let path = |a: usize, b: usize| cur.punct(a, ':') && cur.punct(b, ':');
+            let named_type = cur.punct(k + 1, '(')
+                || cur.punct(k + 1, '{')
+                || path(k + 1, k + 2)
+                || path(k.wrapping_sub(1), k.wrapping_sub(2));
+            if !is_keyword(w) && w != "_" && !named_type {
+                out.push(k);
             }
-            _ => {}
         }
     }
     out
-}
-
-/// Splits `r` at depth-0 commas (brackets, braces and generics nest;
-/// an arrow `->` is opaque).
-fn split_depth0(cur: Cursor<'_>, r: Range<usize>) -> Vec<Range<usize>> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = r.start;
-    for k in r.clone() {
-        match cur.kind(k) {
-            Some(TokenKind::Punct('(' | '[' | '{' | '<')) => depth += 1,
-            Some(TokenKind::Punct('>')) if cur.punct(k.wrapping_sub(1), '-') => {}
-            Some(TokenKind::Punct(')' | ']' | '}' | '>')) => depth = depth.saturating_sub(1),
-            Some(TokenKind::Punct(',')) if depth == 0 => {
-                parts.push(start..k);
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < r.end {
-        parts.push(start..r.end);
-    }
-    parts
 }
 
 struct Builder<'a> {
@@ -316,33 +289,14 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    /// The first token in `from..end` where `stop` holds outside
-    /// parens and brackets (and braces, when `braces`), or `end`. The
-    /// stop test runs before nesting, so it can match an unbalanced
-    /// closer.
-    fn depth0(&self, from: usize, end: usize, braces: bool, stop: impl Fn(usize) -> bool) -> usize {
-        let mut depth = 0usize;
-        for k in from..end {
-            match self.cur.kind(k) {
-                _ if depth == 0 && stop(k) => return k,
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                Some(TokenKind::Punct('{')) if braces => depth += 1,
-                Some(TokenKind::Punct('}')) if braces => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        }
-        end
-    }
-
     /// The `{` opening a header's block (`if`, `for`, `match`, …).
     fn header_open(&self, from: usize, end: usize) -> usize {
-        self.depth0(from, end, false, |k| self.cur.punct(k, '{'))
+        self.cur.depth0(from, end, |k| self.cur.punct(k, '{'))
     }
 
     /// The end of the expression starting at `from`: a depth-0 `;`.
     fn expr_end(&self, from: usize, end: usize) -> usize {
-        self.depth0(from, end, true, |k| self.cur.punct(k, ';'))
+        self.cur.depth0(from, end, |k| self.cur.punct(k, ';'))
     }
 
     /// The statements of `r`.
@@ -432,7 +386,7 @@ impl Builder<'_> {
             // block of the outer body.
             Some(w @ ("unsafe" | "fn")) => {
                 let open = if w == "fn" {
-                    self.depth0(k + 1, end, false, |j| {
+                    self.cur.depth0(k + 1, end, |j| {
                         self.cur.punct(j, '{') || self.cur.punct(j, ';')
                     })
                 } else {
@@ -464,7 +418,7 @@ impl Builder<'_> {
         };
         let mut from = r.start;
         loop {
-            let k = self.depth0(from, r.end, true, |k| self.cur.punct(k, '='));
+            let k = self.cur.depth0(from, r.end, |k| self.cur.punct(k, '='));
             if k >= r.end {
                 return Kind::Expr(r);
             }
@@ -484,10 +438,10 @@ impl Builder<'_> {
 
     fn let_stmt(&mut self, k: usize, end: usize, depth: usize) -> (Kind, usize) {
         let e = self.expr_end(k + 1, end);
-        let eq = self.depth0(k + 1, e, true, |j| {
+        let eq = self.cur.depth0(k + 1, e, |j| {
             self.cur.punct(j, '=') && !self.cur.punct(j + 1, '=')
         });
-        let colon = self.depth0(k + 1, eq, true, |j| single_colon(self.cur, j));
+        let colon = self.cur.depth0(k + 1, eq, |j| single_colon(self.cur, j));
         let pat = k + 1..colon;
         let (mut init, mut els) = (None, None);
         if eq < e {
@@ -499,7 +453,7 @@ impl Builder<'_> {
                         && self.cur.punct(j + 1, '{')
                         && !self.cur.punct(j - 1, '}')
                 })
-                .filter(|&a| self.depth0(eq + 1, e, true, |j| j == a) == a)
+                .filter(|&a| self.cur.depth0(eq + 1, e, |j| j == a) == a)
                 .unwrap_or(e);
             init = Some(Box::new(self.expr_node(eq + 1..at, depth)));
             els = (at < e).then(|| self.block(at + 1, e, depth).0);
@@ -527,7 +481,7 @@ impl Builder<'_> {
         let mut arms = Vec::new();
         let mut i = body.start;
         while i < body.end {
-            let arrow = self.depth0(i, body.end, true, |j| {
+            let arrow = self.cur.depth0(i, body.end, |j| {
                 self.cur.punct(j, '=') && self.cur.punct(j + 1, '>')
             });
             if arrow >= body.end {
@@ -538,7 +492,7 @@ impl Builder<'_> {
                 let (blk, e) = self.block(b, body.end, depth);
                 Stmt::leaf(b..e, Kind::Block(blk))
             } else {
-                let e = self.depth0(b, body.end, true, |j| self.cur.punct(j, ','));
+                let e = self.cur.depth0(b, body.end, |j| self.cur.punct(j, ','));
                 self.expr_node(b..e, depth)
             };
             let next = arm.span.end.max(b);
@@ -640,8 +594,9 @@ impl Builder<'_> {
                     } else {
                         let close = self.cur.until(r.end).skip_group(i, '{', '}');
                         let fields = i + 1..close.saturating_sub(1).max(i + 1);
-                        for field in split_depth0(self.cur, fields) {
-                            if self.cur.ident(field.start).is_some()
+                        for field in self.cur.types().split0(fields, ",") {
+                            if !field.is_empty()
+                                && self.cur.ident(field.start).is_some()
                                 && single_colon(self.cur, field.start + 1)
                             {
                                 let value = field.start + 2..field.end;
@@ -674,7 +629,7 @@ impl Builder<'_> {
     /// Records the closure whose opening `|` is at `i`; returns the
     /// index past its body.
     fn closure(&mut self, i: usize, end: usize, depth: usize) -> usize {
-        let params_end = self.depth0(i + 1, end, false, |k| self.cur.punct(k, '|'));
+        let params_end = self.cur.depth0(i + 1, end, |k| self.cur.punct(k, '|'));
         let mut body_start = params_end + 1;
         // `|x| -> T { … }`: the body is the block after the type.
         if self.cur.punct(body_start, '-') && self.cur.punct(body_start + 1, '>') {
@@ -686,7 +641,7 @@ impl Builder<'_> {
         } else {
             // Expression body: up to a depth-0 `,` or `;`, or the
             // unbalanced closer ending the surrounding group.
-            let e = self.depth0(body_start, end, true, |k| {
+            let e = self.cur.depth0(body_start, end, |k| {
                 matches!(
                     self.cur.kind(k),
                     Some(TokenKind::Punct(',' | ';' | ')' | ']' | '}'))

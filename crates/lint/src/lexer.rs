@@ -310,11 +310,11 @@ impl Lexer {
     }
 }
 
-/// A read-only view of a comment-free token stream, bounded to one
-/// span (usually a function body): the shared token accessors of the
-/// parser and the fact passes. Every accessor is total — an index
-/// outside the stream reads as "no token", and group scans saturate at
-/// `end` on unbalanced input.
+/// A read-only view of a token stream, bounded to one span (usually a
+/// function body): the shared token accessors of the parser and the
+/// fact passes, and the one place bracket depth is tracked. Every
+/// accessor is total — an index outside the stream reads as "no
+/// token", and group scans saturate at `end` on unbalanced input.
 #[derive(Debug, Clone, Copy)]
 pub struct Cursor<'a> {
     /// The whole token stream; indices are absolute.
@@ -323,6 +323,8 @@ pub struct Cursor<'a> {
     pub start: usize,
     /// One past the span's last token; scans never reach past it.
     pub end: usize,
+    /// Whether depth-0 scans step over `<…>` groups (type context).
+    types: bool,
 }
 
 impl<'a> Cursor<'a> {
@@ -332,6 +334,18 @@ impl<'a> Cursor<'a> {
             code,
             start: span.start,
             end: span.end,
+            types: false,
+        }
+    }
+
+    /// The same stream read as types: [`Cursor::depth0`] and
+    /// [`Cursor::split0`] also step over `<…>` groups whole, with
+    /// [`Cursor::skip_angles`].
+    #[must_use]
+    pub fn types(self) -> Cursor<'a> {
+        Cursor {
+            types: true,
+            ..self
         }
     }
 
@@ -373,6 +387,50 @@ impl<'a> Cursor<'a> {
     /// arrow `->` inside the group (`Fn() -> T` bounds) is opaque.
     pub fn skip_angles(&self, open: usize) -> usize {
         self.skip(open, '<', '>', true)
+    }
+
+    /// The first token in `from..end` where `stop` holds outside every
+    /// `()`, `[]` and `{}` group, or `end`. `stop` runs before a token
+    /// opens or closes a group, so it can match an unbalanced closer; a
+    /// closer with nothing open is ignored.
+    pub fn depth0(&self, from: usize, end: usize, mut stop: impl FnMut(usize) -> bool) -> usize {
+        let mut depth = 0usize;
+        let mut k = from;
+        while k < end {
+            if depth == 0 && stop(k) {
+                return k;
+            }
+            match self.kind(k) {
+                Some(TokenKind::Punct('(' | '[' | '{')) => depth += 1,
+                Some(TokenKind::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
+                Some(TokenKind::Punct('<')) if self.types => {
+                    k = self.until(end).skip_angles(k);
+                    continue;
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+        end
+    }
+
+    /// `r` cut at its depth-0 `sep` sequences (`","`, `"&&"`): the parts
+    /// in order, empty ones included, so parts and separators tile `r`.
+    pub fn split0(&self, r: Range<usize>, sep: &str) -> Vec<Range<usize>> {
+        let width = sep.chars().count().max(1);
+        let at = |k: usize| {
+            k + width <= r.end && sep.chars().enumerate().all(|(d, c)| self.punct(k + d, c))
+        };
+        let mut parts = Vec::new();
+        let mut start = r.start;
+        loop {
+            let k = self.depth0(start, r.end, at);
+            parts.push(start..k);
+            if k >= r.end {
+                return parts;
+            }
+            start = k + width;
+        }
     }
 
     fn skip(&self, open: usize, op: char, cl: char, arrows: bool) -> usize {

@@ -45,7 +45,7 @@ pub mod parser;
 pub mod rules;
 pub mod taint;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -785,62 +785,6 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, LintError> {
 pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let files = collect_workspace(root)?;
     Ok(lint_files(&files))
-}
-
-/// The lines `--fix` may delete, keyed by repo-relative file label:
-/// every unused-suppression finding the report carries, as 1-based
-/// line numbers. Malformed allows (missing reason) are *not* included
-/// — deleting those silently would hide a directive someone meant to
-/// write; they need a human.
-pub fn unused_allow_lines(report: &LintReport) -> BTreeMap<String, Vec<u32>> {
-    let mut out: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    for f in &report.findings {
-        if f.rule == "lint" && f.suppressed.is_none() && f.message.contains("unused suppression") {
-            out.entry(f.file.clone()).or_default().push(f.line);
-        }
-    }
-    out
-}
-
-/// Deletes the unused `// mfpa-lint: allow(...)` comment on each listed
-/// 1-based line of `src`. A standalone allow line disappears entirely;
-/// a trailing allow is truncated off its code line. Only line comments
-/// are touched — a block-comment allow is left for a human — and lines
-/// without the marker pass through unchanged, so the transform is
-/// idempotent: applying it to already-fixed text is the identity.
-pub fn strip_unused_allow_lines(src: &str, lines: &[u32]) -> String {
-    let doomed: BTreeSet<u32> = lines.iter().copied().collect();
-    let mut out = String::with_capacity(src.len());
-    for (ix, line) in src.split_inclusive('\n').enumerate() {
-        let n = u32::try_from(ix + 1).unwrap_or(u32::MAX);
-        if !doomed.contains(&n) {
-            out.push_str(line);
-            continue;
-        }
-        let Some(m) = line.find(rules::SUPPRESS_MARKER) else {
-            out.push_str(line);
-            continue;
-        };
-        let Some(slashes) = line[..m].rfind("//") else {
-            out.push_str(line);
-            continue;
-        };
-        if line[..m].rfind("/*").is_some_and(|open| open > slashes) {
-            // The marker sits in a block comment: not the mechanical
-            // case, leave it alone.
-            out.push_str(line);
-            continue;
-        }
-        let kept = line[..slashes].trim_end();
-        if kept.is_empty() {
-            continue; // standalone allow line: drop it outright
-        }
-        out.push_str(kept);
-        if line.ends_with('\n') {
-            out.push('\n');
-        }
-    }
-    out
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {

@@ -1,16 +1,14 @@
 //! CLI for the workspace determinism-and-robustness lint pass.
 //!
 //! ```text
-//! mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--fix]
+//! mfpa-lint [--root PATH] [--format human|json] [--report PATH]
 //! ```
 //!
 //! Exit codes (CI semantics): `0` clean, `1` unsuppressed violations,
 //! `2` usage or I/O error.
 //!
-//! A plain run is always a dry run: unused `allow(...)` comments are
-//! reported as `lint` findings and nothing is touched. `--fix` deletes
-//! those lines in place (the one mechanical case) and reports the
-//! post-fix state.
+//! A run never edits sources: unused `allow(...)` comments are
+//! reported as `lint` findings.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +17,6 @@ struct Args {
     root: Option<PathBuf>,
     format: Format,
     report: Option<PathBuf>,
-    fix: bool,
 }
 
 #[derive(PartialEq)]
@@ -33,7 +30,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         format: Format::Human,
         report: None,
-        fix: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -50,9 +46,8 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--report" => args.report = Some(PathBuf::from(grab("--report")?)),
-            "--fix" => args.fix = true,
             "--help" | "-h" => {
-                println!("mfpa-lint [--root PATH] [--format human|json] [--report PATH] [--fix]");
+                println!("mfpa-lint [--root PATH] [--format human|json] [--report PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -71,31 +66,7 @@ fn run() -> Result<bool, String> {
                 .ok_or("no workspace Cargo.toml above the current directory (use --root)")?
         }
     };
-    let scan = |root: &std::path::Path| mfpa_lint::lint_workspace(root).map_err(|e| e.to_string());
-    let mut report = scan(&root)?;
-    if args.fix {
-        let targets = mfpa_lint::unused_allow_lines(&report);
-        let mut removed = 0usize;
-        for (label, lines) in &targets {
-            let path = root.join(label);
-            let before = std::fs::read_to_string(&path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            let after = mfpa_lint::strip_unused_allow_lines(&before, lines);
-            if after != before {
-                std::fs::write(&path, &after)
-                    .map_err(|e| format!("write {}: {e}", path.display()))?;
-                removed += lines.len();
-            }
-        }
-        if removed > 0 {
-            eprintln!(
-                "mfpa-lint: --fix removed {removed} unused allow(s) across {} file(s)",
-                targets.len()
-            );
-            // Report the post-fix state, not the stale pre-fix one.
-            report = scan(&root)?;
-        }
-    }
+    let report = mfpa_lint::lint_workspace(&root).map_err(|e| e.to_string())?;
     match args.format {
         Format::Human => print!("{}", report.render_human()),
         Format::Json => println!("{}", report.to_json()),

@@ -21,7 +21,7 @@
 //!   (`HashMap`/`HashSet`), so `self.field.iter()` can be recognized
 //!   by the taint pass.
 
-use crate::lexer::{Cursor, Token, TokenKind};
+use crate::lexer::{Cursor, Token};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -398,26 +398,14 @@ impl Parser<'_> {
             // up to the field-separating comma for HashMap/HashSet.
             if let (Some(field), true) = (self.cur.ident(j), self.cur.punct(j + 1, ':')) {
                 if !self.cur.punct(j + 2, ':') {
-                    let field = field.to_owned();
-                    let mut k = j + 2;
-                    let mut depth = 0usize;
-                    let mut unordered = false;
-                    while k < close {
-                        match self.cur.kind(k) {
-                            Some(TokenKind::Punct('<' | '(' | '[')) => depth += 1,
-                            Some(TokenKind::Punct('>' | ')' | ']')) => {
-                                depth = depth.saturating_sub(1)
-                            }
-                            Some(TokenKind::Punct(',')) if depth == 0 => break,
-                            Some(TokenKind::Ident(s)) if s == "HashMap" || s == "HashSet" => {
-                                unordered = true;
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
+                    let k = self
+                        .cur
+                        .types()
+                        .depth0(j + 2, close, |k| self.cur.punct(k, ','));
+                    let unordered = (j + 2..k)
+                        .any(|k| matches!(self.cur.ident(k), Some("HashMap" | "HashSet")));
                     if unordered {
-                        self.out.unordered_fields.insert(field);
+                        self.out.unordered_fields.insert(field.to_owned());
                     }
                     j = k;
                     continue;
@@ -506,7 +494,7 @@ fn extract_calls(code: &[Token], body: Range<usize>) -> Vec<CallSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize;
+    use crate::lexer::{tokenize, TokenKind};
 
     fn parse_src(src: &str) -> ParsedFile {
         let toks: Vec<Token> = tokenize(src)

@@ -242,34 +242,22 @@ pub const SUPPRESS_MARKER: &str = "mfpa-lint:";
 /// by an inner `#![cfg(test)]` attribute from the token stream
 /// (comments inside removed items vanish with them).
 pub fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
+    let cur = Cursor::new(tokens, 0..tokens.len());
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0;
     while i < tokens.len() {
         if is_attr_start(tokens, i) {
-            let attr = read_attr(tokens, i);
+            let attr = read_attr(cur, i);
             if attr.is_test {
-                if attr.inner {
-                    // An inner `#![cfg(test)]` gates the rest of its
-                    // enclosing scope: the whole file at top level, or
-                    // the remainder of the `{ ... }` block it opens.
-                    let mut depth = 0usize;
-                    i = attr.end;
-                    while i < tokens.len() {
-                        match tokens[i].kind {
-                            TokenKind::Punct('{') => depth += 1,
-                            TokenKind::Punct('}') => {
-                                if depth == 0 {
-                                    break; // the enclosing scope's closer stays
-                                }
-                                depth -= 1;
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                    continue;
-                }
-                i = skip_item(tokens, attr.end);
+                // An inner `#![cfg(test)]` gates the rest of its
+                // enclosing scope: the whole file at top level, or the
+                // remainder of the `{ ... }` block it opens (whose
+                // closer stays).
+                i = if attr.inner {
+                    cur.depth0(attr.end, cur.end, |k| cur.punct(k, '}'))
+                } else {
+                    skip_item(cur, attr.end)
+                };
                 continue;
             }
             out.extend_from_slice(&tokens[i..attr.end]);
@@ -324,63 +312,36 @@ struct Attr {
 /// Reads an attribute starting at the `#` token; returns the index one
 /// past its closing `]`, whether it gates test-only code, and whether
 /// it is an inner attribute.
-fn read_attr(tokens: &[Token], start: usize) -> Attr {
-    let mut i = start + 1;
-    let mut depth = 0usize;
-    let mut inner = false;
-    let mut idents: Vec<&str> = Vec::new();
-    while i < tokens.len() {
-        match &tokens[i].kind {
-            TokenKind::Punct('!') if depth == 0 => inner = true,
-            TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct(']') => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            TokenKind::Ident(s) => idents.push(s),
-            _ => {}
-        }
-        i += 1;
-    }
+fn read_attr(cur: Cursor<'_>, start: usize) -> Attr {
+    let open = (start + 1..cur.end)
+        .find(|&k| cur.punct(k, '['))
+        .unwrap_or(cur.end);
+    let end = cur.skip_group(open, '[', ']');
+    let idents: Vec<&str> = (open..end).filter_map(|k| cur.ident(k)).collect();
     let has = |w: &str| idents.contains(&w);
     let is_test = (idents.as_slice() == ["test"]) || (has("cfg") && has("test") && !has("not"));
     Attr {
-        end: i,
+        end,
         is_test,
-        inner,
+        inner: (start + 1..open).any(|k| cur.punct(k, '!')),
     }
 }
 
 /// Skips one item following a test attribute: any further attributes,
 /// then either a `{ ... }` body (with matching brace) or a `;`.
-fn skip_item(tokens: &[Token], mut i: usize) -> usize {
-    loop {
-        match next_code(tokens, i) {
-            Some(j) if is_attr_start(tokens, j) => {
-                i = read_attr(tokens, j).end;
-            }
-            _ => break,
-        }
+fn skip_item(cur: Cursor<'_>, mut i: usize) -> usize {
+    while let Some(j) = next_code(cur.code, i).filter(|&j| is_attr_start(cur.code, j)) {
+        i = read_attr(cur, j).end;
     }
-    let mut depth = 0usize;
-    while i < tokens.len() {
-        match tokens[i].kind {
-            TokenKind::Punct('{') | TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct('}') | TokenKind::Punct(')') | TokenKind::Punct(']') => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 && matches!(tokens[i].kind, TokenKind::Punct('}')) {
-                    return i + 1;
-                }
-            }
-            TokenKind::Punct(';') if depth == 0 => return i + 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    i
+    let k = cur.depth0(i, cur.end, |k| {
+        cur.punct(k, ';') || cur.punct(k, '{') || cur.punct(k, '}')
+    });
+    let close = if cur.punct(k, '{') {
+        cur.depth0(k + 1, cur.end, |j| cur.punct(j, '}'))
+    } else {
+        k
+    };
+    (close + 1).min(cur.end)
 }
 
 /// Extracts suppression comments. Malformed suppressions (unknown

@@ -263,6 +263,28 @@ fn callee_summary_proves_denominator_nonzero() {
 }
 
 #[test]
+fn every_call_line_reads_the_callee_summary() {
+    // Two calls to one `-> u64` helper on consecutive lines: each line
+    // reads the `[0, 2^64)` summary, so `% 8` proves the second line's
+    // cast fits `u8` just as it would on the first.
+    let src = "
+        fn mix64(z: u64) -> u64 {
+            z ^ (z >> 31)
+        }
+        pub fn flip(seed: u64) -> (u64, u8) {
+            let pos = mix64(seed ^ 1) % 16;
+            let bit = (mix64(seed ^ 2) % 8) as u8;
+            (pos, bit)
+        }
+    ";
+    let findings = lint_source("fleetsim", "crates/fleetsim/src/replay.rs", src);
+    assert!(
+        !findings.iter().any(|f| f.rule == "d6"),
+        "the second call line must read the summary too: {findings:#?}"
+    );
+}
+
+#[test]
 fn interval_display_renders_powers_of_two() {
     assert_eq!(Interval::top().to_string(), "⊤");
     assert_eq!(Interval::exact(7).to_string(), "[7, 7]");

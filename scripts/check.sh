@@ -38,7 +38,10 @@ echo "== mfpa-lint waiver ratchet: allow count may only go down =="
 # early-returns, a right_n < 1.0 guard, one u32 annotation). 16 since
 # the streamed prepare: sanitize collapses duplicate days in place with
 # `dedup_by`, which retired the d8 waiver on its `last_mut().expect`.
-max_allows=16
+# 15 since the call graph keeps one edge per call line: every call to
+# `mix64` in `flip_one_byte` reads its summary, so the modulo proves the
+# `as u8` and the d6 waiver there was retired.
+max_allows=15
 n_allows="$(grep -o '"allows": [0-9]*' results/lint_report.json | awk '{s+=$2} END {print s+0}')"
 if [ "$n_allows" -gt "$max_allows" ]; then
     echo "error: results/lint_report.json carries $n_allows waivers, ceiling is $max_allows" >&2
@@ -54,8 +57,10 @@ echo "== mfpa-lint size ratchet: lint source lines may only go down =="
 # saying what was added and why. History: set to the line count at
 # which taint, dataflow and absint moved onto the shared per-function
 # IR (ir.rs); 8240 since `mfpa-lint --verbose` was removed (the waived
-# findings it printed are in `--format json` and the snapshot).
-max_lint_lines=8240
+# findings it printed are in `--format json` and the snapshot); 8036
+# since depth-0 scanning moved into `lexer::Cursor` (`depth0`, `split0`)
+# and `mfpa-lint --fix` was removed.
+max_lint_lines=8036
 n_lint_lines="$(cat crates/lint/src/*.rs | wc -l)"
 if [ "$n_lint_lines" -gt "$max_lint_lines" ]; then
     echo "error: crates/lint/src holds $n_lint_lines lines, ceiling is $max_lint_lines" >&2

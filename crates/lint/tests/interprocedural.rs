@@ -155,6 +155,56 @@ fn fixture_workspace_findings_match_golden() {
     );
 }
 
+/// `--format json` writes each finding as an object with exactly the
+/// keys `rule`, `file`, `line`, `message`, `chain` and `suppressed`,
+/// each holding that `Finding` field. A one-file report with a waived
+/// finding joins the fixture workspace so a `suppressed` string is
+/// pinned as well as `null`.
+#[test]
+fn json_report_writes_every_finding_field_by_name() {
+    let waived = mfpa_lint::lint_source(
+        "core",
+        "crates/core/src/lib.rs",
+        "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // mfpa-lint: allow(d5, \"test invariant\")\n}\n",
+    );
+    assert!(waived.iter().any(|f| f.suppressed.is_some()), "{waived:#?}");
+    let reports = [
+        lint_files(&fixture_ws()),
+        mfpa_lint::LintReport {
+            findings: waived,
+            n_files: 1,
+        },
+    ];
+    for report in &reports {
+        let json = report.to_json();
+        let rows = json["findings"].as_array().expect("findings array");
+        assert_eq!(rows.len(), report.findings.len());
+        for (row, f) in rows.iter().zip(&report.findings) {
+            let obj = row.as_object().expect("finding object");
+            let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+            assert_eq!(
+                keys,
+                ["chain", "file", "line", "message", "rule", "suppressed"]
+            );
+            assert_eq!(obj["rule"].as_str(), Some(f.rule.as_str()));
+            assert_eq!(obj["file"].as_str(), Some(f.file.as_str()));
+            assert_eq!(obj["line"].as_f64(), Some(f64::from(f.line)));
+            assert_eq!(obj["message"].as_str(), Some(f.message.as_str()));
+            let chain: Vec<&str> = obj["chain"]
+                .as_array()
+                .expect("chain array")
+                .iter()
+                .map(|c| c.as_str().expect("chain entry is a string"))
+                .collect();
+            assert_eq!(chain, f.chain);
+            match &f.suppressed {
+                Some(reason) => assert_eq!(obj["suppressed"].as_str(), Some(reason.as_str())),
+                None => assert!(obj["suppressed"].is_null()),
+            }
+        }
+    }
+}
+
 /// The scan runs on the `mfpa_par` pool; graph and report must be
 /// bit-identical at every worker count.
 #[test]

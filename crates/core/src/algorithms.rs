@@ -11,12 +11,11 @@ use mfpa_ml::{
     ThresholdDetector, ThresholdRule,
 };
 use mfpa_telemetry::SmartAttr;
-use serde::{Deserialize, Serialize};
 
 use crate::features::FeatureId;
 
 /// One of the supported model families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Gaussian naive Bayes.
     Bayes,

@@ -8,14 +8,13 @@
 //! multidimensional CSS features.
 
 use mfpa_telemetry::SmartAttr;
-use serde::{Deserialize, Serialize};
 
 use crate::algorithms::Algorithm;
 use crate::features::{FeatureGroup, FeatureId};
 use crate::pipeline::MfpaConfig;
 
 /// One Fig 18 comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Baseline {
     /// The vendor SMART-threshold detector (§II floor).
     VendorThreshold,

@@ -68,14 +68,17 @@ const VERSION: u32 = 3;
 // Encoding
 // ---------------------------------------------------------------------
 
+fn put_vendor(w: &mut ByteWriter, vendor: Vendor) {
+    w.u8(vendor.index() as u8);
+}
+
 fn put_serial(w: &mut ByteWriter, serial: SerialNumber) {
-    // mfpa-lint: allow(d6, "Vendor::index is 0..=3 by construction; one tag byte")
-    w.u8(serial.vendor().index() as u8);
+    put_vendor(w, serial.vendor());
     w.u64(serial.id());
 }
 
 fn put_firmware(w: &mut ByteWriter, fw: &FirmwareVersion) {
-    w.u8(fw.vendor().index() as u8);
+    put_vendor(w, fw.vendor());
     w.u32(fw.seq());
 }
 

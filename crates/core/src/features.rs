@@ -8,7 +8,6 @@
 use std::fmt;
 
 use mfpa_telemetry::{BsodCode, SmartAttr, WindowsEventId};
-use serde::{Deserialize, Serialize};
 
 /// The five Windows events used as model features (Table V counts 5 of
 /// the 9 tracked events; §IV(2.2) flags W_11, W_49, W_51 and W_161 as
@@ -22,7 +21,7 @@ pub const MODEL_W_EVENTS: [WindowsEventId; 5] = [
 ];
 
 /// One column of the multidimensional feature row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureId {
     /// A SMART attribute value.
     Smart(SmartAttr),
@@ -87,7 +86,7 @@ impl fmt::Display for FeatureId {
 /// assert_eq!(FeatureGroup::B.features().len(), 23);
 /// assert_eq!(FeatureGroup::Sfwb.name(), "SFWB");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureGroup {
     /// SMART + Firmware + WindowsEvent + BSOD (the paper's winner).
     Sfwb,

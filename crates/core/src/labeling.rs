@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 
 use mfpa_telemetry::{SerialNumber, TroubleTicket};
-use serde::{Deserialize, Serialize};
 
 use crate::preprocess::CleanSeries;
 
 /// θ-labelling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelingConfig {
     /// The ticket-to-tracking-point alignment threshold (days).
     pub theta: i64,

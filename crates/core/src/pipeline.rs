@@ -10,7 +10,6 @@ use mfpa_ml::metrics::{auc, ConfusionMatrix};
 use mfpa_ml::Classifier;
 use mfpa_par::{ordered_map, Workers};
 use mfpa_telemetry::{SerialNumber, Vendor};
-use serde::{Deserialize, Serialize};
 
 use crate::algorithms::Algorithm;
 use crate::error::CoreError;
@@ -29,7 +28,7 @@ use crate::windows::{SampleBuilder, SampleSet, WindowConfig};
 pub const DRIVES_PER_WORKER: usize = 16;
 
 /// Train/test segmentation strategy (Fig 8(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SplitStrategy {
     /// Naive random split with the given test fraction.
     Ratio {
@@ -46,7 +45,7 @@ pub enum SplitStrategy {
 
 /// Cross-validation strategy (Fig 8(b)) — consumed by the tuning
 /// helpers and the Fig 8 ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CvStrategy {
     /// Classic shuffled k-fold.
     KFold(usize),
@@ -55,7 +54,7 @@ pub enum CvStrategy {
 }
 
 /// Full pipeline configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MfpaConfig {
     /// Feature group fed to the model (Table V).
     pub feature_group: FeatureGroup,

@@ -10,13 +10,12 @@
 //! aligned vector of days and full 45-column feature rows.
 
 use mfpa_telemetry::{BsodCode, DriveHistory, FirmwareVersion, SerialNumber, Vendor};
-use serde::{Deserialize, Serialize};
 
 use crate::feature_state::{FeatureState, ROW_WIDTH};
 use crate::features::MODEL_W_EVENTS;
 
 /// Gap-handling configuration (§III-C(1) constants).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreprocessConfig {
     /// Gaps of at least this many days split the series; only the most
     /// recent segment is kept (paper: "remove the data with a long
@@ -47,7 +46,7 @@ impl Default for PreprocessConfig {
 
 /// A preprocessed per-drive feature series: days ascending, one full
 /// 45-column row per day (observed or imputed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CleanSeries {
     /// The drive's serial number.
     pub serial: SerialNumber,

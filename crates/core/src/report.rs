@@ -4,11 +4,10 @@
 use std::fmt;
 
 use mfpa_ml::metrics::ConfusionMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A confusion matrix plus ranking quality at one evaluation granularity
 /// (per-sample or per-drive).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricSet {
     /// Confusion matrix at the decision threshold.
     pub cm: ConfusionMatrix,
@@ -53,7 +52,7 @@ impl fmt::Display for MetricSet {
 }
 
 /// Wall-clock and volume accounting per pipeline stage (Fig 20).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
     /// Worker threads the parallel stages resolved to (0 when the run
     /// never reached them). Stage seconds for parallel stages are summed
@@ -103,7 +102,7 @@ impl StageTimings {
 }
 
 /// The result of one pipeline run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalReport {
     /// Human-readable experiment label.
     pub name: String,

@@ -28,7 +28,6 @@
 use mfpa_telemetry::{
     DailyRecord, DriveHistory, DriveModel, FirmwareVersion, SerialNumber, SmartAttr, SmartValues,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::feature_state::FeatureState;
 
@@ -59,7 +58,7 @@ impl std::fmt::Display for QuarantineCause {
 }
 
 /// Sanitization policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizeConfig {
     /// How many days behind the newest accepted stamp a record may
     /// arrive and still be re-sequenced; older stragglers are

@@ -12,14 +12,13 @@ use std::collections::BTreeMap;
 
 use mfpa_dataset::{DatasetError, FeatureFrame, SampleMeta};
 use mfpa_telemetry::SerialNumber;
-use serde::{Deserialize, Serialize};
 
 use crate::feature_state::ROW_WIDTH;
 use crate::features::FeatureId;
 use crate::preprocess::CleanSeries;
 
 /// Sample-window configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Days before the failure whose rows become positive samples.
     pub positive_window: i64,

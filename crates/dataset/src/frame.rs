@@ -1,8 +1,6 @@
 //! Feature frames: matrices with named columns, labels, and sample
 //! metadata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DatasetError;
 use crate::matrix::Matrix;
 
@@ -13,7 +11,7 @@ use crate::matrix::Matrix;
 ///   one side of a split.
 /// * `time` — when the sample was collected (a day index).
 /// * `tag` — free secondary key (the pipeline stores the vendor index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampleMeta {
     /// Entity handle (drive id).
     pub group: u64,
@@ -55,7 +53,7 @@ impl SampleMeta {
 /// assert_eq!(f.meta()[0].group, 7);
 /// # Ok::<(), mfpa_dataset::DatasetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureFrame {
     feature_names: Vec<String>,
     matrix: Matrix,

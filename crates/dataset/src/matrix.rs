@@ -1,7 +1,5 @@
 //! Dense row-major `f64` matrix.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DatasetError;
 
 /// A dense row-major matrix of `f64` feature values.
@@ -20,7 +18,7 @@ use crate::error::DatasetError;
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.row(0), &[1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     data: Vec<f64>,
     n_rows: usize,

@@ -6,8 +6,6 @@
 //! variance before feeding those models. Tree models are scale-invariant
 //! and skip this step.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DatasetError;
 use crate::matrix::Matrix;
 
@@ -27,7 +25,7 @@ use crate::matrix::Matrix;
 /// assert_eq!(scaled.get(0, 1), 0.0); // constant column
 /// # Ok::<(), mfpa_dataset::DatasetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

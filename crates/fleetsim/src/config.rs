@@ -1,7 +1,5 @@
 //! Fleet-generation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of the paper's study, used to convert Table VI replacement
 /// rates (measured over "nearly two years") into per-campaign failure
 /// probabilities.
@@ -31,7 +29,7 @@ pub const STUDY_DAYS: f64 = 730.0;
 /// assert!(!FaultConfig::none().is_enabled());
 /// assert!(FaultConfig::uniform(0.05).is_enabled());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a record's SMART page is replaced by a sentinel page:
     /// every attribute reads all-ones (`0xFFFF_FFFF` / `0xFFFF_FFFF_FFFF_FFFF`)
@@ -123,7 +121,7 @@ impl Default for FaultConfig {
 /// assert_eq!(cfg.horizon_days, 120);
 /// assert_eq!(cfg.seed, 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Master RNG seed; everything downstream derives from it.
     pub seed: u64,

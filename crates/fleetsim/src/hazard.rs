@@ -109,8 +109,7 @@ impl Bathtub {
 /// assert!(firmware_multiplier(1, 5, 1.7) > firmware_multiplier(2, 5, 1.7));
 /// ```
 pub fn firmware_multiplier(seq: u32, count: u32, per_release: f64) -> f64 {
-    // mfpa-lint: allow(d6, "firmware release counts are single digits; i32 cannot truncate them")
-    per_release.powi(count.saturating_sub(seq) as i32)
+    per_release.powi(i32::try_from(count.saturating_sub(seq)).unwrap_or(i32::MAX))
 }
 
 /// Default per-release hazard factor used by the fleet (Fig 3 shape).

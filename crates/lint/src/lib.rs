@@ -83,7 +83,7 @@ pub const DECODE_ROOT_SPECS: &[&str] = &["checkpoint::restore", "CompiledEnsembl
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// One lint finding, suppressed or not.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Finding {
     /// Catalog rule id (`d1`..`d15`), or `lint` for meta findings.
     pub rule: String,
@@ -177,12 +177,22 @@ impl LintReport {
 
     /// Machine-readable report (`--format json`).
     pub fn to_json(&self) -> serde_json::Value {
+        let finding = |f: &Finding| {
+            serde_json::json!({
+                "rule": f.rule,
+                "file": f.file,
+                "line": f.line,
+                "message": f.message,
+                "chain": f.chain,
+                "suppressed": f.suppressed,
+            })
+        };
         serde_json::json!({
             "schema_version": SCHEMA_VERSION,
             "files_scanned": self.n_files,
             "violations": self.unsuppressed().count(),
             "allowed": self.suppressed().count(),
-            "findings": self.findings,
+            "findings": self.findings.iter().map(finding).collect::<Vec<_>>(),
         })
     }
 
@@ -236,38 +246,26 @@ pub fn pretty_json(value: &serde_json::Value) -> String {
 
 fn render(value: &serde_json::Value, indent: usize, out: &mut String) {
     use serde_json::Value;
-    let pad = "  ".repeat(indent + 1);
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                render(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
+    let (open, close, items): (char, char, Vec<(Option<&String>, &Value)>) = match value {
+        Value::Array(a) if !a.is_empty() => ('[', ']', a.iter().map(|v| (None, v)).collect()),
+        Value::Object(m) if !m.is_empty() => {
+            ('{', '}', m.iter().map(|(k, v)| (Some(k), v)).collect())
         }
-        Value::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in map.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str(&serde_json::Value::String(k.clone()).to_string());
-                out.push_str(": ");
-                render(v, indent + 1, out);
-                if i + 1 < map.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
+        scalar_or_empty => return out.push_str(&scalar_or_empty.to_string()),
+    };
+    out.push(open);
+    for (i, (key, item)) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(indent + 1));
+        if let Some(k) = key {
+            out.push_str(&Value::String((*k).clone()).to_string());
+            out.push_str(": ");
         }
-        scalar_or_empty => out.push_str(&scalar_or_empty.to_string()),
+        render(item, indent + 1, out);
     }
+    out.push('\n');
+    out.push_str(&"  ".repeat(indent));
+    out.push(close);
 }
 
 /// One source file to lint: crate directory name (`core`, …, `suite`),
@@ -379,12 +377,9 @@ pub fn lint_files(files: &[SourceFile]) -> LintReport {
             file_nodes,
         ));
     }
-    report.findings.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then_with(|| a.line.cmp(&b.line))
-            .then_with(|| a.rule.cmp(&b.rule))
-    });
+    report
+        .findings
+        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     report
 }
 

@@ -6,7 +6,6 @@
 //! readable as per-feature risk contributions.
 
 use mfpa_dataset::{Matrix, StandardScaler};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
 use crate::model::Classifier;
@@ -33,7 +32,7 @@ use crate::model::Classifier;
 /// assert!(lr.weights().unwrap()[0] > 0.0); // higher feature → riskier
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     lambda: f64,
     iterations: usize,
@@ -41,7 +40,7 @@ pub struct LogisticRegression {
     fitted: Option<Fitted>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Fitted {
     scaler: StandardScaler,
     weights: Vec<f64>,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Binary-classification confusion matrix.
 ///
 /// # Example
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((cm.fpr() - 1.0 / 3.0).abs() < 1e-12);
 /// assert!((cm.pdr() - 0.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// True positives.
     pub tp: u64,

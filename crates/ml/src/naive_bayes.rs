@@ -6,7 +6,6 @@
 //! producing infinities.
 
 use mfpa_dataset::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
 use crate::model::Classifier;
@@ -29,14 +28,14 @@ use crate::model::Classifier;
 /// assert!(p[0] > 0.9 && p[1] < 0.1);
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GaussianNb {
     var_smoothing: f64,
     log1p: bool,
     fitted: Option<Fitted>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Fitted {
     log_prior_pos: f64,
     log_prior_neg: f64,

@@ -9,7 +9,6 @@ use mfpa_dataset::{Matrix, StandardScaler};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
 use crate::model::Classifier;
@@ -43,7 +42,7 @@ use super::lstm::Lstm;
 /// m.fit(&x, &y)?;
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CnnLstm {
     steps: usize,
     feats: usize,
@@ -57,7 +56,7 @@ pub struct CnnLstm {
     state: Option<State>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct State {
     scaler: StandardScaler,
     conv: Conv1d,

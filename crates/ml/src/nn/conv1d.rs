@@ -1,7 +1,6 @@
 //! 1-D convolution over the time axis of a telemetry sequence.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use super::param::Param;
 
@@ -11,7 +10,7 @@ use super::param::Param;
 /// (`x[t * in_ch + c]`). Output: `T - kernel + 1` timesteps of `out_ch`
 /// channels. Weights: `w[o][c][k]` flattened as
 /// `w[(o * in_ch + c) * kernel + k]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv1d {
     in_ch: usize,
     out_ch: usize,

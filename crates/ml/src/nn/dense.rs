@@ -1,14 +1,13 @@
 //! Fully-connected layer.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use super::param::Param;
 
 /// A dense (fully-connected) layer `y = W x + b`.
 ///
 /// Weights are stored row-major: `w[o * in_dim + i]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,

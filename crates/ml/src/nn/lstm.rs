@@ -1,7 +1,6 @@
 //! LSTM layer with full backpropagation through time.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use super::param::Param;
 
@@ -15,7 +14,7 @@ const GATES: usize = 4;
 /// Weights are stacked: `W` has shape `(4H, I + H)` (input and recurrent
 /// weights concatenated), `b` has shape `(4H,)`. The forget-gate bias is
 /// initialised to 1, the standard trick for gradient flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lstm {
     in_dim: usize,
     hidden: usize,

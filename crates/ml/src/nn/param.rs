@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// A flat parameter vector with its gradient accumulator and Adam
 /// first/second-moment state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Parameter values.
     pub value: Vec<f64>,

@@ -10,7 +10,6 @@
 use mfpa_dataset::{Matrix, StandardScaler};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
 use crate::model::Classifier;
@@ -33,7 +32,7 @@ use crate::model::Classifier;
 /// assert_eq!(svm.predict(&x)?, y);
 /// # Ok::<(), mfpa_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvm {
     lambda: f64,
     epochs: usize,
@@ -41,7 +40,7 @@ pub struct LinearSvm {
     fitted: Option<Fitted>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Fitted {
     scaler: StandardScaler,
     weights: Vec<f64>,

@@ -8,13 +8,12 @@
 //! Fig 9).
 
 use mfpa_dataset::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{check_predict_inputs, MlError};
 use crate::model::Classifier;
 
 /// One alarm rule over a feature column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdRule {
     /// Column index the rule inspects.
     pub column: usize,
@@ -78,7 +77,7 @@ impl ThresholdRule {
 /// assert_eq!(det.predict(&x)?, vec![true, false]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThresholdDetector {
     n_features: usize,
     rules: Vec<ThresholdRule>,

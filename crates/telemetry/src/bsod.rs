@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A BlueScreenOfDeath stop code tracked by the study (Table IV).
 ///
 /// Discriminants are the real NT bug-check codes, so
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(BsodCode::B0x50.name(), "PAGE_FAULT_IN_NONPAGED_AREA");
 /// assert_eq!(BsodCode::ALL.len(), 23);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u32)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum BsodCode {

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::firmware::FirmwareNaming;
 
 /// One of the four anonymised SSD manufacturers of Table VI.
@@ -21,7 +19,7 @@ use crate::firmware::FirmwareNaming;
 /// assert_eq!(Vendor::I.paper_failures(), 1_850);
 /// assert!((Vendor::I.paper_replacement_rate() - 0.0068).abs() < 1e-4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Vendor {
     /// Manufacturer I — largest replacement rate (0.0068).
     I,
@@ -127,7 +125,7 @@ impl fmt::Display for Vendor {
 }
 
 /// Drive capacity of the studied models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Capacity {
     /// 128 GB.
     Gb128,
@@ -179,7 +177,7 @@ const MODELS_PER_VENDOR: [usize; 4] = [3, 4, 3, 2];
 /// assert_eq!(m.vendor(), Vendor::I);
 /// assert_eq!(m.form_factor(), "M.2 (2280)");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DriveModel {
     vendor: Vendor,
     ordinal: u8,
@@ -337,7 +335,7 @@ impl fmt::Display for DriveModel {
 /// assert_eq!(sn.vendor(), Vendor::II);
 /// assert_eq!(sn.to_string(), "SSD-II-0000000042");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SerialNumber {
     vendor: Vendor,
     id: u64,

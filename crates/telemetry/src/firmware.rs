@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::drive::Vendor;
 
 /// How a vendor names its firmware releases.
@@ -24,7 +22,7 @@ use crate::drive::Vendor;
 /// assert_eq!(FirmwareNaming::AlphaNumeric.render(1, 3), "B3TQ");
 /// assert_eq!(FirmwareNaming::Numeric.render(2, 1), "30101");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FirmwareNaming {
     /// Letter-prefixed alphanumeric strings (e.g. `B3TQ`).
     AlphaNumeric,
@@ -66,7 +64,7 @@ impl FirmwareNaming {
 /// assert!(f1 < f2);
 /// assert_eq!(f1.label(), "I_F_1");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FirmwareVersion {
     vendor: Vendor,
     seq: u32,

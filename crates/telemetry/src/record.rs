@@ -6,8 +6,6 @@
 //! time-ordered sequence of rows for one drive, which — because consumer
 //! machines are not powered on every day — is typically *discontinuous*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bsod::BsodCode;
 use crate::drive::{DriveModel, SerialNumber};
 use crate::firmware::FirmwareVersion;
@@ -21,7 +19,7 @@ use crate::windows_event::WindowsEventId;
 /// Daily W/B counts are noisy; the pipeline accumulates them
 /// (`mfpa_core`'s preprocessing) because "the daily number of W and B is
 /// hard to detect trends" (§III-C(1)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DailyRecord {
     /// Day the record was collected.
     pub day: DayStamp,
@@ -81,7 +79,7 @@ impl DailyRecord {
 /// assert_eq!(h.observed_days(), vec![DayStamp::new(0), DayStamp::new(5), DayStamp::new(9)]);
 /// assert_eq!(h.max_gap(), Some(5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriveHistory {
     serial: SerialNumber,
     model: DriveModel,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 16 SMART attributes reported by the studied consumer NVMe
 /// SSDs (Table II of the paper).
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(SmartAttr::from_id(12), Some(SmartAttr::PowerOnHours));
 /// assert_eq!(SmartAttr::ALL.len(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SmartAttr {
     /// `S_1` — critical warning bitfield from the NVMe SMART/Health log.
@@ -158,7 +156,7 @@ impl fmt::Display for SmartAttr {
 /// assert_eq!(s.get(SmartAttr::PowerOnHours), 1234.0);
 /// assert_eq!(s.as_slice().len(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SmartValues {
     values: [f64; 16],
 }
@@ -241,14 +239,5 @@ mod tests {
     #[test]
     fn display_uses_paper_numbering() {
         assert_eq!(SmartAttr::PowerOnHours.to_string(), "S_12");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut v = SmartValues::default();
-        v.set(SmartAttr::MediaErrors, 7.0);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: SmartValues = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
     }
 }

@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::drive::SerialNumber;
 use crate::time::DayStamp;
 
@@ -25,7 +23,7 @@ use crate::time::DayStamp;
 /// §III-B: "SSD failures can be manifested as drive-level and system-level
 /// failures"; drive-level failures are visible in SMART, system-level ones
 /// often are not — which is exactly why W/B features help.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureLevel {
     /// The SSD itself was identified as faulty (31.62% of RaSRF).
     Drive,
@@ -43,7 +41,7 @@ impl fmt::Display for FailureLevel {
 }
 
 /// The cause recorded on an RaSRF trouble ticket (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// Storage drive failure (components failure).
     StorageDriveFailure,
@@ -187,7 +185,7 @@ impl fmt::Display for FailureCause {
 /// assert_eq!(t.imt().day(), 120);
 /// assert_eq!(t.cause().level(), mfpa_telemetry::FailureLevel::Drive);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TroubleTicket {
     serial: SerialNumber,
     imt: DayStamp,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A day index relative to the start of the observation campaign (day 0).
 ///
 /// `DayStamp` is ordered and supports day arithmetic; differences are plain
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(later > start);
 /// assert_eq!(later.to_string(), "d17");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DayStamp(i64);
 
 impl DayStamp {

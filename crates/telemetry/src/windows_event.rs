@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A Windows event-log ID tracked by the study (Table III).
 ///
 /// The variant discriminants are the real Windows event IDs, so
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(WindowsEventId::W11.description().contains("controller error"));
 /// assert_eq!(WindowsEventId::ALL.len(), 9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum WindowsEventId {
     /// Event 7 — the device has a bad block.

@@ -9,7 +9,7 @@ cargo fmt --check
 # Severities come from [workspace.lints] in the root Cargo.toml
 # (warnings + clippy::all + clippy::perf are errors); no ad-hoc -D flags.
 echo "== cargo clippy (workspace) =="
-cargo clippy --workspace --all-targets
+cargo clippy --locked --workspace --all-targets
 
 echo "== mfpa-lint (determinism rule catalog, DESIGN.md §8) =="
 cargo build --release -q -p mfpa-lint
@@ -40,8 +40,11 @@ echo "== mfpa-lint waiver ratchet: allow count may only go down =="
 # `dedup_by`, which retired the d8 waiver on its `last_mut().expect`.
 # 15 since the call graph keeps one edge per call line: every call to
 # `mix64` in `flip_one_byte` reads its summary, so the modulo proves the
-# `as u8` and the d6 waiver there was retired.
-max_allows=15
+# `as u8` and the d6 waiver there was retired. 13 since two more d6
+# waivers were retired: the checkpoint writes its vendor tag through
+# `put_vendor` (the mirror of `get_vendor`), and `firmware_multiplier`
+# converts its release gap with `i32::try_from`.
+max_allows=13
 n_allows="$(grep -o '"allows": [0-9]*' results/lint_report.json | awk '{s+=$2} END {print s+0}')"
 if [ "$n_allows" -gt "$max_allows" ]; then
     echo "error: results/lint_report.json carries $n_allows waivers, ceiling is $max_allows" >&2
@@ -59,8 +62,10 @@ echo "== mfpa-lint size ratchet: lint source lines may only go down =="
 # IR (ir.rs); 8240 since `mfpa-lint --verbose` was removed (the waived
 # findings it printed are in `--format json` and the snapshot); 8036
 # since depth-0 scanning moved into `lexer::Cursor` (`depth0`, `split0`)
-# and `mfpa-lint --fix` was removed.
-max_lint_lines=8036
+# and `mfpa-lint --fix` was removed; 8031 since `LintReport::to_json`
+# writes each finding with `json!` instead of a serde derive, paid for
+# by one tuple sort key and one container arm in `pretty_json`.
+max_lint_lines=8031
 n_lint_lines="$(cat crates/lint/src/*.rs | wc -l)"
 if [ "$n_lint_lines" -gt "$max_lint_lines" ]; then
     echo "error: crates/lint/src holds $n_lint_lines lines, ceiling is $max_lint_lines" >&2
@@ -277,9 +282,9 @@ cargo test --release -q -p mfpa-ml --test binned_parity -- \
 # split-search proptests (crates/ml/tests/binned_parity.rs) at both
 # worker counts.
 echo "== cargo test (workspace, MFPA_THREADS=1) =="
-MFPA_THREADS=1 cargo test -q --workspace
+MFPA_THREADS=1 cargo test --locked -q --workspace
 
 echo "== cargo test (workspace, MFPA_THREADS=4) =="
-MFPA_THREADS=4 cargo test -q --workspace
+MFPA_THREADS=4 cargo test --locked -q --workspace
 
 echo "All checks passed."

@@ -12,8 +12,10 @@
 //! Determinism contract: each drive gets its own generator derived from
 //! `(fleet seed, serial)`, so injection never consumes words from the
 //! fleet's main RNG stream. With every rate at zero [`inject`] is the
-//! identity and allocates no generator at all, which keeps a faultless
-//! fleet bit-identical to one built before this layer existed.
+//! identity: it hands the clean `Vec` back without copying it and
+//! creates no generator, which keeps a faultless fleet bit-identical to
+//! one built before this layer existed and leaves one copy of each
+//! record in memory.
 
 use mfpa_telemetry::{DailyRecord, DayStamp, SerialNumber, SmartAttr};
 use rand::rngs::StdRng;
@@ -98,19 +100,21 @@ fn drive_seed(fleet_seed: u64, serial: SerialNumber) -> u64 {
 /// The output may contain duplicated days, out-of-order records, skewed
 /// day stamps, NaN attributes and sentinel/stuck/rolled-over SMART
 /// values, depending on the configured rates. With all rates zero the
-/// input is returned unchanged (and no RNG is created).
+/// input `Vec` itself is moved back, not copied (and no RNG is
+/// created); otherwise the records are corrupted in place and only
+/// duplicated deliveries add records.
 pub fn inject(
     cfg: &FaultConfig,
     fleet_seed: u64,
     serial: SerialNumber,
-    clean: &[DailyRecord],
+    clean: Vec<DailyRecord>,
 ) -> (Vec<DailyRecord>, FaultCounts) {
     let mut counts = FaultCounts::default();
     if !cfg.is_enabled() || clean.is_empty() {
-        return (clean.to_vec(), counts);
+        return (clean, counts);
     }
     let mut rng = StdRng::seed_from_u64(drive_seed(fleet_seed, serial));
-    let mut records = clean.to_vec();
+    let mut records = clean;
 
     // Per-drive faults first: they shape the whole trajectory, and the
     // per-record faults below then corrupt the already-degraded stream.
@@ -184,12 +188,11 @@ pub fn inject(
     // Delivery faults: duplication then transport reordering.
     let mut emitted = Vec::with_capacity(records.len() + 4);
     for r in records {
-        let dup = rng.random_bool(cfg.duplicate_record_rate);
-        emitted.push(r.clone());
-        if dup {
-            emitted.push(r);
+        if rng.random_bool(cfg.duplicate_record_rate) {
+            emitted.push(r.clone());
             counts.duplicated_records += 1;
         }
+        emitted.push(r);
     }
     for i in 1..emitted.len() {
         if rng.random_bool(cfg.out_of_order_rate) {
@@ -231,9 +234,13 @@ mod tests {
     #[test]
     fn disabled_injection_is_identity() {
         let clean = clean_stream(30);
-        let (out, counts) = inject(&FaultConfig::none(), 42, serial(), &clean);
+        let ptr = clean.as_ptr();
+        let (out, counts) = inject(&FaultConfig::none(), 42, serial(), clean.clone());
         assert_eq!(out, clean);
         assert_eq!(counts, FaultCounts::default());
+        // The input `Vec` is moved back, not copied.
+        let (moved, _) = inject(&FaultConfig::none(), 42, serial(), clean);
+        assert_eq!(moved.as_ptr(), ptr);
     }
 
     /// NaN-proof canonical form: derived `PartialEq` on records is
@@ -254,12 +261,12 @@ mod tests {
     fn injection_is_deterministic_per_seed_and_serial() {
         let clean = clean_stream(60);
         let cfg = FaultConfig::uniform(0.2);
-        let (a, ca) = inject(&cfg, 42, serial(), &clean);
-        let (b, cb) = inject(&cfg, 42, serial(), &clean);
+        let (a, ca) = inject(&cfg, 42, serial(), clean.clone());
+        let (b, cb) = inject(&cfg, 42, serial(), clean.clone());
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(ca, cb);
-        let (c, _) = inject(&cfg, 43, serial(), &clean);
-        let (d, _) = inject(&cfg, 42, SerialNumber::new(Vendor::I, 8), &clean);
+        let (c, _) = inject(&cfg, 43, serial(), clean.clone());
+        let (d, _) = inject(&cfg, 42, SerialNumber::new(Vendor::I, 8), clean.clone());
         assert_ne!(
             bits(&a),
             bits(&c),
@@ -276,7 +283,7 @@ mod tests {
     fn high_rates_produce_every_fault_class() {
         let clean = clean_stream(120);
         let cfg = FaultConfig::uniform(0.5);
-        let (out, counts) = inject(&cfg, 7, serial(), &clean);
+        let (out, counts) = inject(&cfg, 7, serial(), clean.clone());
         assert!(counts.sentinel_resets > 0);
         assert!(counts.duplicated_records > 0);
         assert!(counts.out_of_order_swaps > 0);
@@ -299,7 +306,7 @@ mod tests {
             counter_rollover_rate: 1.0,
             ..FaultConfig::none()
         };
-        let (out, counts) = inject(&cfg, 3, serial(), &clean);
+        let (out, counts) = inject(&cfg, 3, serial(), clean.clone());
         assert_eq!(counts.counter_rollovers, 1);
         let poh: Vec<f64> = out
             .iter()
@@ -322,7 +329,7 @@ mod tests {
             clock_skew_rate: 1.0,
             ..FaultConfig::none()
         };
-        let (out, counts) = inject(&cfg, 11, serial(), &clean);
+        let (out, counts) = inject(&cfg, 11, serial(), clean.clone());
         assert_eq!(counts.clock_skews, 50);
         for (raw, orig) in out.iter().zip(&clean) {
             let skew = (raw.day.day() - orig.day.day()).abs();
@@ -335,7 +342,7 @@ mod tests {
         // The injector corrupts values and delivery, never identity: the
         // same serial/model pair must reconstruct downstream.
         let clean = clean_stream(10);
-        let (out, _) = inject(&FaultConfig::uniform(0.9), 1, serial(), &clean);
+        let (out, _) = inject(&FaultConfig::uniform(0.9), 1, serial(), clean.clone());
         let _ = DriveModel::ALL[0];
         assert!(out.iter().all(|r| r.firmware == clean[0].firmware));
     }

@@ -81,7 +81,7 @@ pub struct FailureRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedDrive {
     history: DriveHistory,
-    raw_records: Vec<DailyRecord>,
+    delivered: Option<Vec<DailyRecord>>,
     firmware: FirmwareVersion,
     truth: Option<FailureTruth>,
 }
@@ -90,18 +90,27 @@ impl SimulatedDrive {
     /// The drive's telemetry history: the collector's view after sorting
     /// by day and collapsing duplicated days (last record wins). With
     /// fault injection enabled the *values* in here are still corrupted —
-    /// only delivery-order artefacts are normalised away.
+    /// only delivery-order artefacts are normalised away. When the
+    /// delivered stream was already in day order, these records are the
+    /// only stored copy and [`SimulatedDrive::raw_records`] borrows them.
     pub fn history(&self) -> &DriveHistory {
         &self.history
     }
 
     /// The raw emission stream exactly as the collector received it:
     /// possibly duplicated, out of order, clock-skewed and value-corrupted
-    /// ([`crate::faults`]). With fault injection disabled this equals
-    /// [`SimulatedDrive::history`]'s records. This is what a sanitization
-    /// stage should consume.
+    /// ([`crate::faults`]). This is what a sanitization stage should
+    /// consume.
+    ///
+    /// Each record is stored once. A stream whose days strictly increase
+    /// is exactly [`SimulatedDrive::history`]'s records, and this returns
+    /// that same slice; always so with fault injection disabled. Only a
+    /// stream that duplicated, swapped or clock-skewed deliveries put out
+    /// of day order is kept as a second, separate copy.
     pub fn raw_records(&self) -> &[DailyRecord] {
-        &self.raw_records
+        self.delivered
+            .as_deref()
+            .unwrap_or_else(|| self.history.records())
     }
 
     /// The drive's serial number.
@@ -432,7 +441,7 @@ impl SimulatedFleet {
             ));
             drives.push(SimulatedDrive {
                 history: telemetry.history,
-                raw_records: telemetry.raw_records,
+                delivered: telemetry.delivered,
                 firmware: telemetry.firmware,
                 truth: Some(FailureTruth {
                     failure_day: DayStamp::new(stub.failure_day),
@@ -444,7 +453,7 @@ impl SimulatedFleet {
             injected_faults.merge(&telemetry.fault_counts);
             drives.push(SimulatedDrive {
                 history: telemetry.history,
-                raw_records: telemetry.raw_records,
+                delivered: telemetry.delivered,
                 firmware: telemetry.firmware,
                 truth: None,
             });
@@ -532,11 +541,12 @@ impl SimulatedFleet {
 }
 
 /// One drive's generated telemetry: the collector-view history, the raw
-/// emission stream, final power-on hours, firmware, and injected-fault
-/// accounting.
+/// emission stream when it is not the history's records (see
+/// [`SimulatedDrive::raw_records`]), final power-on hours, firmware, and
+/// injected-fault accounting.
 struct GeneratedTelemetry {
     history: DriveHistory,
-    raw_records: Vec<DailyRecord>,
+    delivered: Option<Vec<DailyRecord>>,
     poh: f64,
     firmware: FirmwareVersion,
     fault_counts: FaultCounts,
@@ -628,17 +638,19 @@ fn generate_history(
         });
     }
     let poh = trajectory.power_on_hours();
-    let (raw_records, fault_counts) = inject(&config.faults, config.seed, serial, &records);
+    let (raw_records, fault_counts) = inject(&config.faults, config.seed, serial, records);
     // The collector's history is built from the *corrupted* stream —
     // construction sorts by day and keeps the last record of a
-    // duplicated day, which is exactly what a naive backend does. When
-    // injection is disabled `raw_records == records` and this is the
-    // pre-fault-layer history, bit for bit.
-    drop(records);
-    let history = DriveHistory::new(serial, model, raw_records.clone());
+    // duplicated day, which is exactly what a naive backend does. A
+    // stream whose days strictly increase is left as it is, so it is
+    // stored once, as the history; when injection is disabled this is
+    // the pre-fault-layer history, bit for bit.
+    let in_day_order = raw_records.windows(2).all(|w| w[0].day < w[1].day);
+    let delivered = (!in_day_order).then(|| raw_records.clone());
+    let history = DriveHistory::new(serial, model, raw_records);
     GeneratedTelemetry {
         history,
-        raw_records,
+        delivered,
         poh,
         firmware,
         fault_counts,
@@ -671,7 +683,7 @@ mod tests {
     #[test]
     fn bit_identical_at_any_thread_count() {
         let reference = SimulatedFleet::generate(&FleetConfig::tiny(7).with_threads(1));
-        for n in [3, 7] {
+        for n in [2, 3, 7] {
             let fleet = SimulatedFleet::generate(&FleetConfig::tiny(7).with_threads(n));
             assert_eq!(fleet.drives(), reference.drives(), "n_threads = {n}");
             assert_eq!(fleet.failures(), reference.failures());
@@ -705,6 +717,73 @@ mod tests {
             .drives()
             .iter()
             .any(|d| d.raw_records() != d.history().records()));
+    }
+
+    type RecordBits = (i64, Vec<u64>, FirmwareVersion, [u32; 9], [u32; 23]);
+
+    /// NaN-proof canonical form of a record sequence: injected faults
+    /// put NaNs in SMART pages, so derived `PartialEq` cannot prove two
+    /// sequences equal — compare bit patterns instead.
+    fn record_bits(records: &[DailyRecord]) -> Vec<RecordBits> {
+        records
+            .iter()
+            .map(|r| {
+                (
+                    r.day.day(),
+                    r.smart.as_slice().iter().map(|v| v.to_bits()).collect(),
+                    r.firmware.clone(),
+                    r.w_counts,
+                    r.b_counts,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_record_is_stored_once() {
+        use crate::config::FaultConfig;
+        // Faults off: the emission stream is the history's own slice.
+        for d in tiny_fleet().drives() {
+            assert_eq!(
+                d.raw_records().as_ptr(),
+                d.history().records().as_ptr(),
+                "drive {}",
+                d.serial()
+            );
+        }
+        // Faults on: the history still follows from the delivered
+        // stream, and reordered streams keep a copy of their own.
+        let faulty =
+            SimulatedFleet::generate(&FleetConfig::tiny(7).with_faults(FaultConfig::uniform(0.02)));
+        let mut separate = 0;
+        for d in faulty.drives() {
+            let h = d.history();
+            let rebuilt = DriveHistory::new(h.serial(), h.model(), d.raw_records().to_vec());
+            assert_eq!(rebuilt.serial(), h.serial());
+            assert_eq!(rebuilt.model(), h.model());
+            assert_eq!(
+                record_bits(rebuilt.records()),
+                record_bits(h.records()),
+                "drive {}",
+                d.serial()
+            );
+            if d.raw_records().as_ptr() != h.records().as_ptr() {
+                separate += 1;
+            }
+        }
+        assert!(separate > 0, "no drive kept a separate delivered stream");
+        // Nothing delivered is lost: duplication is the only fault that
+        // changes a stream's length.
+        let delivered = |f: &SimulatedFleet| -> u64 {
+            f.drives()
+                .iter()
+                .map(|d| d.raw_records().len() as u64)
+                .sum()
+        };
+        assert_eq!(
+            delivered(&faulty),
+            delivered(tiny_fleet()) + faulty.injected_faults().duplicated_records
+        );
     }
 
     #[test]

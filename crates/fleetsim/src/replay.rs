@@ -26,7 +26,7 @@ use mfpa_telemetry::{DailyRecord, SerialNumber};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::fleet::SimulatedFleet;
+use crate::fleet::{SimulatedDrive, SimulatedFleet};
 
 /// One record as the collector receives it: the drive it came from plus
 /// the (possibly corrupted) daily record.
@@ -111,16 +111,23 @@ fn mix64(mut z: u64) -> u64 {
 /// has emitted so far — uplinks deliver a drive's queue in emission
 /// order, so a clock-skewed or swapped record travels with its
 /// neighbours rather than teleporting across the stream. Events are
-/// stably sorted by `(stamp, hash(serial, stamp))`: per-drive emission
-/// order is preserved exactly (stamps are non-decreasing within a
-/// drive), while drives reporting on the same day arrive interleaved
-/// in a deterministic pseudo-random order rather than serial order.
-pub fn arrival_stream(fleet: &SimulatedFleet) -> Vec<ArrivalEvent> {
-    let mut keyed: Vec<(i64, u64, ArrivalEvent)> = Vec::new();
-    for drive in fleet.drives() {
+/// ordered by `(stamp, hash(serial, stamp))`, ties kept in emission
+/// order: per-drive emission order is preserved exactly (stamps are
+/// non-decreasing within a drive), while drives reporting on the same
+/// day arrive interleaved in a deterministic pseudo-random order rather
+/// than serial order.
+///
+/// Only the order is built up front, as one small index entry per
+/// record; the stream borrows the fleet and clones each record as it is
+/// consumed, so no staged copy of the fleet's telemetry exists.
+pub fn arrival_stream(fleet: &SimulatedFleet) -> ArrivalStream<'_> {
+    let drives = fleet.drives();
+    let mut order: Vec<(i64, u64, usize, usize)> =
+        Vec::with_capacity(drives.iter().map(|d| d.raw_records().len()).sum());
+    for (drive_ix, drive) in drives.iter().enumerate() {
         let serial = drive.serial();
         let mut stamp = i64::MIN;
-        for record in drive.raw_records() {
+        for (rec_ix, record) in drive.raw_records().iter().enumerate() {
             stamp = stamp.max(record.day.day());
             let tie = mix64(
                 serial
@@ -129,20 +136,46 @@ pub fn arrival_stream(fleet: &SimulatedFleet) -> Vec<ArrivalEvent> {
                     .wrapping_add(((serial.vendor().index() as u64) + 1) << 59)
                     ^ (stamp as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
             );
-            keyed.push((
-                stamp,
-                tie,
-                ArrivalEvent {
-                    serial,
-                    record: record.clone(),
-                },
-            ));
+            order.push((stamp, tie, drive_ix, rec_ix));
         }
     }
-    // Stable sort: same-drive same-stamp records keep emission order.
-    keyed.sort_by_key(|(stamp, tie, _)| (*stamp, *tie));
-    keyed.into_iter().map(|(_, _, ev)| ev).collect()
+    // Entries were pushed in (drive, record) order, so breaking
+    // (stamp, tie) ties by the indices is the stable order: same-drive
+    // same-stamp records keep emission order.
+    order.sort_unstable();
+    ArrivalStream {
+        drives,
+        order: order.into_iter(),
+    }
 }
+
+/// The arrival-ordered events of one fleet, from [`arrival_stream`].
+/// Yields each record as an owned [`ArrivalEvent`], cloned from the
+/// fleet only when it is consumed.
+#[derive(Debug)]
+pub struct ArrivalStream<'a> {
+    drives: &'a [SimulatedDrive],
+    order: std::vec::IntoIter<(i64, u64, usize, usize)>,
+}
+
+impl Iterator for ArrivalStream<'_> {
+    type Item = ArrivalEvent;
+
+    fn next(&mut self) -> Option<ArrivalEvent> {
+        let (_, _, drive_ix, rec_ix) = self.order.next()?;
+        let drive = &self.drives[drive_ix];
+        Some(ArrivalEvent {
+            serial: drive.serial(),
+            record: drive.raw_records()[rec_ix].clone(),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.order.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ArrivalStream<'_> {}
 
 /// Seeds the transport-fault generator; the constant keeps it disjoint
 /// from the fleet, telemetry and per-drive fault streams.
@@ -154,14 +187,16 @@ fn transport_seed(seed: u64) -> u64 {
 /// configured transport faults. Deterministic in `(events, batch_size,
 /// faults, seed)`.
 pub fn into_batches(
-    events: Vec<ArrivalEvent>,
+    events: impl IntoIterator<Item = ArrivalEvent>,
     batch_size: usize,
     faults: &TransportFaultConfig,
     seed: u64,
 ) -> (Vec<Vec<ArrivalEvent>>, TransportFaultCounts) {
+    let events = events.into_iter();
     let batch_size = batch_size.max(1);
     let mut counts = TransportFaultCounts::default();
-    let mut batches: Vec<Vec<ArrivalEvent>> = Vec::with_capacity(events.len() / batch_size + 1);
+    let mut batches: Vec<Vec<ArrivalEvent>> =
+        Vec::with_capacity(events.size_hint().0 / batch_size + 1);
     let mut rng = StdRng::seed_from_u64(transport_seed(seed));
     let mut burst_remaining = 0u64;
     let mut burst_shard = 0usize;
@@ -222,6 +257,7 @@ pub fn flip_one_byte(data: &mut [u8], seed: u64) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::config::{FaultConfig, FleetConfig};
+    use mfpa_telemetry::FirmwareVersion;
     use std::collections::BTreeMap;
 
     fn fleet() -> SimulatedFleet {
@@ -232,10 +268,19 @@ mod tests {
         )
     }
 
+    type EventBits = (
+        SerialNumber,
+        i64,
+        [u64; 16],
+        FirmwareVersion,
+        [u32; 9],
+        [u32; 23],
+    );
+
     /// Bit-exact event identity. Injected faults put NaNs in SMART
     /// pages, so `PartialEq` (NaN != NaN) cannot prove two streams
     /// equal — compare bit patterns instead.
-    fn fingerprint(events: &[ArrivalEvent]) -> Vec<(SerialNumber, i64, [u64; 16])> {
+    fn fingerprint(events: &[ArrivalEvent]) -> Vec<EventBits> {
         events
             .iter()
             .map(|ev| {
@@ -243,15 +288,83 @@ mod tests {
                 for (b, v) in bits.iter_mut().zip(ev.record.smart.as_slice()) {
                     *b = v.to_bits();
                 }
-                (ev.serial, ev.record.day.day(), bits)
+                let r = &ev.record;
+                (
+                    ev.serial,
+                    r.day.day(),
+                    bits,
+                    r.firmware.clone(),
+                    r.w_counts,
+                    r.b_counts,
+                )
             })
             .collect()
+    }
+
+    /// The staged construction [`arrival_stream`] replaced, kept as its
+    /// oracle: every event cloned into a keyed vector, then stably
+    /// sorted by `(stamp, tie)`.
+    fn staged_arrival_stream(fleet: &SimulatedFleet) -> Vec<ArrivalEvent> {
+        let mut keyed: Vec<(i64, u64, ArrivalEvent)> = Vec::new();
+        for drive in fleet.drives() {
+            let serial = drive.serial();
+            let mut stamp = i64::MIN;
+            for record in drive.raw_records() {
+                stamp = stamp.max(record.day.day());
+                let tie = mix64(
+                    serial
+                        .id()
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(((serial.vendor().index() as u64) + 1) << 59)
+                        ^ (stamp as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
+                );
+                keyed.push((
+                    stamp,
+                    tie,
+                    ArrivalEvent {
+                        serial,
+                        record: record.clone(),
+                    },
+                ));
+            }
+        }
+        keyed.sort_by_key(|(stamp, tie, _)| (*stamp, *tie));
+        keyed.into_iter().map(|(_, _, ev)| ev).collect()
+    }
+
+    #[test]
+    fn arrival_stream_matches_the_staged_sort() {
+        let fleet = fleet();
+        let stream = arrival_stream(&fleet);
+        let staged = staged_arrival_stream(&fleet);
+        assert_eq!(stream.len(), staged.len());
+        let streamed: Vec<ArrivalEvent> = stream.collect();
+        assert_eq!(fingerprint(&streamed), fingerprint(&staged));
+    }
+
+    #[test]
+    fn batching_the_stream_equals_batching_its_collection() {
+        let fleet = fleet();
+        let cfg = TransportFaultConfig {
+            batch_truncation_rate: 0.1,
+            burst_loss_rate: 0.05,
+            burst_len: 2,
+            n_shards: 8,
+        };
+        let collected: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
+        let (lazy, lazy_counts) = into_batches(arrival_stream(&fleet), 128, &cfg, 5);
+        let (staged, staged_counts) = into_batches(collected, 128, &cfg, 5);
+        assert_eq!(lazy_counts, staged_counts);
+        assert_eq!(lazy.len(), staged.len());
+        for (a, b) in lazy.iter().zip(&staged) {
+            assert_eq!(fingerprint(a), fingerprint(b));
+        }
     }
 
     #[test]
     fn arrival_stream_preserves_per_drive_emission_order() {
         let fleet = fleet();
-        let stream = arrival_stream(&fleet);
+        let stream: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
         let total: usize = fleet.drives().iter().map(|d| d.raw_records().len()).sum();
         assert_eq!(stream.len(), total);
         // Partition back per drive: each drive's subsequence must be its
@@ -285,8 +398,8 @@ mod tests {
     #[test]
     fn arrival_stream_is_deterministic_and_interleaved() {
         let fleet = fleet();
-        let a = arrival_stream(&fleet);
-        let b = arrival_stream(&fleet);
+        let a: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
+        let b: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // Not clustered per drive: adjacent events usually switch drives.
         let switches = a.windows(2).filter(|w| w[0].serial != w[1].serial).count();
@@ -300,7 +413,7 @@ mod tests {
     #[test]
     fn lossless_batching_partitions_the_stream() {
         let fleet = fleet();
-        let stream = arrival_stream(&fleet);
+        let stream: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
         let n = stream.len();
         let (batches, counts) = into_batches(stream.clone(), 128, &TransportFaultConfig::none(), 5);
         assert_eq!(counts.delivered as usize, n);
@@ -344,7 +457,7 @@ mod tests {
     #[test]
     fn bursts_starve_exactly_one_shard() {
         let fleet = fleet();
-        let stream = arrival_stream(&fleet);
+        let stream: Vec<ArrivalEvent> = arrival_stream(&fleet).collect();
         let cfg = TransportFaultConfig {
             batch_truncation_rate: 0.0,
             burst_loss_rate: 1.0,

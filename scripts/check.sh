@@ -265,6 +265,18 @@ echo "== streamed prepare equivalence gate =="
 # and the sanitize accounting, at worker counts 1, 2 and 7.
 cargo test --release -q -p mfpa-suite --test prepare_streaming
 
+echo "== fleet telemetry identity gate =="
+# Each drive stores its telemetry once: a delivered stream in day order
+# is the history's own slice, and only a reordered stream keeps a copy
+# from which the history still follows. The fleet is bit-identical at
+# worker counts 1, 2, 3 and 7. The lazy arrival stream equals the
+# stable sort of keyed event copies it replaced, and batching it equals
+# batching its collection.
+cargo test --release -q -p mfpa-fleetsim --lib -- \
+    fleet::tests::each_record_is_stored_once \
+    fleet::tests::bit_identical_at_any_thread_count \
+    replay::tests::
+
 echo "== tree-fit equivalence gate =="
 # Trees grow over distinct rows with per-row counts (a bootstrap's
 # repeats fold into one row), packed integer histograms for 0/1 targets

@@ -112,6 +112,25 @@ impl FeatureFrame {
         })
     }
 
+    /// Assembles a frame from parts whose lengths the caller has
+    /// already matched.
+    pub(crate) fn from_checked_parts(
+        feature_names: Vec<String>,
+        matrix: Matrix,
+        meta: Vec<SampleMeta>,
+        labels: Vec<bool>,
+    ) -> Self {
+        debug_assert_eq!(feature_names.len(), matrix.n_cols());
+        debug_assert_eq!(meta.len(), matrix.n_rows());
+        debug_assert_eq!(labels.len(), matrix.n_rows());
+        FeatureFrame {
+            feature_names,
+            matrix,
+            meta,
+            labels,
+        }
+    }
+
     /// Appends one labelled row.
     ///
     /// # Errors

@@ -9,6 +9,8 @@
 //! * [`Matrix`] — a dense row-major `f64` matrix,
 //! * [`FeatureFrame`] — matrix + feature names + per-row [`SampleMeta`]
 //!   (group, time, tag) + boolean labels,
+//! * [`DeltaFrame`] — the same, with each row stored as its changes
+//!   from the previous row of its group, read through a [`RowCursor`],
 //! * [`split`] — plain ratio splits and the paper's timepoint-based
 //!   segmentation (Fig 8(a)),
 //! * [`cv`] — classic k-fold and the paper's time-series cross-validation
@@ -33,6 +35,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod cv;
+mod delta;
 mod encode;
 mod error;
 mod frame;
@@ -42,6 +45,7 @@ mod scale;
 pub mod split;
 pub mod stats;
 
+pub use delta::{DeltaFrame, RowCursor};
 pub use encode::LabelEncoder;
 pub use error::DatasetError;
 pub use frame::{FeatureFrame, SampleMeta};

@@ -226,6 +226,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The flat row-major buffer, writable in place.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Approximate heap size in bytes (used by the Fig 20 overhead table).
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()

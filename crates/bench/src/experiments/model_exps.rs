@@ -67,10 +67,10 @@ pub fn fig8(ctx: &Ctx) -> serde_json::Value {
     let kept = mfpa_dataset::RandomUnderSampler::new(6.0, 7)
         .expect("ratio")
         .sample(full.labels());
-    let frame = full.select_rows(&kept);
-    let times = frame.times();
     let sel: Vec<usize> = FeatureGroup::Sfwb.full_indices();
-    let x = frame.matrix().select_cols(&sel);
+    let frame = full.select_rows(&kept).select_cols(&sel);
+    let times = frame.times();
+    let x = frame.matrix();
     let y = frame.labels();
 
     let eval_folds = |folds: &[mfpa_dataset::cv::Fold]| -> f64 {
@@ -232,19 +232,21 @@ pub fn fig17(ctx: &Ctx) -> serde_json::Value {
     let sfs_train: Vec<usize> = kept.into_iter().map(|i| sfs_train_all[i]).collect();
 
     let features = FeatureGroup::Sfwb.features();
-    let full = frame.matrix();
-    let y = frame.labels();
-    let val_y: Vec<bool> = sfs_val.iter().map(|&i| y[i]).collect();
-    let train_y: Vec<bool> = sfs_train.iter().map(|&i| y[i]).collect();
+    // The SFS rows are decoded once; each candidate subset only picks
+    // its columns.
+    let train = frame.select_rows(&sfs_train);
+    let val = frame.select_rows(&sfs_val);
     let score = |subset: &[usize]| -> f64 {
         let cols: Vec<usize> = subset.iter().map(|&s| features[s].full_index()).collect();
-        let x = full.select_cols(&cols);
         let mut rf = mfpa_ml::RandomForest::new(25, 10).with_seed(9);
-        if rf.fit(&x.select_rows(&sfs_train), &train_y).is_err() {
+        if rf
+            .fit(&train.matrix().select_cols(&cols), train.labels())
+            .is_err()
+        {
             return 0.0;
         }
-        match rf.predict_proba(&x.select_rows(&sfs_val)) {
-            Ok(p) => auc(&val_y, &p),
+        match rf.predict_proba(&val.matrix().select_cols(&cols)) {
+            Ok(p) => auc(val.labels(), &p),
             Err(_) => 0.0,
         }
     };

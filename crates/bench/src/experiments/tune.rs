@@ -23,11 +23,18 @@ pub fn tune(ctx: &Ctx) -> serde_json::Value {
     // 3:1-balanced rows (what the pipeline trains on anyway).
     let train_split =
         mfpa_dataset::split::timepoint_split_fraction(&frame.times(), 0.7).expect("split");
-    let train = frame.select_rows(&train_split.train);
-    let kept = mfpa_dataset::RandomUnderSampler::new(3.0, 11)
+    let train_labels: Vec<bool> = train_split
+        .train
+        .iter()
+        .map(|&i| frame.labels()[i])
+        .collect();
+    let kept: Vec<usize> = mfpa_dataset::RandomUnderSampler::new(3.0, 11)
         .expect("ratio")
-        .sample(train.labels());
-    let sub = train.select_rows(&kept).select_cols(&sel);
+        .sample(&train_labels)
+        .into_iter()
+        .map(|k| train_split.train[k])
+        .collect();
+    let sub = frame.select_rows(&kept).select_cols(&sel);
     let y = sub.labels().to_vec();
     let folds = time_series_cv(&sub.times(), 2).expect("folds");
 

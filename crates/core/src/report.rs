@@ -86,7 +86,10 @@ pub struct StageTimings {
     pub n_test_rows: usize,
     /// Seconds spent predicting the test rows.
     pub predict_secs: f64,
-    /// Approximate bytes held by the assembled sample frames.
+    /// Approximate bytes held by the assembled sample frames: the
+    /// encoded size of the delta-encoded flat view (change masks,
+    /// stored cells, run index, metadata and labels) plus the dense
+    /// sequence view.
     pub frame_bytes: usize,
 }
 

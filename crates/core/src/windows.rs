@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use mfpa_dataset::{DatasetError, FeatureFrame, SampleMeta};
+use mfpa_dataset::{DatasetError, DeltaFrame, FeatureFrame, SampleMeta};
 use mfpa_telemetry::SerialNumber;
 
 use crate::feature_state::ROW_WIDTH;
@@ -42,8 +42,11 @@ impl Default for WindowConfig {
 /// aligned sequence view (`seq_len × 45` columns) over the same rows.
 #[derive(Debug, Clone)]
 pub struct SampleSet {
-    /// One row per selected drive-day, full feature row.
-    pub flat: FeatureFrame,
+    /// One row per selected drive-day, full feature row. Each drive's
+    /// rows are contiguous and in day order, so the frame stores every
+    /// row after a drive's first as its changes from the drive's
+    /// previous row.
+    pub flat: DeltaFrame,
     /// The same rows as trailing windows of `seq_len` days (oldest
     /// first, front-padded by repeating the earliest row).
     pub seq: FeatureFrame,
@@ -69,8 +72,9 @@ pub fn group_of(serial: SerialNumber) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a [`DatasetError`] only on internal width mismatches (a bug),
-/// so callers can `?` it.
+/// Returns a [`DatasetError`] only on internal width mismatches, or a
+/// row too wide for the flat frame's change masks (both bugs), so
+/// callers can `?` it.
 pub fn build_samples(
     series: &[CleanSeries],
     failure_days: &BTreeMap<SerialNumber, i64>,
@@ -93,7 +97,7 @@ pub fn build_samples_for(
     config: &WindowConfig,
     build_seq: bool,
 ) -> Result<SampleSet, DatasetError> {
-    let mut builder = SampleBuilder::new(config, build_seq);
+    let mut builder = SampleBuilder::new(config, build_seq)?;
     for s in series {
         builder.push_drive(s, failure_days.get(&s.serial).copied())?;
     }
@@ -110,7 +114,7 @@ pub fn build_samples_for(
 pub struct SampleBuilder {
     config: WindowConfig,
     build_seq: bool,
-    flat: FeatureFrame,
+    flat: DeltaFrame,
     seq: FeatureFrame,
     seq_buf: Vec<f64>,
     unwindowed_failures: Vec<(u64, i64)>,
@@ -118,7 +122,11 @@ pub struct SampleBuilder {
 
 impl SampleBuilder {
     /// An empty builder; `build_seq` as in [`build_samples_for`].
-    pub fn new(config: &WindowConfig, build_seq: bool) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Same as [`build_samples`].
+    pub fn new(config: &WindowConfig, build_seq: bool) -> Result<Self, DatasetError> {
         let names: Vec<String> = FeatureId::full_row()
             .iter()
             .map(|f| f.to_string())
@@ -129,14 +137,14 @@ impl SampleBuilder {
                 names.iter().map(move |n| format!("t-{back}:{n}"))
             })
             .collect();
-        SampleBuilder {
+        Ok(SampleBuilder {
             config: *config,
             build_seq,
             seq_buf: vec![0.0; config.seq_len * names.len()],
-            flat: FeatureFrame::new(names),
+            flat: DeltaFrame::new(names)?,
             seq: FeatureFrame::new(seq_names),
             unwindowed_failures: Vec::new(),
-        }
+        })
     }
 
     /// Appends one drive's samples. `failure_day` is the drive's
@@ -297,6 +305,39 @@ mod tests {
         let c = group_of(SerialNumber::new(Vendor::I, 6));
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Every decoded flat row of a real fleet is its series row, bit for
+    /// bit, with the series' metadata.
+    #[test]
+    fn decoded_flat_rows_equal_series_rows() {
+        use crate::labeling::{label_failures, LabelingConfig};
+        use crate::preprocess::{preprocess, PreprocessConfig};
+        use mfpa_fleetsim::{FleetConfig, SimulatedFleet};
+
+        let fleet = SimulatedFleet::generate(&FleetConfig::tiny(11));
+        let series: Vec<CleanSeries> = fleet
+            .drives()
+            .iter()
+            .filter_map(|d| preprocess(d.history(), d.firmware(), &PreprocessConfig::default()))
+            .collect();
+        let failure_days = label_failures(&series, fleet.tickets(), &LabelingConfig::default());
+        let set =
+            build_samples_for(&series, &failure_days, &WindowConfig::default(), false).unwrap();
+        assert!(set.flat.n_positive() > 0);
+        let by_group: BTreeMap<u64, &CleanSeries> =
+            series.iter().map(|s| (group_of(s.serial), s)).collect();
+        let mut cursor = set.flat.cursor();
+        for (r, meta) in set.flat.meta().iter().enumerate() {
+            let s = by_group[&meta.group];
+            assert_eq!(meta.tag, s.vendor.index() as u32);
+            let ix = s.days.binary_search(&meta.time).expect("a series day");
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(cursor.seek(r)), bits(s.row(ix)), "row {r}");
+        }
+        // Most cells repeat the drive's previous day.
+        let stored = set.flat.changed_cells().len();
+        assert!(stored * 2 < set.flat.n_rows() * ROW_WIDTH, "{stored} cells");
     }
 
     #[test]

@@ -262,8 +262,12 @@ echo "== streamed prepare equivalence gate =="
 # stage-by-stage replay over the whole fleet (sanitize -> preprocess ->
 # label_failures -> build_samples_for) bit for bit: every frame cell,
 # meta, labels, failure days, unwindowed failures, the sequence view
-# and the sanitize accounting, at worker counts 1, 2 and 7.
+# and the sanitize accounting, at worker counts 1, 2 and 7. The flat
+# view is a delta-encoded frame; its unit and property tests check
+# every decoded row, selection and cursor walk against a dense frame
+# of the same rows, bit for bit.
 cargo test --release -q -p mfpa-suite --test prepare_streaming
+cargo test --release -q -p mfpa-dataset
 
 echo "== fleet telemetry identity gate =="
 # Each drive stores its telemetry once: a delivered stream in day order

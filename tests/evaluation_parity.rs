@@ -260,12 +260,14 @@ fn score_parity(fx: &Fixture) -> (usize, Skew, String) {
     let mut skew = Skew::default();
     let mut matched = 0usize;
     let mut first_offline_day: BTreeMap<u64, i64> = BTreeMap::new();
+    // Test rows are in frame order, so one cursor decodes each once.
+    let mut cursor = frame.cursor();
     for (&row, &p) in split.test.iter().zip(&offline) {
         let meta = frame.meta()[row];
         first_offline_day.entry(meta.group).or_insert(meta.time);
         let drive = &served[&meta.group];
         match drive.rows.get(&meta.time) {
-            Some((online_row, q)) if bits(online_row) == bits(frame.matrix().row(row)) => {
+            Some((online_row, q)) if bits(online_row) == bits(cursor.seek(row)) => {
                 assert_eq!(
                     p.to_bits(),
                     q.to_bits(),

@@ -17,7 +17,7 @@ use mfpa_core::preprocess::{preprocess, CleanSeries};
 use mfpa_core::sanitize::sanitize;
 use mfpa_core::windows::{build_samples_for, SampleSet};
 use mfpa_core::{Algorithm, FeatureGroup, Mfpa, MfpaConfig, SanitizeReport, DRIVES_PER_WORKER};
-use mfpa_dataset::FeatureFrame;
+use mfpa_dataset::{DeltaFrame, FeatureFrame};
 use mfpa_fleetsim::{FaultConfig, FleetConfig, SimulatedFleet};
 use mfpa_telemetry::{SerialNumber, Vendor};
 
@@ -89,6 +89,34 @@ fn replay(fleet: &SimulatedFleet, config: &MfpaConfig) -> Replay {
     }
 }
 
+/// Every decoded flat row by `to_bits`, the metadata and labels, and,
+/// since the encoding is a pure function of the pushed rows, the
+/// encoded arrays themselves.
+fn assert_delta_frames_identical(a: &DeltaFrame, b: &DeltaFrame, what: &str) {
+    assert_eq!(a.feature_names(), b.feature_names(), "{what}: names");
+    assert_eq!(a.n_rows(), b.n_rows(), "{what}: rows");
+    assert_eq!(a.n_cols(), b.n_cols(), "{what}: cols");
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    let (mut ca, mut cb) = (a.cursor(), b.cursor());
+    for r in 0..a.n_rows() {
+        assert!(
+            bits(ca.seek(r)) == bits(cb.seek(r)),
+            "{what}: cells of row {r} differ"
+        );
+    }
+    assert_eq!(a.meta(), b.meta(), "{what}: meta");
+    assert_eq!(a.labels(), b.labels(), "{what}: labels");
+    assert!(
+        a.change_masks() == b.change_masks(),
+        "{what}: change masks differ"
+    );
+    assert!(
+        bits(a.changed_cells()) == bits(b.changed_cells()),
+        "{what}: stored cells differ"
+    );
+    assert_eq!(a.runs(), b.runs(), "{what}: runs");
+}
+
 fn assert_frames_identical(a: &FeatureFrame, b: &FeatureFrame, what: &str) {
     assert_eq!(a.feature_names(), b.feature_names(), "{what}: names");
     assert_eq!(a.n_rows(), b.n_rows(), "{what}: rows");
@@ -116,7 +144,7 @@ fn assert_streamed_equals_replay(
             .prepare(fleet)
             .expect("the fleet prepares");
         let got = prepared.samples();
-        assert_frames_identical(&got.flat, &expected.samples.flat, &format!("{what}: flat"));
+        assert_delta_frames_identical(&got.flat, &expected.samples.flat, &format!("{what}: flat"));
         assert_frames_identical(&got.seq, &expected.samples.seq, &format!("{what}: seq"));
         assert_eq!(
             got.unwindowed_failures, expected.samples.unwindowed_failures,

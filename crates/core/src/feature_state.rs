@@ -2,12 +2,12 @@
 //!
 //! [`FeatureState`] is the one place the per-record repairs and the
 //! 45-column feature row are written. The offline stages fold it over a
-//! whole stream — [`crate::sanitize::sanitize`] folds
-//! [`FeatureState::repair_page`] after its lookahead steps and
+//! whole stream — [`crate::sanitize::sanitize`] folds the monitor's
+//! admission step, which runs [`FeatureState::repair_page`], and
 //! [`crate::preprocess::raw_rows`] folds [`FeatureState::push_row`] —
 //! while the online [`crate::deploy::DriveMonitor`] steps both once per
-//! accepted delivery. One code path means a drive is scored on exactly
-//! the rows its model was trained on.
+//! accepted delivery. One code path, behind one reorder window, means a
+//! drive is scored on exactly the rows its model was trained on.
 
 use mfpa_telemetry::{BsodCode, DailyRecord, FirmwareVersion, SmartAttr};
 
@@ -17,7 +17,7 @@ use crate::sanitize::{QuarantineCause, SanitizeReport};
 /// Width of the full feature row ([`crate::FeatureId::full_row`] order).
 pub(crate) const ROW_WIDTH: usize = 45;
 
-/// Incremental feature state for one drive's in-order record stream.
+/// Incremental feature state for one drive's admitted records.
 #[derive(Debug, Clone)]
 pub(crate) struct FeatureState {
     /// Newest firmware stamp (row column 16).

@@ -104,18 +104,22 @@ proptest! {
         prop_assert!(k == end || stop(k));
 
         for sep in [",", "&&"] {
-            let parts = cur.split0(from..end, sep);
-            prop_assert_eq!(parts.first().map(|p| p.start), Some(from));
-            prop_assert_eq!(parts.last().map(|p| p.end), Some(end));
-            for p in &parts {
-                prop_assert!(p.start <= p.end, "{:?}", parts);
-            }
-            for w in parts.windows(2) {
-                // Consecutive parts sit one separator apart, and that
-                // separator is really there.
-                prop_assert_eq!(w[1].start, w[0].end + sep.len());
-                for (d, c) in sep.chars().enumerate() {
-                    prop_assert!(cur.punct(w[0].end + d, c));
+            // Every end of the range, so a two-token separator that
+            // straddles it is met too.
+            for end in from..=end {
+                let parts = cur.split0(from..end, sep);
+                prop_assert_eq!(parts.first().map(|p| p.start), Some(from));
+                prop_assert_eq!(parts.last().map(|p| p.end), Some(end));
+                for p in &parts {
+                    prop_assert!(p.start <= p.end, "{:?}", parts);
+                }
+                for w in parts.windows(2) {
+                    // Consecutive parts sit one separator apart, and
+                    // that separator is really there.
+                    prop_assert_eq!(w[1].start, w[0].end + sep.len());
+                    for (d, c) in sep.chars().enumerate() {
+                        prop_assert!(cur.punct(w[0].end + d, c));
+                    }
                 }
             }
         }

@@ -26,9 +26,10 @@
 //! duplicated days, re-sequences bounded out-of-order arrivals, repairs
 //! cumulative-counter rollovers and imputes missing attributes,
 //! quarantining what it cannot repair with per-cause accounting
-//! ([`SanitizeReport`]). The per-record repairs and the feature row are
-//! one shared step, which the client-side [`deploy::DriveMonitor`] runs
-//! incrementally, so serving sees the rows training saw.
+//! ([`SanitizeReport`]). It is the serving path's admission policy — the
+//! reorder window and the per-record step of the client-side
+//! [`deploy::DriveMonitor`] — folded over a stored stream, so serving
+//! sees the rows training saw.
 //!
 //! # Quickstart
 //!

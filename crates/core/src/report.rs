@@ -63,10 +63,12 @@ pub struct StageTimings {
     pub n_raw_records: usize,
     /// Seconds spent sanitizing raw telemetry (zero when disabled).
     pub sanitize_secs: f64,
-    /// Records the sanitization stage quarantined, by any cause.
+    /// Records the sanitization stage quarantined, by any cause: the
+    /// records serving would refuse too.
     pub n_quarantined: usize,
-    /// In-place repairs (rollover splices + imputed values + collapsed
-    /// duplicates + reordered arrivals) the sanitization stage applied.
+    /// Repairs the sanitization stage applied: rollover splices, imputed
+    /// values, collapsed duplicates and arrivals the reorder window
+    /// re-sequenced.
     pub n_repaired: usize,
     /// Seconds spent in preprocessing (gap handling + feature rows).
     pub preprocess_secs: f64,

@@ -2,17 +2,20 @@
 //!
 //! A checkpoint is a complete, self-contained binary snapshot of a
 //! [`FleetMonitor`]: every drive monitor's incremental feature state,
-//! every reordering window, the quarantine state machines, the
-//! per-shard accounting and the degradation counters. Restoring the
-//! snapshot and replaying the remaining batches is bit-identical to an
-//! uninterrupted run.
+//! every reordering window, the quarantine state machines, the four
+//! per-shard counters the drive table does not hold and the degradation
+//! counters. The rest of each [`crate::fleet_monitor::ShardReport`] is
+//! derived from the restored drive table, so nothing is stored twice.
+//! Restoring the snapshot and replaying the remaining batches is
+//! bit-identical to an uninterrupted run.
 //!
 //! Format (all integers little-endian, floats as IEEE-754 bit
 //! patterns so restore is exact):
 //!
 //! ```text
 //! magic "MFPA" | version | n_shards | tick | degradation counters
-//! per shard: report | n_drives | per drive, by ascending serial: full DriveState
+//! per shard: received | shed_overflow | dropped_quarantined | readmissions
+//!   | n_drives | per drive, by ascending serial: full DriveState
 //!   (less its sanitize policy, which restore takes from the config)
 //! footer: mfpa_bytes::checksum64 of everything above
 //! ```
@@ -22,9 +25,8 @@
 //! strictly ascending (which includes a repeated serial), a drive
 //! stored on a shard its serial does not route to, a reorder window
 //! not strictly sorted by `(day, seq)` or holding a `seq` at or past
-//! the drive's `next_seq`, and a shard report whose `drives` or
-//! `pending` gauge disagrees with what is stored. So every accepted file re-encodes to
-//! its own bytes, and each restored drive has exactly one state, on its
+//! the drive's `next_seq`. So every accepted file re-encodes to its own
+//! bytes, and each restored drive has exactly one state, on its
 //! own shard.
 //!
 //! Crash-safety rules:
@@ -52,8 +54,8 @@ use crate::bytes::{unseal, ByteReader, ByteWriter};
 use crate::error::CoreError;
 use crate::feature_state::FeatureState;
 use crate::fleet_monitor::{
-    DriveState, DriveTable, FleetMonitor, FleetMonitorConfig, QuarantineInfo, ShardReport,
-    ShardState,
+    DriveState, DriveTable, FleetMonitor, FleetMonitorConfig, QuarantineInfo, ShardState,
+    CHECKPOINT_KEEP,
 };
 use crate::sanitize::{PendingRecord, ReorderWindow, SanitizeConfig, SanitizeReport};
 
@@ -64,8 +66,10 @@ const MAGIC: u32 = 0x4D46_5041;
 /// feature row on restore instead of storing it; version 3 keeps that
 /// payload and seals it with `checksum64` instead of FNV-1a-64; version
 /// 4 stops storing the sanitize policy per drive and restores it from
-/// [`FleetMonitorConfig::sanitize`].
-const VERSION: u32 = 4;
+/// [`FleetMonitorConfig::sanitize`]; version 5 stores four counters per
+/// shard instead of a full shard report whose other six fields repeat
+/// the drive table.
+const VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -118,17 +122,11 @@ fn put_sanitize_report(w: &mut ByteWriter, r: &SanitizeReport) {
     w.counter(r.values_imputed);
 }
 
-fn put_shard_report(w: &mut ByteWriter, r: &ShardReport) {
-    w.u64(r.received);
-    w.u64(r.accepted);
-    w.u64(r.rejected_corrupt);
-    w.u64(r.rejected_late);
-    w.u64(r.shed_overflow);
-    w.u64(r.dropped_quarantined);
-    w.u64(r.quarantines);
-    w.u64(r.readmissions);
-    w.u64(r.pending);
-    w.u64(r.drives);
+fn put_shard_counters(w: &mut ByteWriter, shard: &ShardState) {
+    w.u64(shard.received);
+    w.u64(shard.shed_overflow);
+    w.u64(shard.dropped_quarantined);
+    w.u64(shard.readmissions);
 }
 
 fn put_drive_state(w: &mut ByteWriter, state: &DriveState) {
@@ -187,7 +185,7 @@ pub(crate) fn encode(monitor: &FleetMonitor) -> Vec<u8> {
     w.u64(monitor.sweeps_shed);
     w.u64(monitor.checkpoint_failures);
     for shard in &monitor.shards {
-        put_shard_report(&mut w, &shard.report);
+        put_shard_counters(&mut w, shard);
         let mut states: Vec<&DriveState> = shard.drives.iter().collect();
         states.sort_unstable_by_key(|state| state.monitor.serial);
         w.counter(states.len());
@@ -262,21 +260,6 @@ fn get_sanitize_report(r: &mut ByteReader<'_>) -> Result<SanitizeReport, String>
         reordered: r.counter()?,
         rollovers_repaired: r.counter()?,
         values_imputed: r.counter()?,
-    })
-}
-
-fn get_shard_report(r: &mut ByteReader<'_>) -> Result<ShardReport, String> {
-    Ok(ShardReport {
-        received: r.u64()?,
-        accepted: r.u64()?,
-        rejected_corrupt: r.u64()?,
-        rejected_late: r.u64()?,
-        shed_overflow: r.u64()?,
-        dropped_quarantined: r.u64()?,
-        quarantines: r.u64()?,
-        readmissions: r.u64()?,
-        pending: r.u64()?,
-        drives: r.u64()?,
     })
 }
 
@@ -367,21 +350,22 @@ fn check_window(pending: &VecDeque<PendingRecord>, next_seq: u64) -> Result<(), 
     Ok(())
 }
 
-/// Reads one shard's drives, enforcing the canonical-table rules: one
-/// state per serial in strictly ascending serial order, each on the
-/// shard its serial routes to, with the report's `drives` and
-/// `pending` gauges matching what is stored.
+/// Reads one shard's counters and drives, enforcing the canonical-table
+/// rules: one state per serial in strictly ascending serial order, each
+/// on the shard its serial routes to.
 fn get_shard(
     r: &mut ByteReader<'_>,
     shard_ix: usize,
     cfg: &FleetMonitorConfig,
 ) -> Result<ShardState, String> {
     let n_shards = cfg.n_shards;
-    let report = get_shard_report(r)?;
+    let received = r.u64()?;
+    let shed_overflow = r.u64()?;
+    let dropped_quarantined = r.u64()?;
+    let readmissions = r.u64()?;
     let n_drives = r.len(1)?;
     let mut drives = DriveTable::default();
     let mut last: Option<SerialNumber> = None;
-    let mut n_pending = 0u64;
     for _ in 0..n_drives {
         let state = get_drive_state(r, cfg.sanitize)?;
         let serial = state.monitor.serial;
@@ -397,23 +381,15 @@ fn get_shard(
             ));
         }
         last = Some(serial);
-        n_pending += state.window.pending.len() as u64;
         drives.push(state);
     }
-    if report.drives != drives.len() as u64 {
-        return Err(format!(
-            "shard {shard_ix}: report.drives {} != {} drives stored",
-            report.drives,
-            drives.len()
-        ));
-    }
-    if report.pending != n_pending {
-        return Err(format!(
-            "shard {shard_ix}: report.pending {} != {n_pending} records in reorder windows",
-            report.pending
-        ));
-    }
-    Ok(ShardState { drives, report })
+    Ok(ShardState {
+        drives,
+        received,
+        shed_overflow,
+        dropped_quarantined,
+        readmissions,
+    })
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> CoreError {
@@ -537,13 +513,12 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CoreError> {
         .map(|(_, path)| path))
 }
 
-/// Removes all but the newest `keep` checkpoints (clamped to 1).
-fn prune(dir: &Path, keep: usize) -> Result<(), CoreError> {
+/// Removes all but the newest [`CHECKPOINT_KEEP`] checkpoints.
+fn prune(dir: &Path) -> Result<(), CoreError> {
     let mut ticks = list_checkpoints(dir)?;
     ticks.sort_by_key(|(tick, _)| *tick);
-    let keep = keep.max(1);
-    if ticks.len() > keep {
-        let cut = ticks.len() - keep;
+    if ticks.len() > CHECKPOINT_KEEP {
+        let cut = ticks.len() - CHECKPOINT_KEEP;
         for (_, path) in &ticks[..cut] {
             std::fs::remove_file(path).map_err(|e| io_corrupt(path, "remove", &e))?;
         }
@@ -553,7 +528,7 @@ fn prune(dir: &Path, keep: usize) -> Result<(), CoreError> {
 
 /// Writes a checkpoint of `monitor`'s full state into its configured
 /// checkpoint directory, atomically (tmp + rename), pruning old
-/// snapshots down to [`FleetMonitorConfig::checkpoint_keep`]. Returns
+/// snapshots down to [`CHECKPOINT_KEEP`]. Returns
 /// the written path.
 ///
 /// # Errors
@@ -576,7 +551,7 @@ pub fn write_checkpoint(monitor: &FleetMonitor) -> Result<PathBuf, CoreError> {
     let tmp_path = dir.join(format!("{name}.tmp"));
     std::fs::write(&tmp_path, &bytes).map_err(|e| io_corrupt(&tmp_path, "write", &e))?;
     std::fs::rename(&tmp_path, &final_path).map_err(|e| io_corrupt(&final_path, "rename", &e))?;
-    prune(&dir, monitor.cfg.checkpoint_keep)?;
+    prune(&dir)?;
     Ok(final_path)
 }
 
@@ -707,7 +682,6 @@ mod tests {
             let shard = &mut fm.shards[0];
             let copy = shard.drives.iter().next().expect("a drive").clone();
             shard.drives.push(copy);
-            shard.report.drives += 1;
         });
         assert!(detail.contains("not strictly ascending"), "{detail}");
     }
@@ -717,7 +691,6 @@ mod tests {
         let detail = refusal("wrong-shard", |fm| {
             let stray = fm.shards[0].drives.iter().next().expect("a drive").clone();
             fm.shards[1].drives.push(stray);
-            fm.shards[1].report.drives += 1;
         });
         assert!(detail.contains("routes to shard 0"), "{detail}");
     }
@@ -735,14 +708,6 @@ mod tests {
             window.next_seq = window.pending.back().expect("non-empty").seq;
         });
         assert!(detail.contains(">= next_seq"), "{detail}");
-    }
-
-    #[test]
-    fn canonical_restore_refuses_mismatched_gauges() {
-        let detail = refusal("drives-gauge", |fm| fm.shards[2].report.drives += 1);
-        assert!(detail.contains("report.drives"), "{detail}");
-        let detail = refusal("pending-gauge", |fm| fm.shards[3].report.pending += 1);
-        assert!(detail.contains("report.pending"), "{detail}");
     }
 
     #[test]
@@ -821,7 +786,7 @@ mod tests {
         fm.ingest_batch(&[], None).expect("batch 2"); // writes tick 3
         let latest = latest_checkpoint(&dir).expect("list").expect("some");
         assert!(latest.ends_with(file_name(3)));
-        // checkpoint_keep = 2: tick 1 was pruned.
+        // CHECKPOINT_KEEP = 2: tick 1 was pruned.
         let remaining = list_checkpoints(&dir).expect("list");
         let mut ticks: Vec<u64> = remaining.iter().map(|(t, _)| *t).collect();
         ticks.sort_unstable();

@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::feature_state::{FeatureState, ROW_WIDTH};
 use crate::features::FeatureId;
 use crate::pipeline::TrainedMfpa;
-use crate::sanitize::{replay, QuarantineCause, SanitizeConfig, SanitizeReport};
+use crate::sanitize::{replay, QuarantineCause, SanitizeConfig, SanitizeReport, SENTINEL_CEILING};
 
 /// Incremental feature state for one monitored drive.
 ///
@@ -165,9 +165,8 @@ impl DriveMonitor {
         // arrives, first delivery included. A NaN fails the comparison
         // and is left to the carry-forward.
         let zeroed = record.smart.get(SmartAttr::Capacity) == 0.0;
-        let ceiling = self.sanitize_cfg.sentinel_ceiling;
         let violation = record.smart.as_slice().iter().find_map(|&v| {
-            if zeroed || v >= ceiling {
+            if zeroed || v >= SENTINEL_CEILING {
                 Some(QuarantineCause::SentinelReset)
             } else {
                 (v < 0.0).then_some(QuarantineCause::RangeViolation)

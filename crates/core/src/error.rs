@@ -60,14 +60,6 @@ pub enum CoreError {
         /// What failed to validate.
         detail: String,
     },
-    /// A batch routed more records to one shard than its bounded queue
-    /// admits, under the strict (non-shedding) overflow policy.
-    ShardOverflow {
-        /// The overflowing shard.
-        shard: usize,
-        /// Records beyond the shard's queue capacity.
-        dropped: usize,
-    },
     /// A model shape was used where it cannot work (e.g. a sequence
     /// model handed single rows).
     UnsupportedModel(String),
@@ -111,10 +103,6 @@ impl fmt::Display for CoreError {
             CoreError::CheckpointCorrupt { path, detail } => {
                 write!(f, "checkpoint {path} rejected: {detail}")
             }
-            CoreError::ShardOverflow { shard, dropped } => write!(
-                f,
-                "shard {shard} queue overflow: {dropped} records beyond capacity"
-            ),
             CoreError::UnsupportedModel(msg) => write!(f, "unsupported model: {msg}"),
             CoreError::Dataset(msg) => write!(f, "dataset error: {msg}"),
             CoreError::Model(msg) => write!(f, "model error: {msg}"),
@@ -206,11 +194,6 @@ mod tests {
             msg.contains("ckpt-7.mfpa") && msg.contains("checksum"),
             "{msg}"
         );
-        let e = CoreError::ShardOverflow {
-            shard: 1,
-            dropped: 17,
-        };
-        assert!(e.to_string().contains("17"), "{e}");
     }
 
     #[test]

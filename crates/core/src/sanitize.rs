@@ -63,8 +63,13 @@ impl std::fmt::Display for QuarantineCause {
     }
 }
 
-/// Sanitization policy knobs, shared by [`sanitize`], the online
-/// monitors and [`crate::deploy::score_fleet`].
+/// Values at or above this are sentinel reads (`0xFFFF_FFFF` ≈ 4.29e9
+/// and `0xFFFF_FFFF_FFFF_FFFF` both clear it; no plausible consumer-drive
+/// counter does).
+pub const SENTINEL_CEILING: f64 = 4.0e9;
+
+/// Sanitization policy, shared by [`sanitize`], the online monitors and
+/// [`crate::deploy::score_fleet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizeConfig {
     /// Depth of the per-drive reorder window, in records: up to this
@@ -74,18 +79,11 @@ pub struct SanitizeConfig {
     /// [`QuarantineCause::LateArrival`]. `0` admits each record as it
     /// arrives.
     pub reorder_depth: usize,
-    /// Values at or above this are sentinel reads (`0xFFFF_FFFF` ≈
-    /// 4.29e9 and `0xFFFF_FFFF_FFFF_FFFF` both clear it; no plausible
-    /// consumer-drive counter does).
-    pub sentinel_ceiling: f64,
 }
 
 impl Default for SanitizeConfig {
     fn default() -> Self {
-        SanitizeConfig {
-            reorder_depth: 8,
-            sentinel_ceiling: 4.0e9,
-        }
+        SanitizeConfig { reorder_depth: 8 }
     }
 }
 
@@ -384,10 +382,7 @@ mod tests {
         // 3 arrives while 5 still waits and is re-sequenced; by the time
         // 4 arrives, 5 has left the window, so 4 is refused as late.
         let records: Vec<DailyRecord> = [0, 1, 5, 3, 6, 7, 4].into_iter().map(rec).collect();
-        let shallow = SanitizeConfig {
-            reorder_depth: 2,
-            ..SanitizeConfig::default()
-        };
+        let shallow = SanitizeConfig { reorder_depth: 2 };
         let serial = SerialNumber::new(Vendor::I, 1);
         let (h, report) = sanitize(serial, DriveModel::ALL[0], &records, &shallow);
         assert_eq!(report.reordered, 2);
@@ -407,10 +402,7 @@ mod tests {
         );
 
         // Depth 0 admits in arrival order: every straggler is late.
-        let in_arrival_order = SanitizeConfig {
-            reorder_depth: 0,
-            ..SanitizeConfig::default()
-        };
+        let in_arrival_order = SanitizeConfig { reorder_depth: 0 };
         let (h, report) = sanitize(serial, DriveModel::ALL[0], &records, &in_arrival_order);
         assert_eq!(report.reordered, 0);
         assert_eq!(report.quarantined_late, 2);

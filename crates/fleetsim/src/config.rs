@@ -229,12 +229,6 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the mean repair delay in days.
-    pub fn with_mean_repair_delay(mut self, days: f64) -> Self {
-        self.mean_repair_delay = days.max(0.0);
-        self
-    }
-
     /// Sets the telemetry-corruption rates.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;

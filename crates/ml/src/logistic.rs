@@ -10,6 +10,9 @@ use mfpa_dataset::{Matrix, StandardScaler};
 use crate::error::{check_fit_inputs, check_predict_inputs, MlError};
 use crate::model::Classifier;
 
+/// Gradient-descent step size.
+const LEARNING_RATE: f64 = 0.5;
+
 /// Logistic-regression binary classifier.
 ///
 /// Features are standardised internally; weights therefore live in
@@ -36,7 +39,6 @@ use crate::model::Classifier;
 pub struct LogisticRegression {
     lambda: f64,
     iterations: usize,
-    learning_rate: f64,
     fitted: Option<Fitted>,
 }
 
@@ -58,15 +60,8 @@ impl LogisticRegression {
         LogisticRegression {
             lambda,
             iterations: iterations.max(1),
-            learning_rate: 0.5,
             fitted: None,
         }
-    }
-
-    /// Overrides the gradient-descent learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        self.learning_rate = lr;
-        self
     }
 
     /// The fitted weights in standardised feature space (`None` before
@@ -113,10 +108,10 @@ impl Classifier for LogisticRegression {
             }
             for j in 0..d {
                 let grad = gw[j] / n + self.lambda * w[j];
-                vw[j] = momentum * vw[j] - self.learning_rate * grad;
+                vw[j] = momentum * vw[j] - LEARNING_RATE * grad;
                 w[j] += vw[j];
             }
-            vb = momentum * vb - self.learning_rate * gb / n;
+            vb = momentum * vb - LEARNING_RATE * gb / n;
             bias += vb;
         }
         self.fitted = Some(Fitted {

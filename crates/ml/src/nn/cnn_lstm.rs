@@ -17,6 +17,17 @@ use super::conv1d::Conv1d;
 use super::dense::Dense;
 use super::lstm::Lstm;
 
+/// Convolution output channels.
+const CONV_CHANNELS: usize = 8;
+/// Convolution width, clamped to the window length.
+const CONV_KERNEL: usize = 3;
+/// LSTM hidden width.
+const HIDDEN: usize = 16;
+/// Minibatch size.
+const BATCH_SIZE: usize = 32;
+/// Adam learning rate.
+const LEARNING_RATE: f64 = 5e-3;
+
 /// CNN_LSTM binary classifier over flattened `(steps × features)` rows.
 ///
 /// Each input row is interpreted as a chronological window of `steps`
@@ -46,12 +57,7 @@ use super::lstm::Lstm;
 pub struct CnnLstm {
     steps: usize,
     feats: usize,
-    conv_channels: usize,
-    kernel: usize,
-    hidden: usize,
     epochs: usize,
-    batch_size: usize,
-    learning_rate: f64,
     seed: u64,
     state: Option<State>,
 }
@@ -66,8 +72,8 @@ struct State {
 
 impl CnnLstm {
     /// Creates a model for windows of `steps` snapshots × `feats`
-    /// features, with small defaults (8 conv channels, kernel 3 — clamped
-    /// to `steps` — hidden 16, 40 epochs, batch 32, lr 5e-3).
+    /// features: 8 conv channels, kernel 3 (clamped to `steps`), hidden
+    /// 16, batch 32, lr 5e-3, and 40 epochs by default.
     ///
     /// # Panics
     ///
@@ -77,12 +83,7 @@ impl CnnLstm {
         CnnLstm {
             steps,
             feats,
-            conv_channels: 8,
-            kernel: 3.min(steps),
-            hidden: 16,
             epochs: 40,
-            batch_size: 32,
-            learning_rate: 5e-3,
             seed: 0,
             state: None,
         }
@@ -100,32 +101,6 @@ impl CnnLstm {
         self
     }
 
-    /// Sets the minibatch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
-        self
-    }
-
-    /// Sets the Adam learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
-    /// Sets the convolution width and channel count (kernel clamped to
-    /// the window length).
-    pub fn with_conv(mut self, channels: usize, kernel: usize) -> Self {
-        self.conv_channels = channels.max(1);
-        self.kernel = kernel.clamp(1, self.steps);
-        self
-    }
-
-    /// Sets the LSTM hidden width.
-    pub fn with_hidden(mut self, hidden: usize) -> Self {
-        self.hidden = hidden.max(1);
-        self
-    }
-
     /// The expected input row width (`steps × feats`).
     pub fn input_width(&self) -> usize {
         self.steps * self.feats
@@ -136,7 +111,7 @@ impl CnnLstm {
         let act: Vec<f64> = pre.iter().map(|&v| v.max(0.0)).collect();
         let t_out = state.conv.out_steps(self.steps);
         let lstm_cache = state.lstm.forward(&act, t_out);
-        let h = lstm_cache.last_hidden(self.hidden);
+        let h = lstm_cache.last_hidden(HIDDEN);
         let logit = state.dense.forward(&h)[0];
         let p = 1.0 / (1.0 + (-logit.clamp(-60.0, 60.0)).exp());
         (
@@ -169,18 +144,13 @@ impl Classifier for CnnLstm {
                 x.n_cols()
             )));
         }
-        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
-            return Err(MlError::InvalidParameter(format!(
-                "learning_rate must be positive, got {}",
-                self.learning_rate
-            )));
-        }
         let (scaler, xs) = StandardScaler::fit_transform(x)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let conv = Conv1d::new(self.feats, self.conv_channels, self.kernel, &mut rng);
+        let kernel = CONV_KERNEL.min(self.steps);
+        let conv = Conv1d::new(self.feats, CONV_CHANNELS, kernel, &mut rng);
         let t_out = conv.out_steps(self.steps);
-        let lstm = Lstm::new(self.conv_channels, self.hidden, &mut rng);
-        let dense = Dense::new(self.hidden, 1, &mut rng);
+        let lstm = Lstm::new(CONV_CHANNELS, HIDDEN, &mut rng);
+        let dense = Dense::new(HIDDEN, 1, &mut rng);
         let mut state = State {
             scaler,
             conv,
@@ -193,7 +163,7 @@ impl Classifier for CnnLstm {
         let mut adam_t = 0u64;
         for _epoch in 0..self.epochs {
             order.shuffle(&mut rng);
-            for batch in order.chunks(self.batch_size) {
+            for batch in order.chunks(BATCH_SIZE) {
                 if batch.is_empty() {
                     continue; // chunks() never yields one, but the div below needs it provable
                 }
@@ -213,7 +183,7 @@ impl Classifier for CnnLstm {
                     let dlogit = p - target; // BCE through sigmoid
                     let dh = state.dense.backward(&cache.h, &[dlogit]);
                     let dact = state.lstm.backward(&cache.lstm_cache, &dh);
-                    debug_assert_eq!(dact.len(), t_out * self.conv_channels);
+                    debug_assert_eq!(dact.len(), t_out * CONV_CHANNELS);
                     let dpre: Vec<f64> = dact
                         .iter()
                         .zip(&cache.pre)
@@ -248,7 +218,7 @@ impl Classifier for CnnLstm {
                     if clip < 1.0 {
                         p.scale_grad(clip);
                     }
-                    p.adam_step(self.learning_rate, 0.9, 0.999, 1e-8, adam_t);
+                    p.adam_step(LEARNING_RATE, 0.9, 0.999, 1e-8, adam_t);
                 }
             }
         }

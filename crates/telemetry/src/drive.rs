@@ -293,11 +293,6 @@ impl DriveModel {
         "NVMe1.*"
     }
 
-    /// Flash technology, identical for the whole fleet.
-    pub fn flash_tech(&self) -> &'static str {
-        "3D TLC"
-    }
-
     /// Zero-based index into [`DriveModel::ALL`]. `ALL` is ordered by
     /// vendor then ordinal, so the index is the models-per-vendor
     /// prefix sum plus the 1-based ordinal within the vendor — total,

@@ -236,8 +236,7 @@ echo "== checkpoint and artifact integrity gate =="
 # format version are refused by version, not reported as damage; a
 # checksum-valid file whose drive table is not canonical (repeated or
 # unsorted serials, a drive on the wrong shard, an unsorted or
-# overrunning reorder window, gauges that disagree with the table) is
-# refused by rule.
+# overrunning reorder window) is refused by rule.
 cargo test --release -q -p mfpa-suite --test fleet_monitor -- \
     kill_and_restore_is_bit_identical_at_every_batch_boundary \
     corrupted_checkpoints_are_always_refused \
@@ -251,8 +250,7 @@ cargo test --release -q -p mfpa-core --lib -- \
     checkpoint::tests::canonical_restore_refuses_a_repeated_serial \
     checkpoint::tests::canonical_restore_refuses_a_drive_on_the_wrong_shard \
     checkpoint::tests::canonical_restore_refuses_an_unsorted_window \
-    checkpoint::tests::canonical_restore_refuses_a_seq_past_next_seq \
-    checkpoint::tests::canonical_restore_refuses_mismatched_gauges
+    checkpoint::tests::canonical_restore_refuses_a_seq_past_next_seq
 cargo test --release -q -p mfpa-ml --test compiled_parity -- \
     mfpac_refuses_old_version_artifacts
 

@@ -34,6 +34,8 @@ crates/core/src/sanitize.rs @@ (self.pending.len() > depth) @@ (self.pending.len
 crates/core/src/sanitize.rs @@ .partition_point(|p| p.record.borrow().day <= day); @@ .partition_point(|p| p.record.borrow().day < day); @@ mfpa-suite property_tests drive_monitor_rows_equal_offline_rows
 crates/core/src/deploy.rs @@ (v < 0.0).then_some(QuarantineCause::RangeViolation) @@ (v <= 0.0).then_some(QuarantineCause::RangeViolation) @@ mfpa-suite property_tests drive_monitor_rows_equal_offline_rows
 crates/core/src/deploy.rs @@ let zeroed = record.smart.get(SmartAttr::Capacity) == 0.0; @@ let zeroed = self.last_day.is_some() && record.smart.get(SmartAttr::Capacity) == 0.0; @@ mfpa-core lib sanitize::tests::sentinel_pages_are_quarantined
+crates/core/src/fleet_monitor.rs @@ report.accepted += (r.kept_records + r.duplicates_collapsed) as u64; @@ report.accepted += r.kept_records as u64; @@ mfpa-core lib fleet_monitor::tests::ring_window_matches_the_sorted_vec_oracle
+crates/core/src/checkpoint.rs @@ w.u64(shard.readmissions); @@ let _ = shard.readmissions; @@ mfpa-suite fleet_monitor kill_and_restore_is_bit_identical_at_every_batch_boundary
 EOF
 }
 

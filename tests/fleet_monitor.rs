@@ -17,7 +17,10 @@
 use std::path::PathBuf;
 
 use mfpa_core::checkpoint::{latest_checkpoint, restore, write_checkpoint};
-use mfpa_core::fleet_monitor::{CheckpointOutcome, FleetMonitor, FleetMonitorConfig, SweepOutcome};
+use mfpa_core::fleet_monitor::{
+    CheckpointOutcome, FleetMonitor, FleetMonitorConfig, SweepOutcome, DEGRADE_COOLDOWN,
+    SHARD_QUEUE_CAPACITY,
+};
 use mfpa_core::{Algorithm, CoreError, FeatureGroup, Mfpa, MfpaConfig, TrainedMfpa};
 use mfpa_fleetsim::replay::{arrival_stream, flip_one_byte, into_batches, TransportFaultConfig};
 use mfpa_fleetsim::{ArrivalEvent, FaultConfig, FleetConfig, SimulatedFleet};
@@ -153,29 +156,26 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
     let want_rows = drive_rows(&reference, &serials);
     let want_bytes = checkpoint_bytes(&reference);
 
-    // The same stream uninterrupted with a checkpoint after every batch,
-    // all of them kept: `ckpt-k` is the state a process killed after
-    // batch k leaves behind. Writing them must not change the run.
-    let kept_cfg = base_config()
-        .with_checkpointing(dir.join("kept"), 1)
-        .with_checkpoint_keep(batches.len() + 1);
-    let mut kept = FleetMonitor::new(kept_cfg).expect("config");
-    let mut ckpt: Vec<PathBuf> = Vec::with_capacity(batches.len());
+    // The same stream uninterrupted with a checkpoint after every batch:
+    // `ckpt-k` is the state a process killed after batch k leaves
+    // behind. Each is read as soon as its batch writes it, before later
+    // writes prune it. Writing them must not change the run.
+    let mut kept =
+        FleetMonitor::new(base_config().with_checkpointing(dir.join("kept"), 1)).expect("config");
+    let mut ckpt_bytes: Vec<Vec<u8>> = Vec::with_capacity(batches.len());
     for batch in &batches {
         match kept.ingest_batch(batch, None).expect("ingest").checkpoint {
             CheckpointOutcome::Written { tick, path } => {
-                assert_eq!(tick as usize, ckpt.len() + 1, "one checkpoint per batch");
-                ckpt.push(path);
+                assert_eq!(
+                    tick as usize,
+                    ckpt_bytes.len() + 1,
+                    "one checkpoint per batch"
+                );
+                ckpt_bytes.push(std::fs::read(path).expect("read checkpoint"));
             }
             other => panic!("expected a checkpoint, got {other:?}"),
         }
     }
-    // `ckpt[k - 1]` is `ckpt-k`; read them before the final snapshot
-    // below lands beside them.
-    let ckpt_bytes: Vec<Vec<u8>> = ckpt
-        .iter()
-        .map(|p| std::fs::read(p).expect("read checkpoint"))
-        .collect();
     assert!(
         end_state(&mut kept, &model) == want,
         "checkpointing changed the run"
@@ -188,6 +188,7 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
     // serial order, the uninterrupted one holds it in arrival order:
     // rows and checkpoint bytes must not see the difference.
     let replay_cfg = base_config().with_checkpointing(dir.join("replay"), 0);
+    let boundary = dir.join("boundary.mfpa");
     let assert_resumes = |mut fm: FleetMonitor, kill_at: usize| {
         assert_eq!(fm.tick() as usize, kill_at, "resumed at the kill point");
         for batch in &batches[kill_at..] {
@@ -205,7 +206,8 @@ fn kill_and_restore_is_bit_identical_at_every_batch_boundary() {
         );
     };
     for kill_at in 1..batches.len() {
-        let fm = restore(replay_cfg.clone(), &ckpt[kill_at - 1]).expect("restore");
+        std::fs::write(&boundary, &ckpt_bytes[kill_at - 1]).expect("write checkpoint");
+        let fm = restore(replay_cfg.clone(), &boundary).expect("restore");
         assert_resumes(fm, kill_at);
     }
 
@@ -419,63 +421,47 @@ fn recovered_drive_is_readmitted_and_scores_again() {
 fn overload_sheds_sweeps_before_ingestion_and_counts_everything() {
     let fleet = fleet();
     let model = trained(&fleet);
-    let batches = batches(&fleet);
-    // Queue capacity 8 guarantees overflow on real batches; sweep every
-    // tick makes the shed observable immediately.
-    let cfg = base_config()
-        .with_queue_capacity(8)
-        .with_sweep_interval(1)
-        .with_degrade_cooldown(2);
-    let mut fm = FleetMonitor::new(cfg).expect("config");
+    // One drive's stream longer than the shard queue, in one batch,
+    // overflows its shard; sweep every tick makes the shed observable
+    // immediately.
+    let overload: Vec<ArrivalEvent> = (0..SHARD_QUEUE_CAPACITY as i64 + 64)
+        .map(|day| clean(5000, day))
+        .collect();
+    let mut fm = FleetMonitor::new(base_config().with_sweep_interval(1)).expect("config");
 
-    let out = fm.ingest_batch(&batches[0], Some(&model)).expect("ingest");
+    let out = fm.ingest_batch(&overload, Some(&model)).expect("ingest");
     assert_eq!(
         out.sweep,
         SweepOutcome::Shed,
         "overload sheds the sweep first"
     );
     assert!(fm.is_degraded());
-    assert!(fm.sweeps_shed() >= 1);
+    assert_eq!(fm.sweeps_shed(), 1);
     let report = fm.fleet_report();
-    assert!(report.shed_overflow > 0, "dropped ingestion is counted");
-    assert!(
-        report.received > report.shed_overflow,
+    assert_eq!(report.shed_overflow, 64, "dropped ingestion is counted");
+    assert_eq!(
+        report.received - report.shed_overflow,
+        SHARD_QUEUE_CAPACITY as u64,
         "shedding is partial, not total"
     );
     assert!(report.is_conserved());
 
-    // A quiet stream past the cooldown restores scoring sweeps.
-    let mut recovered = false;
-    for tick in 0..8 {
+    // Sweeps stay shed through the cooldown, then scoring resumes.
+    for tick in 0..DEGRADE_COOLDOWN {
         let out = fm
-            .ingest_batch(&[clean(5000, tick)], Some(&model))
+            .ingest_batch(&[clean(5001, tick as i64)], Some(&model))
             .expect("ingest");
-        if matches!(out.sweep, SweepOutcome::Scores(_)) {
-            recovered = true;
-            break;
-        }
+        assert_eq!(out.sweep, SweepOutcome::Shed, "tick {tick} of the cooldown");
     }
-    assert!(recovered, "degradation must end after the cooldown");
-}
-
-#[test]
-fn strict_overflow_rejects_the_batch_without_mutating_state() {
-    let fleet = fleet();
-    let batches = batches(&fleet);
-    let cfg = base_config()
-        .with_queue_capacity(8)
-        .with_strict_overflow(true);
-    let mut fm = FleetMonitor::new(cfg).expect("config");
-    let err = fm
-        .ingest_batch(&batches[0], None)
-        .expect_err("strict mode rejects overflow");
-    assert!(matches!(err, CoreError::ShardOverflow { .. }));
-    assert_eq!(
-        fm.fleet_report().received,
-        0,
-        "rejected batch left no trace"
+    let out = fm
+        .ingest_batch(&[clean(5001, DEGRADE_COOLDOWN as i64)], Some(&model))
+        .expect("ingest");
+    assert!(
+        matches!(out.sweep, SweepOutcome::Scores(_)),
+        "degradation must end after the cooldown"
     );
-    assert_eq!(fm.tick(), 0);
+    assert_eq!(fm.sweeps_shed(), 1 + DEGRADE_COOLDOWN);
+    assert!(fm.fleet_report().is_conserved());
 }
 
 #[test]
@@ -588,16 +574,28 @@ proptest! {
             .with_shards(3)
             .with_reorder_depth(2)
             .with_quarantine(2, 2, 2)
-            .with_queue_capacity(8)
             .with_threads(1);
         let mut fm = FleetMonitor::new(cfg).expect("config");
         for batch in events.chunks(batch_size) {
-            fm.ingest_batch(batch, None).expect("ingest never errors in non-strict mode");
+            fm.ingest_batch(batch, None).expect("ingest never errors");
         }
+        // The drawn events that share the first one's shard, repeated
+        // one record past that shard's queue, in a single batch.
+        let home = events[0].serial.shard(3);
+        let overload: Vec<ArrivalEvent> = events
+            .iter()
+            .filter(|ev| ev.serial.shard(3) == home)
+            .cycle()
+            .take(SHARD_QUEUE_CAPACITY + 1)
+            .cloned()
+            .collect();
+        fm.ingest_batch(&overload, None).expect("overload is shed, never an error");
+        prop_assert!(fm.fleet_report().is_conserved());
         fm.drain();
         let report = fm.fleet_report();
         prop_assert!(report.is_conserved(), "leaked records: {report:?}");
-        prop_assert_eq!(report.received, n as u64);
+        prop_assert_eq!(report.received, (n + SHARD_QUEUE_CAPACITY + 1) as u64);
+        prop_assert!(report.shed_overflow > 0, "{report:?}");
         prop_assert_eq!(report.pending, 0);
     }
 }

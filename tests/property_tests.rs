@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use mfpa_core::deploy::DriveMonitor;
 use mfpa_core::fleet_monitor::{FleetMonitor, FleetMonitorConfig};
 use mfpa_core::preprocess::{preprocess, raw_rows, PreprocessConfig};
-use mfpa_core::sanitize::sanitize;
+use mfpa_core::sanitize::{sanitize, SENTINEL_CEILING};
 use mfpa_core::{SanitizeConfig, SanitizeReport};
 use mfpa_dataset::cv::{folds_chronologically_sound, kfold, time_series_cv};
 use mfpa_dataset::split::{is_chronologically_sound, ratio_split, timepoint_split};
@@ -348,7 +348,7 @@ proptest! {
             for (attr, v) in r.smart.iter() {
                 prop_assert!(v.is_finite(), "{attr:?} = {v} not finite");
                 prop_assert!(v >= 0.0, "{attr:?} = {v} negative");
-                prop_assert!(v < cfg.sentinel_ceiling, "{attr:?} = {v} sentinel");
+                prop_assert!(v < SENTINEL_CEILING, "{attr:?} = {v} sentinel");
             }
         }
     }

@@ -8,9 +8,6 @@
 //! Run `repro list` for the experiment ids; `repro all` regenerates
 //! everything (this is what EXPERIMENTS.md records). `--json PATH`
 //! appends one JSON line per experiment for machine consumption.
-//! `repro lint` runs the workspace determinism lint (DESIGN.md §8)
-//! once and refreshes the committed `results/lint_report.json`
-//! snapshot.
 
 use std::io::Write;
 
@@ -78,38 +75,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Lints the workspace sources and refreshes `results/lint_report.json`.
-/// Returns the process exit code (0 clean, 1 violations, 2 setup error).
-fn run_lint() -> i32 {
-    let cwd = match std::env::current_dir() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cwd: {e}");
-            return 2;
-        }
-    };
-    let Some(root) = mfpa_lint::find_workspace_root(&cwd) else {
-        eprintln!("error: no workspace Cargo.toml above {}", cwd.display());
-        return 2;
-    };
-    let report = match mfpa_lint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    print!("{}", report.render_human());
-    let snapshot_path = root.join("results").join("lint_report.json");
-    let snapshot = mfpa_lint::pretty_json(&report.snapshot_json());
-    if let Err(e) = std::fs::write(&snapshot_path, snapshot) {
-        eprintln!("error: write {}: {e}", snapshot_path.display());
-        return 2;
-    }
-    eprintln!("[lint] snapshot written to {}", snapshot_path.display());
-    i32::from(!report.is_clean())
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -126,19 +91,7 @@ fn main() {
             println!("  {:<14} {}", e.id, e.title);
         }
         println!("  {:<14} run every experiment above", "all");
-        println!(
-            "  {:<14} workspace determinism lint (DESIGN.md \u{a7}8)",
-            "lint"
-        );
         return;
-    }
-
-    if args.targets.iter().any(|t| t == "lint") {
-        if args.targets.len() > 1 {
-            eprintln!("error: `repro lint` does not combine with experiment ids");
-            std::process::exit(2);
-        }
-        std::process::exit(run_lint());
     }
 
     let mut base = FleetConfig::new(args.seed);

@@ -669,7 +669,7 @@ impl FleetMonitor {
 
     /// Whether the next due scoring sweep would be shed.
     pub fn is_degraded(&self) -> bool {
-        self.tick <= self.degraded_until
+        self.tick < self.degraded_until
     }
 
     /// Scoring sweeps shed by the degradation ladder so far.
@@ -1074,6 +1074,28 @@ mod tests {
         }
         assert!(!fm.is_degraded());
         assert_eq!(fm.sweeps_shed(), 1 + DEGRADE_COOLDOWN);
+    }
+
+    #[test]
+    fn is_degraded_predicts_the_next_due_sweep() {
+        let cfg = small_cfg().with_shards(1).with_sweep_interval(1);
+        let mut fm = FleetMonitor::new(cfg).expect("config");
+        assert!(!fm.is_degraded(), "a fresh monitor is not degraded");
+        let overload: Vec<ArrivalEvent> = (0..SHARD_QUEUE_CAPACITY as i64 + 1)
+            .map(|d| event(1, d))
+            .collect();
+        fm.ingest_batch(&overload, None).expect("ingest");
+        // Every batch has a due sweep; with no model it runs as NotDue.
+        for _ in 0..DEGRADE_COOLDOWN + 2 {
+            let predicted = fm.is_degraded();
+            let out = fm.ingest_batch(&[], None).expect("ingest");
+            assert_eq!(
+                predicted,
+                out.sweep == SweepOutcome::Shed,
+                "tick {}",
+                out.tick
+            );
+        }
     }
 
     #[test]

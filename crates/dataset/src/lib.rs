@@ -16,7 +16,6 @@
 //! * [`cv`] — classic k-fold and the paper's time-series cross-validation
 //!   (Fig 8(b)),
 //! * [`RandomUnderSampler`] — the class balancer of §III-C(3),
-//! * [`LabelEncoder`] — label encoding for character firmware versions,
 //! * [`StandardScaler`] — per-column standardisation for SVM / NN models.
 //!
 //! # Example
@@ -36,7 +35,6 @@
 
 pub mod cv;
 mod delta;
-mod encode;
 mod error;
 mod frame;
 mod matrix;
@@ -46,7 +44,6 @@ pub mod split;
 pub mod stats;
 
 pub use delta::{DeltaFrame, RowCursor};
-pub use encode::LabelEncoder;
 pub use error::DatasetError;
 pub use frame::{FeatureFrame, SampleMeta};
 pub use matrix::Matrix;

@@ -31,9 +31,10 @@
 //! and `as` truncation are flagged only when the interval *proves*
 //! the defect (every execution overflows), because possible-overflow
 //! on full-range operands would flood every addition in the
-//! workspace. Casts whose operand interval fits the target width
-//! demote the lexical d6 name-heuristic to silence; unprovable casts
-//! leave d6 in place as the fallback.
+//! workspace. The same cast judgment drives d6: a narrow cast near a
+//! counter name is a d6 site unless its operand interval fits the
+//! target width (and a proven truncation is d13 where it is
+//! reachable).
 //!
 //! Like every layer below it, this one is *total*: arbitrary token
 //! soup produces an (empty) fact set, never a panic, enforced by the
@@ -41,12 +42,10 @@
 //! fuel bound.
 
 use crate::callgraph::{CallGraph, FileItems};
-use crate::dataflow::has_float_evidence;
 use crate::ir::{FnIr, Kind, Let, Stmt};
-use crate::lexer::{Cursor, Token, TokenKind};
+use crate::lexer::{is_float_number, is_keyword, Cursor, Token, TokenKind};
 use crate::parser::FnItem;
-use crate::rules::is_counterish;
-use crate::taint::Site;
+use crate::rules::{is_counterish, Family, Site};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
@@ -235,23 +234,13 @@ pub fn type_range(name: &str) -> Option<Interval> {
 /// bit-identical at any `MFPA_THREADS`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnAbs {
-    /// d13 sites: unproven counter subtraction, proven `+`/`*`/`<<`
-    /// overflow, proven truncating cast.
-    pub d13: Vec<Site>,
-    /// d14 sites: `/` or `%` whose denominator interval includes 0
-    /// with no dominating nonzero guard.
-    pub d14: Vec<Site>,
-    /// d15 sites: `+`/`-`/comparison across different inferred units.
-    pub d15: Vec<Site>,
-    /// Lines where every narrow cast is proven to fit its target
-    /// width: the lexical d6 hit there is demoted to silence.
-    pub cast_fit_lines: BTreeSet<u32>,
-    /// Lines where a cast's operand interval is too wide to judge:
-    /// d6 stays on as the name-heuristic fallback.
-    pub cast_unknown_lines: BTreeSet<u32>,
-    /// Lines where a cast is proven to truncate (a d13 site exists):
-    /// the lexical d6 hit is superseded by the semantic finding.
-    pub cast_risk_lines: BTreeSet<u32>,
+    /// The sites, by family then line: [`Family::Counter`] (unproven
+    /// counter subtraction, proven `+`/`*`/`<<` overflow, proven
+    /// truncating cast), [`Family::Division`] (a denominator interval
+    /// that includes 0 with no dominating nonzero guard),
+    /// [`Family::Units`] (`+`/`-`/comparison across inferred units), and
+    /// the d6 [`Family::Cast`] / [`Family::TruncatingCast`] sites.
+    pub sites: Vec<Site>,
     /// Summary: the return-value interval at declared param ranges.
     pub ret: Interval,
 }
@@ -354,8 +343,7 @@ pub fn interpret(
         fuel: 200_000,
         ret: None,
         diverged: false,
-        found: Default::default(),
-        out: FnAbs::default(),
+        found: BTreeSet::new(),
     };
     itp.seed_params(ir);
     let tail = itp.block(&ir.body);
@@ -373,16 +361,13 @@ pub fn interpret(
     if let Some(declared) = declared.and_then(type_range) {
         ret = ret.meet(&declared).unwrap_or(declared);
     }
-    let mut out = itp.out;
-    out.ret = ret;
-    [out.d13, out.d14, out.d15] = itp.found.map(sites);
-    out
-}
-
-fn sites(set: BTreeSet<(u32, String)>) -> Vec<Site> {
-    set.into_iter()
-        .map(|(line, what)| Site { line, what })
-        .collect()
+    let sites = itp.found.into_iter();
+    FnAbs {
+        sites: sites
+            .map(|(family, line, what)| Site::new(family, line, what))
+            .collect(),
+        ret,
+    }
 }
 
 struct Interp<'a> {
@@ -398,9 +383,8 @@ struct Interp<'a> {
     fuel: u32,
     ret: Option<Interval>,
     diverged: bool,
-    /// d13, d14 and d15 sites.
-    found: [BTreeSet<(u32, String)>; 3],
-    out: FnAbs,
+    /// The sites found so far.
+    found: BTreeSet<(Family, u32, String)>,
 }
 
 /// The facts a branch refines, saved and restored around `if`.
@@ -427,10 +411,10 @@ impl<'a> Interp<'a> {
         true
     }
 
-    /// Records a site for rule `d13 + rule` outside quiet analysis.
-    fn record(&mut self, rule: usize, line: u32, what: String) {
+    /// Records a site outside quiet analysis.
+    fn record(&mut self, family: Family, line: u32, what: String) {
         if self.quiet_depth == 0 {
-            self.found[rule].insert((line, what));
+            self.found.insert((family, line, what));
         }
     }
 
@@ -459,26 +443,8 @@ impl<'a> Interp<'a> {
             .rel_ge
             .retain(|(a, b)| !word_in(a, name) && !word_in(b, name));
         self.st.int_vars.remove(name);
-        let stale: Vec<String> = self
-            .st
-            .nonzero
-            .iter()
-            .filter(|k| word_in(k, name))
-            .cloned()
-            .collect();
-        for k in stale {
-            self.st.nonzero.remove(&k);
-        }
-        let stale: Vec<String> = self
-            .st
-            .env
-            .keys()
-            .filter(|k| k.as_str() != name && word_in(k, name))
-            .cloned()
-            .collect();
-        for k in stale {
-            self.st.env.remove(&k);
-        }
+        self.st.nonzero.retain(|k| !word_in(k, name));
+        self.st.env.retain(|k, _| k == name || !word_in(k, name));
     }
 
     // ----- statement walking -------------------------------------
@@ -510,15 +476,15 @@ impl<'a> Interp<'a> {
                 let binder = (pat.len() == 1)
                     .then(|| self.cur.ident(pat.start))
                     .flatten()
-                    .filter(|w| !crate::parser::is_keyword(w))
+                    .filter(|w| !is_keyword(w))
                     .map(str::to_owned);
                 let binder_iv = self.range_binder_interval(iter);
                 self.run_loop_body(body, binder.as_deref(), binder_iv);
             }
             Kind::While(cond, body) => {
                 let guard = !cond.is_empty() && self.cur.ident(cond.start) != Some("let");
-                if guard {
-                    let _ = self.eval(cond.clone());
+                if !cond.is_empty() {
+                    let _ = self.eval(self.tested(cond));
                 }
                 self.run_loop_body(body, None, Interval::top());
                 if guard {
@@ -604,7 +570,7 @@ impl<'a> Interp<'a> {
             if let Some(ty) = self.tys.get(&k).copied() {
                 if new.lo > ty.hi {
                     self.record(
-                        0,
+                        Family::Counter,
                         line,
                         format!(
                             "`{k}` ∈ {new} no longer fits its declared range {ty} \
@@ -663,7 +629,7 @@ impl<'a> Interp<'a> {
         if let Some(ty) = ty {
             if v.lo > ty.hi {
                 self.record(
-                    0,
+                    Family::Counter,
                     self.cur.line(init.span.start.saturating_sub(1)),
                     format!(
                         "`{name}` ∈ {v} does not fit its declared range {ty} \
@@ -680,9 +646,7 @@ impl<'a> Interp<'a> {
         self.clobber_facts(&name);
         // A float annotation (`let x: f64 = …`) rules out integer
         // provenance whatever the initializer mentions.
-        let float_ty =
-            l.ty.as_ref()
-                .is_some_and(|t| has_float_evidence(self.cur, t));
+        let float_ty = l.ty.as_ref().is_some_and(|t| self.cur.float_evidence(t));
         if ty.is_none() && !float_ty && self.int_evidence(&init.span, true) {
             self.st.int_vars.insert(name.clone());
         }
@@ -693,9 +657,7 @@ impl<'a> Interp<'a> {
     /// the branch blocks (for `let x = if …` bindings).
     fn handle_if(&mut self, cond: &Range<usize>, then: &[Stmt], els: Option<&Stmt>) -> Interval {
         let is_if_let = self.cur.ident(cond.start) == Some("let");
-        if !is_if_let {
-            let _ = self.eval(cond.clone());
-        }
+        let _ = self.eval(self.tested(cond));
         let base = self.st.clone();
 
         // Then branch under the positive refinement.
@@ -753,6 +715,20 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// The value a condition tests: the scrutinee of a `let PAT = EXPR`
+    /// condition (after its first depth-0 `=` that is neither `==` nor
+    /// a `..=` range pattern), else the whole condition.
+    fn tested(&self, cond: &Range<usize>) -> Range<usize> {
+        let c = self.cur;
+        if c.ident(cond.start) != Some("let") {
+            return cond.clone();
+        }
+        let eq = c.depth0(cond.start, cond.end, |k| {
+            c.punct(k, '=') && !c.punct(k + 1, '=') && !c.punct(k.wrapping_sub(1), '.')
+        });
+        (eq + 1).min(cond.end)..cond.end
+    }
+
     /// Var-wise join of the current state with another branch's.
     fn merge_from(&mut self, other: &State) {
         let keys: BTreeSet<String> = self
@@ -767,24 +743,9 @@ impl<'a> Interp<'a> {
             let b = other.env.get(&k).copied().unwrap_or_else(Interval::top);
             self.st.env.insert(k, a.join(&b));
         }
-        self.st.rel_ge = self
-            .st
-            .rel_ge
-            .intersection(&other.rel_ge)
-            .cloned()
-            .collect();
-        self.st.nonzero = self
-            .st
-            .nonzero
-            .intersection(&other.nonzero)
-            .cloned()
-            .collect();
-        self.st.int_vars = self
-            .st
-            .int_vars
-            .intersection(&other.int_vars)
-            .cloned()
-            .collect();
+        self.st.rel_ge.retain(|x| other.rel_ge.contains(x));
+        self.st.nonzero.retain(|x| other.nonzero.contains(x));
+        self.st.int_vars.retain(|x| other.int_vars.contains(x));
     }
 
     /// Applies a branch condition to the state. `positive` selects
@@ -833,12 +794,12 @@ impl<'a> Interp<'a> {
             }
             return;
         }
-        let Some((op, at)) = find_comparison(self.cur, &r) else {
+        let Some(op) = self.find_op(&r, Op::Cmp) else {
             return;
         };
-        let lhs = r.start..at;
-        let rhs = at + op.len()..r.end;
-        let op_eff = if positive { op } else { negate(op) };
+        let (lhs, rhs) = (r.start..op.start, op.end..r.end);
+        let op = self.cur.text(&op);
+        let op_eff = if positive { op.as_str() } else { negate(&op) };
         self.apply_cmp(&lhs, op_eff, &rhs);
         // Mirror: `a < b` is `b > a`.
         self.apply_cmp(&rhs, mirror(op_eff), &lhs);
@@ -849,8 +810,8 @@ impl<'a> Interp<'a> {
     fn apply_cmp(&mut self, lhs: &Range<usize>, op: &str, rhs: &Range<usize>) {
         let rv = self.eval_quiet(rhs.clone());
         let key = simple_key(self.cur, lhs);
-        let ltext = norm_text(self.cur, lhs);
-        let rtext = norm_text(self.cur, rhs);
+        let ltext = self.cur.text(lhs);
+        let rtext = self.cur.text(rhs);
         // Relational facts over simple operand texts.
         match op {
             ">" | ">=" | "==" => {
@@ -915,35 +876,27 @@ impl<'a> Interp<'a> {
         if k < 2 || !self.cur.punct(k - 2, '.') {
             return None;
         }
-        Some(norm_text(self.cur, &(r.start..k - 2)))
+        Some(self.cur.text(&(r.start..k - 2)))
     }
 
     /// The binder interval of a `a..b` / `a..=b` iterator, else ⊤.
     fn range_binder_interval(&mut self, iter: &Range<usize>) -> Interval {
+        let range_op = |k| self.op_width(Op::Range, iter, k);
         let k = self
             .cur
-            .depth0(iter.start, iter.end, |k| self.is_range_op(k));
-        if k >= iter.end {
+            .depth0(iter.start, iter.end, |k| range_op(k).is_some());
+        let Some(width) = range_op(k).filter(|_| k < iter.end) else {
             let _ = self.eval(iter.clone());
             return Interval::top();
-        }
-        let inclusive = self.cur.punct(k + 2, '=');
-        let lo = self.eval_quiet(iter.start..k);
-        let hi_start = if inclusive { k + 3 } else { k + 2 };
-        let hi = self.eval_quiet(hi_start..iter.end);
-        let hi_end = if inclusive {
+        };
+        let lo = self.eval(iter.start..k);
+        let hi = self.eval(k + width..iter.end);
+        let hi_end = if width == 3 {
             hi.hi
         } else {
             hi.hi.saturating_sub(1)
         };
         Interval::new(lo.lo, hi_end.max(lo.lo))
-    }
-
-    /// Whether token `k` starts a `..` range operator.
-    fn is_range_op(&self, k: usize) -> bool {
-        self.cur.punct(k, '.')
-            && self.cur.punct(k + 1, '.')
-            && !self.cur.punct(k.wrapping_sub(1), '.')
     }
 
     /// The widening protocol: one quiet pass to find the mutated
@@ -1004,21 +957,18 @@ impl<'a> Interp<'a> {
         self.st = pre;
         self.diverged = saved_div;
         let mut assigned: Vec<(String, String)> = Vec::new();
+        let cur = self.cur;
         let mut visit = |s: &Stmt| match &s.kind {
             Kind::Assign(lhs, ..) => {
                 // The dotted chain ending the place, and its head.
-                let mut h = lhs.end;
-                while h > lhs.start
-                    && (self.cur.ident(h - 1).is_some() || self.cur.punct(h - 1, '.'))
-                {
-                    h -= 1;
-                }
-                if let Some(w) = self.cur.ident(h).filter(|w| !crate::parser::is_keyword(w)) {
-                    assigned.push((w.to_owned(), norm_text(self.cur, &(h..lhs.end))));
+                let c = cur.dotted(lhs.clone());
+                let head = cur.ident(c.start).filter(|_| !c.is_empty());
+                if let Some(w) = head.filter(|_| !cur.punct(c.start.wrapping_sub(1), '.')) {
+                    assigned.push((w.to_owned(), cur.text(&c)));
                 }
             }
             Kind::Let(l) => {
-                if let Some(n) = l.name.and_then(|k| self.cur.ident(k)) {
+                if let Some(n) = l.name.and_then(|k| cur.ident(k)) {
                     assigned.push((n.to_owned(), n.to_owned()));
                 }
             }
@@ -1079,82 +1029,126 @@ impl<'a> Interp<'a> {
         self.eval_atom(&r)
     }
 
-    /// Finds the lowest-precedence depth-0 binary operator (rightmost
-    /// occurrence, matching left associativity) and recurses.
+    /// Cuts `r` at its lowest-precedence depth-0 binary operator (the
+    /// rightmost occurrence, matching left associativity; the leftmost
+    /// comparison) and recurses.
     fn split_binary(&mut self, r: &Range<usize>) -> Option<Interval> {
-        // Lowest precedence first: bool ops, comparisons, ranges,
-        // shifts, + -, * / %, `as`.
-        if let Some(at) = self.find_bool_op(r) {
-            let _ = self.eval(r.start..at.0);
-            let _ = self.eval(at.1..r.end);
-            return Some(Interval::top());
-        }
-        if let Some((op, at)) = find_comparison(self.cur, r) {
-            let lhs = r.start..at;
-            let rhs = at + op.len()..r.end;
-            let line = self.cur.line(at);
-            self.check_units(&lhs, &rhs, op, line);
-            let _ = self.eval(lhs);
-            let _ = self.eval(rhs);
-            return Some(Interval::new(0, 1));
-        }
-        if let Some(k) = self.find_depth0(r, true, |s, k| s.is_range_op(k)) {
-            let _ = self.eval(r.start..k);
-            let skip = if self.cur.punct(k + 2, '=') { 3 } else { 2 };
-            let _ = self.eval(k + skip..r.end);
-            return Some(Interval::top());
-        }
-        if let Some(k) = self.find_shift(r) {
-            let lv = self.eval(r.start..k);
-            let rv = self.eval(k + 2..r.end);
-            let line = self.cur.line(k);
-            if self.cur.punct(k, '<') {
-                if let Some(key) = simple_key(self.cur, &(r.start..k)) {
+        let (op, o) = PRECEDENCE
+            .into_iter()
+            .find_map(|op| Some((op, self.find_op(r, op)?)))?;
+        let (lhs, rhs, line) = (r.start..o.start, o.end..r.end, self.cur.line(o.start));
+        let sym = self.cur.text(&o);
+        let v = match op {
+            Op::Bool | Op::Range => {
+                let _ = self.eval(lhs);
+                let _ = self.eval(rhs);
+                Interval::top()
+            }
+            Op::Cmp => {
+                self.check_units(&lhs, &rhs, &sym, line);
+                let _ = self.eval(lhs);
+                let _ = self.eval(rhs);
+                Interval::new(0, 1)
+            }
+            Op::Shift => {
+                let lv = self.eval(lhs.clone());
+                let rv = self.eval(rhs);
+                if sym != "<<" {
+                    return Some(Interval::top());
+                }
+                if let Some(key) = simple_key(self.cur, &lhs) {
                     self.check_shift(&key, &lv, &rv, line);
                 }
-                return Some(lv.shl(&rv));
+                lv.shl(&rv)
             }
-            return Some(Interval::top());
-        }
-        if let Some(k) = self.find_addsub(r) {
-            let lhs = r.start..k;
-            let rhs = k + 1..r.end;
-            let line = self.cur.line(k);
-            let lv = self.eval(lhs.clone());
-            let rv = self.eval(rhs.clone());
-            self.check_units(
-                &lhs,
-                &rhs,
-                if self.cur.punct(k, '+') { "+" } else { "-" },
-                line,
-            );
-            if self.cur.punct(k, '-') {
-                self.check_sub(&lhs, &rhs, &lv, &rv, line);
-                return Some(lv.sub(&rv));
+            Op::AddSub => {
+                let lv = self.eval(lhs.clone());
+                let rv = self.eval(rhs.clone());
+                self.check_units(&lhs, &rhs, &sym, line);
+                if sym == "-" {
+                    self.check_sub(&lhs, &rhs, &lv, &rv, line);
+                    return Some(lv.sub(&rv));
+                }
+                lv.add(&rv)
             }
-            return Some(lv.add(&rv));
-        }
-        if let Some(k) = self.find_muldiv(r) {
-            let lhs = r.start..k;
-            let rhs = k + 1..r.end;
-            let line = self.cur.line(k);
-            let lv = self.eval(lhs);
-            let rv = self.eval(rhs.clone());
-            if self.cur.punct(k, '*') {
-                return Some(lv.mul(&rv));
+            Op::MulDiv => {
+                let lv = self.eval(lhs);
+                let rv = self.eval(rhs.clone());
+                if sym == "*" {
+                    return Some(lv.mul(&rv));
+                }
+                self.check_div(&rhs, &rv, line);
+                if sym == "/" {
+                    div_interval(&lv, &rv)
+                } else {
+                    rem_interval(&lv, &rv)
+                }
             }
-            self.check_div(&rhs, &rv, line);
-            if self.cur.punct(k, '/') {
-                return Some(div_interval(&lv, &rv));
+            Op::Cast => {
+                let lv = self.eval(lhs.clone());
+                self.check_cast(&lhs, &lv, o.start)
             }
-            return Some(rem_interval(&lv, &rv));
-        }
-        if let Some(k) = self.find_depth0(r, true, |s, k| s.cur.ident(k) == Some("as")) {
-            let lv = self.eval(r.start..k);
-            let ty = self.cur.ident(k + 1).unwrap_or("");
-            return Some(self.check_cast(&(r.start..k), &lv, ty, self.cur.line(k)));
-        }
-        None
+        };
+        Some(v)
+    }
+
+    /// The width of operator `op` when it starts at token `k` of `r`.
+    fn op_width(&self, op: Op, r: &Range<usize>, k: usize) -> Option<usize> {
+        let c = self.cur;
+        // After a value end, `-`, `*`, `<` … are binary, not unary or generic.
+        let binary = k > r.start && c.value_end(k - 1);
+        let pair = |a, b| c.punct(k, a) && c.punct(k + 1, b);
+        let hit = match op {
+            Op::Bool => pair('&', '&') || pair('|', '|'),
+            Op::Cmp if pair('=', '=') || pair('!', '=') => return Some(2),
+            Op::Cmp => {
+                let angle = c.punct(k, '<') || c.punct(k, '>');
+                // `<<`/`>>` is a shift; `<=`/`>=` is two tokens wide.
+                let shift = pair('<', '<') || pair('>', '>');
+                if angle && binary && !shift {
+                    return Some(1 + usize::from(c.punct(k + 1, '=')));
+                }
+                false
+            }
+            Op::Range if pair('.', '.') && !c.punct(k.wrapping_sub(1), '.') => {
+                return Some(2 + usize::from(c.punct(k + 2, '=')));
+            }
+            Op::Range => false,
+            Op::Shift => (pair('<', '<') || pair('>', '>')) && binary,
+            // `+=` and friends are handled upstream; `->` is no minus.
+            Op::AddSub => {
+                (c.punct(k, '+') || c.punct(k, '-'))
+                    && binary
+                    && !c.punct(k + 1, '=')
+                    && !c.punct(k + 1, '>')
+            }
+            Op::MulDiv => {
+                (c.punct(k, '*') || c.punct(k, '/') || c.punct(k, '%'))
+                    && binary
+                    && !c.punct(k + 1, '=')
+            }
+            Op::Cast => c.ident(k) == Some("as"),
+        };
+        let width = if matches!(op, Op::Bool | Op::Shift) {
+            2
+        } else {
+            1
+        };
+        hit.then_some(width)
+    }
+
+    /// The tokens of the depth-0 operator `op` in `r` that
+    /// [`Interp::split_binary`] cuts at: the leftmost comparison (a
+    /// stray generic `<`/`>` must not win over it), else the rightmost
+    /// match; an operator other than `&&`/`||` right of which a depth-0
+    /// `|` (a closure) lies is not one.
+    fn find_op(&self, r: &Range<usize>, op: Op) -> Option<Range<usize>> {
+        let at = |k| self.op_width(op, r, k).is_some();
+        let k = match op {
+            Op::Cmp => Some(self.cur.depth0(r.start, r.end, at)).filter(|&k| k < r.end),
+            _ => self.find_depth0(r, op != Op::Bool, at),
+        }?;
+        Some(k..k + self.op_width(op, r, k)?)
     }
 
     /// Rightmost depth-0 position in `r` matching `pred`. With
@@ -1163,70 +1157,18 @@ impl<'a> Interp<'a> {
         &self,
         r: &Range<usize>,
         closures: bool,
-        pred: impl Fn(&Self, usize) -> bool,
+        pred: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         let bail = |k: usize| closures && self.cur.punct(k, '|');
         let mut last = None;
         // Never stops: visits every depth-0 token.
         self.cur.depth0(r.start, r.end, |k| {
-            if bail(k) || pred(self, k) {
+            if bail(k) || pred(k) {
                 last = Some(k);
             }
             false
         });
         last.filter(|&k| !bail(k))
-    }
-
-    /// Depth-0 `&&` / `||` / single `&`-as-and: bool context. Returns
-    /// (lhs_end, rhs_start).
-    fn find_bool_op(&self, r: &Range<usize>) -> Option<(usize, usize)> {
-        let k = self.find_depth0(r, false, |s, k| {
-            (s.cur.punct(k, '&') && s.cur.punct(k + 1, '&'))
-                || (s.cur.punct(k, '|') && s.cur.punct(k + 1, '|'))
-        })?;
-        Some((k, k + 2))
-    }
-
-    fn find_shift(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, true, |s, k| {
-            ((s.cur.punct(k, '<') && s.cur.punct(k + 1, '<'))
-                || (s.cur.punct(k, '>') && s.cur.punct(k + 1, '>')))
-                && k > r.start
-                && s.is_value_end(k - 1)
-                && !s.cur.punct(k.wrapping_sub(1), ':')
-        })
-    }
-
-    fn find_addsub(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, true, |s, k| {
-            (s.cur.punct(k, '+') || s.cur.punct(k, '-'))
-                && k > r.start
-                && s.is_value_end(k - 1)
-                && !s.cur.punct(k + 1, '=')      // compound handled upstream
-                && !s.cur.punct(k + 1, '>') // `->`
-        })
-    }
-
-    fn find_muldiv(&self, r: &Range<usize>) -> Option<usize> {
-        self.find_depth0(r, true, |s, k| {
-            (s.cur.punct(k, '*') || s.cur.punct(k, '/') || s.cur.punct(k, '%'))
-                && k > r.start
-                && s.is_value_end(k - 1)
-                && !s.cur.punct(k + 1, '=')
-        })
-    }
-
-    /// Whether token `i` can end a value (making a following `-`/`*`
-    /// binary rather than unary).
-    fn is_value_end(&self, i: usize) -> bool {
-        match self.cur.kind(i) {
-            Some(TokenKind::Ident(w)) => {
-                !crate::parser::is_keyword(w) || w == "self" || w == "true" || w == "false"
-            }
-            Some(TokenKind::Number(_)) | Some(TokenKind::Literal) => true,
-            Some(TokenKind::Punct(')' | ']')) => true,
-            _ => false,
-        }
     }
 
     /// Atoms: literals, idents, dotted chains, calls, indexing,
@@ -1270,7 +1212,7 @@ impl<'a> Interp<'a> {
                 ('[', ']')
             };
             let Some(open) = self
-                .find_depth0(r, false, |s, k| s.cur.punct(k, op))
+                .find_depth0(r, false, |k| self.cur.punct(k, op))
                 .filter(|&open| open > r.start)
             else {
                 return Interval::top();
@@ -1285,7 +1227,7 @@ impl<'a> Interp<'a> {
             if let Some(name) = self.cur.ident(open - 1) {
                 if open >= 2 && self.cur.punct(open - 2, '.') {
                     let recv = r.start..open - 2;
-                    return self.eval_method(&recv, name, &args, r);
+                    return self.eval_method(&recv, name, &args);
                 }
                 // Free/path call: `name(args)` or `a::b::name(args)`.
                 return self.eval_call(name, &(r.start..open - 1), &args, self.cur.line(open - 1));
@@ -1293,7 +1235,7 @@ impl<'a> Interp<'a> {
             return Interval::top();
         }
         // Dotted field chain (no trailing call): env lookup by text.
-        let text = norm_text(self.cur, r);
+        let text = self.cur.text(r);
         self.st
             .env
             .get(&text)
@@ -1312,18 +1254,12 @@ impl<'a> Interp<'a> {
 
     /// Known interval-preserving methods; everything else is ⊤ (with
     /// args already evaluated for facts).
-    fn eval_method(
-        &mut self,
-        recv: &Range<usize>,
-        name: &str,
-        args: &[Interval],
-        _whole: &Range<usize>,
-    ) -> Interval {
+    fn eval_method(&mut self, recv: &Range<usize>, name: &str, args: &[Interval]) -> Interval {
         let rv = self.eval(recv.clone());
         let arg = args.first().copied().unwrap_or_else(Interval::top);
         match name {
             "len" if args.is_empty() => {
-                let key = format!("{}.len", norm_text(self.cur, recv));
+                let key = format!("{}.len", self.cur.text(recv));
                 self.st
                     .env
                     .get(&key)
@@ -1341,7 +1277,6 @@ impl<'a> Interp<'a> {
                 (rv.lo.saturating_sub(arg.hi)).max(0),
                 (rv.hi.saturating_sub(arg.lo)).max(0),
             ),
-            "unwrap_or" | "unwrap_or_default" => Interval::top(),
             _ => Interval::top(),
         }
     }
@@ -1391,23 +1326,24 @@ impl<'a> Interp<'a> {
         if lv.lo < 0 {
             return;
         }
-        if has_float_evidence(self.cur, lhs) || has_float_evidence(self.cur, rhs) {
+        if self.cur.float_evidence(lhs) || self.cur.float_evidence(rhs) {
             return;
         }
-        if !self.span_counterish(lhs) && !self.span_counterish(rhs) {
+        let counterish = |r: &Range<usize>| self.cur.any_ident(r.clone(), is_counterish);
+        if !counterish(lhs) && !counterish(rhs) {
             return;
         }
         // Proofs: interval, identity, or a dominating relational guard.
         if rv.hi <= lv.lo {
             return;
         }
-        let lt = norm_text(self.cur, lhs);
-        let rt = norm_text(self.cur, rhs);
+        let lt = self.cur.text(lhs);
+        let rt = self.cur.text(rhs);
         if lt == rt || self.st.rel_ge.contains(&(lt.clone(), rt.clone())) {
             return;
         }
         self.record(
-            0,
+            Family::Counter,
             line,
             format!(
                 "counter subtraction `{} - {}`: rhs ∈ {rv} not proven ≤ lhs (lhs ∈ {lv}); \
@@ -1430,7 +1366,7 @@ impl<'a> Interp<'a> {
             .unwrap_or(64);
         if rv.lo >= width {
             self.record(
-                0,
+                Family::Counter,
                 line,
                 format!(
                     "shift of `{}` by ∈ {rv}: every execution shifts past the {width}-bit \
@@ -1441,36 +1377,46 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// d13 casts: judged semantically, with the verdict lines driving
-    /// the d6 demotion in `assemble_file`.
-    fn check_cast(
-        &mut self,
-        operand: &Range<usize>,
-        lv: &Interval,
-        ty: &str,
-        line: u32,
-    ) -> Interval {
+    /// d13 casts: a cast proven to truncate is a d13 site. A narrow cast
+    /// near a counter name is also a d6 site unless its operand is
+    /// proven to fit.
+    fn check_cast(&mut self, operand: &Range<usize>, lv: &Interval, at: usize) -> Interval {
+        let ty = self.cur.ident(at + 1).unwrap_or("");
         let Some(tr) = type_range(ty) else {
             // `as f64` and friends: value-preserving for our purposes.
             return *lv;
         };
-        if self.quiet_depth == 0 {
-            if lv.lo >= tr.lo && lv.hi <= tr.hi {
-                self.out.cast_fit_lines.insert(line);
-            } else if lv.lo > tr.hi || lv.hi < tr.lo {
-                self.out.cast_risk_lines.insert(line);
-                self.record(
-                    0,
-                    line,
-                    format!(
-                        "`{} as {ty}` truncates: value ∈ {lv} lies outside {ty}'s \
-                         range {tr} in every execution",
-                        clip(&norm_text(self.cur, operand)),
-                    ),
-                );
+        let line = self.cur.line(at);
+        let truncates = lv.lo > tr.hi || lv.hi < tr.lo;
+        if truncates {
+            self.record(
+                Family::Counter,
+                line,
+                format!(
+                    "`{} as {ty}` truncates: value ∈ {lv} lies outside {ty}'s range {tr} in \
+                     every execution",
+                    clip(&self.cur.text(operand)),
+                ),
+            );
+        }
+        // Any counter/timestamp-named identifier earlier on the same
+        // line marks a narrow cast suspicious.
+        let culprit = (0..at)
+            .rev()
+            .take_while(|&j| self.cur.line(j) == line)
+            .find_map(|j| self.cur.ident(j).filter(|w| is_counterish(w)));
+        let fits = lv.lo >= tr.lo && lv.hi <= tr.hi;
+        if let Some(name) = culprit.filter(|_| !fits && tr.hi <= u32::MAX as i128) {
+            let family = if truncates {
+                Family::TruncatingCast
             } else {
-                self.out.cast_unknown_lines.insert(line);
-            }
+                Family::Cast
+            };
+            let what = format!(
+                "truncating cast `as {ty}` near counter/timestamp `{name}`; widen or \
+                 bound-check explicitly"
+            );
+            self.record(family, line, what);
         }
         lv.meet(&tr).unwrap_or(tr)
     }
@@ -1495,12 +1441,12 @@ impl<'a> Interp<'a> {
             return;
         }
         // A guard-proven expression clears the check.
-        let dt = norm_text(self.cur, den);
+        let dt = self.cur.text(den);
         if self.st.nonzero.contains(&dt) {
             return;
         }
         self.record(
-            1,
+            Family::Division,
             line,
             format!(
                 "denominator `{}` ∈ {dv} may be zero; dominate it with a nonzero \
@@ -1522,13 +1468,13 @@ impl<'a> Interp<'a> {
             return;
         }
         self.record(
-            2,
+            Family::Units,
             line,
             format!(
                 "unit mismatch: `{}` carries {ld} but `{}` carries {rd} across `{op}`; \
                  route one side through a named conversion helper",
-                clip(&norm_text(self.cur, lhs)),
-                clip(&norm_text(self.cur, rhs)),
+                clip(&self.cur.text(lhs)),
+                clip(&self.cur.text(rhs)),
             ),
         );
     }
@@ -1551,83 +1497,56 @@ impl<'a> Interp<'a> {
         dim
     }
 
-    fn span_counterish(&self, r: &Range<usize>) -> bool {
-        r.clone()
-            .any(|k| self.cur.ident(k).is_some_and(is_counterish))
-    }
-
     /// Whether a span is integer-derived: it mentions a
     /// declared-integer variable, an int-derived `let` binding, or a
     /// `.len()` call — and carries no float literal or float-typed
-    /// ident (an `as f64`/`as f32` *view* of an integer is fine; the
-    /// cast target ident after `as` is not float evidence).
-    /// `literals_count` is true when classifying a `let` rhs (so `let mut count = 0;` marks `count` int-derived)
-    /// and false for denominators, where a bare literal divisor is
-    /// either non-zero (clean) or a compile error.
+    /// ident (an `as f64`/`as f32` *view* of an integer is fine).
+    /// `literals_count` is true when classifying a `let` rhs (so `let
+    /// mut count = 0;` marks `count` int-derived) and false for
+    /// denominators, where a bare literal divisor is either non-zero
+    /// (clean) or a compile error.
     fn int_evidence(&self, r: &Range<usize>, literals_count: bool) -> bool {
-        let mut evidence = false;
-        for k in r.clone() {
-            match self.cur.kind(k) {
-                Some(TokenKind::Number(text)) => {
-                    if crate::dataflow::is_float_number(text) {
-                        return false;
-                    }
-                    if literals_count {
-                        evidence = true;
-                    }
-                }
-                Some(TokenKind::Ident(s))
-                    if (s == "f64" || s == "f32")
-                        && self.cur.ident(k.wrapping_sub(1)) != Some("as") =>
-                {
-                    return false;
-                }
-                Some(TokenKind::Ident(s))
-                    if self.tys.contains_key(s.as_str())
-                        || self.st.int_vars.contains(s.as_str())
-                        || (s == "len" && self.cur.punct(k + 1, '(')) =>
-                {
-                    evidence = true;
-                }
-                _ => {}
+        self.cur.int_evidence(r, |k| match self.cur.kind(k) {
+            Some(TokenKind::Number(_)) => literals_count,
+            Some(TokenKind::Ident(s)) => {
+                self.tys.contains_key(s.as_str())
+                    || self.st.int_vars.contains(s.as_str())
+                    || (s == "len" && self.cur.punct(k + 1, '('))
             }
-        }
-        evidence
+            _ => false,
+        })
     }
 }
 
-/// Finds the depth-0 comparison operator in `r`: returns the operator
-/// text and its token index. `<`/`>` are accepted only between value
-/// tokens (turbofish and generics sit next to `:` or idents that are
-/// type-ish — the value-end test filters most of them).
-fn find_comparison<'a>(cur: Cursor<'_>, r: &Range<usize>) -> Option<(&'a str, usize)> {
-    let value_end = |k: usize| match cur.kind(k) {
-        Some(TokenKind::Ident(w)) => !crate::parser::is_keyword(w) || w == "self",
-        Some(TokenKind::Number(_)) | Some(TokenKind::Literal) => true,
-        Some(TokenKind::Punct(')' | ']')) => true,
-        _ => false,
-    };
-    let op_at = |k: usize| match cur.kind(k) {
-        Some(TokenKind::Punct('=')) if cur.punct(k + 1, '=') => Some("=="),
-        Some(TokenKind::Punct('!')) if cur.punct(k + 1, '=') => Some("!="),
-        Some(TokenKind::Punct(c @ ('<' | '>')))
-            if k > r.start
-                && value_end(k - 1)
-                && !cur.punct(k.wrapping_sub(1), ':')
-                && !cur.punct(k + 1, *c) // shift
-                && !(*c == '>' && cur.punct(k.wrapping_sub(1), '-')) =>
-        {
-            Some(match (c, cur.punct(k + 1, '=')) {
-                ('<', true) => "<=",
-                ('<', false) => "<",
-                (_, true) => ">=",
-                (_, false) => ">",
-            })
-        }
-        _ => None,
-    };
-    let k = cur.depth0(r.start, r.end, |k| op_at(k).is_some());
-    op_at(k).filter(|_| k < r.end).map(|op| (op, k))
+/// The binary operators [`Interp::split_binary`] cuts at, lowest
+/// precedence first.
+const PRECEDENCE: [Op; 7] = [
+    Op::Bool,
+    Op::Cmp,
+    Op::Range,
+    Op::Shift,
+    Op::AddSub,
+    Op::MulDiv,
+    Op::Cast,
+];
+
+/// A binary operator class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// `&&`, `||`.
+    Bool,
+    /// `==`, `!=`, `<`, `<=`, `>`, `>=`.
+    Cmp,
+    /// `..`, `..=`.
+    Range,
+    /// `<<`, `>>`.
+    Shift,
+    /// `+`, `-`.
+    AddSub,
+    /// `*`, `/`, `%`.
+    MulDiv,
+    /// `as`.
+    Cast,
 }
 
 fn negate(op: &str) -> &'static str {
@@ -1655,22 +1574,8 @@ fn mirror(op: &str) -> &'static str {
 /// When `r` is a simple environment key — a bare identifier or a
 /// dotted ident chain — its normalized text.
 fn simple_key(cur: Cursor<'_>, r: &Range<usize>) -> Option<String> {
-    if r.is_empty() || r.len() > 9 {
-        return None;
-    }
-    for (pos, k) in r.clone().enumerate() {
-        let want_ident = pos % 2 == 0;
-        match cur.kind(k) {
-            Some(TokenKind::Ident(w)) if want_ident && !crate::parser::is_keyword(w) => {}
-            Some(TokenKind::Ident(w)) if want_ident && w == "self" => {}
-            Some(TokenKind::Punct('.')) if !want_ident => {}
-            _ => return None,
-        }
-    }
-    if r.len().is_multiple_of(2) {
-        return None;
-    }
-    Some(norm_text(cur, r))
+    let chain = !r.is_empty() && r.len() <= 9 && cur.dotted(r.clone()) == *r;
+    chain.then(|| cur.text(r))
 }
 
 /// Whether `r` is the literal `0` / `0.0` / `0usize`-style zero.
@@ -1682,37 +1587,6 @@ fn is_zero_literal(cur: Cursor<'_>, r: &Range<usize>) -> bool {
         Some(TokenKind::Number(text)) => parse_number(text) == Interval::exact(0),
         _ => false,
     }
-}
-
-/// Canonical text of a token span, for keys and messages.
-fn norm_text(cur: Cursor<'_>, r: &Range<usize>) -> String {
-    let mut out = String::new();
-    for k in r.clone() {
-        let piece = match cur.kind(k) {
-            Some(TokenKind::Ident(s)) => s.as_str(),
-            Some(TokenKind::Number(s)) => s.as_str(),
-            Some(TokenKind::Literal) => "\"…\"",
-            Some(TokenKind::Lifetime) => "'_",
-            Some(TokenKind::Comment { .. }) | None => "",
-            Some(TokenKind::Punct(c)) => {
-                out.push(*c);
-                continue;
-            }
-        };
-        let need_gap = out
-            .chars()
-            .last()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            && piece
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if need_gap {
-            out.push(' ');
-        }
-        out.push_str(piece);
-    }
-    out
 }
 
 /// Clips long expression texts for messages.
@@ -1735,7 +1609,7 @@ fn word_in(text: &str, name: &str) -> bool {
 /// they are exactly zero — only their zero-membership matters (d14).
 fn parse_number(text: &str) -> Interval {
     let cleaned: String = text.chars().filter(|&c| c != '_').collect();
-    if crate::dataflow::is_float_number(text) {
+    if is_float_number(text) {
         let mantissa = cleaned.split(['e', 'E', 'f']).next().unwrap_or("");
         let nonzero = mantissa.chars().any(|c| ('1'..='9').contains(&c));
         return if nonzero {

@@ -21,11 +21,10 @@
 //! direction for the d7–d9 rules: a function is only ever wrongly
 //! *included* in the deterministic perimeter, never wrongly excluded.
 
-use crate::dataflow::FnFlow;
 use crate::ir::FnIr;
 use crate::lexer::Token;
 use crate::parser::{Callee, ParsedFile};
-use crate::taint::FnFacts;
+use crate::rules::Site;
 use std::collections::BTreeMap;
 
 /// One function in the workspace graph.
@@ -50,10 +49,9 @@ pub struct FnNode {
     pub line: u32,
     /// 1-based line of the body's closing brace.
     pub end_line: u32,
-    /// Intra-function facts from the taint analyzer.
-    pub facts: FnFacts,
-    /// Intra-function dataflow facts (d10–d12 raw material).
-    pub flow: FnFlow,
+    /// Every fact site inside the function, from every pass, tagged
+    /// with its family. Empty until the lint run fills it in.
+    pub sites: Vec<Site>,
 }
 
 /// One call edge.
@@ -82,10 +80,6 @@ pub struct FileItems {
     pub mod_path: Vec<String>,
     /// The parsed item tree.
     pub parsed: ParsedFile,
-    /// Per-function facts, parallel to `parsed.functions`.
-    pub facts: Vec<FnFacts>,
-    /// Per-function dataflow facts, parallel to `parsed.functions`.
-    pub flows: Vec<FnFlow>,
     /// Per-function IR, parallel to `parsed.functions`: built once per
     /// scan and read again by the value-range interpreter.
     pub irs: Vec<FnIr>,
@@ -140,13 +134,7 @@ impl CallGraph {
         // File index parallel to nodes, for import lookup.
         let mut node_file: Vec<usize> = Vec::new();
         for (fx, file) in files.iter().enumerate() {
-            let fns = file
-                .parsed
-                .functions
-                .iter()
-                .zip(&file.facts)
-                .zip(&file.flows);
-            for ((f, facts), flow) in fns {
+            for f in &file.parsed.functions {
                 let mut modules = file.mod_path.clone();
                 modules.extend(f.modules.iter().cloned());
                 let mut qparts: Vec<&str> = vec![file.crate_name.as_str()];
@@ -167,8 +155,7 @@ impl CallGraph {
                     file: file.label.clone(),
                     line: f.line,
                     end_line: f.end_line,
-                    facts: facts.clone(),
-                    flow: flow.clone(),
+                    sites: Vec::new(),
                 });
                 node_file.push(fx);
             }

@@ -24,14 +24,14 @@
 //!   `for x in a..b` binder).
 //!
 //! Like the lexer and parser this layer is *total*: any byte sequence
-//! produces a (possibly empty) [`FnFlow`], never a panic. The
+//! produces a (possibly empty) set of sites, never a panic. The
 //! property tests in `tests/tokenizer_props.rs` drive it with
 //! arbitrary bytes.
 
 use crate::ir::{Closure, FnIr, Kind, Let, Stmt};
-use crate::lexer::{Cursor, Token, TokenKind};
-use crate::parser::{is_keyword, FnItem};
-use crate::taint::Site;
+use crate::lexer::{Cursor, Token};
+use crate::parser::FnItem;
+use crate::rules::{Family, Site};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -125,68 +125,25 @@ pub struct CodecFn {
     pub pair_key: String,
     /// Writer side (`put_`/`encode`/`to_bytes`) vs reader side.
     pub is_encoder: bool,
-    /// Declaration line, for unpaired-codec findings.
+    /// Line of the `fn` keyword, for unpaired-codec findings.
     pub line: u32,
     /// The op tree extracted from the body.
     pub ops: Vec<CodecOp>,
 }
 
-/// Dataflow facts for one function.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnFlow {
-    /// d10 sites: captured float accumulation inside par closures.
-    pub par_accums: Vec<Site>,
-    /// d11 raw material: the codec op tree, when this function is
-    /// codec-named and touches the byte vocabulary.
-    pub codec: Option<CodecFn>,
-    /// d12 sites: slice indexing with no dominating length guard.
-    /// Reported only for decode-reachable functions.
-    pub unguarded_indexes: Vec<Site>,
-}
-
-/// One d11 problem within a file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecIssue {
-    /// A codec root (not called by any other codec fn) with no
-    /// opposite-side partner.
-    Unpaired {
-        /// Index of the function in the file's function list.
-        fn_ix: usize,
-        /// Declaration line.
-        line: u32,
-        /// Function name.
-        name: String,
-        /// Writer side?
-        is_encoder: bool,
-    },
-    /// An encoder/decoder pair whose flattened sequences diverge.
-    Mismatch {
-        /// Index of the encoder in the file's function list.
-        enc_ix: usize,
-        /// Index of the decoder in the file's function list.
-        dec_ix: usize,
-        /// Line of the first diverging op on the encoder side.
-        enc_line: u32,
-        /// Line of the first diverging op on the decoder side.
-        dec_line: u32,
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
-}
-
-/// Computes the dataflow facts for one function over the comment-free
-/// token stream and its IR. Total: never panics, any input.
-pub fn analyze_fn(code: &[Token], f: &FnItem, ir: &FnIr) -> FnFlow {
+/// Tags the d10 and d12 sites of one function into `sites` and returns
+/// its codec op tree when it is one side of a codec pair, over the
+/// comment-free token stream and the function's IR. Total: never
+/// panics, any input.
+pub fn analyze_fn(code: &[Token], f: &FnItem, ir: &FnIr, sites: &mut Vec<Site>) -> Option<CodecFn> {
     let flow = Flow {
         cur: Cursor::new(code, f.body.clone()),
         ir,
         lets: ir.lets(),
     };
-    FnFlow {
-        par_accums: flow.par_accums(),
-        codec: flow.codec(&f.name),
-        unguarded_indexes: flow.unguarded_indexes(),
-    }
+    flow.par_accums(sites);
+    flow.unguarded_indexes(sites);
+    flow.codec(f)
 }
 
 struct Flow<'a> {
@@ -194,42 +151,6 @@ struct Flow<'a> {
     ir: &'a FnIr,
     /// Every `let`, in token order.
     lets: Vec<(Range<usize>, &'a Let)>,
-}
-
-/// Number tokens that denote floats: a decimal point, an `f32`/`f64`
-/// suffix, or an exponent. An `e`/`E` counts as an exponent only next
-/// to a digit — integer suffixes (`0usize`) carry a bare `e`.
-pub(crate) fn is_float_number(text: &str) -> bool {
-    if text.starts_with("0x") {
-        return false;
-    }
-    if text.contains('.') || text.contains("f32") || text.contains("f64") {
-        return true;
-    }
-    let b = text.as_bytes();
-    b.windows(2)
-        .any(|w| (w[0] == b'e' || w[0] == b'E') && w[1].is_ascii_digit())
-        || (b.len() >= 2
-            && (b[b.len() - 1] == b'e' || b[b.len() - 1] == b'E')
-            && b[b.len() - 2].is_ascii_digit())
-}
-
-/// Keywords, `self` and primitive type names: never a value to bound
-/// or accumulate into.
-fn is_value_keyword(word: &str) -> bool {
-    is_keyword(word)
-        || matches!(word, "self" | "bool" | "f32" | "f64")
-        || crate::absint::type_range(word).is_some()
-}
-
-/// Float evidence inside a token range: a float literal, an
-/// `f64`/`f32` type mention, or an `as f64` cast.
-pub(crate) fn has_float_evidence(cur: Cursor<'_>, r: &Range<usize>) -> bool {
-    r.clone().any(|k| match cur.kind(k) {
-        Some(TokenKind::Number(text)) => is_float_number(text),
-        Some(TokenKind::Ident(s)) => s == "f64" || s == "f32",
-        _ => false,
-    })
 }
 
 impl Flow<'_> {
@@ -246,13 +167,12 @@ impl Flow<'_> {
     /// Whether parameter `name` is declared with a float type.
     fn float_param(&self, name: &str) -> bool {
         let mut params = self.ir.params.iter();
-        params.any(|(n, ty)| n == name && has_float_evidence(self.cur, ty))
+        params.any(|(n, ty)| n == name && self.cur.float_evidence(ty))
     }
 
     // -- d10: captured float accumulation in par closures -------------
 
-    fn par_accums(&self) -> Vec<Site> {
-        let mut sites = Vec::new();
+    fn par_accums(&self, sites: &mut Vec<Site>) {
         let mut i = self.cur.start;
         while i < self.cur.end {
             let is_comb = self
@@ -280,14 +200,13 @@ impl Flow<'_> {
                     &closures[..]
                 };
                 for cl in keep {
-                    self.accums_in_closure(cl, &comb, &mut sites);
+                    self.accums_in_closure(cl, &comb, sites);
                 }
                 i = call_end.max(i + 1);
                 continue;
             }
             i += 1;
         }
-        sites
     }
 
     fn accums_in_closure(&self, cl: &Closure, comb: &str, sites: &mut Vec<Site>) {
@@ -303,7 +222,7 @@ impl Flow<'_> {
         let body = &cl.body;
         let mut k = body.start;
         while k < body.end {
-            if let Some(name) = self.cur.ident(k) {
+            if let Some(name) = self.cur.value_name(k) {
                 // `x += …` / `x -= …` / `x *= …`, or `x = x + …`.
                 let compound = (self.cur.punct(k + 1, '+')
                     || self.cur.punct(k + 1, '-')
@@ -315,18 +234,12 @@ impl Flow<'_> {
                     && (self.cur.punct(k + 3, '+')
                         || self.cur.punct(k + 3, '-')
                         || self.cur.punct(k + 3, '*'));
-                if (compound || rebind)
-                    && !is_value_keyword(name)
-                    && !locals.contains(name)
-                    && self.accum_is_float(name, k)
-                {
-                    sites.push(Site {
-                        line: self.cur.line(k),
-                        what: format!(
-                            "order-sensitive float accumulation into captured `{name}` \
-                             inside a `{comb}` closure (runs per item, not in serial fold order)"
-                        ),
-                    });
+                if (compound || rebind) && !locals.contains(name) && self.accum_is_float(name, k) {
+                    let what = format!(
+                        "order-sensitive float accumulation into captured `{name}` inside a \
+                         `{comb}` closure (runs per item, not in serial fold order)"
+                    );
+                    sites.push(Site::new(Family::ParAccum, self.cur.line(k), what));
                     // One site per accumulator per closure is enough.
                     k = self.ir.stmt_of(k).end.max(k + 1);
                     continue;
@@ -340,11 +253,11 @@ impl Flow<'_> {
     /// accumulating statement itself, in the accumulator's `let`
     /// definition, or in its parameter type.
     fn accum_is_float(&self, name: &str, at: usize) -> bool {
-        if has_float_evidence(self.cur, &self.ir.stmt_of(at)) {
+        if self.cur.float_evidence(&self.ir.stmt_of(at)) {
             return true;
         }
         if let Some(def) = self.def_statement(name) {
-            if has_float_evidence(self.cur, &def) {
+            if self.cur.float_evidence(&def) {
                 return true;
             }
         }
@@ -353,20 +266,19 @@ impl Flow<'_> {
 
     // -- d11: codec op extraction -------------------------------------
 
-    fn codec(&self, fn_name: &str) -> Option<CodecFn> {
-        let (pair_key, is_encoder) = codec_role(fn_name)?;
+    fn codec(&self, f: &FnItem) -> Option<CodecFn> {
+        let (pair_key, is_encoder) = codec_role(&f.name)?;
+        // Every repetition and branch in the tree holds an op, so a
+        // non-empty tree touches the byte vocabulary.
         let ops = self.ops_of(&self.ir.body, 0);
-        let mut prims = 0usize;
-        let mut calls = 0usize;
-        count_ops(&ops, &mut prims, &mut calls);
-        if prims == 0 && calls == 0 {
+        if ops.is_empty() {
             return None;
         }
         Some(CodecFn {
-            name: fn_name.to_owned(),
+            name: f.name.clone(),
             pair_key,
             is_encoder,
-            line: self.cur.line(self.cur.start),
+            line: f.line,
             ops,
         })
     }
@@ -504,98 +416,46 @@ impl Flow<'_> {
     }
 
     fn range_has_return(&self, r: &Range<usize>) -> bool {
-        r.clone().any(|k| self.cur.ident(k) == Some("return"))
+        self.cur.any_ident(r.clone(), |w| w == "return")
     }
 
     // -- d12: unguarded slice indexing --------------------------------
 
-    fn unguarded_indexes(&self) -> Vec<Site> {
-        let mut sites = Vec::new();
+    fn unguarded_indexes(&self, sites: &mut Vec<Site>) {
         let mut i = self.cur.start;
         while i < self.cur.end {
-            if self.cur.punct(i, '[') && self.index_base_end(i) {
-                let base = self.receiver_chain(i);
+            // A `[` after a value (not an array literal, attribute,
+            // keyword or `!x[…]`) indexes it.
+            let indexes =
+                i > 0 && self.cur.value_end(i - 1) && !self.cur.punct(i.wrapping_sub(2), '!');
+            if self.cur.punct(i, '[') && indexes {
+                let c = self.cur.dotted(0..i);
+                let base = (!c.is_empty()).then(|| self.cur.text(&c));
                 let close = self.cur.skip_group(i, '[', ']');
-                let operand_idents = self.index_operands(i + 1..close.saturating_sub(1));
-                if !self.is_guarded(&base, &operand_idents, i) {
+                // Identifiers feeding the index, less method names.
+                let operands: BTreeSet<&str> = (i + 1..close.saturating_sub(1))
+                    .filter_map(|k| {
+                        self.cur
+                            .value_name(k)
+                            .filter(|_| !self.cur.punct(k + 1, '('))
+                    })
+                    .collect();
+                if !self.is_guarded(&base, &operands, i) {
                     let shown = match &base {
                         Some(b) => format!("`{b}`"),
                         None => "an expression result".to_owned(),
                     };
-                    sites.push(Site {
-                        line: self.cur.line(i),
-                        what: format!(
-                            "slice indexing into {shown} with no dominating length guard \
-                             on the same value chain"
-                        ),
-                    });
+                    let what = format!(
+                        "slice indexing into {shown} with no dominating length guard on the \
+                         same value chain"
+                    );
+                    sites.push(Site::new(Family::Index, self.cur.line(i), what));
                 }
                 i = close.max(i + 1);
                 continue;
             }
             i += 1;
         }
-        sites
-    }
-
-    /// Whether the `[` at `i` indexes a value (preceded by an
-    /// identifier, `)` or `]`) rather than opening an array literal,
-    /// attribute or macro body.
-    fn index_base_end(&self, i: usize) -> bool {
-        if i == 0 {
-            return false;
-        }
-        if self.cur.punct(i - 1, ')') || self.cur.punct(i - 1, ']') {
-            return true;
-        }
-        match self.cur.ident(i - 1) {
-            // A keyword or a macro name (`ident!`) is not a value base.
-            Some(w) => !(is_value_keyword(w) || i >= 2 && self.cur.punct(i - 2, '!')),
-            None => false,
-        }
-    }
-
-    /// The dotted receiver chain directly before `[`, e.g.
-    /// `self.data` for `self.data[…]`. `None` when the base is a call
-    /// or index result.
-    fn receiver_chain(&self, open: usize) -> Option<String> {
-        if open == 0 || self.cur.punct(open - 1, ')') || self.cur.punct(open - 1, ']') {
-            return None;
-        }
-        let mut parts = Vec::new();
-        let mut i = open;
-        while let Some(name) = (i >= 1).then(|| self.cur.ident(i - 1)).flatten() {
-            parts.push(name.to_owned());
-            if i < 2 || !self.cur.punct(i - 2, '.') {
-                break;
-            }
-            i -= 2;
-        }
-        if parts.is_empty() {
-            return None;
-        }
-        parts.reverse();
-        Some(parts.join("."))
-    }
-
-    /// Identifiers that feed the index expression (excluding keywords
-    /// and method names).
-    fn index_operands(&self, r: Range<usize>) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for k in r {
-            if let Some(name) = self.cur.ident(k) {
-                if is_value_keyword(name) {
-                    continue;
-                }
-                // A name followed by `(` is a method/function, not a
-                // value to bound.
-                if self.cur.punct(k + 1, '(') {
-                    continue;
-                }
-                out.insert(name.to_owned());
-            }
-        }
-        out
     }
 
     /// Dominating-guard check for an index site at token `at`.
@@ -605,7 +465,7 @@ impl Flow<'_> {
     /// chain its `let` definition derives from), or (b) every index
     /// operand is either compared (`<`/`>`) in a dominating statement
     /// or bound by a dominating `for x in a..b` range header.
-    fn is_guarded(&self, base: &Option<String>, operands: &BTreeSet<String>, at: usize) -> bool {
+    fn is_guarded(&self, base: &Option<String>, operands: &BTreeSet<&str>, at: usize) -> bool {
         let prefix = self.cur.start..self.ir.stmt_of(at).end;
         if let Some(b) = base {
             if self.length_mention(b, &prefix) {
@@ -616,11 +476,8 @@ impl Flow<'_> {
             if let Some(def) = self.def_statement(b.split('.').next().unwrap_or(b)) {
                 if def.start < at {
                     for k in def.clone() {
-                        if let Some(parent) = self.cur.ident(k) {
-                            if parent != b
-                                && !is_value_keyword(parent)
-                                && self.length_mention(parent, &prefix)
-                            {
+                        if let Some(parent) = self.cur.value_name(k) {
+                            if parent != b && self.length_mention(parent, &prefix) {
                                 return true;
                             }
                         }
@@ -684,21 +541,6 @@ impl Flow<'_> {
     }
 }
 
-fn count_ops(ops: &[CodecOp], prims: &mut usize, calls: &mut usize) {
-    for op in ops {
-        match op {
-            CodecOp::Prim { .. } => *prims += 1,
-            CodecOp::Call { .. } => *calls += 1,
-            CodecOp::Rep(inner) => count_ops(inner, prims, calls),
-            CodecOp::Branch(arms) => {
-                for a in arms {
-                    count_ops(a, prims, calls);
-                }
-            }
-        }
-    }
-}
-
 /// Collapses a set of branch arms into the op stream: empty arms
 /// vanish, agreeing arms inline their common sequence, disagreeing
 /// arms survive as a [`CodecOp::Branch`] barrier.
@@ -759,9 +601,11 @@ fn codec_role(name: &str) -> Option<(String, bool)> {
 }
 
 /// Pairs the codec functions of one file and verifies each pair's
-/// flattened op sequences mirror each other. `codecs` carries the
-/// in-file function index for chain rendering.
-pub fn check_codecs(codecs: &[(usize, CodecFn)]) -> Vec<CodecIssue> {
+/// flattened op sequences mirror each other. `codecs` carries each
+/// function's index in the file; every d11 site comes back with the
+/// index of the function it belongs to (the encoder of a pair, whose
+/// decoder is the site's `pair`).
+pub fn check_codecs(codecs: &[(usize, CodecFn)]) -> Vec<(usize, Site)> {
     let mut issues = Vec::new();
     // Sub-codec calls referenced anywhere mark non-roots.
     let mut called: BTreeSet<&str> = BTreeSet::new();
@@ -790,24 +634,29 @@ pub fn check_codecs(codecs: &[(usize, CodecFn)]) -> Vec<CodecIssue> {
                 let ef = flatten(&e.ops, codecs, 0, &mut enc_budget);
                 let df = flatten(&d.ops, codecs, 0, &mut dec_budget);
                 if let Some((detail, enc_line, dec_line)) = first_divergence(&ef, &df) {
-                    issues.push(CodecIssue::Mismatch {
-                        enc_ix: *eix,
-                        dec_ix: *dix,
-                        enc_line,
-                        dec_line,
-                        detail,
-                    });
+                    let what = format!(
+                        "write sequence of `{}` (line {enc_line}) does not mirror the read \
+                         sequence of `{}` (line {dec_line}): {detail}",
+                        e.name, d.name
+                    );
+                    let mut site = Site::new(Family::Codec, enc_line, what);
+                    site.pair = Some(*dix);
+                    issues.push((*eix, site));
                 }
             }
             (one_side, []) | ([], one_side) => {
                 for (ix, c) in one_side {
                     if !called.contains(c.name.as_str()) {
-                        issues.push(CodecIssue::Unpaired {
-                            fn_ix: *ix,
-                            line: c.line,
-                            name: c.name.clone(),
-                            is_encoder: c.is_encoder,
-                        });
+                        let (side, wanted) = if c.is_encoder {
+                            ("encoder", "decoder")
+                        } else {
+                            ("decoder", "encoder")
+                        };
+                        let what = format!(
+                            "codec {side} `{}` has no {wanted} counterpart in this file",
+                            c.name
+                        );
+                        issues.push((*ix, Site::new(Family::Codec, c.line, what)));
                     }
                 }
             }
@@ -988,18 +837,27 @@ mod tests {
     use super::*;
     use crate::{lexer, parser};
 
-    fn flows(src: &str) -> Vec<FnFlow> {
+    /// Each function's d10/d12 sites and codec op tree.
+    fn flows(src: &str) -> Vec<(Vec<Site>, Option<CodecFn>)> {
         let tokens = lexer::tokenize(src);
         let code: Vec<Token> = tokens
             .into_iter()
-            .filter(|t| !matches!(t.kind, TokenKind::Comment { .. }))
+            .filter(|t| !matches!(t.kind, lexer::TokenKind::Comment { .. }))
             .collect();
         let parsed = parser::parse(&code);
         parsed
             .functions
             .iter()
-            .map(|f| analyze_fn(&code, f, &crate::ir::build(&code, f)))
+            .map(|f| {
+                let mut sites = Vec::new();
+                let codec = analyze_fn(&code, f, &crate::ir::build(&code, f), &mut sites);
+                (sites, codec)
+            })
             .collect()
+    }
+
+    fn of(sites: &[Site], family: Family) -> Vec<&Site> {
+        sites.iter().filter(|s| s.family == family).collect()
     }
 
     #[test]
@@ -1009,8 +867,8 @@ mod tests {
                    let _ = ordered_map(xs, w, |_, &x| { total += x; x });\n\
                    total\n}\n";
         let f = flows(src);
-        assert_eq!(f[0].par_accums.len(), 1);
-        assert!(f[0].par_accums[0].what.contains("total"));
+        assert_eq!(of(&f[0].0, Family::ParAccum).len(), 1);
+        assert!(of(&f[0].0, Family::ParAccum)[0].what.contains("total"));
     }
 
     #[test]
@@ -1020,7 +878,7 @@ mod tests {
                    let mut s = 0.0;\n\
                    for v in row { s += v; }\n\
                    s\n}) }\n";
-        assert!(flows(src)[0].par_accums.is_empty());
+        assert!(of(&flows(src)[0].0, Family::ParAccum).is_empty());
     }
 
     #[test]
@@ -1029,7 +887,7 @@ mod tests {
                    let mut n = 0u64;\n\
                    let _ = ordered_map(xs, w, |_, _x| { n += 1; 0 });\n\
                    n\n}\n";
-        assert!(flows(src)[0].par_accums.is_empty());
+        assert!(of(&flows(src)[0].0, Family::ParAccum).is_empty());
     }
 
     #[test]
@@ -1038,7 +896,7 @@ mod tests {
                    let mut acc = 0.0;\n\
                    map_reduce(xs, w, |x| x * 2.0, 0.0, |a, b| { acc += b; a + b });\n\
                    acc\n}\n";
-        assert!(flows(src)[0].par_accums.is_empty());
+        assert!(of(&flows(src)[0].0, Family::ParAccum).is_empty());
     }
 
     #[test]
@@ -1047,7 +905,7 @@ mod tests {
                    let mut mean = 0.0;\n\
                    let _ = ordered_collect(4, w, |i| { mean = mean + (xs[i] - mean); i });\n\
                    mean\n}\n";
-        assert_eq!(flows(src)[0].par_accums.len(), 1);
+        assert_eq!(of(&flows(src)[0].0, Family::ParAccum).len(), 1);
     }
 
     #[test]
@@ -1059,16 +917,16 @@ mod tests {
         let codecs: Vec<(usize, CodecFn)> = f
             .iter()
             .enumerate()
-            .filter_map(|(i, fl)| fl.codec.clone().map(|c| (i, c)))
+            .filter_map(|(i, fl)| fl.1.clone().map(|c| (i, c)))
             .collect();
         let issues = check_codecs(&codecs);
         assert_eq!(issues.len(), 1);
-        match &issues[0] {
-            CodecIssue::Mismatch { detail, .. } => {
-                assert!(detail.contains("field 1"), "{detail}");
-            }
-            other => panic!("expected mismatch, got {other:?}"),
-        }
+        let (_, site) = &issues[0];
+        assert!(
+            site.what.contains("does not mirror"),
+            "expected mismatch, got {site:?}"
+        );
+        assert!(site.what.contains("field 1"), "{}", site.what);
     }
 
     #[test]
@@ -1088,7 +946,7 @@ mod tests {
         let codecs: Vec<(usize, CodecFn)> = f
             .iter()
             .enumerate()
-            .filter_map(|(i, fl)| fl.codec.clone().map(|c| (i, c)))
+            .filter_map(|(i, fl)| fl.1.clone().map(|c| (i, c)))
             .collect();
         assert_eq!(codecs.len(), 4);
         assert!(check_codecs(&codecs).is_empty());
@@ -1102,14 +960,14 @@ mod tests {
         let codecs: Vec<(usize, CodecFn)> = f
             .iter()
             .enumerate()
-            .filter_map(|(i, fl)| fl.codec.clone().map(|c| (i, c)))
+            .filter_map(|(i, fl)| fl.1.clone().map(|c| (i, c)))
             .collect();
         let issues = check_codecs(&codecs);
         assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(matches!(
-            &issues[0],
-            CodecIssue::Unpaired { name, is_encoder: true, .. } if name == "encode"
-        ));
+        assert!(issues[0]
+            .1
+            .what
+            .starts_with("codec encoder `encode` has no decoder"));
     }
 
     #[test]
@@ -1124,7 +982,7 @@ mod tests {
         let codecs: Vec<(usize, CodecFn)> = f
             .iter()
             .enumerate()
-            .filter_map(|(i, fl)| fl.codec.clone().map(|c| (i, c)))
+            .filter_map(|(i, fl)| fl.1.clone().map(|c| (i, c)))
             .collect();
         assert!(check_codecs(&codecs).is_empty());
     }
@@ -1136,8 +994,8 @@ mod tests {
                    if data.len() < 5 { return 0; }\n\
                    data[4] }\n";
         let f = flows(src);
-        assert_eq!(f[0].unguarded_indexes.len(), 1);
-        assert!(f[1].unguarded_indexes.is_empty());
+        assert_eq!(of(&f[0].0, Family::Index).len(), 1);
+        assert!(of(&f[1].0, Family::Index).is_empty());
     }
 
     #[test]
@@ -1146,7 +1004,7 @@ mod tests {
                    let mut s = 0;\n\
                    for i in 0..xs.len() { s += xs[i]; }\n\
                    s }\n";
-        assert!(flows(src)[0].unguarded_indexes.is_empty());
+        assert!(of(&flows(src)[0].0, Family::Index).is_empty());
     }
 
     #[test]
@@ -1154,7 +1012,7 @@ mod tests {
         let src = "fn f(xs: &[u64], i: usize) -> u64 {\n\
                    if i >= xs.len() { return 0; }\n\
                    xs[i] }\n";
-        assert!(flows(src)[0].unguarded_indexes.is_empty());
+        assert!(of(&flows(src)[0].0, Family::Index).is_empty());
     }
 
     #[test]
@@ -1163,7 +1021,7 @@ mod tests {
                    if data.len() < 9 { return 0; }\n\
                    let (head, _tail) = data.split_at(8);\n\
                    head[0] }\n";
-        assert!(flows(src)[0].unguarded_indexes.is_empty());
+        assert!(of(&flows(src)[0].0, Family::Index).is_empty());
     }
 
     #[test]
@@ -1174,7 +1032,7 @@ mod tests {
         let codecs: Vec<(usize, CodecFn)> = flows(src)
             .into_iter()
             .enumerate()
-            .filter_map(|(i, fl)| fl.codec.map(|c| (i, c)))
+            .filter_map(|(i, fl)| fl.1.map(|c| (i, c)))
             .collect();
         assert_eq!(codecs.len(), 2);
         assert!(check_codecs(&codecs).is_empty());

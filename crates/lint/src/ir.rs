@@ -14,8 +14,8 @@
 //! produces an IR, every scan advances, and nesting deeper than
 //! `MAX_DEPTH` stays an opaque `Kind::Expr`.
 
-use crate::lexer::{Cursor, Token, TokenKind};
-use crate::parser::{is_keyword, FnItem};
+use crate::lexer::{is_keyword, Cursor, Token, TokenKind};
+use crate::parser::FnItem;
 use std::ops::Range;
 
 /// Nesting cap: deeper statements stay opaque expressions, so the

@@ -42,6 +42,44 @@ pub enum TokenKind {
     Punct(char),
 }
 
+/// Keywords: never a call target, path segment, variable or indexable
+/// expression head.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "unsafe",
+    "use", "where", "while", "yield",
+];
+
+/// Primitive scalar type names: never a variable.
+const PRIMITIVES: &[&str] = &[
+    "bool", "f32", "f64", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64",
+    "i128", "isize",
+];
+
+/// Whether `w` is a Rust keyword.
+pub fn is_keyword(w: &str) -> bool {
+    KEYWORDS.contains(&w)
+}
+
+/// Number tokens that denote floats: a decimal point, an `f32`/`f64`
+/// suffix, or an exponent. An `e`/`E` counts as an exponent only next
+/// to a digit — integer suffixes (`0usize`) carry a bare `e`.
+pub fn is_float_number(text: &str) -> bool {
+    if text.starts_with("0x") {
+        return false;
+    }
+    if text.contains('.') || text.contains("f32") || text.contains("f64") {
+        return true;
+    }
+    let b = text.as_bytes();
+    b.windows(2)
+        .any(|w| (w[0] == b'e' || w[0] == b'E') && w[1].is_ascii_digit())
+        || (b.len() >= 2
+            && (b[b.len() - 1] == b'e' || b[b.len() - 1] == b'E')
+            && b[b.len() - 2].is_ascii_digit())
+}
+
 /// Tokenizes Rust-ish source. Total: consumes every byte, never panics.
 pub fn tokenize(src: &str) -> Vec<Token> {
     Lexer {
@@ -376,6 +414,93 @@ impl<'a> Cursor<'a> {
     /// The source line of token `i` (0 past the end).
     pub fn line(&self, i: usize) -> u32 {
         self.code.get(i).map_or(0, |t| t.line)
+    }
+
+    /// Whether token `i` can end a value, so that a `-`, `*`, `<` or
+    /// `[` after it is a binary operator or an index: an identifier
+    /// other than a keyword (`true` and `false` count), a literal, or a
+    /// closing `)`/`]`.
+    pub fn value_end(&self, i: usize) -> bool {
+        match self.kind(i) {
+            Some(TokenKind::Ident(w)) => !is_keyword(w) || w == "true" || w == "false",
+            Some(TokenKind::Number(_) | TokenKind::Literal | TokenKind::Punct(')' | ']')) => true,
+            _ => false,
+        }
+    }
+
+    /// The identifier at `i` when it can name a variable: not a
+    /// keyword, `self` or a primitive type.
+    pub fn value_name(&self, i: usize) -> Option<&'a str> {
+        self.ident(i)
+            .filter(|w| !is_keyword(w) && *w != "self" && !PRIMITIVES.contains(w))
+    }
+
+    /// The dotted chain `a.b.c` of non-keyword identifiers that ends at
+    /// `r.end` and starts no earlier than `r.start`; empty when the
+    /// token before `r.end` is not such an identifier.
+    pub fn dotted(&self, r: Range<usize>) -> Range<usize> {
+        let name = |k: usize| self.ident(k).is_some_and(|w| !is_keyword(w));
+        let mut s = r.end;
+        while s > r.start && name(s - 1) {
+            s -= 1;
+            if !(s >= r.start + 2 && self.punct(s - 1, '.') && name(s - 2)) {
+                break;
+            }
+            s -= 1;
+        }
+        s..r.end
+    }
+
+    /// Canonical text of a token span, for keys and messages: tokens
+    /// concatenated, with a space only between two word characters.
+    pub fn text(&self, r: &Range<usize>) -> String {
+        let mut out = String::new();
+        for k in r.clone() {
+            let piece = match self.kind(k) {
+                Some(TokenKind::Ident(s) | TokenKind::Number(s)) => s.as_str(),
+                Some(TokenKind::Literal) => "\"…\"",
+                Some(TokenKind::Lifetime) => "'_",
+                Some(TokenKind::Comment { .. }) | None => "",
+                Some(TokenKind::Punct(c)) => {
+                    out.push(*c);
+                    continue;
+                }
+            };
+            let word = |c: char| c.is_alphanumeric() || c == '_';
+            if out.chars().last().is_some_and(word) && piece.chars().next().is_some_and(word) {
+                out.push(' ');
+            }
+            out.push_str(piece);
+        }
+        out
+    }
+
+    /// Whether any identifier in `r` satisfies `pred`.
+    pub fn any_ident(&self, r: Range<usize>, pred: impl Fn(&str) -> bool) -> bool {
+        r.into_iter().any(|k| self.ident(k).is_some_and(&pred))
+    }
+
+    /// Whether `r` holds float evidence: a float literal or an
+    /// `f64`/`f32` mention, the target of an `as` cast included.
+    pub fn float_evidence(&self, r: &Range<usize>) -> bool {
+        r.clone().any(|k| self.float_at(k, true))
+    }
+
+    /// Whether `r` reads as an integer: `int` holds for one of its
+    /// tokens, and it holds no float evidence other than an `as f64` /
+    /// `as f32` target (such a view of an integer stays an integer).
+    pub fn int_evidence(&self, r: &Range<usize>, int: impl Fn(usize) -> bool) -> bool {
+        !r.clone().any(|k| self.float_at(k, false)) && r.clone().any(int)
+    }
+
+    fn float_at(&self, k: usize, casts: bool) -> bool {
+        match self.kind(k) {
+            Some(TokenKind::Number(text)) => is_float_number(text),
+            Some(TokenKind::Ident(s)) => {
+                (s == "f64" || s == "f32") && (casts || self.ident(k.wrapping_sub(1)) != Some("as"))
+            }
+            _ => false,
+        }
     }
 
     /// Index one past the balanced `op … cl` group opening at `open`.

@@ -7,7 +7,7 @@
 //! with a small hand-rolled lexer (no `syn` — the build environment has
 //! no crates.io), and runs two passes over it:
 //!
-//! 1. the **token-pattern** rules d1, d4 and d6 over each file's token
+//! 1. the **token-pattern** scan for d1 and d4 over each file's token
 //!    stream ([`rules`]), and
 //! 2. the **semantic** layers: a total parser recovers the item tree
 //!    ([`parser`]), each function is read once into a shared
@@ -16,11 +16,14 @@
 //!    ([`callgraph`]), and per-function facts ([`taint`],
 //!    [`dataflow`], [`absint`], each reading the IR) are mapped through
 //!    *reachability from the declared deterministic roots*
-//!    ([`ROOT_SPECS`]). Each taint fact has one detector and two
-//!    labels: inside a reachable function it becomes a d7/d8/d9
-//!    finding carrying the full `root → … → sink` call chain; the same
-//!    fact in unreachable code becomes the crate-scoped d2/d5/d3
-//!    finding.
+//!    ([`ROOT_SPECS`]).
+//!
+//! Every pass tags its sites with a fact family, and one routing table
+//! ([`rules::Family::route`]) turns a family into a rule. A taint fact
+//! has one detector and two labels: inside a reachable function it
+//! becomes a d7/d8/d9 finding carrying the full `root → … → sink` call
+//! chain; the same fact in unreachable code becomes the crate-scoped
+//! d2/d5/d3 finding.
 //!
 //! Violations can be suppressed inline with a mandatory justification:
 //!
@@ -50,7 +53,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use callgraph::{CallGraph, FileItems, Reachability};
-use rules::{RawFinding, Suppression};
+use rules::{Roots, Site, Suppression};
 
 /// The declared deterministic roots (DESIGN §8): every function
 /// reachable from one of these must satisfy d7–d9. A spec's last
@@ -281,13 +284,15 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// The file-local half of a per-file scan: suppressions and
-/// token-pattern hits. The other half, [`FileItems`], feeds the
-/// cross-file passes.
+/// The file-local half of a per-file scan: suppressions, and the fact
+/// sites of each function (parallel to the parsed functions) plus the
+/// token-pattern sites outside every function. The other half,
+/// [`FileItems`], feeds the cross-file passes.
 struct FileLocal {
     allows: Vec<Suppression>,
-    malformed: Vec<RawFinding>,
-    lexical: Vec<RawFinding>,
+    malformed: Vec<(u32, String)>,
+    fn_sites: Vec<Vec<Site>>,
+    module_sites: Vec<Site>,
 }
 
 pub(crate) fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
@@ -295,33 +300,44 @@ pub(crate) fn scan_file(sf: &SourceFile) -> (FileLocal, FileItems) {
     let kept = rules::strip_test_code(&tokens);
     let (allows, malformed) = rules::extract_suppressions(&kept);
     let code = comment_free(&kept);
-    let lexical = rules::scan_rules(&sf.crate_name, &code);
     let parsed = parser::parse(&code);
     let irs: Vec<ir::FnIr> = parsed
         .functions
         .iter()
         .map(|f| ir::build(&code, f))
         .collect();
-    let fns = parsed.functions.iter().zip(&irs);
-    let facts = fns
-        .clone()
-        .map(|(f, ir)| taint::analyze_fn(&code, f, ir, &parsed.unordered_fields))
-        .collect();
-    let flows = fns
-        .map(|(f, ir)| dataflow::analyze_fn(&code, f, ir))
-        .collect();
+    let mut fn_sites = Vec::with_capacity(irs.len());
+    let mut codecs = Vec::new();
+    for (ix, (f, ir)) in parsed.functions.iter().zip(&irs).enumerate() {
+        let mut sites = Vec::new();
+        taint::analyze_fn(&code, f, ir, &parsed.unordered_fields, &mut sites);
+        codecs.extend(dataflow::analyze_fn(&code, f, ir, &mut sites).map(|c| (ix, c)));
+        fn_sites.push(sites);
+    }
+    for (ix, site) in dataflow::check_codecs(&codecs) {
+        fn_sites[ix].push(site);
+    }
+    // A token-pattern site belongs to the innermost function around it.
+    let mut module_sites = Vec::new();
+    for site in rules::scan_rules(&code) {
+        let around = parsed.functions.iter().enumerate();
+        let around = around.filter(|(_, f)| f.line <= site.line && site.line <= f.end_line);
+        match around.min_by_key(|(_, f)| f.end_line - f.line) {
+            Some((ix, _)) => fn_sites[ix].push(site),
+            None => module_sites.push(site),
+        }
+    }
     let local = FileLocal {
         allows,
         malformed,
-        lexical,
+        fn_sites,
+        module_sites,
     };
     let items = FileItems {
         crate_name: sf.crate_name.clone(),
         label: sf.label.clone(),
         mod_path: callgraph::module_path_from_label(&sf.label),
         parsed,
-        facts,
-        flows,
         irs,
         code,
     };
@@ -346,13 +362,20 @@ pub fn build_call_graph(files: &[SourceFile]) -> CallGraph {
 pub fn lint_files(files: &[SourceFile]) -> LintReport {
     let workers = mfpa_par::Workers::from_config(0);
     let scans = mfpa_par::ordered_map(files, workers, |_, sf| scan_file(sf));
-    let (locals, items): (Vec<FileLocal>, Vec<FileItems>) = scans.into_iter().unzip();
-    let graph = CallGraph::build(&items);
+    let (mut locals, items): (Vec<FileLocal>, Vec<FileItems>) = scans.into_iter().unzip();
+    let mut graph = CallGraph::build(&items);
+    let abs = absint::analyze(&items, &graph);
+    let fn_sites = locals
+        .iter_mut()
+        .flat_map(|l| std::mem::take(&mut l.fn_sites));
+    for ((node, sites), fa) in graph.nodes.iter_mut().zip(fn_sites).zip(abs) {
+        node.sites = sites;
+        node.sites.extend(fa.sites);
+    }
     let reach = Reachability::compute(&graph, ROOT_SPECS);
     let reach_decode = Reachability::compute(&graph, DECODE_ROOT_SPECS);
-    let abs = absint::analyze(&items, &graph);
 
-    // Node indices per file label, for span lookup.
+    // Node indices per file label.
     let mut nodes_of_file: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (ix, n) in graph.nodes.iter().enumerate() {
         nodes_of_file.entry(n.file.as_str()).or_default().push(ix);
@@ -362,20 +385,22 @@ pub fn lint_files(files: &[SourceFile]) -> LintReport {
         findings: Vec::new(),
         n_files: items.len(),
     };
+    let reached = |roots: Roots, ix: usize| {
+        let r = match roots {
+            Roots::None => return None,
+            Roots::Deterministic => &reach,
+            Roots::Decoder => &reach_decode,
+        };
+        r.chains.get(ix)?.as_deref()
+    };
     for (local, file) in locals.iter().zip(&items) {
         let file_nodes = nodes_of_file
             .get(file.label.as_str())
             .map(Vec::as_slice)
             .unwrap_or(&[]);
-        report.findings.extend(assemble_file(
-            local,
-            file,
-            &graph,
-            &reach,
-            &reach_decode,
-            &abs,
-            file_nodes,
-        ));
+        report
+            .findings
+            .extend(assemble_file(local, file, &graph, reached, file_nodes));
     }
     report
         .findings
@@ -383,262 +408,76 @@ pub fn lint_files(files: &[SourceFile]) -> LintReport {
     report
 }
 
-/// A hit plus its chain, before suppression matching.
-struct Hit {
-    rule: &'static str,
-    line: u32,
-    message: String,
-    chain: Vec<String>,
-}
-
-/// One hit per fact site, all on `chain`.
-fn site_hits<'a>(
-    rule: &'static str,
-    sites: &'a [taint::Site],
-    chain: &'a [String],
-) -> impl Iterator<Item = Hit> + 'a {
-    sites.iter().map(move |s| Hit {
-        rule,
-        line: s.line,
-        message: s.what.clone(),
-        chain: chain.to_vec(),
-    })
-}
-
-/// Turns one file's token-pattern hits and per-function facts into
-/// findings, applying reachability gating and suppression matching.
-fn assemble_file(
+/// Turns one file's fact sites into findings — each labelled by its
+/// family's route and chained through `reached` (the root chain of a
+/// node, per root set) — then matches suppressions.
+fn assemble_file<'g>(
     local: &FileLocal,
     file: &FileItems,
     graph: &CallGraph,
-    reach: &Reachability,
-    reach_decode: &Reachability,
-    abs: &[absint::FnAbs],
+    reached: impl Fn(Roots, usize) -> Option<&'g [usize]>,
     file_nodes: &[usize],
 ) -> Vec<Finding> {
-    let names_of = |r: &Reachability, ix: usize| -> Vec<String> {
-        r.chains[ix]
-            .as_ref()
-            .map(|c| c.iter().map(|&i| graph.nodes[i].qname.clone()).collect())
-            .unwrap_or_default()
+    let qname = |ix: usize| graph.nodes[ix].qname.clone();
+    let finding = |rule: &str, line, message, chain| Finding {
+        rule: rule.to_owned(),
+        file: file.label.clone(),
+        line,
+        message,
+        chain,
+        suppressed: None,
     };
-    let chain_names = |ix: usize| names_of(reach, ix);
-    // The innermost function whose span covers `line`.
-    let enclosing = |line: u32| -> Option<usize> {
-        file_nodes
-            .iter()
-            .copied()
-            .filter(|&ix| {
-                let n = &graph.nodes[ix];
-                n.line <= line && line <= n.end_line
-            })
-            .min_by_key(|&ix| graph.nodes[ix].end_line - graph.nodes[ix].line)
-    };
-    let reachable = |ix: usize| reach.chains[ix].is_some();
-
-    let mut hits: Vec<Hit> = Vec::new();
-
-    // Token-pattern rules d1/d4/d6.
-    for raw in &local.lexical {
-        let encl = enclosing(raw.line);
-        // d6 demotion: the name heuristic yields to the semantic cast
-        // judgment whenever the value-range analysis reached a verdict
-        // on the same line — a proven-fitting cast is silence, a
-        // proven-truncating cast in reachable code is the d13 finding
-        // (with interval evidence) instead. Only an unjudged line
-        // (interval too wide, or code the interpreter never saw)
-        // keeps d6 as the fallback.
-        if raw.rule == "d6" {
-            if let Some(fa) = encl.and_then(|ix| abs.get(ix)) {
-                if fa.cast_fit_lines.contains(&raw.line)
-                    && !fa.cast_unknown_lines.contains(&raw.line)
-                {
-                    continue;
-                }
-                if fa.cast_risk_lines.contains(&raw.line) && encl.is_some_and(&reachable) {
-                    continue;
-                }
-            }
-        }
-        let chain = match encl {
-            Some(ix) => vec![graph.nodes[ix].qname.clone()],
-            None => vec![file.label.clone()],
+    let owned = file_nodes
+        .iter()
+        .map(|&ix| (Some(ix), &graph.nodes[ix].sites));
+    let sites = owned
+        .chain([(None, &local.module_sites)])
+        .flat_map(|(ix, sites)| sites.iter().map(move |s| (ix, s)));
+    let mut findings = Vec::new();
+    for (ix, site) in sites {
+        let route = site.family.route();
+        let (label, mut chain) = match ix.and_then(|ix| reached(route.roots, ix)) {
+            Some(root_chain) => (
+                route.reached,
+                root_chain.iter().map(|&i| qname(i)).collect(),
+            ),
+            None => (
+                route.otherwise,
+                vec![ix.map_or_else(|| file.label.clone(), qname)],
+            ),
         };
-        hits.push(Hit {
-            rule: raw.rule,
-            line: raw.line,
-            message: raw.message.clone(),
-            chain,
-        });
-    }
-
-    // Interprocedural facts, routed by reachability: inside a
-    // reachable function a fact is d7/d8/d9 with the root chain; in
-    // unreachable code the same fact takes the crate-scoped d2/d5/d3
-    // label, chained to the enclosing function.
-    let crate_scoped = |rule_id: &str| {
-        rules::rule_by_id(rule_id).is_some_and(|r| rules::in_scope(r, &file.crate_name))
-    };
-    for &ix in file_nodes {
-        let n = &graph.nodes[ix];
-        let f = &n.facts;
-        // d9 lists clock sites before entropy sites, d3 the reverse.
-        let (labels, chain, clock_entropy) = if reachable(ix) {
-            let pair = [&f.clock_sites, &f.entropy_sites];
-            (["d7", "d8", "d9", "d9"], chain_names(ix), pair)
-        } else {
-            let pair = [&f.entropy_sites, &f.clock_sites];
-            (["d2", "d5", "d3", "d3"], vec![n.qname.clone()], pair)
-        };
-        let [a, b] = clock_entropy;
-        let families = labels
-            .into_iter()
-            .zip([&f.unordered_sites, &f.panic_sites, a, b]);
-        for (rule, sites) in families {
-            if reachable(ix) || crate_scoped(rule) {
-                hits.extend(site_hits(rule, sites, &chain));
-            }
-        }
-    }
-
-    // Dataflow rules. d10 is crate-scoped — an order-sensitive captured
-    // accumulator corrupts determinism wherever the closure runs. d12
-    // is gated by reachability from the decoder roots and carries that
-    // chain, so every finding names the hostile-input entry point.
-    for &ix in file_nodes {
-        let n = &graph.nodes[ix];
-        if crate_scoped("d10") {
-            let chain = if reachable(ix) {
-                chain_names(ix)
-            } else {
-                vec![n.qname.clone()]
-            };
-            hits.extend(site_hits("d10", &n.flow.par_accums, &chain));
-        }
-        if reach_decode.chains[ix].is_some() {
-            let chain = names_of(reach_decode, ix);
-            hits.extend(site_hits("d12", &n.flow.unguarded_indexes, &chain));
-        }
-    }
-
-    // Value-range rules d13–d15: facts from the abstract interpreter,
-    // gated by reachability from the deterministic roots (unreachable
-    // counter arithmetic cannot corrupt features or metrics) and
-    // carrying the root-to-sink chain plus interval evidence.
-    for &ix in file_nodes {
-        let Some(fa) = abs.get(ix).filter(|_| reachable(ix)) else {
+        let Some(rule) = label.filter(|id| rules::applies(id, &file.crate_name)) else {
             continue;
         };
-        let chain = chain_names(ix);
-        for (rule, sites) in [("d13", &fa.d13), ("d14", &fa.d14), ("d15", &fa.d15)] {
-            hits.extend(site_hits(rule, sites, &chain));
-        }
+        chain.extend(site.pair.and_then(|p| file_nodes.get(p)).map(|&p| qname(p)));
+        findings.push(finding(rule, site.line, site.what.clone(), chain));
     }
+    findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(&b.rule)));
 
-    // d11 codec-symmetry: pair and compare this file's codec functions.
-    if crate_scoped("d11") {
-        let codecs: Vec<(usize, dataflow::CodecFn)> = file_nodes
-            .iter()
-            .filter_map(|&ix| graph.nodes[ix].flow.codec.clone().map(|c| (ix, c)))
-            .collect();
-        for issue in dataflow::check_codecs(&codecs) {
-            match issue {
-                dataflow::CodecIssue::Unpaired {
-                    fn_ix,
-                    line: _,
-                    name,
-                    is_encoder,
-                } => {
-                    let (side, wanted) = if is_encoder {
-                        ("encoder", "decoder")
-                    } else {
-                        ("decoder", "encoder")
-                    };
-                    hits.push(Hit {
-                        rule: "d11",
-                        line: graph.nodes[fn_ix].line,
-                        message: format!(
-                            "codec {side} `{name}` has no {wanted} counterpart in this file"
-                        ),
-                        chain: vec![graph.nodes[fn_ix].qname.clone()],
-                    });
-                }
-                dataflow::CodecIssue::Mismatch {
-                    enc_ix,
-                    dec_ix,
-                    enc_line,
-                    dec_line,
-                    detail,
-                } => {
-                    let enc = &graph.nodes[enc_ix];
-                    let dec = &graph.nodes[dec_ix];
-                    hits.push(Hit {
-                        rule: "d11",
-                        line: enc_line,
-                        message: format!(
-                            "write sequence of `{}` (line {enc_line}) does not mirror \
-                             the read sequence of `{}` (line {dec_line}): {detail}",
-                            enc.name, dec.name
-                        ),
-                        chain: vec![enc.qname.clone(), dec.qname.clone()],
-                    });
-                }
-            }
-        }
-    }
-
-    hits.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
-
-    // Suppression matching: hits of one rule on one line form a group,
-    // and each group consumes at most one allow — the nearest unused
-    // one (same line first, then upward through a contiguous standalone
-    // stack). An allow can never cover two finding lines.
+    // Suppression matching: findings of one rule on one line form a
+    // group, and each group consumes at most one allow — the nearest
+    // unused one (same line first, then upward through a contiguous
+    // standalone stack). An allow can never cover two finding lines.
     let mut used = vec![false; local.allows.len()];
-    let mut reasons: BTreeMap<(&'static str, u32), Option<String>> = BTreeMap::new();
-    for h in &hits {
-        let key = (h.rule, h.line);
-        if reasons.contains_key(&key) {
-            continue;
-        }
-        let reason = consume_allow(&local.allows, &mut used, h.rule, h.line);
-        reasons.insert(key, reason);
+    let mut reasons: BTreeMap<(String, u32), Option<String>> = BTreeMap::new();
+    for f in &mut findings {
+        let reason = reasons
+            .entry((f.rule.clone(), f.line))
+            .or_insert_with(|| consume_allow(&local.allows, &mut used, &f.rule, f.line));
+        f.suppressed = reason.clone();
     }
 
-    let mut findings: Vec<Finding> = hits
-        .into_iter()
-        .map(|h| Finding {
-            rule: h.rule.to_owned(),
-            file: file.label.clone(),
-            line: h.line,
-            message: h.message,
-            chain: h.chain,
-            suppressed: reasons.get(&(h.rule, h.line)).cloned().flatten(),
-        })
-        .collect();
-
-    for m in &local.malformed {
-        findings.push(Finding {
-            rule: m.rule.to_owned(),
-            file: file.label.clone(),
-            line: m.line,
-            message: m.message.clone(),
-            chain: vec![file.label.clone()],
-            suppressed: None,
-        });
+    let unsuppressible = |line, message| finding("lint", line, message, vec![file.label.clone()]);
+    for (line, message) in &local.malformed {
+        findings.push(unsuppressible(*line, message.clone()));
     }
     for (allow, used) in local.allows.iter().zip(&used) {
         if !used {
-            findings.push(Finding {
-                rule: "lint".to_owned(),
-                file: file.label.clone(),
-                line: allow.line,
-                message: format!(
-                    "unused suppression for `{}` (nothing to allow here — remove it)",
-                    allow.rule
-                ),
-                chain: vec![file.label.clone()],
-                suppressed: None,
-            });
+            let message = format!(
+                "unused suppression for `{}` (nothing to allow here — remove it)",
+                allow.rule
+            );
+            findings.push(unsuppressible(allow.line, message));
         }
     }
     findings

@@ -21,7 +21,7 @@
 //!   (`HashMap`/`HashSet`), so `self.field.iter()` can be recognized
 //!   by the taint pass.
 
-use crate::lexer::{Cursor, Token};
+use crate::lexer::{is_keyword, Cursor, Token};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -93,20 +93,6 @@ pub struct ParsedFile {
     /// anywhere in this file (file-scoped approximation of field
     /// types).
     pub unordered_fields: BTreeSet<String>,
-}
-
-/// Keywords that can never be a call target or path segment start.
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "unsafe",
-    "use", "where", "while", "yield",
-];
-
-/// Whether `w` is a Rust keyword (and therefore never a call target,
-/// path segment, or indexable expression head).
-pub fn is_keyword(w: &str) -> bool {
-    KEYWORDS.contains(&w)
 }
 
 /// Parses a comment-free token stream into the item tree. Total:

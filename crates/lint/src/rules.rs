@@ -1,7 +1,8 @@
-//! The DESIGN §6 / §8 rule catalog, suppression parsing, test-code
-//! excision, and the token-pattern scanner for d1, d4 and d6.
+//! The DESIGN §6 / §8 rule catalog, the routing table that turns each
+//! fact family into a rule, suppression parsing, test-code excision,
+//! and the token-pattern scanner for d1 and d4.
 //!
-//! Every other rule comes from a semantic layer ([`crate::taint`],
+//! Every other fact comes from a semantic layer ([`crate::taint`],
 //! [`crate::dataflow`], [`crate::absint`]). The scan is test-aware:
 //! `#[cfg(test)]` items and `#[test]` functions are excised before any
 //! rule runs, because the contract governs *shipping* code — tests may
@@ -74,9 +75,9 @@ const COUNTER_CRATES: &[&str] = &["telemetry", "fleetsim", "dataset", "ml", "cor
 /// The contract rules, in catalog order. d1–d6 are scoped by crate
 /// directory; d7–d9 are scoped by reachability and carry the full
 /// `root → … → sink` call chain. d2/d5/d3 and d7/d8/d9 are the two
-/// labels of one detector each ([`crate::taint`]): the same fact is a
-/// d7/d8/d9 finding in a function reachable from a deterministic root
-/// and a d2/d5/d3 finding everywhere else.
+/// labels of one fact family each ([`Family::route`]): the same fact
+/// is a d7/d8/d9 finding in a function reachable from a deterministic
+/// root and a d2/d5/d3 finding everywhere else.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "d1",
@@ -116,7 +117,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "d6",
         name: "truncating-cast",
-        summary: "truncating `as` cast to a narrow integer on a counter/timestamp value",
+        summary: "`as` cast to a narrow integer near a counter/timestamp name whose \
+                  operand interval is not proven to fit",
         scope: COUNTER_CRATES,
     },
     Rule {
@@ -175,8 +177,8 @@ pub const RULES: &[Rule] = &[
         summary: "counter arithmetic reachable from a deterministic root that the \
                   value-range analysis cannot prove safe: `a - b` where `b ≤ a` is \
                   unproven, `+`/`*`/`<<` whose result interval provably exceeds the \
-                  target width, and `as` casts proven to truncate (interval-clean \
-                  casts demote the lexical d6 heuristic)",
+                  target width, and `as` casts proven to truncate (an \
+                  interval-clean cast is not d6 either)",
         scope: &[],
     },
     Rule {
@@ -204,21 +206,128 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Whether `rule` applies to the crate a file belongs to.
-pub fn in_scope(rule: &Rule, crate_name: &str) -> bool {
-    rule.scope.contains(&crate_name)
+/// Whether rule `id` applies to a file of crate `crate_name`: a
+/// reachability-scoped rule (empty crate scope) applies everywhere,
+/// any other rule only inside its crate scope.
+pub fn applies(id: &str, crate_name: &str) -> bool {
+    rule_by_id(id).is_some_and(|r| r.scope.is_empty() || r.scope.contains(&crate_name))
 }
 
-/// A rule hit before suppression matching.
-#[derive(Debug, Clone)]
-pub struct RawFinding {
-    /// Catalog rule id, or `lint` for meta findings (malformed/unused
-    /// suppressions).
-    pub rule: &'static str,
+/// The kind of fact a site records. Every pass tags its sites with a
+/// family; [`Family::route`] alone decides which rule a family becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Family {
+    /// Thread spawning or rayon outside `mfpa_par` (lexical).
+    Thread,
+    /// `partial_cmp` (lexical).
+    PartialCmp,
+    /// A narrow cast near a counter name whose operand the value-range
+    /// analysis cannot judge.
+    Cast,
+    /// A narrow cast near a counter name that provably truncates.
+    TruncatingCast,
+    /// Unordered-container iteration that can observe hash order.
+    Unordered,
+    /// A panic site.
+    Panic,
+    /// A clock value escaping timing metadata.
+    Clock,
+    /// An entropy source.
+    Entropy,
+    /// Order-sensitive float accumulation captured by a par closure.
+    ParAccum,
+    /// An encoder/decoder pair that does not mirror, or has no partner.
+    Codec,
+    /// Slice indexing with no dominating length guard.
+    Index,
+    /// Unproven counter subtraction, or proven overflow or truncation.
+    Counter,
+    /// A denominator that may be zero.
+    Division,
+    /// Arithmetic or comparison across two inferred units.
+    Units,
+}
+
+/// The root set a family's reachability is judged against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Roots {
+    /// Not routed by reachability: the site takes its `otherwise` label.
+    None,
+    /// `ROOT_SPECS`, the deterministic roots.
+    Deterministic,
+    /// `DECODE_ROOT_SPECS`, the decoder roots.
+    Decoder,
+}
+
+/// How a family becomes a finding. A site in a function reachable
+/// from the family's roots takes the `reached` label and the shortest
+/// root chain; any other site takes the `otherwise` label, chained to
+/// its enclosing function. `None` drops the site. A label fires only
+/// where [`applies`] holds.
+#[derive(Debug, Clone, Copy)]
+pub struct Route {
+    /// The roots reachability is judged against.
+    pub roots: Roots,
+    /// The label inside the reachable perimeter.
+    pub reached: Option<&'static str>,
+    /// The label everywhere else.
+    pub otherwise: Option<&'static str>,
+}
+
+impl Family {
+    /// The routing table: the one place a fact is given its rule.
+    pub fn route(self) -> Route {
+        use Family::*;
+        use Roots::{Decoder, Deterministic};
+        let (roots, reached, otherwise) = match self {
+            Thread => (Roots::None, None, Some("d1")),
+            PartialCmp => (Roots::None, None, Some("d4")),
+            Cast => (Roots::None, None, Some("d6")),
+            // Reachable, the d13 site for the same cast reports it.
+            TruncatingCast => (Deterministic, None, Some("d6")),
+            Unordered => (Deterministic, Some("d7"), Some("d2")),
+            Panic => (Deterministic, Some("d8"), Some("d5")),
+            Clock | Entropy => (Deterministic, Some("d9"), Some("d3")),
+            ParAccum => (Deterministic, Some("d10"), Some("d10")),
+            Codec => (Roots::None, None, Some("d11")),
+            Index => (Decoder, Some("d12"), None),
+            Counter => (Deterministic, Some("d13"), None),
+            Division => (Deterministic, Some("d14"), None),
+            Units => (Deterministic, Some("d15"), None),
+        };
+        Route {
+            roots,
+            reached,
+            otherwise,
+        }
+    }
+}
+
+/// One fact site, tagged with its family.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Site {
+    /// What kind of fact this is.
+    pub family: Family,
     /// 1-based source line.
     pub line: u32,
     /// Human-readable description of the hit.
-    pub message: String,
+    pub what: String,
+    /// A second function of the same file the finding names (the
+    /// decoder of a d11 pair), by index in the file's function list;
+    /// its name ends the chain.
+    pub pair: Option<usize>,
+}
+
+impl Site {
+    /// A site naming no second function.
+    pub fn new(family: Family, line: u32, what: String) -> Site {
+        Site {
+            family,
+            line,
+            what,
+            pair: None,
+        }
+    }
 }
 
 /// A parsed `// mfpa-lint: allow(rule, "reason")` comment.
@@ -345,8 +454,9 @@ fn skip_item(cur: Cursor<'_>, mut i: usize) -> usize {
 }
 
 /// Extracts suppression comments. Malformed suppressions (unknown
-/// rule, missing or empty reason) become unsuppressible meta findings.
-pub fn extract_suppressions(tokens: &[Token]) -> (Vec<Suppression>, Vec<RawFinding>) {
+/// rule, missing or empty reason) come back as `(line, message)` for
+/// unsuppressible meta findings.
+pub fn extract_suppressions(tokens: &[Token]) -> (Vec<Suppression>, Vec<(u32, String)>) {
     let mut allows = Vec::new();
     let mut malformed = Vec::new();
     for t in tokens {
@@ -375,11 +485,7 @@ pub fn extract_suppressions(tokens: &[Token]) -> (Vec<Suppression>, Vec<RawFindi
                 line: t.line,
                 standalone: !trailing,
             }),
-            Err(why) => malformed.push(RawFinding {
-                rule: "lint",
-                line: t.line,
-                message: format!("malformed suppression: {why}"),
-            }),
+            Err(why) => malformed.push((t.line, format!("malformed suppression: {why}"))),
         }
     }
     (allows, malformed)
@@ -414,7 +520,6 @@ fn parse_allow(directive: &str) -> Result<(String, String), String> {
     Ok((rule, reason.to_owned()))
 }
 
-const NARROW_INTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 const COUNTER_WORDS: &[&str] = &[
     "day",
     "days",
@@ -444,31 +549,31 @@ const COUNTER_WORDS: &[&str] = &[
     "poh",
 ];
 
+/// Whether a snake-case segment of `ident` is a counter/timestamp word.
 pub(crate) fn is_counterish(ident: &str) -> bool {
-    ident
-        .split('_')
-        .any(|seg| COUNTER_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
+    has_segment(ident, COUNTER_WORDS)
 }
 
-/// Runs the in-scope token-pattern rules (d1, d4, d6) over a
-/// comment-free token stream.
-pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
-    let mut findings = Vec::new();
-    let on = |id: &str| rule_by_id(id).is_some_and(|r| in_scope(r, crate_name));
-    let cur = Cursor::new(code, 0..code.len());
+/// Whether a snake-case segment of `ident`, lowercased, is in `words`.
+pub(crate) fn has_segment(ident: &str, words: &[&str]) -> bool {
+    ident
+        .split('_')
+        .any(|seg| words.contains(&seg.to_ascii_lowercase().as_str()))
+}
 
-    for i in 0..code.len() {
-        let line = code[i].line;
-        let Some(word) = cur.ident(i) else {
-            continue;
-        };
-        match word {
-            "rayon" if on("d1") => findings.push(RawFinding {
-                rule: "d1",
-                line,
-                message: "rayon is forbidden; use mfpa_par's deterministic primitives".into(),
-            }),
-            "spawn" | "scope" if on("d1") => {
+/// The token-pattern sites of a comment-free token stream: thread
+/// spawning and `partial_cmp`.
+pub fn scan_rules(code: &[Token]) -> Vec<Site> {
+    let cur = Cursor::new(code, 0..code.len());
+    let mut sites = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        let site = |family, what: &str| Site::new(family, t.line, what.to_owned());
+        match cur.ident(i) {
+            Some("rayon") => sites.push(site(
+                Family::Thread,
+                "rayon is forbidden; use mfpa_par's deterministic primitives",
+            )),
+            Some(word @ ("spawn" | "scope")) => {
                 let path_form = i >= 3
                     && cur.punct(i - 1, ':')
                     && cur.punct(i - 2, ':')
@@ -476,45 +581,21 @@ pub fn scan_rules(crate_name: &str, code: &[Token]) -> Vec<RawFinding> {
                 let method_form =
                     word == "spawn" && i >= 1 && cur.punct(i - 1, '.') && cur.punct(i + 1, '(');
                 if path_form || method_form {
-                    findings.push(RawFinding {
-                        rule: "d1",
-                        line,
-                        message: format!(
+                    sites.push(site(
+                        Family::Thread,
+                        &format!(
                             "thread {word} outside crates/par; route work through \
                              mfpa_par::ordered_map/map_reduce"
                         ),
-                    });
+                    ));
                 }
             }
-            "partial_cmp" if on("d4") => findings.push(RawFinding {
-                rule: "d4",
-                line,
-                message: "partial_cmp is NaN-unsafe; use f64::total_cmp (or derive Ord)".into(),
-            }),
-            "as" if on("d6") => {
-                let Some(ty) = cur.ident(i + 1) else { continue };
-                if !NARROW_INTS.contains(&ty) {
-                    continue;
-                }
-                // Heuristic: any counter/timestamp-named identifier
-                // earlier on the same line marks the cast suspicious.
-                let culprit = (0..i)
-                    .rev()
-                    .take_while(|&j| code[j].line == line)
-                    .find_map(|j| cur.ident(j).filter(|s| is_counterish(s)));
-                if let Some(name) = culprit {
-                    findings.push(RawFinding {
-                        rule: "d6",
-                        line,
-                        message: format!(
-                            "truncating cast `as {ty}` near counter/timestamp `{name}`; \
-                             widen or bound-check explicitly"
-                        ),
-                    });
-                }
-            }
+            Some("partial_cmp") => sites.push(site(
+                Family::PartialCmp,
+                "partial_cmp is NaN-unsafe; use f64::total_cmp (or derive Ord)",
+            )),
             _ => {}
         }
     }
-    findings
+    sites
 }

@@ -1,13 +1,13 @@
 //! Intra-function fact extraction for the interprocedural rules.
 //!
-//! For every parsed function this pass computes `FnFacts`: the lines
-//! where a determinism-relevant value is created and *escapes*. Locals,
-//! clock bindings, loop sources and assignment targets come from the
+//! For every parsed function this pass tags the sites where a
+//! determinism-relevant value is created and *escapes*. Locals, clock
+//! bindings, loop sources and assignment targets come from the
 //! function's [`crate::ir`]. The pass is the only detector for these
-//! facts; the call graph decides their label — facts inside functions
-//! reachable from a deterministic root become d7/d8/d9 findings with a
-//! call chain; facts in unreachable functions become the crate-scoped
-//! d2/d5/d3 findings.
+//! facts; [`Family::route`] and the call graph decide their label —
+//! facts inside functions reachable from a deterministic root become
+//! d7/d8/d9 findings with a call chain; facts in unreachable functions
+//! become the crate-scoped d2/d5/d3 findings.
 //!
 //! The analysis is deliberately conservative in the safe direction:
 //!
@@ -33,31 +33,9 @@
 use crate::ir::{FnIr, Kind, Let};
 use crate::lexer::{Cursor, Token};
 use crate::parser::FnItem;
+use crate::rules::{has_segment, Family, Site};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-
-/// One fact site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Site {
-    /// 1-based source line.
-    pub line: u32,
-    /// Human-readable description of what escapes.
-    pub what: String,
-}
-
-/// Determinism-relevant facts for one function.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnFacts {
-    /// Unordered-container iteration whose result can observe hash
-    /// order (d7 when reachable, d2 otherwise).
-    pub unordered_sites: Vec<Site>,
-    /// Clock values escaping timing metadata (d9 / d3).
-    pub clock_sites: Vec<Site>,
-    /// Entropy sources (d9 when reachable, d3 otherwise).
-    pub entropy_sites: Vec<Site>,
-    /// Panic sites (d8 when reachable, d5 otherwise).
-    pub panic_sites: Vec<Site>,
-}
 
 /// Iterator-producing methods on unordered containers.
 const ITER_METHODS: &[&str] = &[
@@ -99,15 +77,15 @@ const TIMING_WORDS: &[&str] = &[
 /// Always-flagged entropy sources.
 const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "available_parallelism"];
 
-/// Computes the facts for one function over the same comment-free
-/// token stream the parser consumed, reading locals, bindings and
-/// assignment targets from the function's IR. Total: never panics.
+/// Tags the facts of one function, over the same comment-free token
+/// stream the parser consumed, into `sites`. Total: never panics.
 pub fn analyze_fn(
     code: &[Token],
     f: &FnItem,
     ir: &FnIr,
     unordered_fields: &BTreeSet<String>,
-) -> FnFacts {
+    sites: &mut Vec<Site>,
+) {
     let cur = Cursor::new(code, f.body.clone());
     let lets = ir.lets();
     let a = Analyzer {
@@ -117,11 +95,9 @@ pub fn analyze_fn(
         unordered_locals: unordered_locals(cur, ir, &lets),
         lets,
     };
-    let mut facts = FnFacts::default();
-    a.unordered(&mut facts);
-    a.clocks(&mut facts);
-    a.entropy_and_panics(&mut facts);
-    facts
+    a.unordered(sites);
+    a.clocks(sites);
+    a.entropy_and_panics(sites);
 }
 
 struct Analyzer<'a> {
@@ -140,10 +116,7 @@ fn is_unordered_type(word: &str) -> bool {
 /// Unordered locals: parameters and simple `let` bindings whose
 /// declared type or initializer mentions `HashMap`/`HashSet`.
 fn unordered_locals(cur: Cursor<'_>, ir: &FnIr, lets: &[(Range<usize>, &Let)]) -> BTreeSet<String> {
-    let mentions = |r: Range<usize>| {
-        r.into_iter()
-            .any(|k| cur.ident(k).is_some_and(is_unordered_type))
-    };
+    let mentions = |r: Range<usize>| cur.any_ident(r, is_unordered_type);
     let params = ir.params.iter().filter(|(_, ty)| mentions(ty.clone()));
     let mut out: BTreeSet<String> = params.map(|(name, _)| name.clone()).collect();
     for (span, l) in lets {
@@ -168,12 +141,8 @@ impl Analyzer<'_> {
             Some(Kind::Let(l)) => l.pat.start..l.ty.as_ref().map_or(l.pat.end, |t| t.end),
             _ => return false,
         };
-        lhs.into_iter().any(|j| {
-            self.cur.ident(j).is_some_and(|name| {
-                name.split('_')
-                    .any(|seg| TIMING_WORDS.contains(&seg.to_ascii_lowercase().as_str()))
-            })
-        })
+        self.cur
+            .any_ident(lhs, |name| has_segment(name, TIMING_WORDS))
     }
 
     /// The simple name bound by the `let` starting at token `i`.
@@ -184,7 +153,7 @@ impl Analyzer<'_> {
 
     /// d7/d2: unordered-container iteration that can observe hash
     /// order.
-    fn unordered(&self, facts: &mut FnFacts) {
+    fn unordered(&self, sites: &mut Vec<Site>) {
         let mut bare_fors = BTreeMap::new();
         self.ir.walk(|s| {
             if let Kind::For(pat, iter, _) = &s.kind {
@@ -201,10 +170,7 @@ impl Analyzer<'_> {
                     if let Some(recv) = self.receiver_name(i) {
                         if self.is_unordered(&recv) {
                             if let Some(what) = self.chain_escapes(i, &recv, m) {
-                                facts.unordered_sites.push(Site {
-                                    line: self.cur.line(i),
-                                    what,
-                                });
+                                sites.push(Site::new(Family::Unordered, self.cur.line(i), what));
                             }
                         }
                     }
@@ -213,13 +179,11 @@ impl Analyzer<'_> {
                 if m == "for" {
                     if let Some((line, recv)) = bare_fors.get(&i).cloned() {
                         if self.is_unordered(&recv) {
-                            facts.unordered_sites.push(Site {
-                                line,
-                                what: format!(
-                                    "`for` loop iterates unordered `{recv}` directly; hash \
-                                     order is observable"
-                                ),
-                            });
+                            let what = format!(
+                                "`for` loop iterates unordered `{recv}` directly; hash order \
+                                 is observable"
+                            );
+                            sites.push(Site::new(Family::Unordered, line, what));
                         }
                     }
                 }
@@ -240,21 +204,23 @@ impl Analyzer<'_> {
     /// The receiver of a method call at `at` (index of the method
     /// name, preceded by `.`): `map.iter()` → `map`, `self.field.
     /// iter()` → `self.field`. `None` for computed receivers
-    /// (`f().iter()`), which this pass cannot type.
+    /// (`f().iter()`, `other.map.iter()`), which this pass cannot type.
     fn receiver_name(&self, at: usize) -> Option<String> {
-        if at < 2 {
+        let c = self.cur.dotted(0..at.checked_sub(1)?);
+        if self.cur.punct(c.start.wrapping_sub(1), '.') {
             return None;
         }
-        let first = self.cur.ident(at - 2)?;
-        if at >= 4 && self.cur.punct(at - 3, '.') && self.cur.ident(at - 4) == Some("self") {
-            return Some(format!("self.{first}"));
+        self.receiver(c)
+    }
+
+    /// The container a dotted chain names, when it is a bare
+    /// identifier or a `self.field`.
+    fn receiver(&self, c: Range<usize>) -> Option<String> {
+        match c.len() {
+            1 => self.cur.ident(c.start).map(str::to_owned),
+            3 if self.cur.ident(c.start) == Some("self") => Some(self.cur.text(&c)),
+            _ => None,
         }
-        // A plain identifier receiver must not itself be a field of
-        // something else (`other.map.iter()`).
-        if at >= 3 && self.cur.punct(at - 3, '.') {
-            return None;
-        }
-        Some(first.to_owned())
     }
 
     /// Whether the iterator chain headed by the method at `head` can
@@ -327,17 +293,13 @@ impl Analyzer<'_> {
         while self.cur.punct(j, '&') || self.cur.ident(j) == Some("mut") {
             j += 1;
         }
-        let name = self.cur.ident(j)?;
-        let (name, after) = if name == "self" && self.cur.punct(j + 1, '.') {
-            (format!("self.{}", self.cur.ident(j + 2)?), j + 3)
-        } else {
-            (name.to_owned(), j + 1)
-        };
-        (after == iter.end).then(|| (self.cur.line(j), name))
+        let c = self.cur.dotted(j..iter.end);
+        let name = self.receiver(c.clone()).filter(|_| c.start == j)?;
+        Some((self.cur.line(j), name))
     }
 
     /// d9/d3: clock values escaping timing metadata.
-    fn clocks(&self, facts: &mut FnFacts) {
+    fn clocks(&self, sites: &mut Vec<Site>) {
         // `let [mut] t [: TYPE] = Instant::now();` binds a clock var.
         let mut clock_vars: Vec<(String, usize)> = Vec::new();
         let mut bindings: Vec<Range<usize>> = Vec::new();
@@ -370,13 +332,11 @@ impl Analyzer<'_> {
             }
             // Any other appearance must land in timing metadata.
             if !self.assigns_to_timing_target(i) {
-                facts.clock_sites.push(Site {
-                    line: self.cur.line(i),
-                    what: format!(
-                        "`{word}` value escapes outside timing metadata; deterministic \
-                         paths must not observe wall-clock readings"
-                    ),
-                });
+                let what = format!(
+                    "`{word}` value escapes outside timing metadata; deterministic paths \
+                     must not observe wall-clock readings"
+                );
+                sites.push(Site::new(Family::Clock, self.cur.line(i), what));
             }
             i = self.ir.stmt_of(i).end.max(i + 1);
         }
@@ -393,13 +353,11 @@ impl Analyzer<'_> {
                         && self.cur.ident(i + 2) == Some("elapsed")
                         && self.assigns_to_timing_target(i);
                     if !conforming {
-                        facts.clock_sites.push(Site {
-                            line: self.cur.line(i),
-                            what: format!(
-                                "clock value `{name}` escapes beyond `elapsed()`-into-\
-                                 timing-metadata; deterministic paths must not observe it"
-                            ),
-                        });
+                        let what = format!(
+                            "clock value `{name}` escapes beyond `elapsed()`-into-\
+                             timing-metadata; deterministic paths must not observe it"
+                        );
+                        sites.push(Site::new(Family::Clock, self.cur.line(i), what));
                     }
                 }
                 i += 1;
@@ -408,52 +366,50 @@ impl Analyzer<'_> {
     }
 
     /// d9/d3 entropy sources and d8/d5 panic sites.
-    fn entropy_and_panics(&self, facts: &mut FnFacts) {
+    fn entropy_and_panics(&self, sites: &mut Vec<Site>) {
         for i in self.cur.start..self.cur.end {
-            let line = self.cur.line(i);
             let Some(word) = self.cur.ident(i) else {
                 continue;
             };
-            match word {
-                w if ENTROPY_IDENTS.contains(&w) => facts.entropy_sites.push(Site {
-                    line,
-                    what: format!(
-                        "entropy source {w} on a deterministic path; seed/pin explicitly"
-                    ),
-                }),
-                "random" if self.cur.punct(i + 1, '(') => facts.entropy_sites.push(Site {
-                    line,
-                    what: "entropy source random() on a deterministic path; seed explicitly".into(),
-                }),
+            let (family, what) = match word {
+                w if ENTROPY_IDENTS.contains(&w) => (
+                    Family::Entropy,
+                    format!("entropy source {w} on a deterministic path; seed/pin explicitly"),
+                ),
+                "random" if self.cur.punct(i + 1, '(') => (
+                    Family::Entropy,
+                    "entropy source random() on a deterministic path; seed explicitly".into(),
+                ),
                 "current"
                     if i >= 3
                         && self.cur.punct(i - 1, ':')
                         && self.cur.punct(i - 2, ':')
                         && self.cur.ident(i - 3) == Some("thread") =>
                 {
-                    facts.entropy_sites.push(Site {
-                        line,
-                        what: "thread::current() identity on a deterministic path".into(),
-                    })
+                    (
+                        Family::Entropy,
+                        "thread::current() identity on a deterministic path".into(),
+                    )
                 }
                 "unwrap" | "expect"
                     if i >= 1 && self.cur.punct(i - 1, '.') && self.cur.punct(i + 1, '(') =>
                 {
-                    facts.panic_sites.push(Site {
-                        line,
-                        what: format!("{word}() can panic; return a structured error instead"),
-                    })
+                    (
+                        Family::Panic,
+                        format!("{word}() can panic; return a structured error instead"),
+                    )
                 }
                 "panic" | "unreachable" | "todo" | "unimplemented"
                     if self.cur.punct(i + 1, '!') =>
                 {
-                    facts.panic_sites.push(Site {
-                        line,
-                        what: format!("{word}! panics; return a structured error instead"),
-                    })
+                    (
+                        Family::Panic,
+                        format!("{word}! panics; return a structured error instead"),
+                    )
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            sites.push(Site::new(family, self.cur.line(i), what));
         }
     }
 }
@@ -464,14 +420,19 @@ mod tests {
     use crate::lexer::{tokenize, TokenKind};
     use crate::{ir, parser};
 
-    fn facts(src: &str) -> FnFacts {
+    /// The first function's sites of `family`.
+    fn sites(src: &str, family: Family) -> Vec<Site> {
         let code: Vec<Token> = tokenize(src)
             .into_iter()
             .filter(|t| !matches!(t.kind, TokenKind::Comment { .. }))
             .collect();
         let parsed = parser::parse(&code);
         let f = parsed.functions.first().expect("fixture has a fn");
-        analyze_fn(&code, f, &ir::build(&code, f), &parsed.unordered_fields)
+        let mut sites = Vec::new();
+        let ir = ir::build(&code, f);
+        analyze_fn(&code, f, &ir, &parsed.unordered_fields, &mut sites);
+        sites.retain(|s| s.family == family);
+        sites
     }
 
     #[test]
@@ -483,7 +444,7 @@ mod tests {
                 *cache.get(\"k\").unwrap_or(&0) + local.len() as u32
             }
         ";
-        assert!(facts(src).unordered_sites.is_empty());
+        assert!(sites(src, Family::Unordered).is_empty());
     }
 
     #[test]
@@ -493,7 +454,7 @@ mod tests {
                 days.iter().map(|&d| (d, 1)).collect()
             }
         ";
-        assert!(facts(src).unordered_sites.is_empty());
+        assert!(sites(src, Family::Unordered).is_empty());
     }
 
     #[test]
@@ -503,9 +464,9 @@ mod tests {
                 m.values().cloned().collect()
             }
         ";
-        let got = facts(src);
-        assert_eq!(got.unordered_sites.len(), 1);
-        assert_eq!(got.unordered_sites[0].line, 3);
+        let got = sites(src, Family::Unordered);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].line, 3);
     }
 
     #[test]
@@ -516,7 +477,7 @@ mod tests {
                 m.iter().any(|(_, v)| *v > 0.5) && n > 0
             }
         ";
-        assert!(facts(src).unordered_sites.is_empty());
+        assert!(sites(src, Family::Unordered).is_empty());
     }
 
     #[test]
@@ -529,7 +490,7 @@ mod tests {
                 v
             }
         ";
-        assert!(facts(src).unordered_sites.is_empty());
+        assert!(sites(src, Family::Unordered).is_empty());
     }
 
     #[test]
@@ -539,7 +500,7 @@ mod tests {
                 m.values().sum()
             }
         ";
-        assert_eq!(facts(src).unordered_sites.len(), 1);
+        assert_eq!(sites(src, Family::Unordered).len(), 1);
     }
 
     #[test]
@@ -551,7 +512,7 @@ mod tests {
                 }
             }
         ";
-        assert_eq!(facts(src).unordered_sites.len(), 1);
+        assert_eq!(sites(src, Family::Unordered).len(), 1);
     }
 
     #[test]
@@ -564,7 +525,7 @@ mod tests {
                 }
             }
         ";
-        assert_eq!(facts(src).unordered_sites.len(), 1);
+        assert_eq!(sites(src, Family::Unordered).len(), 1);
     }
 
     #[test]
@@ -582,8 +543,8 @@ mod tests {
             }}
         "
             );
-            let got = facts(&src);
-            assert!(got.clock_sites.is_empty(), "{binding}: {got:?}");
+            let got = sites(&src, Family::Clock);
+            assert!(got.is_empty(), "{binding}: {got:?}");
         }
     }
 
@@ -601,9 +562,9 @@ mod tests {
             }}
         "
             );
-            let got = facts(&src);
-            assert_eq!(got.clock_sites.len(), 1, "{binding}: {got:?}");
-            assert_eq!(got.clock_sites[0].line, 4, "{binding}");
+            let got = sites(&src, Family::Clock);
+            assert_eq!(got.len(), 1, "{binding}: {got:?}");
+            assert_eq!(got[0].line, 4, "{binding}");
         }
     }
 
@@ -614,14 +575,14 @@ mod tests {
                 out.wall_ms = SystemTime::now().duration_since(EPOCH).as_millis();
             }
         ";
-        assert!(facts(clean).clock_sites.is_empty());
+        assert!(sites(clean, Family::Clock).is_empty());
         let dirty = "
             fn f() -> u64 {
                 let seed = SystemTime::now().subsec_nanos();
                 seed
             }
         ";
-        assert_eq!(facts(dirty).clock_sites.len(), 1);
+        assert_eq!(sites(dirty, Family::Clock).len(), 1);
     }
 
     #[test]
@@ -635,8 +596,7 @@ mod tests {
                 v[0] + first + n as u32
             }
         ";
-        let got = facts(src);
-        assert_eq!(got.entropy_sites.len(), 2);
-        assert_eq!(got.panic_sites.len(), 2);
+        assert_eq!(sites(src, Family::Entropy).len(), 2);
+        assert_eq!(sites(src, Family::Panic).len(), 2);
     }
 }

@@ -4,13 +4,22 @@
 
 use std::collections::BTreeMap;
 
-use mfpa_lint::absint::{dimension_of, interpret, type_range, FnAbs, Interval};
+use mfpa_lint::absint::{dimension_of, interpret, type_range, Interval};
 use mfpa_lint::lexer::{tokenize, TokenKind};
 use mfpa_lint::lint_source;
+use mfpa_lint::rules::{Family, Site};
 use proptest::prelude::*;
 
+/// One function's d13, d14 and d15 sites.
+#[derive(Debug)]
+struct Abs {
+    d13: Vec<Site>,
+    d14: Vec<Site>,
+    d15: Vec<Site>,
+}
+
 /// Interprets the *last* function in `src` with no call summaries.
-fn abs_of(src: &str) -> FnAbs {
+fn abs_of(src: &str) -> Abs {
     let tokens = tokenize(src);
     let code: Vec<_> = tokens
         .into_iter()
@@ -19,7 +28,19 @@ fn abs_of(src: &str) -> FnAbs {
     let parsed = mfpa_lint::parser::parse(&code);
     let f = parsed.functions.last().expect("fixture declares a fn");
     let ir = mfpa_lint::ir::build(&code, f);
-    interpret(&code, f, &ir, &BTreeMap::new(), false)
+    let sites = interpret(&code, f, &ir, &BTreeMap::new(), false).sites;
+    let of = |family| {
+        sites
+            .iter()
+            .filter(|s| s.family == family)
+            .cloned()
+            .collect()
+    };
+    Abs {
+        d13: of(Family::Counter),
+        d14: of(Family::Division),
+        d15: of(Family::Units),
+    }
 }
 
 fn iv(lo: i128, hi: i128) -> Interval {

@@ -36,6 +36,8 @@ crates/core/src/deploy.rs @@ (v < 0.0).then_some(QuarantineCause::RangeViolation
 crates/core/src/deploy.rs @@ let zeroed = record.smart.get(SmartAttr::Capacity) == 0.0; @@ let zeroed = self.last_day.is_some() && record.smart.get(SmartAttr::Capacity) == 0.0; @@ mfpa-core lib sanitize::tests::sentinel_pages_are_quarantined
 crates/core/src/fleet_monitor.rs @@ report.accepted += (r.kept_records + r.duplicates_collapsed) as u64; @@ report.accepted += r.kept_records as u64; @@ mfpa-core lib fleet_monitor::tests::ring_window_matches_the_sorted_vec_oracle
 crates/core/src/checkpoint.rs @@ w.u64(shard.readmissions); @@ let _ = shard.readmissions; @@ mfpa-suite fleet_monitor kill_and_restore_is_bit_identical_at_every_batch_boundary
+crates/core/src/fleet_monitor.rs @@ self.tick < self.degraded_until @@ self.tick <= self.degraded_until @@ mfpa-core lib fleet_monitor::tests::is_degraded_predicts_the_next_due_sweep
+crates/lint/src/rules.rs @@ Panic => (Deterministic, Some("d8"), Some("d5")), @@ Panic => (Deterministic, Some("d5"), Some("d5")), @@ mfpa-lint lib tests::reachable_panic_is_d8_with_chain
 EOF
 }
 

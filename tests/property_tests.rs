@@ -11,7 +11,7 @@ use mfpa_core::sanitize::{sanitize, SENTINEL_CEILING};
 use mfpa_core::{SanitizeConfig, SanitizeReport};
 use mfpa_dataset::cv::{folds_chronologically_sound, kfold, time_series_cv};
 use mfpa_dataset::split::{is_chronologically_sound, ratio_split, timepoint_split};
-use mfpa_dataset::{LabelEncoder, Matrix, RandomUnderSampler, StandardScaler};
+use mfpa_dataset::{Matrix, RandomUnderSampler, StandardScaler};
 use mfpa_fleetsim::ArrivalEvent;
 use mfpa_ml::metrics::{auc, roc_curve, ConfusionMatrix};
 use mfpa_telemetry::{
@@ -259,17 +259,6 @@ proptest! {
         // No duplicates.
         let unique: HashSet<usize> = kept.iter().copied().collect();
         prop_assert_eq!(unique.len(), kept.len());
-    }
-
-    #[test]
-    fn label_encoder_roundtrips(values in prop::collection::vec("[a-z]{1,6}", 1..50)) {
-        let mut enc = LabelEncoder::new();
-        let codes = enc.fit_transform(values.clone());
-        for (v, c) in values.iter().zip(&codes) {
-            prop_assert_eq!(enc.transform(v), Some(*c));
-            prop_assert_eq!(enc.inverse(*c), Some(v));
-        }
-        prop_assert!(enc.n_categories() <= values.len());
     }
 
     #[test]
